@@ -1,0 +1,7 @@
+"""Make the benchmark's modules and the slicemon sources importable."""
+
+import os
+import sys
+
+BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [BENCH, os.path.join(os.path.dirname(BENCH), "src")]
