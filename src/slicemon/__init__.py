@@ -9,12 +9,12 @@ unless asked to.  See :mod:`slicemon.slicer` for the slicing table,
 """
 
 from .bindings import (
+    BindingFormatError,
     CapExceeded,
     DEFAULT_DOMAIN_CAP,
     EMPTY,
     InstanceSet,
     ParamInstance,
-    is_join_closed,
     join_closure,
     max_below,
     ordered,
@@ -26,7 +26,6 @@ from .events import (
     ParseError,
     UnknownEvent,
     binding_closure,
-    evaluate_at,
     parse_trace,
     render_trace,
     slice_trace,
@@ -60,6 +59,7 @@ from .specfile import SpecFormatError, parse_property_spec
 __all__ = [
     "BalanceMachine",
     "BaselineMonitor",
+    "BindingFormatError",
     "CapExceeded",
     "DEFAULT_DOMAIN_CAP",
     "DfaMachine",
@@ -87,8 +87,6 @@ __all__ = [
     "binding_closure",
     "compile_regex",
     "definitional_verdicts",
-    "evaluate_at",
-    "is_join_closed",
     "join_closure",
     "max_below",
     "ordered",

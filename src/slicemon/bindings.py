@@ -21,15 +21,14 @@ from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
+    "BindingFormatError",
     "CapExceeded",
     "DEFAULT_DOMAIN_CAP",
     "EMPTY",
     "InstanceSet",
     "ParamInstance",
     "binding_order",
-    "is_join_closed",
     "join_closure",
-    "join_sets",
     "joins_with",
     "max_below",
     "ordered",
@@ -37,13 +36,18 @@ __all__ = [
 ]
 
 #: Parameter names are identifiers; values are any non-empty run of
-#: characters containing neither whitespace nor ``=``.
+#: characters containing no whitespace, ``=`` or ``,`` (the separators of the
+#: canonical encoding, so every binding reads back from its encoding).
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_VALUE_RE = re.compile(r"[^\s=]+\Z")
+_VALUE_RE = re.compile(r"[^\s=,]+\Z")
 
 #: Largest binding domain for which sub-binding enumeration (2^n candidates)
 #: is permitted.  Lookups on wider bindings raise :class:`CapExceeded`.
 DEFAULT_DOMAIN_CAP = 10
+
+
+class BindingFormatError(ValueError):
+    """A binding's text, or one of its parameter names or values, is malformed."""
 
 
 class CapExceeded(Exception):
@@ -72,9 +76,9 @@ class ParamInstance:
         items = tuple(sorted(dict(mapping).items()))
         for name, value in items:
             if not isinstance(name, str) or not _NAME_RE.match(name):
-                raise ValueError("bad parameter name: %r" % (name,))
+                raise BindingFormatError("bad parameter name: %r" % (name,))
             if not isinstance(value, str) or not _VALUE_RE.match(value):
-                raise ValueError("bad parameter value: %r" % (value,))
+                raise BindingFormatError("bad parameter value: %r" % (value,))
         self._items = items
         self._index = dict(items)
         self._hash = hash(items)
@@ -100,9 +104,9 @@ class ParamInstance:
         for chunk in text.split(","):
             name, eq, value = chunk.strip().partition("=")
             if not eq:
-                raise ValueError("expected name=value, got %r" % chunk)
+                raise BindingFormatError("expected name=value, got %r" % chunk)
             if name in mapping:
-                raise ValueError("parameter %r bound twice" % name)
+                raise BindingFormatError("parameter %r bound twice" % name)
             mapping[name] = value
         return cls(mapping)
 
@@ -271,34 +275,6 @@ def joins_with(
         if joined is not None:
             out.add(joined)
     return out
-
-
-def join_sets(
-    left: Iterable[ParamInstance], right: Iterable[ParamInstance]
-) -> set[ParamInstance]:
-    """Pairwise joins of two binding sets (dropping undefined combinations)."""
-    right_list = list(right)
-    out: set[ParamInstance] = set()
-    for a in left:
-        for b in right_list:
-            joined = a.join(b)
-            if joined is not None:
-                out.add(joined)
-    return out
-
-
-def is_join_closed(instances: Iterable[ParamInstance]) -> bool:
-    """True when the set contains the empty binding and all pairwise joins."""
-    members = set(instances)
-    if EMPTY not in members:
-        return False
-    listed = list(members)
-    for i, a in enumerate(listed):
-        for b in listed[i:]:
-            joined = a.join(b)
-            if joined is not None and joined not in members:
-                return False
-    return True
 
 
 def join_closure(instances: Iterable[ParamInstance]) -> set[ParamInstance]:

@@ -16,7 +16,12 @@ import csv
 import sys
 import time
 
-from .bindings import DEFAULT_DOMAIN_CAP, CapExceeded, ParamInstance
+from .bindings import (
+    DEFAULT_DOMAIN_CAP,
+    BindingFormatError,
+    CapExceeded,
+    ParamInstance,
+)
 from .events import ParamMismatch, ParseError, UnknownEvent, parse_trace
 from .parametric import BaselineMonitor, IndexedMonitor
 from .patterns import PatternSyntaxError, UnknownEventInPattern
@@ -30,14 +35,17 @@ from .workloads import (
     iterator_workload,
 )
 
+#: Malformed input, reported with exit code 1.  Anything else propagates with
+#: its traceback, so a fault of the program is never reported as bad input.
 INPUT_ERRORS = (
+    BindingFormatError,
     ParseError,
     SpecFormatError,
     PatternSyntaxError,
     UnknownEventInPattern,
     UnknownEvent,
     ParamMismatch,
-    ValueError,
+    UnicodeDecodeError,  # a trace or property file that is not UTF-8
 )
 
 
@@ -97,7 +105,6 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(chunk) for chunk in args.counts.split(",") if chunk.strip()]
     writer = csv.writer(sys.stdout)
     writer.writerow(
         ["workload", "trace_size", "algo", "events_per_second",
@@ -108,7 +115,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ("adversarial", adversarial_workload, adversarial_machine),
     )
     for label, make_events, make_machine in workloads:
-        for size in sizes:
+        for size in args.counts:
             events = make_events(size)
             for algo, engine_cls in (("b", BaselineMonitor), ("c", IndexedMonitor)):
                 engine = engine_cls(make_machine(), cap=args.cap)
@@ -126,6 +133,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     ]
                 )
     return 0
+
+
+def size_list(text: str) -> list[int]:
+    return [int(chunk) for chunk in text.split(",") if chunk.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,10 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="print throughput CSV to stdout")
     p_bench.add_argument(
-        "--counts", default="1000",
+        "--counts", type=size_list, default="1000",
         help="comma-separated workload sizes (default 1000)",
     )
-    p_bench.add_argument("--seed", type=int, default=0, help="unused; workloads are fixed")
     add_common(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 

@@ -12,13 +12,13 @@ The text format, one event per line::
     # blank lines and full-line comments are ignored
 
 Parameter names are identifiers, values are any non-empty run of characters
-without whitespace, ``=`` or ``#``.
+without whitespace, ``=``, ``,`` or ``#``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .bindings import EMPTY, ParamInstance, _NAME_RE, _VALUE_RE, join_closure
 
@@ -29,7 +29,6 @@ __all__ = [
     "ParametricEvent",
     "UnknownEvent",
     "binding_closure",
-    "evaluate_at",
     "parse_trace",
     "render_trace",
     "slice_trace",
@@ -127,15 +126,3 @@ def binding_closure(trace: Iterable[ParametricEvent]) -> set[ParamInstance]:
     """Join closure of the bindings carried by the trace (the slice-table domain)."""
     return join_closure(event.instance for event in trace)
 
-
-def evaluate_at(machine, trace: Sequence[ParametricEvent], binding: ParamInstance):
-    """Run a base monitor over the definitional slice for ``binding``.
-
-    ``machine`` needs ``initial()``, ``step(state, name)`` and
-    ``output(state)``; the return value is the machine's verdict after
-    consuming the whole slice.
-    """
-    state = machine.initial()
-    for name in slice_trace(trace, binding):
-        state = machine.step(state, name)
-    return machine.output(state)

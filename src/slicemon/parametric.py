@@ -1,20 +1,21 @@
 """Parametric monitoring: one base monitor state per observed binding.
 
-Feeding a parameter-carrying event advances the monitor state of every
-binding whose slice the event belongs to.  Two engines implement the same
-observable behaviour:
+A parametric monitor is the base monitor run on every trace slice.  Both
+engines share one define/join/apply loop, :meth:`_EngineBase.feed`: for a
+fresh binding it defines every missing join of the binding with the table,
+each copied from its ``max_below`` source in the pre-event table; then it
+steps the binding and its defined strict extensions, in ``binding_order``.
+The engines differ only in the two finders the loop calls:
 
-* :class:`BaselineMonitor` recomputes, per event, the full set of affected
-  bindings by joining the event's binding with every table entry — simple,
-  and the semantic yardstick.
-* :class:`IndexedMonitor` additionally maintains, for every binding, the set
-  of strictly more informative *defined* bindings.  An event for an
-  already-known binding then touches exactly the states it can affect,
-  without scanning the table.
+* :class:`BaselineMonitor` scans the whole table — simple, and the semantic
+  yardstick;
+* :class:`IndexedMonitor` looks both up in a domain-keyed index of the
+  defined bindings, without scanning the table or checking compatibility.
 
 Both produce identical state tables, verdicts and report streams, which the
 test suite checks event by event against each other and against the
-definitional slice semantics.
+definitional slice semantics.  :class:`slicemon.slicer.SliceTable` runs the
+same loop with a machine whose state is the word read so far.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .bindings import (
     binding_order,
     joins_with,
     max_below,
-    ordered,
     strict_subinstances_desc,
 )
 from .events import ParametricEvent, binding_closure, slice_trace
@@ -71,10 +71,12 @@ class RunStats:
     """Per-run work counters (used by the benchmark and the cost tests).
 
     ``touched_per_event[i]`` is the number of monitor states stepped by event
-    ``i`` (0-based); ``compat_per_event[i]`` counts binding-compatibility
-    checks performed while indexing that event.  ``monitor_steps`` and
-    ``compat_checks`` are the respective totals, ``defines`` counts new table
-    entries, and ``peak_instances`` tracks the largest table size reached.
+    ``i`` (0-based); ``compat_per_event[i]`` counts the join candidates
+    examined to find the bindings that event affects (every table entry for
+    the baseline; a fresh binding and its indexed neighbours for the indexed
+    engine).  ``monitor_steps`` and ``compat_checks`` are the respective
+    totals, ``defines`` counts new table entries, and ``peak_instances``
+    tracks the largest table size reached.
     """
 
     events: int = 0
@@ -87,7 +89,18 @@ class RunStats:
 
 
 class _EngineBase:
-    """State shared by both engines: tables, triggers, report policy."""
+    """The define/join/apply loop, tables, triggers and report policy.
+
+    Subclasses supply the two finders: ``_joins(binding)`` lists the joins of
+    a binding that is not in the table with every table entry, and
+    ``_at_or_above(binding)`` the defined bindings at or above one that is.
+    Both add the join candidates they examine to ``stats.compat_checks``.
+    """
+
+    #: Snapshot mutant, set only by ``SliceTable(unsafe_no_snapshot=True)``:
+    #: joins are defined while stepping, against the live table, so a join can
+    #: copy a state this event already advanced (for the selfcheck to catch).
+    _unsafe_no_snapshot = False
 
     def __init__(
         self,
@@ -118,36 +131,64 @@ class _EngineBase:
             reports.extend(self.feed(event))
         return reports
 
-    def _advance(
-        self, touched: Iterable[ParamInstance], event: ParametricEvent
-    ) -> list[VerdictReport]:
-        """Step every touched state, refresh verdicts, emit report lines.
+    def feed(self, event: ParametricEvent) -> list[VerdictReport]:
+        """Step every state whose slice the event extends; return the reports.
 
         A verdict is reported when it belongs to the trigger set and differs
         from the binding's previously recorded verdict (so a machine parked
         in a verdict state reports once, not on every event) — unless
         ``report_every`` asked for the undeduplicated stream.
         """
-        machine = self.machine
-        delta = self.delta
-        gamma = self.gamma
         stats = self.stats
+        stats.events += 1
+        checks = stats.compat_checks
+        delta = self.delta
+        binding = event.instance
+        unsafe = self._unsafe_no_snapshot
+        if binding in delta:
+            touched = self._at_or_above(binding)
+        else:
+            # The joins of a fresh binding with the table are exactly the
+            # bindings the event affects.  Each missing one copies the state
+            # of its most informative defined sub-binding, read before any
+            # define so that no join copies a state this event created.
+            touched = self._joins(binding)
+            if not unsafe:
+                missing = [joined for joined in touched if joined not in delta]
+                sources = [max_below(joined, delta, self.cap) for joined in missing]
+                for joined, source in zip(missing, sources):
+                    self._define(joined, source)
+        touched.sort(key=binding_order)
+        stats.compat_per_event.append(stats.compat_checks - checks)
+
+        machine = self.machine
+        gamma = self.gamma
         index = stats.events
         reports: list[VerdictReport] = []
-        count = 0
-        for binding in touched:
-            delta[binding] = machine.step(delta[binding], event.name)
-            verdict = machine.output(delta[binding])
-            previous = gamma.get(binding, _NEVER)
-            gamma[binding] = verdict
-            count += 1
+        for affected in touched:
+            if unsafe and affected not in delta:
+                self._define(affected, max_below(affected, delta, self.cap))
+            delta[affected] = state = machine.step(delta[affected], event.name)
+            verdict = machine.output(state)
+            previous = gamma.get(affected, _NEVER)
+            gamma[affected] = verdict
             if verdict in self.trigger and (self.report_every or verdict != previous):
-                reports.append(VerdictReport(index, verdict, binding, event.name))
-        stats.monitor_steps += count
-        stats.touched_per_event.append(count)
+                reports.append(VerdictReport(index, verdict, affected, event.name))
+        stats.monitor_steps += len(touched)
+        stats.touched_per_event.append(len(touched))
         if len(delta) > stats.peak_instances:
             stats.peak_instances = len(delta)
         return reports
+
+    def _define(self, binding: ParamInstance, source: ParamInstance) -> None:
+        """Create a table entry as a copy of a strictly less informative one."""
+        delta = self.delta
+        assert binding not in delta, "binding already defined"
+        assert source != binding and source.less_informative(binding), (
+            "copy source must be strictly less informative"
+        )
+        delta[binding] = delta[source]
+        self.stats.defines += 1
 
 
 #: Sentinel distinguishing "never evaluated" from any real verdict.
@@ -155,143 +196,97 @@ _NEVER = object()
 
 
 class BaselineMonitor(_EngineBase):
-    """Join-everything engine: correct, transparent, table-scan per event."""
+    """Full-scan engine: finds affected bindings by scanning the whole table."""
 
-    def feed(self, event: ParametricEvent) -> list[VerdictReport]:
-        self.stats.events += 1
-        delta = self.delta
-        binding = event.instance
-        # Affected bindings: every defined join of the event's binding with a
-        # table entry (the empty binding is always present, so the event's own
-        # binding is always included).  This is the full-table scan the
-        # indexed engine exists to avoid; count it as such.
-        join_attempts = len(delta)
-        candidates = joins_with(binding, delta.keys())
-        sources: dict[ParamInstance, object] = {}
-        for candidate in candidates:
-            src = (
-                candidate
-                if candidate in delta
-                else max_below(candidate, delta, self.cap)
-            )
-            sources[candidate] = delta[src]
-        # Apply after all reads: updates must not see each other.
-        for candidate, state in sources.items():
-            delta[candidate] = state
-        self.stats.compat_checks += join_attempts
-        self.stats.compat_per_event.append(join_attempts)
-        return self._advance(ordered(candidates), event)
+    def _joins(self, binding: ParamInstance) -> list[ParamInstance]:
+        # The empty binding is always present, so the binding itself is one
+        # of the joins.
+        self.stats.compat_checks += len(self.delta)
+        return list(joins_with(binding, self.delta))
+
+    def _at_or_above(self, binding: ParamInstance) -> list[ParamInstance]:
+        self.stats.compat_checks += len(self.delta)
+        return [other for other in self.delta if binding.less_informative(other)]
 
 
 class IndexedMonitor(_EngineBase):
     """Index-guided engine: touches only states the event can affect.
 
-    For every binding ``b`` (defined or not) the index holds the defined
-    bindings strictly more informative than ``b``.  A known event binding
-    then advances exactly itself plus its index entry.  A fresh event binding
-    is first seeded from its most informative defined sub-binding, and joined
-    against the indexed neighbours of each of its sub-bindings so every
-    now-affected combination exists before stepping.
+    ``extensions[(sub, domain)]`` holds the defined bindings of ``domain``
+    strictly more informative than ``sub``; keys exist only for strict
+    sub-bindings of defined bindings.  A defined binding at or above ``b``
+    is ``b`` or sits in ``extensions[(b, domain)]`` for its domain.  A
+    binding compatible with ``b`` and of a domain ``D`` not within ``b``'s
+    agrees with ``b`` on their shared names, so the compatible neighbours
+    of a fresh binding in ``D`` are exactly ``extensions[(b restricted to D,
+    D)]``: no compatibility checks, no sort.
 
-    ``skip_join_phase`` disables that join step — a deliberately broken
+    ``skip_join_phase`` disables the join step: a fresh binding then affects
+    only itself and its defined extensions.  It is a deliberately broken
     variant kept so the differential selfcheck demonstrably catches the
     resulting missed combinations.  Never enable it otherwise.
     """
 
-    def __init__(
-        self,
-        machine: Machine,
-        *,
-        trigger: Iterable[Verdict] = (),
-        report_every: bool = False,
-        cap: int = DEFAULT_DOMAIN_CAP,
-        skip_join_phase: bool = False,
-    ):
-        super().__init__(
-            machine, trigger=trigger, report_every=report_every, cap=cap
-        )
-        self.extensions: dict[ParamInstance, set[ParamInstance]] = {}
+    def __init__(self, machine: Machine, *, skip_join_phase: bool = False, **options):
+        super().__init__(machine, **options)
+        self.extensions: dict[tuple, set[ParamInstance]] = {}
+        #: Domains of the defined bindings; each maps to itself, so index
+        #: keys share one domain object.
+        self._domains: dict[frozenset[str], frozenset[str]] = {}
         self.skip_join_phase = skip_join_phase
 
-    def feed(self, event: ParametricEvent) -> list[VerdictReport]:
-        self.stats.events += 1
-        delta = self.delta
-        binding = event.instance
-        compat_checks = 0
-        if binding not in delta:
-            # Seed the new binding from the most informative defined
-            # sub-binding (unique because the table domain is join-closed).
-            for sub in strict_subinstances_desc(binding, self.cap):
-                if sub in delta:
-                    self._define(binding, sub)
-                    break
-            if not self.skip_join_phase:
-                # Every defined neighbour compatible with the event's binding
-                # spawns a joined binding, seeded from that neighbour.  Walking
-                # sub-bindings most-informative-first (and each index entry
-                # likewise) guarantees the first compatible source seen for a
-                # given join is the most informative one, so the copied state
-                # is the right one.  The index entry is snapshotted: fresh
-                # joins enter it mid-loop, but their join with the event
-                # binding is themselves, already defined, so skipping them is
-                # sound.
-                for sub in strict_subinstances_desc(binding, self.cap):
-                    neighbours = self.extensions.get(sub)
-                    if not neighbours:
-                        continue
-                    for candidate in sorted(
-                        neighbours, key=_desc_binding_order
-                    ):
-                        compat_checks += 1
-                        if candidate.compatible(binding):
-                            joined = candidate.join(binding)
-                            if joined not in delta:
-                                self._define(joined, candidate)
-        touched = [binding]
-        touched.extend(self.extensions.get(binding, ()))
-        touched.sort(key=binding_order)
-        self.stats.compat_checks += compat_checks
-        self.stats.compat_per_event.append(compat_checks)
-        return self._advance(touched, event)
+    def _joins(self, binding: ParamInstance) -> list[ParamInstance]:
+        if self.skip_join_phase:
+            return self._at_or_above(binding)
+        extensions = self.extensions
+        joins = {binding}
+        examined = 1
+        for domain in self._domains:
+            neighbours = extensions.get((binding.restrict(domain), domain))
+            if neighbours:
+                examined += len(neighbours)
+                joins.update(neighbour.join(binding) for neighbour in neighbours)
+        self.stats.compat_checks += examined
+        return list(joins)
+
+    def _at_or_above(self, binding: ParamInstance) -> list[ParamInstance]:
+        extensions = self.extensions
+        found = [binding]
+        for domain in self._domains:
+            found.extend(extensions.get((binding, domain), ()))
+        return found
 
     def _define(self, binding: ParamInstance, source: ParamInstance) -> None:
-        """Create a table entry as a copy of a strictly less informative one."""
-        delta = self.delta
-        assert binding not in delta, "binding already defined"
-        assert source in delta, "copy source must be defined"
-        assert source != binding and source.less_informative(binding), (
-            "copy source must be strictly less informative"
-        )
-        delta[binding] = delta[source]
+        super()._define(binding, source)
+        names = frozenset(binding.names)
+        domain = self._domains.setdefault(names, names)
+        extensions = self.extensions
         for sub in strict_subinstances_desc(binding, self.cap):
-            self.extensions.setdefault(sub, set()).add(binding)
-        self.stats.defines += 1
+            extensions.setdefault((sub, domain), set()).add(binding)
 
     def check_index(self) -> None:
         """Assert the index invariant, for tests (quadratic in table size).
 
-        Every index entry — including entries for bindings that are not
-        themselves defined — must hold exactly the defined bindings strictly
-        more informative than its key.
+        Every index entry must hold exactly the defined bindings of its
+        domain strictly more informative than its key binding, and every
+        such pair of defined bindings must be indexed.
         """
         defined = list(self.delta.keys())
-        for sub, members in self.extensions.items():
+        for (sub, domain), members in self.extensions.items():
             expected = {
-                b for b in defined if sub != b and sub.less_informative(b)
+                b for b in defined
+                if frozenset(b.names) == domain and sub != b and sub.less_informative(b)
             }
             assert members == expected, (
-                "index entry for %r is %r, expected %r" % (sub, members, expected)
+                "index entry for %r in %s is %r, expected %r"
+                % (sub, sorted(domain), members, expected)
             )
         for a in defined:
             for b in defined:
                 if a != b and a.less_informative(b):
-                    assert b in self.extensions.get(a, ()), (
+                    assert b in self.extensions.get((a, frozenset(b.names)), ()), (
                         "index misses a defined extension"
                     )
-
-
-def _desc_binding_order(instance: ParamInstance) -> tuple[int, str]:
-    return (-len(instance), instance.encode())
 
 
 def definitional_verdicts(
@@ -304,10 +299,7 @@ def definitional_verdicts(
     differential tests; intentionally built on :func:`slice_trace` rather
     than any incremental table.
     """
-    out: dict[ParamInstance, object] = {}
-    for binding in binding_closure(trace):
-        state = machine.initial()
-        for name in slice_trace(trace, binding):
-            state = machine.step(state, name)
-        out[binding] = machine.output(state)
-    return out
+    return {
+        binding: machine.run(slice_trace(trace, binding))
+        for binding in binding_closure(trace)
+    }

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from typing import Iterable
 
 from slicemon.bindings import EMPTY, ParamInstance
 
@@ -82,6 +83,38 @@ def bf_max_below(query: dict, closed: list[dict]) -> dict:
 def random_binding(rng: random.Random, params=("x", "y", "z"), values=("1", "2", "3")) -> ParamInstance:
     chosen = rng.sample(params, rng.randint(0, len(params)))
     return ParamInstance({name: rng.choice(values) for name in chosen})
+
+
+# Set-level helpers over ParamInstance for the law checks; the package itself
+# never needs them (its tables grow by joins with one binding at a time).
+
+
+def join_sets(
+    left: Iterable[ParamInstance], right: Iterable[ParamInstance]
+) -> set[ParamInstance]:
+    """Pairwise joins of two binding sets (dropping undefined combinations)."""
+    right_list = list(right)
+    out: set[ParamInstance] = set()
+    for a in left:
+        for b in right_list:
+            joined = a.join(b)
+            if joined is not None:
+                out.add(joined)
+    return out
+
+
+def is_join_closed(instances: Iterable[ParamInstance]) -> bool:
+    """True when the set contains the empty binding and all pairwise joins."""
+    members = set(instances)
+    if EMPTY not in members:
+        return False
+    listed = list(members)
+    for i, a in enumerate(listed):
+        for b in listed[i:]:
+            joined = a.join(b)
+            if joined is not None and joined not in members:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -3,23 +3,24 @@
 from __future__ import annotations
 
 import random
+import string
 
 import pytest
 
 from slicemon.bindings import (
     EMPTY,
+    BindingFormatError,
     CapExceeded,
     InstanceSet,
     ParamInstance,
     binding_order,
-    is_join_closed,
     join_closure,
-    join_sets,
     joins_with,
     max_below,
     ordered,
     strict_subinstances_desc,
 )
+from slicemon.events import ParseError, parse_trace
 
 from .oracles import (
     bf_compatible,
@@ -28,6 +29,8 @@ from .oracles import (
     bf_less_informative,
     bf_max_below,
     from_instance,
+    is_join_closed,
+    join_sets,
     random_binding,
     to_instance,
 )
@@ -56,6 +59,30 @@ def test_parse_rejects_garbage():
         ParamInstance.parse("x")
     with pytest.raises(ValueError):
         ParamInstance.parse("x=1,x=2")
+
+
+def test_one_value_grammar_and_encoding_round_trip():
+    # traces and the constructor accept the same values, and whatever either
+    # accepts reads back from its canonical encoding (the --instance syntax)
+    rng = random.Random(5)
+    chars = string.ascii_letters + string.digits + "._-:/@%+~!$&*()[]{}<>?;'\"|^`é,="
+    for _ in range(500):
+        names = rng.sample(("a", "b", "x_1", "Zed"), rng.randint(0, 4))
+        values = ["".join(rng.choices(chars, k=rng.randint(1, 5))) for _ in names]
+        try:
+            built = ParamInstance(dict(zip(names, values)))
+        except BindingFormatError:
+            built = None
+        line = " ".join(["e"] + ["%s=%s" % pair for pair in zip(names, values)])
+        try:
+            (event,) = parse_trace(line)
+            parsed = event.instance
+        except ParseError:
+            parsed = None
+        assert (built is None) == (parsed is None), line
+        for binding in (built, parsed):
+            if binding is not None:
+                assert ParamInstance.parse(binding.encode()) == binding
 
 
 def test_invalid_names_and_values_rejected():

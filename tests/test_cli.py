@@ -8,6 +8,7 @@ import io
 import pytest
 
 from slicemon.cli import main
+from slicemon.parametric import _EngineBase
 
 from .conftest import FIXTURES
 
@@ -181,6 +182,24 @@ def test_bad_instance_argument_exits_1(capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+def test_undecodable_trace_exits_1(capsys, tmp_path):
+    bad = tmp_path / "bad.trace"
+    bad.write_bytes(b"open f=\xff\n")
+    code, out, err = run(capsys, "slice", "--trace", str(bad))
+    assert (code, out) == (1, "")
+    assert "utf-8" in err
+
+
+def test_internal_value_error_is_not_malformed_input(capsys, monkeypatch):
+    def broken_feed(self, event):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(_EngineBase, "feed", broken_feed)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["monitor", "--spec", fx("hasnext.spec"), "--trace", fx("hasnext.trace")])
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_cap_exceeded_exits_2(capsys, tmp_path):

@@ -48,6 +48,8 @@ def test_parse_errors_carry_line_numbers():
         parse_trace("open 9f=x\n")
     with pytest.raises(ParseError):
         parse_trace("open f=\n")
+    with pytest.raises(ParseError):
+        parse_trace("open f=a,b\n")  # "," separates pairs in an encoding
 
 
 def test_duplicate_param_rejected():

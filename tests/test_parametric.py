@@ -174,9 +174,9 @@ def test_indexed_engine_cost_shape():
     engine.feed(k1)
     engine.feed(k1)
     stats = engine.stats
-    # fresh bindings scan their sub-bindings' index entries (which include
-    # the binding itself once seeded); repeat events never scan at all
-    assert stats.compat_per_event == [1, 2, 0, 0]
+    # a fresh binding examines itself plus its indexed neighbours (none
+    # here: k=1 and k=2 are incompatible); repeat events examine nothing
+    assert stats.compat_per_event == [1, 1, 0, 0]
     # ... and touch exactly the binding itself (no extensions exist here)
     assert stats.touched_per_event == [1, 1, 1, 1]
     assert stats.defines == 2

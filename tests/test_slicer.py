@@ -6,12 +6,12 @@ import random
 
 import pytest
 
-from slicemon.bindings import EMPTY, CapExceeded, ParamInstance, is_join_closed
+from slicemon.bindings import EMPTY, CapExceeded, ParamInstance
 from slicemon.events import ParametricEvent, parse_trace, slice_trace
 from slicemon.slicer import SliceTable
 
 from .frozen import AFTER_E4, AFTER_E6, AFTER_E8, FINAL, FINAL_LOOKUPS
-from .oracles import random_binding
+from .oracles import is_join_closed, random_binding
 
 
 def table_as_encoded(table: SliceTable) -> dict[str, str]:
