@@ -13,7 +13,6 @@ from .bindings import (
     CapExceeded,
     DEFAULT_DOMAIN_CAP,
     EMPTY,
-    InstanceSet,
     ParamInstance,
     join_closure,
     max_below,
@@ -67,7 +66,6 @@ __all__ = [
     "EMPTY",
     "FsmMachine",
     "IndexedMonitor",
-    "InstanceSet",
     "Machine",
     "MonitorSpec",
     "ParamInstance",

@@ -7,10 +7,15 @@ compatible when they agree on every shared parameter; exactly then their
 *join* (the union of the two assignments) exists.  The empty binding is the
 bottom element and is compatible with everything.
 
+A binding is stored only as its name-sorted tuple of ``(name, value)``
+items, which serves as its hash, equality and encoding source.  The order is
+a subset test on those tuples, the join merges two of them, and the
+sub-bindings of a binding are the sub-tuples of its items.
+
 Everything downstream (slicing tables, monitor state tables) indexes on
 bindings, so this module also fixes their canonical encoding
 (``name=value`` pairs, name-sorted, comma-joined) and the deterministic
-ordering used whenever a set of bindings is iterated: ascending domain size,
+ordering used whenever a set of bindings is listed: ascending domain size,
 then ascending canonical encoding.
 """
 
@@ -25,7 +30,6 @@ __all__ = [
     "CapExceeded",
     "DEFAULT_DOMAIN_CAP",
     "EMPTY",
-    "InstanceSet",
     "ParamInstance",
     "binding_order",
     "join_closure",
@@ -70,7 +74,7 @@ class ParamInstance:
     least informative binding.
     """
 
-    __slots__ = ("_items", "_index", "_hash", "_enc")
+    __slots__ = ("_items", "_hash", "_enc")
 
     def __init__(self, mapping: Mapping[str, str] | Iterable[tuple[str, str]] = ()):
         items = tuple(sorted(dict(mapping).items()))
@@ -80,7 +84,6 @@ class ParamInstance:
             if not isinstance(value, str) or not _VALUE_RE.match(value):
                 raise BindingFormatError("bad parameter value: %r" % (value,))
         self._items = items
-        self._index = dict(items)
         self._hash = hash(items)
         self._enc = None
 
@@ -89,7 +92,6 @@ class ParamInstance:
         # Internal fast path: items must already be validated and name-sorted.
         self = object.__new__(cls)
         self._items = items
-        self._index = dict(items)
         self._hash = hash(items)
         self._enc = None
         return self
@@ -121,14 +123,8 @@ class ParamInstance:
     def __len__(self) -> int:
         return len(self._items)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
     def __iter__(self) -> Iterator[tuple[str, str]]:
         return iter(self._items)
-
-    def get(self, name: str) -> str | None:
-        return self._index.get(name)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -159,44 +155,48 @@ class ParamInstance:
         """
         if len(self._items) > len(other._items):
             return False
-        index = other._index
-        for name, value in self._items:
-            if index.get(name) != value:
+        items = other._items
+        for item in self._items:
+            if item not in items:
                 return False
         return True
 
     def compatible(self, other: "ParamInstance") -> bool:
         """True when the two bindings agree on every shared parameter."""
-        small, big = (
-            (self, other) if len(self._items) <= len(other._items) else (other, self)
-        )
-        index = big._index
-        for name, value in small._items:
-            bound = index.get(name)
-            if bound is not None and bound != value:
-                return False
-        return True
+        return self.join(other) is not None
 
     def join(self, other: "ParamInstance") -> "ParamInstance | None":
         """Least binding more informative than both, or None when incompatible."""
-        if not other._items:
+        left, right = self._items, other._items
+        if not right:
             return self
-        if not self._items:
+        if not left:
             return other
-        merged = dict(self._index)
-        grew = False
-        for name, value in other._items:
-            bound = merged.get(name)
-            if bound is None:
-                merged[name] = value
-                grew = True
-            elif bound != value:
-                return None
-        if not grew:
+        # Merge the two name-sorted item tuples, stopping at the first name
+        # they bind to different values.
+        merged = []
+        i = j = 0
+        while i < len(left) and j < len(right):
+            mine, theirs = left[i], right[j]
+            if mine[0] == theirs[0]:
+                if mine[1] != theirs[1]:
+                    return None
+                merged.append(mine)
+                i += 1
+                j += 1
+            elif mine[0] < theirs[0]:
+                merged.append(mine)
+                i += 1
+            else:
+                merged.append(theirs)
+                j += 1
+        merged.extend(left[i:])
+        merged.extend(right[j:])
+        if len(merged) == len(left):
             return self
-        if len(merged) == len(other._items):
+        if len(merged) == len(right):
             return other
-        return ParamInstance._wrap(tuple(sorted(merged.items())))
+        return ParamInstance._wrap(tuple(merged))
 
     def restrict(self, names: Iterable[str]) -> "ParamInstance":
         """Sub-binding on the given names (names not bound here are ignored)."""
@@ -218,47 +218,6 @@ def binding_order(instance: ParamInstance) -> tuple[int, str]:
 def ordered(instances: Iterable[ParamInstance]) -> list[ParamInstance]:
     """Sorted list of bindings in the canonical iteration order."""
     return sorted(instances, key=binding_order)
-
-
-class InstanceSet:
-    """A finite set of bindings with deterministic iteration order.
-
-    Iteration yields bindings by ascending (domain size, canonical encoding),
-    so any two equal sets display and replay identically.
-    """
-
-    __slots__ = ("_members",)
-
-    def __init__(self, members: Iterable[ParamInstance] = ()):
-        self._members = set(members)
-
-    def add(self, instance: ParamInstance) -> None:
-        self._members.add(instance)
-
-    def update(self, instances: Iterable[ParamInstance]) -> None:
-        self._members.update(instances)
-
-    def __contains__(self, instance: object) -> bool:
-        return instance in self._members
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __iter__(self) -> Iterator[ParamInstance]:
-        return iter(ordered(self._members))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, InstanceSet):
-            return self._members == other._members
-        if isinstance(other, (set, frozenset)):
-            return self._members == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return "InstanceSet({%s})" % ", ".join(i.encode() or "<empty>" for i in self)
-
-    def as_set(self) -> set[ParamInstance]:
-        return set(self._members)
 
 
 def joins_with(
@@ -301,19 +260,19 @@ def strict_subinstances_desc(
 ) -> Iterator[ParamInstance]:
     """Yield every strictly less informative binding, most informative first.
 
-    Order is descending domain size with ties broken by ascending canonical
-    encoding; the final binding yielded is always the empty one.  A domain
-    wider than ``cap`` raises :class:`CapExceeded` (the enumeration is
-    exponential in the domain size).
+    Order is descending domain size; within one size it is
+    :func:`itertools.combinations` order over the name-sorted items.  The
+    final binding yielded is always the empty one.  A domain wider than
+    ``cap`` raises :class:`CapExceeded` (the enumeration is exponential in
+    the domain size).
     """
-    names = instance.names
-    if len(names) > cap:
-        raise CapExceeded(len(names), cap)
-    for size in range(len(names) - 1, -1, -1):
-        bucket = [instance.restrict(combo) for combo in combinations(names, size)]
-        if len(bucket) > 1:
-            bucket.sort(key=ParamInstance.encode)
-        yield from bucket
+    items = instance._items
+    if len(items) > cap:
+        raise CapExceeded(len(items), cap)
+    wrap = ParamInstance._wrap
+    for size in range(len(items) - 1, -1, -1):
+        for combo in combinations(items, size):
+            yield wrap(combo)
 
 
 def max_below(
@@ -325,7 +284,10 @@ def max_below(
 
     ``members`` must be join-closed (which makes the maximum unique) and
     therefore contain the empty binding, so the scan always terminates with
-    an answer.  ``instance`` itself is returned when it is a member.
+    an answer.  ``instance`` itself is returned when it is a member.  Two
+    distinct members below ``instance`` of one size would have a larger join
+    below it in ``members``, so the first member met, size by size, is the
+    maximum whatever the order within a size.
     """
     membership = members if hasattr(members, "__contains__") else set(members)
     if instance in membership:

@@ -4,9 +4,9 @@ Subcommands: ``slice`` (dump slices of a trace), ``monitor`` (stream verdict
 reports for a property over a trace), ``selfcheck`` (randomized differential
 checking), ``bench`` (CSV throughput numbers).
 
-Exit codes: 0 success / nothing triggered; 1 malformed input (trace,
-property file, pattern, alphabet mismatch); 2 binding domain exceeded the
-enumeration cap; 3 at least one report triggered; 4 selfcheck mismatch.
+Exit codes: 0 success / nothing triggered; 1 malformed or unreadable input
+(trace, property file, pattern, alphabet mismatch); 2 binding domain exceeded
+the enumeration cap; 3 at least one report triggered; 4 selfcheck mismatch.
 """
 
 from __future__ import annotations
@@ -35,8 +35,14 @@ from .workloads import (
     iterator_workload,
 )
 
-#: Malformed input, reported with exit code 1.  Anything else propagates with
-#: its traceback, so a fault of the program is never reported as bad input.
+
+class InputFileError(Exception):
+    """A ``--trace`` or ``--spec`` file is missing, unreadable or a directory."""
+
+
+#: Malformed or unreadable input, reported with exit code 1.  Anything else
+#: propagates with its traceback, so a fault of the program is never reported
+#: as bad input.
 INPUT_ERRORS = (
     BindingFormatError,
     ParseError,
@@ -46,14 +52,18 @@ INPUT_ERRORS = (
     UnknownEvent,
     ParamMismatch,
     UnicodeDecodeError,  # a trace or property file that is not UTF-8
+    InputFileError,
 )
 
 
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise InputFileError("%s: %s" % (path, exc.strerror or exc)) from exc
 
 
 def cmd_slice(args: argparse.Namespace) -> int:

@@ -20,17 +20,17 @@ same loop with a machine whose state is the word read so far.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .bindings import (
     DEFAULT_DOMAIN_CAP,
     EMPTY,
-    InstanceSet,
     ParamInstance,
     binding_order,
     joins_with,
     max_below,
+    ordered,
     strict_subinstances_desc,
 )
 from .events import ParametricEvent, binding_closure, slice_trace
@@ -70,13 +70,12 @@ class VerdictReport:
 class RunStats:
     """Per-run work counters (used by the benchmark and the cost tests).
 
-    ``touched_per_event[i]`` is the number of monitor states stepped by event
-    ``i`` (0-based); ``compat_per_event[i]`` counts the join candidates
-    examined to find the bindings that event affects (every table entry for
-    the baseline; a fresh binding and its indexed neighbours for the indexed
-    engine).  ``monitor_steps`` and ``compat_checks`` are the respective
-    totals, ``defines`` counts new table entries, and ``peak_instances``
-    tracks the largest table size reached.
+    ``monitor_steps`` counts monitor states stepped; ``compat_checks`` counts
+    the join candidates examined to find the bindings each event affects
+    (every table entry for the baseline; a fresh binding and its indexed
+    neighbours for the indexed engine).  ``defines`` counts new table
+    entries, and ``peak_instances`` tracks the largest table size reached.
+    All are totals, so a run's stats stay the same size however long it is.
     """
 
     events: int = 0
@@ -84,8 +83,6 @@ class RunStats:
     compat_checks: int = 0
     defines: int = 0
     peak_instances: int = 0
-    touched_per_event: list[int] = field(default_factory=list)
-    compat_per_event: list[int] = field(default_factory=list)
 
 
 class _EngineBase:
@@ -118,8 +115,9 @@ class _EngineBase:
         self.gamma: dict[ParamInstance, object] = {}
         self.stats = RunStats(peak_instances=1)
 
-    def instances(self) -> InstanceSet:
-        return InstanceSet(self.delta.keys())
+    def instances(self) -> list[ParamInstance]:
+        """The table domain, in the canonical order."""
+        return ordered(self.delta)
 
     def verdict_of(self, binding: ParamInstance):
         """Latest verdict recorded for a binding (None when never touched)."""
@@ -141,7 +139,6 @@ class _EngineBase:
         """
         stats = self.stats
         stats.events += 1
-        checks = stats.compat_checks
         delta = self.delta
         binding = event.instance
         unsafe = self._unsafe_no_snapshot
@@ -159,7 +156,6 @@ class _EngineBase:
                 for joined, source in zip(missing, sources):
                     self._define(joined, source)
         touched.sort(key=binding_order)
-        stats.compat_per_event.append(stats.compat_checks - checks)
 
         machine = self.machine
         gamma = self.gamma
@@ -175,7 +171,6 @@ class _EngineBase:
             if verdict in self.trigger and (self.report_every or verdict != previous):
                 reports.append(VerdictReport(index, verdict, affected, event.name))
         stats.monitor_steps += len(touched)
-        stats.touched_per_event.append(len(touched))
         if len(delta) > stats.peak_instances:
             stats.peak_instances = len(delta)
         return reports

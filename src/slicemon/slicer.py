@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .bindings import DEFAULT_DOMAIN_CAP, InstanceSet, ParamInstance, max_below
+from .bindings import DEFAULT_DOMAIN_CAP, ParamInstance, max_below, ordered
 from .events import ParametricEvent
 from .machines import Machine
 from .parametric import IndexedMonitor
@@ -86,9 +86,9 @@ class SliceTable:
 
     # -- queries --------------------------------------------------------------
 
-    def instances(self) -> InstanceSet:
-        """The table domain (join-closed, deterministic iteration order)."""
-        return InstanceSet(self._table.keys())
+    def instances(self) -> list[ParamInstance]:
+        """The table domain (join-closed), in the canonical order."""
+        return ordered(self._table)
 
     def __contains__(self, binding: ParamInstance) -> bool:
         return binding in self._table

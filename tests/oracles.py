@@ -80,9 +80,27 @@ def bf_max_below(query: dict, closed: list[dict]) -> dict:
     return best
 
 
+#: Parameter names with shared prefixes: name order and canonical-encoding
+#: order disagree on them ("a" < "a1" as names, but "a1=1" < "a=1").
+PREFIX_NAMES = ("a", "a1", "a_b", "ab")
+
+
 def random_binding(rng: random.Random, params=("x", "y", "z"), values=("1", "2", "3")) -> ParamInstance:
     chosen = rng.sample(params, rng.randint(0, len(params)))
     return ParamInstance({name: rng.choice(values) for name in chosen})
+
+
+def feed_counting(engine, events) -> tuple[list[int], list[int]]:
+    """Feed events one at a time; return per-event monitor steps and compat checks."""
+    stats = engine.stats
+    steps: list[int] = []
+    checks: list[int] = []
+    for event in events:
+        before = (stats.monitor_steps, stats.compat_checks)
+        engine.feed(event)
+        steps.append(stats.monitor_steps - before[0])
+        checks.append(stats.compat_checks - before[1])
+    return steps, checks
 
 
 # Set-level helpers over ParamInstance for the law checks; the package itself

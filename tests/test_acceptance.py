@@ -37,6 +37,7 @@ from .frozen import (
 from .oracles import (
     DerivativeClassifier,
     all_words,
+    feed_counting,
     random_pattern_tree,
     render_pattern,
     to_expr,
@@ -138,7 +139,7 @@ def test_c5_lattice_law_suite():
     checkpoint(
         "C5",
         not violations and elapsed < 10.0,
-        "500 random binding rounds satisfy all lattice laws%s (%.1fs < 10s)"
+        "500 random binding rounds per name pool satisfy all lattice laws%s (%.1fs < 10s)"
         % ("" if not violations else "; first: " + violations[0], elapsed),
     )
 
@@ -174,15 +175,14 @@ def test_c7_indexed_cost_model():
 
     events = iterator_workload(100_000)
     engine = IndexedMonitor(iterator_machine())
-    engine.feed_all(events)
-    stats = engine.stats
+    touched, checks = feed_counting(engine, events)
     # all 100 bindings are defined within the first 200 events; every later
     # event carries an already-defined binding and must not scan at all
-    if any(stats.compat_per_event[200:]):
+    if any(checks[200:]):
         problems.append("compatibility scans on defined-binding events")
     # no binding here refines another, so each event touches exactly
     # |{binding} union extensions(binding)| == 1 monitor state
-    if stats.touched_per_event != [1] * len(events):
+    if touched != [1] * len(events):
         problems.append("touched more than the affected set")
     # the index is keyed by (sub-binding, domain): an iterator binding with a
     # defined strict extension would be the sub-binding of some key
@@ -192,8 +192,7 @@ def test_c7_indexed_cost_model():
 
     adversarial = adversarial_workload(2000)
     adv_engine = IndexedMonitor(adversarial_machine())
-    adv_engine.feed_all(adversarial)
-    adv_touched = adv_engine.stats.touched_per_event
+    adv_touched, _ = feed_counting(adv_engine, adversarial)
     # ground truth on a prefix: an event may touch at most the table entries
     # compatible with its binding (computed by brute force)
     table = [EMPTY]

@@ -192,6 +192,30 @@ def test_undecodable_trace_exits_1(capsys, tmp_path):
     assert "utf-8" in err
 
 
+def test_missing_trace_exits_1(capsys, tmp_path):
+    missing = str(tmp_path / "missing.trace")
+    code, out, err = run(capsys, "slice", "--trace", missing)
+    assert (code, out) == (1, "")
+    assert err == "error: %s: No such file or directory\n" % missing
+
+
+def test_missing_spec_exits_1(capsys, tmp_path):
+    missing = str(tmp_path / "missing.spec")
+    code, out, err = run(
+        capsys, "monitor", "--spec", missing, "--trace", fx("hasnext.trace")
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: %s: No such file or directory\n" % missing
+
+
+def test_directory_as_trace_exits_1(capsys, tmp_path):
+    code, out, err = run(
+        capsys, "monitor", "--spec", fx("hasnext.spec"), "--trace", str(tmp_path)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: %s: " % tmp_path)
+
+
 def test_internal_value_error_is_not_malformed_input(capsys, monkeypatch):
     def broken_feed(self, event):
         raise ValueError("internal fault")

@@ -17,7 +17,7 @@ from slicemon.parametric import (
 )
 from slicemon.patterns import compile_regex
 
-from .oracles import random_binding
+from .oracles import feed_counting, random_binding
 
 
 def both_engines(machine, **kwargs):
@@ -169,16 +169,13 @@ def test_indexed_engine_cost_shape():
     engine = IndexedMonitor(machine)
     k1 = ParametricEvent("hit", ParamInstance({"k": "1"}))
     k2 = ParametricEvent("hit", ParamInstance({"k": "2"}))
-    engine.feed(k1)
-    engine.feed(k2)
-    engine.feed(k1)
-    engine.feed(k1)
+    touched, checks = feed_counting(engine, [k1, k2, k1, k1])
     stats = engine.stats
     # a fresh binding examines itself plus its indexed neighbours (none
     # here: k=1 and k=2 are incompatible); repeat events examine nothing
-    assert stats.compat_per_event == [1, 1, 0, 0]
+    assert checks == [1, 1, 0, 0]
     # ... and touch exactly the binding itself (no extensions exist here)
-    assert stats.touched_per_event == [1, 1, 1, 1]
+    assert touched == [1, 1, 1, 1]
     assert stats.defines == 2
     assert stats.peak_instances == 3  # the empty binding plus k=1, k=2
 
@@ -186,10 +183,12 @@ def test_indexed_engine_cost_shape():
 def test_baseline_engine_scans_whole_table():
     machine = absorbing_match_machine()
     engine = BaselineMonitor(machine)
-    engine.feed(ParametricEvent("hit", ParamInstance({"k": "1"})))
-    engine.feed(ParametricEvent("hit", ParamInstance({"k": "2"})))
-    engine.feed(ParametricEvent("hit", ParamInstance({"k": "1"})))
-    assert engine.stats.compat_per_event == [1, 2, 3]
+    _, checks = feed_counting(engine, [
+        ParametricEvent("hit", ParamInstance({"k": "1"})),
+        ParametricEvent("hit", ParamInstance({"k": "2"})),
+        ParametricEvent("hit", ParamInstance({"k": "1"})),
+    ])
+    assert checks == [1, 2, 3]
 
 
 def test_skip_join_phase_mutant_misses_combinations():

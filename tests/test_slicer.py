@@ -64,7 +64,7 @@ def test_random_traces_differential():
     for _ in range(60):
         trace = random_trace(rng, rng.randint(0, 12))
         table = SliceTable().feed_all(trace)
-        domain = table.instances().as_set()
+        domain = set(table.instances())
         assert EMPTY in domain
         assert is_join_closed(domain)
         for binding in domain:

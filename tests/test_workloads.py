@@ -11,6 +11,8 @@ from slicemon.workloads import (
     iterator_workload,
 )
 
+from .oracles import feed_counting
+
 
 def test_iterator_workload_shape():
     events = iterator_workload(6, iterators=2)
@@ -32,16 +34,16 @@ def test_iterator_workload_never_fails():
 def test_iterator_costs_indexed_engine():
     events = iterator_workload(400, iterators=10)
     engine = IndexedMonitor(iterator_machine())
-    engine.feed_all(events)
+    touched, checks = feed_counting(engine, events)
     stats = engine.stats
     # one state stepped per event: bindings are mutually incompatible
-    assert stats.touched_per_event == [1] * 400
+    assert touched == [1] * 400
     assert stats.monitor_steps == 400
     assert stats.peak_instances == 11  # empty binding + 10 iterators
     assert stats.defines == 10
     # after the warm-up defines, repeat events never check compatibility
-    assert stats.compat_per_event[20:] == [0] * 380
-    assert sum(stats.compat_per_event) == 10
+    assert checks[20:] == [0] * 380
+    assert sum(checks) == 10
 
 
 def test_adversarial_workload_shape():
@@ -57,15 +59,15 @@ def test_adversarial_costs_both_engines():
     events = adversarial_workload(count)
     baseline = BaselineMonitor(adversarial_machine())
     indexed = IndexedMonitor(adversarial_machine())
-    baseline.feed_all(events)
-    indexed.feed_all(events)
-    for stats in (baseline.stats, indexed.stats):
-        # nothing ever joins: each event defines and touches only itself
-        assert stats.touched_per_event == [1] * count
-        assert stats.peak_instances == count + 1
+    base_touched, base_checks = feed_counting(baseline, events)
+    touched, checks = feed_counting(indexed, events)
+    for engine in (baseline, indexed):
+        assert engine.stats.peak_instances == count + 1
+    # nothing ever joins: each event defines and touches only itself
+    assert base_touched == [1] * count
+    assert touched == base_touched
     # the baseline scans the whole table per event ...
-    assert baseline.stats.compat_per_event == list(range(1, count + 1))
+    assert base_checks == list(range(1, count + 1))
     # ... while the indexed engine examines only the fresh binding itself:
     # no index entry holds a neighbour of it
-    assert indexed.stats.compat_per_event == [1] * count
-    assert indexed.stats.touched_per_event == baseline.stats.touched_per_event
+    assert checks == [1] * count
