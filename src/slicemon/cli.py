@@ -1,18 +1,20 @@
 """Command line front end.
 
-Subcommands: ``slice`` (dump slices of a trace), ``monitor`` (stream verdict
+Subcommands: ``slice`` (dump slices of a trace), ``monitor`` (print verdict
 reports for a property over a trace), ``selfcheck`` (randomized differential
 checking), ``bench`` (CSV throughput numbers).
 
 Exit codes: 0 success / nothing triggered; 1 malformed or unreadable input
 (trace, property file, pattern, alphabet mismatch); 2 binding domain exceeded
-the enumeration cap; 3 at least one report triggered; 4 selfcheck mismatch.
+the enumeration cap, or a usage error; 3 at least one report triggered; 4
+selfcheck mismatch; 141 the reader closed standard output.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
 
@@ -58,7 +60,8 @@ INPUT_ERRORS = (
 
 def _read_text(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        # Strict UTF-8 like a file, whatever the locale's stdin decoding.
+        return sys.stdin.buffer.read().decode("utf-8")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
@@ -145,8 +148,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def cap_value(text: str) -> int:
+    cap = int(text)
+    if cap < 0:
+        raise argparse.ArgumentTypeError("must be at least 0, got %d" % cap)
+    return cap
+
+
+def count_value(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % count)
+    return count
+
+
 def size_list(text: str) -> list[int]:
-    return [int(chunk) for chunk in text.split(",") if chunk.strip()]
+    return [count_value(chunk) for chunk in text.split(",") if chunk.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--cap", type=int, default=DEFAULT_DOMAIN_CAP,
+            "--cap", type=cap_value, default=DEFAULT_DOMAIN_CAP,
             help="max parameters per binding before lookups refuse (default %d)"
             % DEFAULT_DOMAIN_CAP,
         )
@@ -173,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_slice)
     p_slice.set_defaults(func=cmd_slice)
 
-    p_mon = sub.add_parser("monitor", help="stream verdict reports for a property")
+    p_mon = sub.add_parser("monitor", help="print verdict reports for a property")
     p_mon.add_argument("--spec", required=True, help="property file")
     p_mon.add_argument("--trace", required=True, help="trace file, or - for stdin")
     p_mon.add_argument(
@@ -190,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("selfcheck", help="differential checks on random traces")
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument(
-        "--counts", type=int, default=1000, help="number of random traces"
+        "--counts", type=count_value, default=1000, help="number of random traces"
     )
     p_check.add_argument(
         "--unsafe-no-snapshot", action="store_true",
@@ -216,7 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader has gone (``| head``).  Send what is still buffered to
+        # devnull so that the flush at exit stays quiet, and exit as SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CapExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

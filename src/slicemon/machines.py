@@ -115,8 +115,8 @@ class FsmMachine(Machine):
         return self._initial
 
     def step(self, state: str, name: str) -> str:
-        if state == STUCK:
-            return STUCK
+        # STUCK is never a key's state (the constructor rejects the name), so
+        # the sink absorbs every event.
         return self._transitions.get((state, name), STUCK)
 
     def output(self, state: str) -> Verdict:

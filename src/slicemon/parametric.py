@@ -4,8 +4,10 @@ A parametric monitor is the base monitor run on every trace slice.  Both
 engines share one define/join/apply loop, :meth:`_EngineBase.feed`: for a
 fresh binding it defines every missing join of the binding with the table,
 each copied from its ``max_below`` source in the pre-event table; then it
-steps the binding and its defined strict extensions, in ``binding_order``.
-The engines differ only in the two finders the loop calls:
+steps the binding and its defined strict extensions.  Each step reads only
+its own binding's state, so the steps may run in any order; the reports of
+one event come out in ``binding_order``.  The engines differ only in the two
+finders the loop calls:
 
 * :class:`BaselineMonitor` scans the whole table — simple, and the semantic
   yardstick;
@@ -94,11 +96,6 @@ class _EngineBase:
     Both add the join candidates they examine to ``stats.compat_checks``.
     """
 
-    #: Snapshot mutant, set only by ``SliceTable(unsafe_no_snapshot=True)``:
-    #: joins are defined while stepping, against the live table, so a join can
-    #: copy a state this event already advanced (for the selfcheck to catch).
-    _unsafe_no_snapshot = False
-
     def __init__(
         self,
         machine: Machine,
@@ -119,10 +116,6 @@ class _EngineBase:
         """The table domain, in the canonical order."""
         return ordered(self.delta)
 
-    def verdict_of(self, binding: ParamInstance):
-        """Latest verdict recorded for a binding (None when never touched)."""
-        return self.gamma.get(binding)
-
     def feed_all(self, trace: Iterable[ParametricEvent]) -> list[VerdictReport]:
         reports: list[VerdictReport] = []
         for event in trace:
@@ -135,13 +128,14 @@ class _EngineBase:
         A verdict is reported when it belongs to the trigger set and differs
         from the binding's previously recorded verdict (so a machine parked
         in a verdict state reports once, not on every event) — unless
-        ``report_every`` asked for the undeduplicated stream.
+        ``report_every`` asked for the undeduplicated stream.  The reports
+        come in ``binding_order`` of their bindings; the order of the steps
+        is unspecified.
         """
         stats = self.stats
         stats.events += 1
         delta = self.delta
         binding = event.instance
-        unsafe = self._unsafe_no_snapshot
         if binding in delta:
             touched = self._at_or_above(binding)
         else:
@@ -150,20 +144,16 @@ class _EngineBase:
             # of its most informative defined sub-binding, read before any
             # define so that no join copies a state this event created.
             touched = self._joins(binding)
-            if not unsafe:
-                missing = [joined for joined in touched if joined not in delta]
-                sources = [max_below(joined, delta, self.cap) for joined in missing]
-                for joined, source in zip(missing, sources):
-                    self._define(joined, source)
-        touched.sort(key=binding_order)
+            missing = [joined for joined in touched if joined not in delta]
+            sources = [max_below(joined, delta, self.cap) for joined in missing]
+            for joined, source in zip(missing, sources):
+                self._define(joined, source)
 
         machine = self.machine
         gamma = self.gamma
         index = stats.events
         reports: list[VerdictReport] = []
         for affected in touched:
-            if unsafe and affected not in delta:
-                self._define(affected, max_below(affected, delta, self.cap))
             delta[affected] = state = machine.step(delta[affected], event.name)
             verdict = machine.output(state)
             previous = gamma.get(affected, _NEVER)
@@ -173,6 +163,8 @@ class _EngineBase:
         stats.monitor_steps += len(touched)
         if len(delta) > stats.peak_instances:
             stats.peak_instances = len(delta)
+        if len(reports) > 1:
+            reports.sort(key=lambda report: binding_order(report.instance))
         return reports
 
     def _define(self, binding: ParamInstance, source: ParamInstance) -> None:
@@ -215,24 +207,16 @@ class IndexedMonitor(_EngineBase):
     agrees with ``b`` on their shared names, so the compatible neighbours
     of a fresh binding in ``D`` are exactly ``extensions[(b restricted to D,
     D)]``: no compatibility checks, no sort.
-
-    ``skip_join_phase`` disables the join step: a fresh binding then affects
-    only itself and its defined extensions.  It is a deliberately broken
-    variant kept so the differential selfcheck demonstrably catches the
-    resulting missed combinations.  Never enable it otherwise.
     """
 
-    def __init__(self, machine: Machine, *, skip_join_phase: bool = False, **options):
+    def __init__(self, machine: Machine, **options):
         super().__init__(machine, **options)
         self.extensions: dict[tuple, set[ParamInstance]] = {}
         #: Domains of the defined bindings; each maps to itself, so index
         #: keys share one domain object.
         self._domains: dict[frozenset[str], frozenset[str]] = {}
-        self.skip_join_phase = skip_join_phase
 
     def _joins(self, binding: ParamInstance) -> list[ParamInstance]:
-        if self.skip_join_phase:
-            return self._at_or_above(binding)
         extensions = self.extensions
         joins = {binding}
         examined = 1
@@ -258,30 +242,6 @@ class IndexedMonitor(_EngineBase):
         extensions = self.extensions
         for sub in strict_subinstances_desc(binding, self.cap):
             extensions.setdefault((sub, domain), set()).add(binding)
-
-    def check_index(self) -> None:
-        """Assert the index invariant, for tests (quadratic in table size).
-
-        Every index entry must hold exactly the defined bindings of its
-        domain strictly more informative than its key binding, and every
-        such pair of defined bindings must be indexed.
-        """
-        defined = list(self.delta.keys())
-        for (sub, domain), members in self.extensions.items():
-            expected = {
-                b for b in defined
-                if frozenset(b.names) == domain and sub != b and sub.less_informative(b)
-            }
-            assert members == expected, (
-                "index entry for %r in %s is %r, expected %r"
-                % (sub, sorted(domain), members, expected)
-            )
-        for a in defined:
-            for b in defined:
-                if a != b and a.less_informative(b):
-                    assert b in self.extensions.get((a, frozenset(b.names)), ()), (
-                        "index misses a defined extension"
-                    )
 
 
 def definitional_verdicts(

@@ -22,6 +22,11 @@ Three checks per trace:
 
 On a mismatch the offending trace is greedily minimized (repeated single
 event deletion while the same check keeps failing) and returned for display.
+
+Two deliberately broken finder variants of :class:`IndexedMonitor` show that
+the checks have teeth: :class:`SkipJoinPhaseMonitor` (caught by
+``engine-pair``) and :class:`NoSnapshotMonitor`, run as a slicer by
+:class:`NoSnapshotSliceTable` (caught by ``slicing``).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .bindings import ParamInstance, ordered
+from .bindings import ParamInstance, binding_order, max_below, ordered
 from .events import ParametricEvent, render_trace, slice_trace
 from .machines import FsmMachine, Machine, Verdict
 from .parametric import BaselineMonitor, IndexedMonitor, definitional_verdicts
@@ -43,6 +48,36 @@ VALUE_POOL = ("v1", "v2", "v3")
 EVENT_NAMES = ("a", "b", "c", "d")
 MAX_TRACE_LEN = 50
 OFF_TABLE_PROBES = 10
+
+
+class SkipJoinPhaseMonitor(IndexedMonitor):
+    """Mutant: a fresh binding affects only itself and its extensions.
+
+    It never defines the joins of a fresh binding with the table, so the
+    combinations they stand for are missed.
+    """
+
+    def _joins(self, binding: ParamInstance) -> list[ParamInstance]:
+        return self._at_or_above(binding)
+
+
+class NoSnapshotMonitor(IndexedMonitor):
+    """Mutant: defines each join from ``max_below`` on the growing table.
+
+    The joins are defined one by one in ``binding_order``, so a join can
+    copy a join that this event created instead of its pre-event source.
+    """
+
+    def _joins(self, binding: ParamInstance) -> list[ParamInstance]:
+        joins = sorted(super()._joins(binding), key=binding_order)
+        for joined in joins:
+            if joined not in self.delta:
+                self._define(joined, max_below(joined, self.delta, self.cap))
+        return joins
+
+
+class NoSnapshotSliceTable(SliceTable):
+    engine_class = NoSnapshotMonitor
 
 
 @dataclass
@@ -133,11 +168,10 @@ def _random_probe(rng: random.Random) -> ParamInstance:
 def _check_slicing(
     trace: list[ParametricEvent],
     probes: list[ParamInstance],
-    unsafe_no_snapshot: bool,
+    table_class: type[SliceTable],
 ) -> str | None:
     """Compare the online table against the definitional slice; None if ok."""
-    table = SliceTable(unsafe_no_snapshot=unsafe_no_snapshot)
-    table.feed_all(trace)
+    table = table_class().feed_all(trace)
     for binding in table.instances():
         expected = slice_trace(trace, binding)
         got = table.slice_of(binding)
@@ -162,14 +196,12 @@ def _check_slicing(
 def _check_engine_pair(
     trace: list[ParametricEvent],
     machine: Machine,
-    skip_join_phase: bool,
+    indexed_class: type[IndexedMonitor],
 ) -> str | None:
     """Run both engines event by event; any observable divergence fails."""
     trigger = (Verdict.MATCH, Verdict.FAIL)
     baseline = BaselineMonitor(machine, trigger=trigger)
-    indexed = IndexedMonitor(
-        machine, trigger=trigger, skip_join_phase=skip_join_phase
-    )
+    indexed = indexed_class(machine, trigger=trigger)
     for position, event in enumerate(trace, 1):
         expected = baseline.feed(event)
         got = indexed.feed(event)
@@ -191,13 +223,12 @@ def _check_engine_pair(
 
 
 def _check_verdicts(
-    trace: list[ParametricEvent], machine: Machine, skip_join_phase: bool
+    trace: list[ParametricEvent],
+    machine: Machine,
+    indexed_class: type[IndexedMonitor],
 ) -> str | None:
     """Indexed engine's final verdicts vs the definitional slice semantics."""
-    indexed = IndexedMonitor(
-        machine, trigger=(Verdict.MATCH, Verdict.FAIL),
-        skip_join_phase=skip_join_phase,
-    )
+    indexed = indexed_class(machine, trigger=(Verdict.MATCH, Verdict.FAIL))
     indexed.feed_all(trace)
     reference = definitional_verdicts(machine, trace)
     if set(indexed.delta) != set(reference):
@@ -242,10 +273,13 @@ def run_selfcheck(
 ) -> SelfCheckResult:
     """Run the three differential checks over ``count`` seeded random traces.
 
-    The two ``unsafe``/``skip`` flags forward to the corresponding engine
-    mutants so their detectability is itself testable.  Stops at the first
-    mismatch, returning a minimized counterexample.
+    ``unsafe_no_snapshot`` slices with :class:`NoSnapshotSliceTable` and
+    ``skip_join_phase`` monitors with :class:`SkipJoinPhaseMonitor`, so that
+    their detection is itself testable.  Stops at the first mismatch,
+    returning a minimized counterexample.
     """
+    table_class = NoSnapshotSliceTable if unsafe_no_snapshot else SliceTable
+    indexed_class = SkipJoinPhaseMonitor if skip_join_phase else IndexedMonitor
     rng = random.Random(seed)
     slicing_ok = engine_pair_ok = verdicts_ok = 0
     for index in range(count):
@@ -255,9 +289,9 @@ def run_selfcheck(
         probes = [_random_probe(rng) for _ in range(OFF_TABLE_PROBES)]
 
         checks: list[tuple[str, Callable[[list[ParametricEvent]], str | None]]] = [
-            ("slicing", lambda t: _check_slicing(t, probes, unsafe_no_snapshot)),
-            ("engine-pair", lambda t: _check_engine_pair(t, machine, skip_join_phase)),
-            ("verdicts", lambda t: _check_verdicts(t, machine, skip_join_phase)),
+            ("slicing", lambda t: _check_slicing(t, probes, table_class)),
+            ("engine-pair", lambda t: _check_engine_pair(t, machine, indexed_class)),
+            ("verdicts", lambda t: _check_verdicts(t, machine, indexed_class)),
         ]
         for check_name, check in checks:
             detail = check(trace)

@@ -55,19 +55,13 @@ class SliceTable:
     Invariants (checked by the test suite): the domain is join-closed and
     contains the empty binding, and every entry equals the definitional slice
     of the events fed so far.
-
-    ``unsafe_no_snapshot`` disables the pre-event snapshot discipline: joins
-    are then defined one at a time against the *growing* table, so a fresh
-    join can wrongly source a slice that already absorbed the current event
-    (double-append).  The flag exists so the selfcheck provably detects that
-    corruption; never enable it otherwise.
     """
 
-    def __init__(
-        self, *, cap: int = DEFAULT_DOMAIN_CAP, unsafe_no_snapshot: bool = False
-    ):
-        self._engine = IndexedMonitor(_WordMachine(), cap=cap)
-        self._engine._unsafe_no_snapshot = unsafe_no_snapshot
+    #: The engine that runs the word machine.
+    engine_class = IndexedMonitor
+
+    def __init__(self, *, cap: int = DEFAULT_DOMAIN_CAP):
+        self._engine = self.engine_class(_WordMachine(), cap=cap)
         self._table = self._engine.delta
 
     # -- feeding -------------------------------------------------------------
@@ -79,10 +73,6 @@ class SliceTable:
     def feed_all(self, trace: Iterable[ParametricEvent]) -> "SliceTable":
         self._engine.feed_all(trace)
         return self
-
-    @property
-    def events_fed(self) -> int:
-        return self._engine.stats.events
 
     # -- queries --------------------------------------------------------------
 
@@ -107,6 +97,3 @@ class SliceTable:
         below the query — which equals the definitional slice for the query.
         """
         return _word(self._table[max_below(binding, self._table, self._engine.cap)])
-
-    def as_dict(self) -> dict[ParamInstance, tuple[str, ...]]:
-        return {binding: _word(state) for binding, state in self._table.items()}

@@ -103,6 +103,31 @@ def feed_counting(engine, events) -> tuple[list[int], list[int]]:
     return steps, checks
 
 
+def check_index(engine) -> None:
+    """Assert an ``IndexedMonitor``'s index invariant (quadratic in table size).
+
+    Every index entry must hold exactly the defined bindings of its domain
+    strictly more informative than its key binding, and every such pair of
+    defined bindings must be indexed.
+    """
+    defined = list(engine.delta)
+    for (sub, domain), members in engine.extensions.items():
+        expected = {
+            b for b in defined
+            if frozenset(b.names) == domain and sub != b and sub.less_informative(b)
+        }
+        assert members == expected, (
+            "index entry for %r in %s is %r, expected %r"
+            % (sub, sorted(domain), members, expected)
+        )
+    for a in defined:
+        for b in defined:
+            if a != b and a.less_informative(b):
+                assert b in engine.extensions.get((a, frozenset(b.names)), ()), (
+                    "index misses a defined extension"
+                )
+
+
 # Set-level helpers over ParamInstance for the law checks; the package itself
 # never needs them (its tables grow by joins with one binding at a time).
 

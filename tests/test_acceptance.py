@@ -53,8 +53,8 @@ def checkpoint(tag: str, ok: bool, detail: str) -> None:
 
 def encoded(table: SliceTable) -> dict[str, str]:
     return {
-        binding.encode(): " ".join(names)
-        for binding, names in table.as_dict().items()
+        binding.encode(): " ".join(table.slice_of(binding))
+        for binding in table.instances()
     }
 
 
@@ -106,7 +106,7 @@ def test_c3_locking_property_verdicts(fixtures):
         if lines != LOCKING_REPORT_LINES:
             problems.append("%s reported %r" % (label, lines))
         for enc, verdict in LOCKING_FINAL_VERDICTS.items():
-            got = str(engine.verdict_of(ParamInstance.parse(enc)))
+            got = str(engine.gamma.get(ParamInstance.parse(enc)))
             if got != verdict:
                 problems.append(
                     "%s verdict for %r is %s, expected %s" % (label, enc, got, verdict)

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
 from slicemon.cli import main
 from slicemon.parametric import _EngineBase
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, REPO
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -21,6 +24,15 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
 
 def fx(name: str) -> str:
     return str(FIXTURES / name)
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """Environment for running the CLI as a child process from this checkout."""
+    path = [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
+
+
+SLICEMON = [sys.executable, "-m", "slicemon.cli"]
 
 
 # -- slice -------------------------------------------------------------------
@@ -59,9 +71,33 @@ def test_slice_empty_instance(capsys):
 
 
 def test_slice_reads_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("go x=1\ngo y=2\n"))
+    stdin = io.TextIOWrapper(io.BytesIO(b"go x=1\ngo y=2\n"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
     code, out, _ = run(capsys, "slice", "--trace", "-", "--instance", "x=1,y=2")
     assert (code, out) == (0, "go go\n")
+
+
+@pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
+def test_undecodable_stdin_exits_1(locale):
+    done = subprocess.run(
+        SLICEMON + ["slice", "--trace", "-"], input=b"e x=\xff\n",
+        capture_output=True, env=child_env(LC_ALL=locale), timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert b"error: 'utf-8' codec can't decode" in done.stderr
+
+
+def test_closed_output_pipe_exits_141(tmp_path):
+    trace = tmp_path / "big.trace"
+    trace.write_text("".join("e x=%d\n" % i for i in range(20000)), encoding="utf-8")
+    with subprocess.Popen(
+        SLICEMON + ["slice", "--trace", str(trace)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+    ) as child:
+        assert child.stdout.readline() == b"\t\n"  # the empty binding, empty slice
+        child.stdout.close()  # about 200 kB of rows are still to come
+        _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (141, b"")
 
 
 # -- monitor -----------------------------------------------------------------
@@ -121,6 +157,31 @@ def test_monitor_report_every(capsys, tmp_path):
         "3\tfail\ti=i2\tnext",
         "4\tfail\ti=i2\tnext",
     ]
+
+
+def test_monitor_reports_of_one_event_in_binding_order(capsys, tmp_path):
+    spec = tmp_path / "two.spec"
+    spec.write_text(
+        "property TwoEvents\nparams: k\nevent hit(k)\nevent tick()\n"
+        "monitor: regex\npattern: (hit | tick) (hit | tick) (hit | tick)*\n"
+        "report: match\n",
+        encoding="utf-8",
+    )
+    trace = tmp_path / "t.trace"
+    # bindings arrive in reverse encoding order; the first tick completes
+    # every one of them at once
+    trace.write_text(
+        "hit k=4\nhit k=3\nhit k=2\nhit k=10\nhit k=1\ntick\n", encoding="utf-8"
+    )
+    for algo in ("b", "c"):
+        code, out, _ = run(
+            capsys, "monitor", "--spec", str(spec), "--trace", str(trace),
+            "--algo", algo,
+        )
+        assert code == 3
+        assert out.splitlines() == [
+            "6\tmatch\tk=%s\ttick" % k for k in ("1", "10", "2", "3", "4")
+        ]
 
 
 # -- exit-code contract --------------------------------------------------------
@@ -237,6 +298,27 @@ def test_cap_exceeded_exits_2(capsys, tmp_path):
     # a raised cap accepts the same trace
     code, out, _ = run(capsys, "slice", "--trace", str(wide), "--cap", "11")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["slice", "--trace", fx("abc.trace"), "--cap", "-1"],
+            "--cap: must be at least 0, got -1",
+        ),
+        (["bench", "--counts", "0,-3"], "--counts: must be at least 1, got 0"),
+        (["bench", "--counts", "5,-3"], "--counts: must be at least 1, got -3"),
+        (["selfcheck", "--counts", "-4"], "--counts: must be at least 1, got -4"),
+    ],
+    ids=["negative-cap", "zero-size", "negative-size", "negative-trace-count"],
+)
+def test_out_of_range_numbers_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exited.value.code, captured.out) == (2, "")
+    assert message in captured.err
 
 
 # -- selfcheck ------------------------------------------------------------------

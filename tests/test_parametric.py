@@ -16,8 +16,9 @@ from slicemon.parametric import (
     definitional_verdicts,
 )
 from slicemon.patterns import compile_regex
+from slicemon.selfcheck import SkipJoinPhaseMonitor
 
-from .oracles import feed_counting, random_binding
+from .oracles import check_index, feed_counting, random_binding
 
 
 def both_engines(machine, **kwargs):
@@ -36,10 +37,10 @@ def test_locking_fixture_reports(fixtures, locking_spec):
     for engine in both_engines(locking_spec.machine, trigger=locking_spec.trigger):
         reports = engine.feed_all(trace)
         assert [r.render() for r in reports] == ["6\tfail\tr=r2\tend"]
-        assert engine.verdict_of(ParamInstance({"r": "r1"})) is Verdict.MATCH
-        assert engine.verdict_of(ParamInstance({"r": "r2"})) is Verdict.FAIL
+        assert engine.gamma.get(ParamInstance({"r": "r1"})) is Verdict.MATCH
+        assert engine.gamma.get(ParamInstance({"r": "r2"})) is Verdict.FAIL
         # ground events keep the empty binding's own monitor advancing
-        assert engine.verdict_of(EMPTY) is Verdict.MATCH
+        assert engine.gamma.get(EMPTY) is Verdict.MATCH
 
 
 def test_hasnext_fixture_reports(fixtures, hasnext_spec):
@@ -98,7 +99,7 @@ def test_reenter_trigger_reports_again():
 def test_no_trigger_means_no_reports():
     engine = IndexedMonitor(RatioMachine(["hit"]))
     assert engine.feed_all(hits(3)) == []
-    assert str(engine.verdict_of(ParamInstance({"k": "1"}))) == "3/3"
+    assert str(engine.gamma.get(ParamInstance({"k": "1"}))) == "3/3"
 
 
 def test_report_render_format():
@@ -110,9 +111,25 @@ def test_empty_binding_verdict_defined_only_after_ground_event():
     machine = absorbing_match_machine()
     engine = IndexedMonitor(machine)
     engine.feed_all(hits(2))
-    assert engine.verdict_of(EMPTY) is None  # never touched
+    assert engine.gamma.get(EMPTY) is None  # never touched
     engine.feed(ParametricEvent("hit"))
-    assert engine.verdict_of(EMPTY) is Verdict.MATCH
+    assert engine.gamma.get(EMPTY) is Verdict.MATCH
+
+
+def test_reports_of_one_event_come_in_binding_order():
+    # two events of any kind reach match, which absorbs
+    machine = compile_regex("(hit | tick) (hit | tick) (hit | tick)*", ["hit", "tick"])
+    values = ("4", "3", "2", "10", "1")  # reverse encoding order
+    trace = [ParametricEvent("hit", ParamInstance({"k": v})) for v in values]
+    trace += [ParametricEvent("tick"), ParametricEvent("tick")]
+    in_order = ["k=1", "k=10", "k=2", "k=3", "k=4"]
+    for report_every, last in ((False, [""]), (True, [""] + in_order)):
+        for engine in both_engines(
+            machine, trigger=[Verdict.MATCH], report_every=report_every
+        ):
+            assert [r.instance.encode() for r in engine.feed_all(trace[:5])] == []
+            assert [r.instance.encode() for r in engine.feed(trace[5])] == in_order
+            assert [r.instance.encode() for r in engine.feed(trace[6])] == last
 
 
 # -- the two engines agree, and both agree with the definition ----------------------
@@ -151,7 +168,7 @@ def test_engines_agree_event_by_event_and_with_definition():
             assert baseline.feed(event) == indexed.feed(event)
             assert baseline.delta == indexed.delta
             assert baseline.gamma == indexed.gamma
-            indexed.check_index()
+            check_index(indexed)
         # both engines materialize the join closure of the seen bindings
         closure = binding_closure(trace)
         assert set(baseline.delta) == closure
@@ -194,7 +211,7 @@ def test_baseline_engine_scans_whole_table():
 def test_skip_join_phase_mutant_misses_combinations():
     machine = absorbing_match_machine()
     baseline = BaselineMonitor(machine)
-    broken = IndexedMonitor(machine, skip_join_phase=True)
+    broken = SkipJoinPhaseMonitor(machine)
     trace = [
         ParametricEvent("hit", ParamInstance({"x": "1"})),
         ParametricEvent("hit", ParamInstance({"y": "2"})),

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 from slicemon.events import ParametricEvent
-from slicemon.selfcheck import _check_slicing, _minimize, run_selfcheck
+from slicemon.selfcheck import (
+    NoSnapshotSliceTable,
+    _check_slicing,
+    _minimize,
+    run_selfcheck,
+)
 
 
 def test_clean_run_passes():
@@ -32,7 +37,7 @@ def test_snapshot_mutant_is_caught_and_minimized():
     assert result.failure.check == "slicing"
     assert result.traces <= 1000
     # the minimized trace still fails the table check on its own
-    assert _check_slicing(result.failure.trace, [], unsafe_no_snapshot=True) is not None
+    assert _check_slicing(result.failure.trace, [], NoSnapshotSliceTable) is not None
     # ... and is genuinely small: the bug needs only a couple of events
     assert len(result.failure.trace) <= 4
     rendered = result.failure.render()
