@@ -46,7 +46,6 @@ from .parametric import (
     definitional_verdicts,
 )
 from .patterns import (
-    DfaMachine,
     PatternSyntaxError,
     UnknownEventInPattern,
     compile_regex,
@@ -61,7 +60,6 @@ __all__ = [
     "BindingFormatError",
     "CapExceeded",
     "DEFAULT_DOMAIN_CAP",
-    "DfaMachine",
     "DuplicateParam",
     "EMPTY",
     "FsmMachine",

@@ -163,7 +163,10 @@ def count_value(text: str) -> int:
 
 
 def size_list(text: str) -> list[int]:
-    return [count_value(chunk) for chunk in text.split(",") if chunk.strip()]
+    sizes = [count_value(chunk) for chunk in text.split(",") if chunk.strip()]
+    if not sizes:
+        raise argparse.ArgumentTypeError("expected at least one size, got %r" % text)
+    return sizes
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -82,44 +82,51 @@ STUCK = "<stuck>"
 
 
 class FsmMachine(Machine):
-    """Finite-state machine given by an explicit transition table.
+    """Finite-state machine given by a transition table, total over its alphabet.
 
-    Missing (state, event) pairs move to an implicit absorbing ``<stuck>``
-    state labeled ``unknown``, keeping the step function total over the
-    declared alphabet.
+    States are any hashable values: names from fsm files, ints from compiled
+    patterns.  The table is stored as one row per state mapping every event
+    name of the alphabet to a successor.  Moves the table leaves out go to an
+    implicit absorbing ``<stuck>`` state; unlabeled states (``<stuck>`` too)
+    read ``unknown``.
+
+    Stepping a name outside the alphabet raises :class:`KeyError`; validate
+    events first with :meth:`MonitorSpec.check_event`, as the CLI does.
     """
 
     def __init__(
         self,
-        initial: str,
-        transitions: Mapping[tuple[str, str], str],
-        labels: Mapping[str, Verdict],
+        initial: State,
+        transitions: Mapping[tuple[State, str], State],
+        labels: Mapping[State, Verdict],
         alphabet: Iterable[str],
     ):
         self._initial = initial
-        self._transitions = dict(transitions)
         self._labels = dict(labels)
         self.alphabet = frozenset(alphabet)
         states = {initial} | {s for s, _ in transitions} | set(transitions.values())
         if STUCK in states:
             raise ValueError("state name %r is reserved" % STUCK)
-        for (state, name), target in self._transitions.items():
+        for _, name in transitions:
             if name not in self.alphabet:
                 raise ValueError("transition on undeclared event %r" % name)
         for state in self._labels:
             if state not in states:
                 raise ValueError("label for undeclared state %r" % state)
         self.states = frozenset(states)
+        self._rows = {
+            state: dict.fromkeys(self.alphabet, STUCK) for state in states | {STUCK}
+        }
+        for (state, name), target in transitions.items():
+            self._rows[state][name] = target
 
-    def initial(self) -> str:
+    def initial(self) -> State:
         return self._initial
 
-    def step(self, state: str, name: str) -> str:
-        # STUCK is never a key's state (the constructor rejects the name), so
-        # the sink absorbs every event.
-        return self._transitions.get((state, name), STUCK)
+    def step(self, state: State, name: str) -> State:
+        return self._rows[state][name]
 
-    def output(self, state: str) -> Verdict:
+    def output(self, state: State) -> Verdict:
         return self._labels.get(state, Verdict.UNKNOWN)
 
 

@@ -1,11 +1,11 @@
-"""Pattern compilation: event-name regexes to three-verdict automata.
+"""Pattern compilation: event-name regexes to three-verdict finite-state machines.
 
 Patterns are regular expressions whose atoms are event names, with
 juxtaposition for sequencing, ``|`` for alternatives, postfix ``*``/``+``/``?``
 for repetition, parentheses for grouping, and ``ε`` for the empty word.
 Compilation goes the classic route — syntax tree, then a nondeterministic
 automaton with epsilon moves, then the subset construction over the declared
-alphabet — and finally marks each deterministic state with a verdict:
+alphabet — and finally labels each deterministic state with a verdict:
 
 * ``match``   — the state is accepting (the word read is in the language);
 * ``fail``    — no accepting state is reachable (no continuation can match);
@@ -18,10 +18,9 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .machines import Machine, Verdict
+from .machines import FsmMachine, Verdict
 
 __all__ = [
-    "DfaMachine",
     "PatternSyntaxError",
     "UnknownEventInPattern",
     "compile_regex",
@@ -230,47 +229,6 @@ class _NfaBuilder:
         return frozenset(seen)
 
 
-# -- deterministic machine ---------------------------------------------------------
-
-
-class DfaMachine(Machine):
-    """Total deterministic automaton with verdict-labeled integer states."""
-
-    def __init__(
-        self,
-        transitions: list[dict[str, int]],
-        accepting: frozenset[int],
-        live: frozenset[int],
-        alphabet: frozenset[str],
-        pattern: str = "",
-    ):
-        self._transitions = transitions
-        self.accepting = accepting
-        self.live = live
-        self.alphabet = alphabet
-        self.pattern = pattern
-
-    def initial(self) -> int:
-        return 0
-
-    def step(self, state: int, name: str) -> int:
-        return self._transitions[state][name]
-
-    def output(self, state: int) -> Verdict:
-        if state in self.accepting:
-            return Verdict.MATCH
-        if state in self.live:
-            return Verdict.UNKNOWN
-        return Verdict.FAIL
-
-    @property
-    def state_count(self) -> int:
-        return len(self._transitions)
-
-    def __repr__(self) -> str:
-        return "DfaMachine(%r, %d states)" % (self.pattern, self.state_count)
-
-
 def literals(node) -> set[str]:
     """Event names mentioned in a syntax tree."""
     if isinstance(node, Lit):
@@ -287,14 +245,15 @@ def literals(node) -> set[str]:
     raise TypeError("not a pattern node: %r" % (node,))
 
 
-def compile_regex(pattern: str, alphabet: Iterable[str]) -> DfaMachine:
-    """Compile pattern text into a :class:`DfaMachine` over ``alphabet``.
+def compile_regex(pattern: str, alphabet: Iterable[str]) -> FsmMachine:
+    """Compile pattern text into an :class:`FsmMachine` over ``alphabet``.
 
     Raises :class:`PatternSyntaxError` for malformed patterns and
     :class:`UnknownEventInPattern` when an atom is not a declared event.
-    The result is total: missing moves land in a non-live sink (verdict
-    ``fail``), and states from which no accepting state is reachable are
-    labeled ``fail`` as well.
+    The states are the integers of the subset construction, with ``0``
+    initial.  The table is total: missing moves land in a non-live sink
+    (verdict ``fail``), and states from which no accepting state is reachable
+    are labeled ``fail`` as well.
     """
     names = sorted(set(alphabet))
     tree = parse_pattern(pattern)
@@ -349,6 +308,13 @@ def compile_regex(pattern: str, alphabet: Iterable[str]) -> DfaMachine:
                 live.add(source)
                 work.append(source)
 
-    return DfaMachine(
-        transitions, accepting, frozenset(live), frozenset(names), pattern
-    )
+    labels = {
+        state: Verdict.FAIL for state in range(len(order)) if state not in live
+    }
+    labels.update((state, Verdict.MATCH) for state in accepting)
+    table = {
+        (source, name): target
+        for source, row in enumerate(transitions)
+        for name, target in row.items()
+    }
+    return FsmMachine(0, table, labels, names)

@@ -90,7 +90,10 @@ def parse_property_spec(source: str) -> MonitorSpec:
 
         elif keyword == "params:":
             for param in filter(None, (p.strip() for p in rest.split(","))):
-                params.append(_identifier(lineno, param, "parameter"))
+                param = _identifier(lineno, param, "parameter")
+                if param in params:
+                    raise SpecFormatError(lineno, "parameter %r declared twice" % param)
+                params.append(param)
         elif keyword == "event":
             if "(" not in rest or not rest.endswith(")"):
                 raise SpecFormatError(lineno, "expected 'event name(params)'")
@@ -103,6 +106,10 @@ def parse_property_spec(source: str) -> MonitorSpec:
                 if param not in params:
                     raise SpecFormatError(
                         lineno, "event %r uses undeclared parameter %r" % (ev_name, param)
+                    )
+                if param in ev_params:
+                    raise SpecFormatError(
+                        lineno, "event %r repeats parameter %r" % (ev_name, param)
                     )
                 ev_params.append(param)
             events[ev_name] = tuple(ev_params)
@@ -163,12 +170,16 @@ def parse_property_spec(source: str) -> MonitorSpec:
             state, tag = fields
             if state not in fsm_states:
                 raise SpecFormatError(lineno, "undeclared state %r" % state)
+            if state in fsm_labels:
+                raise SpecFormatError(lineno, "state %r labeled twice" % state)
             try:
                 fsm_labels[state] = Verdict(tag)
             except ValueError:
                 raise SpecFormatError(lineno, "unknown verdict %r" % tag) from None
         elif keyword == "roles:":
             need_kind(lineno, "balance", "roles:")
+            if roles is not None:
+                raise SpecFormatError(lineno, "duplicate 'roles:' line")
             roles = {}
             for token in rest.split():
                 role, eq, ev_name = token.partition("=")

@@ -310,8 +310,17 @@ def test_cap_exceeded_exits_2(capsys, tmp_path):
         (["bench", "--counts", "0,-3"], "--counts: must be at least 1, got 0"),
         (["bench", "--counts", "5,-3"], "--counts: must be at least 1, got -3"),
         (["selfcheck", "--counts", "-4"], "--counts: must be at least 1, got -4"),
+        (["bench", "--counts", ""], "--counts: expected at least one size, got ''"),
+        (["bench", "--counts", ","], "--counts: expected at least one size, got ','"),
     ],
-    ids=["negative-cap", "zero-size", "negative-size", "negative-trace-count"],
+    ids=[
+        "negative-cap",
+        "zero-size",
+        "negative-size",
+        "negative-trace-count",
+        "no-size",
+        "only-commas",
+    ],
 )
 def test_out_of_range_numbers_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exited:

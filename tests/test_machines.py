@@ -17,6 +17,7 @@ from slicemon.machines import (
     RatioMachine,
     Verdict,
 )
+from slicemon.patterns import compile_regex
 
 from .oracles import grammar_member, stack_verdict
 
@@ -47,6 +48,13 @@ def test_fsm_missing_transitions_absorb():
     assert machine.output(state) is Verdict.UNKNOWN
     assert machine.step(state, "go") == STUCK
     assert machine.run(["stop", "go", "go", "stop"]) is Verdict.UNKNOWN
+
+
+def test_names_outside_the_alphabet_raise_key_error():
+    # check_event rejects such events before any step reaches a machine
+    for machine in (two_state(), compile_regex("go stop", ["go", "stop"])):
+        with pytest.raises(KeyError):
+            machine.step(machine.initial(), "jump")
 
 
 def test_fsm_rejects_reserved_state_name():

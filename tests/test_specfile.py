@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from slicemon.machines import BalanceMachine, FsmMachine, RatioMachine, Verdict
-from slicemon.patterns import DfaMachine
 from slicemon.specfile import SpecFormatError, parse_property_spec
 
 MINIMAL_RATIO = """\
@@ -35,7 +34,7 @@ def test_regex_fixture(locking_spec):
     assert spec.events["acquire"] == ("r",)
     assert spec.events["begin"] == ()
     assert spec.kind == "regex"
-    assert isinstance(spec.machine, DfaMachine)
+    assert isinstance(spec.machine, FsmMachine)
     assert spec.trigger == {Verdict.FAIL}
 
 
@@ -105,6 +104,13 @@ def test_event_declaration_errors():
     assert "event name(params)" in str(err(base + "event next\n"))
     assert "undeclared parameter" in str(err(base + "event next(q)\n"))
     assert "declared twice" in str(err(base + "event next(i)\nevent next(i)\n"))
+    repeated = err(base + "event next(i, i)\n")
+    assert repeated.line == 3
+    assert "event 'next' repeats parameter 'i'" in str(repeated)
+    repeated = err(base + "params: j, i\n")
+    assert repeated.line == 3
+    assert "parameter 'i' declared twice" in str(repeated)
+    assert err("property P\nparams: i, i\n").line == 2
 
 
 def test_monitor_line_errors():
@@ -147,6 +153,9 @@ def test_fsm_payload_errors():
     assert "expected 'label state verdict'" in str(err(base + "state s\nlabel s\n"))
     assert "undeclared state" in str(err(base + "label ghost fail\n"))
     assert "unknown verdict" in str(err(base + "state s\nlabel s maybe\n"))
+    relabeled = err(base + "state s initial\nlabel s fail\nlabel s match\n")
+    assert relabeled.line == 6
+    assert "state 's' labeled twice" in str(relabeled)
     assert "exactly one initial" in str(err(base + "state s\n"))
     assert "exactly one initial" in str(err(base + "state s initial\nstate t initial\n"))
 
@@ -163,6 +172,13 @@ def test_balance_payload_errors():
     assert "undeclared event" in str(err(base + "roles: enter=zz\n"))
     assert "assigned twice" in str(err(base + "roles: enter=b enter=e\n"))
     assert "all four roles" in str(err(base + "roles: enter=b exit=e\n"))
+    twice = err(
+        base
+        + "roles: enter=b exit=e inc=i dec=d\n"
+        + "roles: enter=e exit=b inc=d dec=i\n"
+    )
+    assert twice.line == 8
+    assert "duplicate 'roles:' line" in str(twice)
     assert "needs a 'roles:'" in str(err(base))
 
 
