@@ -55,7 +55,14 @@ class Ratio:
 
 
 class Machine(ABC):
-    """Deterministic monitor: initial state, step function, state labeling."""
+    """Deterministic monitor: initial state, step function, state labeling.
+
+    ``sinks`` lists absorbing states: every event name of the alphabet steps
+    such a state back to itself, so its output never changes again.  A
+    machine that cannot tell leaves it empty, which is always sound.
+    """
+
+    sinks: frozenset[State] = frozenset()
 
     @abstractmethod
     def initial(self) -> State:
@@ -88,7 +95,8 @@ class FsmMachine(Machine):
     patterns.  The table is stored as one row per state mapping every event
     name of the alphabet to a successor.  Moves the table leaves out go to an
     implicit absorbing ``<stuck>`` state; unlabeled states (``<stuck>`` too)
-    read ``unknown``.
+    read ``unknown``.  ``sinks`` holds the states whose row maps every name
+    to the state itself: ``<stuck>``, and a compiled pattern's empty subset.
 
     Stepping a name outside the alphabet raises :class:`KeyError`; validate
     events first with :meth:`MonitorSpec.check_event`, as the CLI does.
@@ -119,6 +127,11 @@ class FsmMachine(Machine):
         }
         for (state, name), target in transitions.items():
             self._rows[state][name] = target
+        self.sinks = frozenset(
+            state
+            for state, row in self._rows.items()
+            if all(target == state for target in row.values())
+        )
 
     def initial(self) -> State:
         return self._initial

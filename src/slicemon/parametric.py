@@ -4,10 +4,11 @@ A parametric monitor is the base monitor run on every trace slice.  Both
 engines share one define/join/apply loop, :meth:`_EngineBase.feed`: for a
 fresh binding it defines every missing join of the binding with the table,
 each copied from its ``max_below`` source in the pre-event table; then it
-steps the binding and its defined strict extensions.  Each step reads only
-its own binding's state, so the steps may run in any order; the reports of
-one event come out in ``binding_order``.  The engines differ only in the two
-finders the loop calls:
+steps the binding and its defined strict extensions, except those parked in
+a sink state that cannot report.  Each step reads only its own binding's
+state, so the steps may run in any order; the reports of one event come out
+in ``binding_order``.  The engines differ only in the two finders the loop
+calls:
 
 * :class:`BaselineMonitor` scans the whole table — simple, and the semantic
   yardstick;
@@ -72,16 +73,20 @@ class VerdictReport:
 class RunStats:
     """Per-run work counters (used by the benchmark and the cost tests).
 
-    ``monitor_steps`` counts monitor states stepped; ``compat_checks`` counts
-    the join candidates examined to find the bindings each event affects
-    (every table entry for the baseline; a fresh binding and its indexed
-    neighbours for the indexed engine).  ``defines`` counts new table
-    entries, and ``peak_instances`` tracks the largest table size reached.
-    All are totals, so a run's stats stay the same size however long it is.
+    ``monitor_steps`` counts the monitor steps taken, and ``skipped_steps``
+    the bindings an event reached that were parked and so not stepped
+    (their sum is the number of bindings the events reached).
+    ``compat_checks`` counts the join candidates examined to find the
+    bindings each event affects (every table entry for the baseline; a
+    fresh binding and its indexed neighbours for the indexed engine).
+    ``defines`` counts new table entries, and ``peak_instances`` tracks the
+    largest table size reached.  All are totals, so a run's stats stay the
+    same size however long it is.
     """
 
     events: int = 0
     monitor_steps: int = 0
+    skipped_steps: int = 0
     compat_checks: int = 0
     defines: int = 0
     peak_instances: int = 0
@@ -111,6 +116,14 @@ class _EngineBase:
         self.delta: dict[ParamInstance, object] = {EMPTY: machine.initial()}
         self.gamma: dict[ParamInstance, object] = {}
         self.stats = RunStats(peak_instances=1)
+        #: Sinks a step can land in without reporting, and the bindings
+        #: parked in one of them by such a step.
+        self._parking = frozenset(
+            state
+            for state in machine.sinks
+            if not (report_every and machine.output(state) in self.trigger)
+        )
+        self._parked: set[ParamInstance] = set()
 
     def instances(self) -> list[ParamInstance]:
         """The table domain, in the canonical order."""
@@ -131,6 +144,17 @@ class _EngineBase:
         ``report_every`` asked for the undeduplicated stream.  The reports
         come in ``binding_order`` of their bindings; the order of the steps
         is unspecified.
+
+        A step that lands in one of the machine's sinks parks its binding
+        unless the sink's verdict would be reported again under
+        ``report_every``.  A parked binding is not stepped again: its state
+        would stay the sink, its verdict is already in ``gamma`` and would
+        not change, and so no report would come of it.  It keeps its table
+        entry and index keys, so ``delta``, ``gamma`` and the reports are
+        those of stepping it.  A binding is parked only after a step of its
+        own, never for a state it holds without one: a join copied from a
+        parked source, or the empty binding starting in a sink, has no
+        verdict recorded yet and may report on its first step.
         """
         stats = self.stats
         stats.events += 1
@@ -151,16 +175,30 @@ class _EngineBase:
 
         machine = self.machine
         gamma = self.gamma
+        trigger = self.trigger
+        report_every = self.report_every
+        parked = self._parked
+        parking = self._parking
         index = stats.events
         reports: list[VerdictReport] = []
+        skipped = 0
         for affected in touched:
+            if affected in parked:
+                skipped += 1
+                continue
             delta[affected] = state = machine.step(delta[affected], event.name)
             verdict = machine.output(state)
-            previous = gamma.get(affected, _NEVER)
-            gamma[affected] = verdict
-            if verdict in self.trigger and (self.report_every or verdict != previous):
+            if verdict != gamma.get(affected, _NEVER):
+                gamma[affected] = verdict
+                if verdict in trigger:
+                    reports.append(VerdictReport(index, verdict, affected, event.name))
+            elif report_every and verdict in trigger:
                 reports.append(VerdictReport(index, verdict, affected, event.name))
-        stats.monitor_steps += len(touched)
+            if parking and state in parking:
+                parked.add(affected)
+        stats.monitor_steps += len(touched) - skipped
+        if skipped:
+            stats.skipped_steps += skipped
         if len(delta) > stats.peak_instances:
             stats.peak_instances = len(delta)
         if len(reports) > 1:

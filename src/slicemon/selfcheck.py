@@ -7,26 +7,34 @@ Generator (everything drawn from one seeded ``random.Random``):
 * alphabet: 4 event names (``a..d``), each declaring a random subset of the
   parameters (re-drawn per trace);
 * base monitor: a random total finite-state machine with 2–4 states, random
-  transitions and random verdict labels, triggering on match and fail;
+  transitions and random verdict labels, triggering on match and fail; in
+  half of the machines one drawn state is made absorbing, so that the
+  engines' parking of bindings in a sink is exercised;
 * traces: 1–50 events, names uniform over the alphabet, each carrying fresh
   random values for its declared parameters.
 
-Three checks per trace:
+Four checks per trace:
 
 * ``slicing``     — the online slice table equals the definitional slice for
   every table binding, and agrees on 10 random off-table lookups;
 * ``engine-pair`` — baseline and indexed monitors produce identical state
   tables, verdicts and report streams after every single event;
 * ``verdicts``    — the indexed monitor's final verdicts equal running the
-  machine over each definitional slice.
+  machine over each definitional slice, and exactly the bindings some event
+  stepped have one;
+* ``reports``     — the indexed monitor's report stream, with and without
+  ``report_every``, equals the stream derived from the definitional verdicts
+  of every trace prefix.
 
 On a mismatch the offending trace is greedily minimized (repeated single
 event deletion while the same check keeps failing) and returned for display.
 
-Two deliberately broken finder variants of :class:`IndexedMonitor` show that
-the checks have teeth: :class:`SkipJoinPhaseMonitor` (caught by
-``engine-pair``) and :class:`NoSnapshotMonitor`, run as a slicer by
-:class:`NoSnapshotSliceTable` (caught by ``slicing``).
+Three deliberately broken variants of :class:`IndexedMonitor` show that the
+checks have teeth: the finder variants :class:`SkipJoinPhaseMonitor` (caught
+by ``engine-pair``) and :class:`NoSnapshotMonitor`, run as a slicer by
+:class:`NoSnapshotSliceTable` (caught by ``slicing``), and
+:class:`ParkFailMonitor`, which parks bindings in states that are not sinks
+(caught by ``engine-pair``).
 """
 
 from __future__ import annotations
@@ -35,10 +43,15 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .bindings import ParamInstance, binding_order, max_below, ordered
-from .events import ParametricEvent, render_trace, slice_trace
+from .bindings import EMPTY, ParamInstance, binding_order, max_below, ordered
+from .events import ParametricEvent, binding_closure, render_trace, slice_trace
 from .machines import FsmMachine, Machine, Verdict
-from .parametric import BaselineMonitor, IndexedMonitor, definitional_verdicts
+from .parametric import (
+    BaselineMonitor,
+    IndexedMonitor,
+    VerdictReport,
+    definitional_verdicts,
+)
 from .slicer import SliceTable
 
 __all__ = ["CheckFailure", "SelfCheckResult", "run_selfcheck"]
@@ -48,6 +61,9 @@ VALUE_POOL = ("v1", "v2", "v3")
 EVENT_NAMES = ("a", "b", "c", "d")
 MAX_TRACE_LEN = 50
 OFF_TABLE_PROBES = 10
+#: Share of random machines in which one drawn state is made absorbing.
+SINK_SHARE = 0.5
+TRIGGER = frozenset((Verdict.MATCH, Verdict.FAIL))
 
 
 class SkipJoinPhaseMonitor(IndexedMonitor):
@@ -80,6 +96,20 @@ class NoSnapshotSliceTable(SliceTable):
     engine_class = NoSnapshotMonitor
 
 
+class ParkFailMonitor(IndexedMonitor):
+    """Mutant: parks a binding in any ``fail``-labelled state, as if a sink.
+
+    A parked binding is never stepped again, so one that would leave a
+    ``fail`` state that is not absorbing keeps its stale state and verdict.
+    """
+
+    def __init__(self, machine: FsmMachine, **options):
+        super().__init__(machine, **options)
+        self._parking |= {
+            state for state in machine.states if machine.output(state) is Verdict.FAIL
+        }
+
+
 @dataclass
 class CheckFailure:
     """A reproducible mismatch: which check, on what input, and why."""
@@ -108,6 +138,7 @@ class SelfCheckResult:
     slicing_ok: int
     engine_pair_ok: int
     verdicts_ok: int
+    reports_ok: int
     failure: CheckFailure | None = None
 
     @property
@@ -119,6 +150,7 @@ class SelfCheckResult:
             "ok: slicing %d/%d" % (self.slicing_ok, self.traces),
             "ok: engine-pair %d/%d" % (self.engine_pair_ok, self.traces),
             "ok: verdicts %d/%d" % (self.verdicts_ok, self.traces),
+            "ok: reports %d/%d" % (self.reports_ok, self.traces),
         ]
 
 
@@ -138,6 +170,9 @@ def _random_machine(rng: random.Random) -> FsmMachine:
         for state in states
         for name in EVENT_NAMES
     }
+    if rng.random() < SINK_SHARE:
+        sink = rng.choice(states)
+        transitions.update(((sink, name), sink) for name in EVENT_NAMES)
     labels = {
         state: rng.choice((Verdict.MATCH, Verdict.FAIL, Verdict.UNKNOWN))
         for state in states
@@ -199,9 +234,8 @@ def _check_engine_pair(
     indexed_class: type[IndexedMonitor],
 ) -> str | None:
     """Run both engines event by event; any observable divergence fails."""
-    trigger = (Verdict.MATCH, Verdict.FAIL)
-    baseline = BaselineMonitor(machine, trigger=trigger)
-    indexed = indexed_class(machine, trigger=trigger)
+    baseline = BaselineMonitor(machine, trigger=TRIGGER)
+    indexed = indexed_class(machine, trigger=TRIGGER)
     for position, event in enumerate(trace, 1):
         expected = baseline.feed(event)
         got = indexed.feed(event)
@@ -227,13 +261,25 @@ def _check_verdicts(
     machine: Machine,
     indexed_class: type[IndexedMonitor],
 ) -> str | None:
-    """Indexed engine's final verdicts vs the definitional slice semantics."""
-    indexed = indexed_class(machine, trigger=(Verdict.MATCH, Verdict.FAIL))
+    """Indexed engine's final verdicts vs the definitional slice semantics.
+
+    A binding has a verdict once an event has stepped it: every non-empty
+    binding of the table when it was defined, the empty binding only at a
+    ground event.
+    """
+    indexed = indexed_class(machine, trigger=TRIGGER)
     indexed.feed_all(trace)
     reference = definitional_verdicts(machine, trace)
     if set(indexed.delta) != set(reference):
         return "table domain has %d bindings, definition yields %d" % (
             len(indexed.delta),
+            len(reference),
+        )
+    if not any(event.instance == EMPTY for event in trace):
+        del reference[EMPTY]
+    if set(indexed.gamma) != set(reference):
+        return "%d bindings have a verdict, the definition steps %d" % (
+            len(indexed.gamma),
             len(reference),
         )
     for binding in ordered(indexed.gamma):
@@ -242,6 +288,54 @@ def _check_verdicts(
                 binding.encode() or "<empty>",
                 indexed.gamma[binding],
                 reference[binding],
+            )
+    return None
+
+
+def _check_reports(
+    trace: list[ParametricEvent],
+    machine: Machine,
+    indexed_class: type[IndexedMonitor],
+) -> str | None:
+    """Indexed engine's report streams vs the definitional slices of every prefix.
+
+    Each binding of the trace's join closure runs the machine over its own
+    slice, event by event, so after every prefix its state is the one the
+    definition gives.  A binding belongs to a prefix's closure once the
+    prefix's bindings below it join to it.  An event steps the bindings of
+    the prefix's closure at or above its own binding (the empty binding
+    only for a ground event); a stepped binding is reported when its verdict
+    is a trigger and, unless ``report_every``, differs from its verdict
+    after the last event that stepped it.
+    """
+    closure = ordered(binding_closure(trace))
+    states = dict.fromkeys(closure, machine.initial())
+    below = dict.fromkeys(closure, EMPTY)
+    previous: dict[ParamInstance, object] = {}
+    expected: dict[bool, list[VerdictReport]] = {False: [], True: []}
+    for index, event in enumerate(trace, 1):
+        for binding in closure:
+            if not event.instance.less_informative(binding):
+                continue
+            states[binding] = machine.step(states[binding], event.name)
+            below[binding] = below[binding].join(event.instance)
+            if below[binding] != binding:
+                continue
+            verdict = machine.output(states[binding])
+            if verdict in TRIGGER:
+                report = VerdictReport(index, verdict, binding, event.name)
+                expected[True].append(report)
+                if verdict != previous.get(binding):
+                    expected[False].append(report)
+            previous[binding] = verdict
+    for report_every, stream in expected.items():
+        indexed = indexed_class(machine, trigger=TRIGGER, report_every=report_every)
+        got = indexed.feed_all(trace)
+        if got != stream:
+            return "report_every=%s: indexed reported %r, definition says %r" % (
+                report_every,
+                [r.render() for r in got],
+                [r.render() for r in stream],
             )
     return None
 
@@ -270,18 +364,30 @@ def run_selfcheck(
     *,
     unsafe_no_snapshot: bool = False,
     skip_join_phase: bool = False,
+    park_fail: bool = False,
 ) -> SelfCheckResult:
-    """Run the three differential checks over ``count`` seeded random traces.
+    """Run the four differential checks over ``count`` seeded random traces.
 
-    ``unsafe_no_snapshot`` slices with :class:`NoSnapshotSliceTable` and
-    ``skip_join_phase`` monitors with :class:`SkipJoinPhaseMonitor`, so that
-    their detection is itself testable.  Stops at the first mismatch,
-    returning a minimized counterexample.
+    ``unsafe_no_snapshot`` slices with :class:`NoSnapshotSliceTable`;
+    ``skip_join_phase`` monitors with :class:`SkipJoinPhaseMonitor` and
+    ``park_fail`` with :class:`ParkFailMonitor`, so that their detection is
+    itself testable.  Stops at the first mismatch, returning a minimized
+    counterexample.
     """
+    if skip_join_phase and park_fail:
+        raise ValueError("skip_join_phase and park_fail select different engines")
     table_class = NoSnapshotSliceTable if unsafe_no_snapshot else SliceTable
-    indexed_class = SkipJoinPhaseMonitor if skip_join_phase else IndexedMonitor
+    indexed_class = (
+        SkipJoinPhaseMonitor if skip_join_phase
+        else ParkFailMonitor if park_fail
+        else IndexedMonitor
+    )
     rng = random.Random(seed)
-    slicing_ok = engine_pair_ok = verdicts_ok = 0
+    passed = dict.fromkeys(("slicing", "engine-pair", "verdicts", "reports"), 0)
+
+    def result(traces: int, failure: CheckFailure | None = None) -> SelfCheckResult:
+        return SelfCheckResult(traces, *passed.values(), failure=failure)
+
     for index in range(count):
         alphabet = _random_alphabet(rng)
         machine = _random_machine(rng)
@@ -292,17 +398,15 @@ def run_selfcheck(
             ("slicing", lambda t: _check_slicing(t, probes, table_class)),
             ("engine-pair", lambda t: _check_engine_pair(t, machine, indexed_class)),
             ("verdicts", lambda t: _check_verdicts(t, machine, indexed_class)),
+            ("reports", lambda t: _check_reports(t, machine, indexed_class)),
         ]
         for check_name, check in checks:
             detail = check(trace)
             if detail is not None:
                 minimized = _minimize(trace, lambda t: check(t) is not None)
-                return SelfCheckResult(
-                    traces=index + 1,
-                    slicing_ok=slicing_ok,
-                    engine_pair_ok=engine_pair_ok,
-                    verdicts_ok=verdicts_ok,
-                    failure=CheckFailure(
+                return result(
+                    index + 1,
+                    CheckFailure(
                         check=check_name,
                         trace_index=index,
                         detail=check(minimized) or detail,
@@ -310,15 +414,5 @@ def run_selfcheck(
                         machine=machine,
                     ),
                 )
-            if check_name == "slicing":
-                slicing_ok += 1
-            elif check_name == "engine-pair":
-                engine_pair_ok += 1
-            else:
-                verdicts_ok += 1
-    return SelfCheckResult(
-        traces=count,
-        slicing_ok=slicing_ok,
-        engine_pair_ok=engine_pair_ok,
-        verdicts_ok=verdicts_ok,
-    )
+            passed[check_name] += 1
+    return result(count)

@@ -18,7 +18,7 @@ are legal afterwards:
 * ``fsm``     — ``state <name> [initial]``, ``trans <from> <event> <to>``,
   ``label <state> match|fail|unknown`` (unlabeled states are ``unknown``;
   missing transitions go to an absorbing unknown-labeled sink);
-* ``regex``   — a single ``pattern:`` line;
+* ``regex``   — a single ``pattern:`` line, over the events declared above it;
 * ``balance`` — ``roles: enter=<ev> exit=<ev> inc=<ev> dec=<ev>``;
 * ``ratio``   — ``success: <ev>`` naming the events counted as successes.
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .bindings import _NAME_RE
 from .machines import BalanceMachine, FsmMachine, MonitorSpec, RatioMachine, Verdict
-from .patterns import compile_regex
+from .patterns import PatternSyntaxError, UnknownEventInPattern, compile_regex
 
 __all__ = ["SpecFormatError", "parse_property_spec"]
 
@@ -61,7 +61,7 @@ def parse_property_spec(source: str) -> MonitorSpec:
     trigger: set[Verdict] = set()
     saw_report = False
 
-    pattern: str | None = None
+    pattern_machine: FsmMachine | None = None
     fsm_states: dict[str, bool] = {}  # name -> declared initial?
     fsm_trans: dict[tuple[str, str], str] = {}
     fsm_labels: dict[str, Verdict] = {}
@@ -101,6 +101,10 @@ def parse_property_spec(source: str) -> MonitorSpec:
             ev_name = _identifier(lineno, ev_name.strip(), "event name")
             if ev_name in events:
                 raise SpecFormatError(lineno, "event %r declared twice" % ev_name)
+            if pattern_machine is not None:
+                raise SpecFormatError(
+                    lineno, "event %r declared after the 'pattern:' line" % ev_name
+                )
             ev_params = []
             for param in filter(None, (p.strip() for p in arglist.split(","))):
                 if param not in params:
@@ -134,9 +138,12 @@ def parse_property_spec(source: str) -> MonitorSpec:
 
         elif keyword == "pattern:":
             need_kind(lineno, "regex", "pattern:")
-            if pattern is not None:
+            if pattern_machine is not None:
                 raise SpecFormatError(lineno, "duplicate 'pattern:' line")
-            pattern = rest
+            try:
+                pattern_machine = compile_regex(rest, events)
+            except (PatternSyntaxError, UnknownEventInPattern) as exc:
+                raise SpecFormatError(lineno, str(exc)) from exc
         elif keyword == "state":
             need_kind(lineno, "fsm", "state")
             fields = rest.split()
@@ -214,9 +221,9 @@ def parse_property_spec(source: str) -> MonitorSpec:
         raise SpecFormatError(1, "missing 'monitor:' line")
 
     if kind == "regex":
-        if pattern is None:
+        if pattern_machine is None:
             raise SpecFormatError(1, "regex monitor needs a 'pattern:' line")
-        machine = compile_regex(pattern, events)
+        machine = pattern_machine
     elif kind == "fsm":
         initials = [s for s, is_init in fsm_states.items() if is_init]
         if len(initials) != 1:

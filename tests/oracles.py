@@ -90,17 +90,21 @@ def random_binding(rng: random.Random, params=("x", "y", "z"), values=("1", "2",
     return ParamInstance({name: rng.choice(values) for name in chosen})
 
 
-def feed_counting(engine, events) -> tuple[list[int], list[int]]:
-    """Feed events one at a time; return per-event monitor steps and compat checks."""
+def feed_counting(
+    engine, events, fields=("monitor_steps", "compat_checks")
+) -> tuple[list[int], ...]:
+    """Feed events one at a time; return per-event differences of ``RunStats`` fields.
+
+    By default the fields are monitor steps and compat checks.
+    """
     stats = engine.stats
-    steps: list[int] = []
-    checks: list[int] = []
+    counts: tuple[list[int], ...] = tuple([] for _ in fields)
     for event in events:
-        before = (stats.monitor_steps, stats.compat_checks)
+        before = [getattr(stats, field) for field in fields]
         engine.feed(event)
-        steps.append(stats.monitor_steps - before[0])
-        checks.append(stats.compat_checks - before[1])
-    return steps, checks
+        for per_event, field, old in zip(counts, fields, before):
+            per_event.append(getattr(stats, field) - old)
+    return counts
 
 
 def check_index(engine) -> None:

@@ -124,7 +124,7 @@ def test_c4_differential_battery_1000_traces():
     started = time.perf_counter()
     result = run_selfcheck(count=1000, seed=0)
     elapsed = time.perf_counter() - started
-    detail = "1000 seeded traces x (slicing, engine-pair, verdicts) all agree"
+    detail = "1000 seeded traces x (slicing, engine-pair, verdicts, reports) all agree"
     if not result.passed:
         detail = "mismatch after %d traces: %s" % (
             result.traces, result.failure.detail
@@ -218,21 +218,25 @@ def test_c8_mutants_are_caught():
     started = time.perf_counter()
     snapshot = run_selfcheck(count=1000, seed=0, unsafe_no_snapshot=True)
     join_phase = run_selfcheck(count=1000, seed=0, skip_join_phase=True)
+    park_fail = run_selfcheck(count=1000, seed=0, park_fail=True)
     ok = (
         not snapshot.passed
         and snapshot.failure.check == "slicing"
         and not join_phase.passed
         and join_phase.failure.check == "engine-pair"
+        and not park_fail.passed
+        and park_fail.failure.check == "engine-pair"
     )
     elapsed = time.perf_counter() - started
     checkpoint(
         "C8",
         ok,
-        "snapshot mutant caught after %s trace(s), join-phase mutant after %s "
-        "(budget: 1000 each; %.1fs)"
+        "snapshot mutant caught after %s trace(s), join-phase mutant after %s, "
+        "park-fail mutant after %s (budget: 1000 each; %.1fs)"
         % (
             snapshot.traces if not snapshot.passed else ">1000",
             join_phase.traces if not join_phase.passed else ">1000",
+            park_fail.traces if not park_fail.passed else ">1000",
             elapsed,
         ),
     )

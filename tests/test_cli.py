@@ -217,6 +217,19 @@ def test_bad_pattern_exits_1(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_bad_pattern_error_names_its_line(capsys, tmp_path):
+    bad = tmp_path / "bad.spec"
+    bad.write_text(
+        "property P\nevent a()\nmonitor: regex\npattern: a)\nreport: match\n",
+        encoding="utf-8",
+    )
+    code, _, err = run(
+        capsys, "monitor", "--spec", str(bad), "--trace", fx("hasnext.trace")
+    )
+    assert code == 1
+    assert err == "error: line 4: unexpected ')' (at position 1)\n"
+
+
 def test_undeclared_event_in_trace_exits_1(capsys, tmp_path):
     trace = tmp_path / "t.trace"
     trace.write_text("frobnicate i=i1\n", encoding="utf-8")
@@ -340,6 +353,7 @@ def test_selfcheck_ok(capsys):
         "ok: slicing 30/30",
         "ok: engine-pair 30/30",
         "ok: verdicts 30/30",
+        "ok: reports 30/30",
     ]
 
 

@@ -116,6 +116,36 @@ def test_empty_binding_verdict_defined_only_after_ground_event():
     assert engine.gamma.get(EMPTY) is Verdict.MATCH
 
 
+# -- bindings parked in a sink ------------------------------------------------------
+
+
+@pytest.mark.parametrize("engine_class", [BaselineMonitor, IndexedMonitor])
+def test_join_from_parked_source_reports_on_first_step(engine_class):
+    engine = engine_class(absorbing_match_machine(), trigger=[Verdict.MATCH])
+    k1 = ParametricEvent("hit", ParamInstance({"k": "1"}))
+    k1j2 = ParametricEvent("hit", ParamInstance({"j": "2", "k": "1"}))
+    # k=1 parks in "won"; j=2,k=1 is copied from it and has no verdict yet
+    reports = engine.feed_all([k1, k1j2, k1])
+    assert [(r.index, r.instance.encode()) for r in reports] == [
+        (1, "k=1"),
+        (2, "j=2,k=1"),
+    ]
+    assert engine.gamma[ParamInstance({"j": "2", "k": "1"})] is Verdict.MATCH
+    # the third event reaches both bindings and steps neither
+    assert (engine.stats.monitor_steps, engine.stats.skipped_steps) == (2, 2)
+
+
+@pytest.mark.parametrize("engine_class", [BaselineMonitor, IndexedMonitor])
+def test_sink_initial_state_reports_for_empty_binding(engine_class):
+    machine = FsmMachine("dead", {("dead", "hit"): "dead"}, {"dead": Verdict.FAIL}, ["hit"])
+    assert machine.sinks == {"dead", "<stuck>"}
+    engine = engine_class(machine, trigger=[Verdict.FAIL])
+    reports = engine.feed_all([ParametricEvent("hit"), ParametricEvent("hit")])
+    assert [(r.index, r.instance.encode()) for r in reports] == [(1, "")]
+    assert engine.gamma == {EMPTY: Verdict.FAIL}
+    assert (engine.stats.monitor_steps, engine.stats.skipped_steps) == (1, 1)
+
+
 def test_reports_of_one_event_come_in_binding_order():
     # two events of any kind reach match, which absorbs
     machine = compile_regex("(hit | tick) (hit | tick) (hit | tick)*", ["hit", "tick"])
@@ -186,13 +216,17 @@ def test_indexed_engine_cost_shape():
     engine = IndexedMonitor(machine)
     k1 = ParametricEvent("hit", ParamInstance({"k": "1"}))
     k2 = ParametricEvent("hit", ParamInstance({"k": "2"}))
-    touched, checks = feed_counting(engine, [k1, k2, k1, k1])
+    steps, skipped, checks = feed_counting(
+        engine, [k1, k2, k1, k1], ("monitor_steps", "skipped_steps", "compat_checks")
+    )
     stats = engine.stats
     # a fresh binding examines itself plus its indexed neighbours (none
     # here: k=1 and k=2 are incompatible); repeat events examine nothing
     assert checks == [1, 1, 0, 0]
-    # ... and touch exactly the binding itself (no extensions exist here)
-    assert touched == [1, 1, 1, 1]
+    # ... and touch exactly the binding itself (no extensions exist here);
+    # k=1 is parked in the absorbing "won" state after its first step
+    assert steps == [1, 1, 0, 0]
+    assert [a + b for a, b in zip(steps, skipped)] == [1, 1, 1, 1]
     assert stats.defines == 2
     assert stats.peak_instances == 3  # the empty binding plus k=1, k=2
 

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import pytest
+
+from slicemon.bindings import EMPTY, ParamInstance
 from slicemon.events import ParametricEvent
+from slicemon.machines import FsmMachine, Verdict
+from slicemon.parametric import IndexedMonitor
 from slicemon.selfcheck import (
     NoSnapshotSliceTable,
+    _check_reports,
     _check_slicing,
+    _check_verdicts,
     _minimize,
     run_selfcheck,
 )
@@ -16,11 +23,12 @@ def test_clean_run_passes():
     assert result.passed
     assert result.failure is None
     assert (result.traces, result.slicing_ok, result.engine_pair_ok,
-            result.verdicts_ok) == (60, 60, 60, 60)
+            result.verdicts_ok, result.reports_ok) == (60, 60, 60, 60, 60)
     assert result.summary_lines() == [
         "ok: slicing 60/60",
         "ok: engine-pair 60/60",
         "ok: verdicts 60/60",
+        "ok: reports 60/60",
     ]
 
 
@@ -50,6 +58,48 @@ def test_join_phase_mutant_is_caught():
     assert not result.passed
     assert result.failure.check == "engine-pair"
     assert result.traces <= 1000
+
+
+def test_park_fail_mutant_is_caught():
+    result = run_selfcheck(count=1000, seed=0, park_fail=True)
+    assert not result.passed
+    assert result.failure.check == "engine-pair"
+    assert result.traces <= 1000
+
+
+def test_one_indexed_mutant_at_a_time():
+    with pytest.raises(ValueError):
+        run_selfcheck(count=1, skip_join_phase=True, park_fail=True)
+
+
+def test_reports_check_catches_a_dropped_dedup():
+    class NoDedupMonitor(IndexedMonitor):
+        def __init__(self, machine, **options):
+            super().__init__(machine, **options)
+            self.report_every = True
+
+    # two match states that alternate, so no binding is ever parked
+    machine = FsmMachine(
+        "s", {("s", "a"): "t", ("t", "a"): "s"},
+        {"s": Verdict.MATCH, "t": Verdict.MATCH}, ["a"],
+    )
+    trace = [ParametricEvent("a"), ParametricEvent("a")]
+    assert _check_reports(trace, machine, IndexedMonitor) is None
+    assert "report_every=False" in _check_reports(trace, machine, NoDedupMonitor)
+
+
+def test_verdicts_check_compares_which_bindings_have_one():
+    class EagerEmptyMonitor(IndexedMonitor):
+        def __init__(self, machine, **options):
+            super().__init__(machine, **options)
+            self.gamma[EMPTY] = machine.output(machine.initial())
+
+    machine = FsmMachine("s", {("s", "a"): "s"}, {}, ["a"])
+    trace = [ParametricEvent("a", ParamInstance({"x": "v1"}))]
+    assert _check_verdicts(trace, machine, IndexedMonitor) is None
+    assert "2 bindings have a verdict, the definition steps 1" == _check_verdicts(
+        trace, machine, EagerEmptyMonitor
+    )
 
 
 def test_minimize_deletes_irrelevant_events():

@@ -164,6 +164,15 @@ def test_regex_payload_errors():
     base = "property P\nevent a()\nmonitor: regex\n"
     assert "duplicate 'pattern:'" in str(err(base + "pattern: a\npattern: a\n"))
     assert "needs a 'pattern:'" in str(err(base))
+    unbalanced = err(base + "pattern: a)\n")
+    assert unbalanced.line == 4
+    assert "unexpected ')' (at position 1)" in str(unbalanced)
+    unknown = err(base + "pattern: a b\nevent b()\n")
+    assert unknown.line == 4
+    assert "undeclared event 'b'" in str(unknown)
+    late = err(base + "pattern: a\nevent b()\n")
+    assert late.line == 5
+    assert "event 'b' declared after the 'pattern:' line" in str(late)
 
 
 def test_balance_payload_errors():
