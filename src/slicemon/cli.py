@@ -5,9 +5,11 @@ reports for a property over a trace), ``selfcheck`` (randomized differential
 checking), ``bench`` (CSV throughput numbers).
 
 Exit codes: 0 success / nothing triggered; 1 malformed or unreadable input
-(trace, property file, pattern, alphabet mismatch); 2 binding domain exceeded
-the enumeration cap, or a usage error; 3 at least one report triggered; 4
-selfcheck mismatch; 141 the reader closed standard output.
+(trace, property file, pattern, alphabet mismatch); 2 a binding too wide for
+sub-binding enumeration, which only the baseline engine (``--algo b``) and
+``slice --instance`` for a binding off the table do, or a usage error; 3 at
+least one report triggered; 4 selfcheck mismatch; 141 the reader closed
+standard output.
 """
 
 from __future__ import annotations
@@ -179,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--cap", type=cap_value, default=DEFAULT_DOMAIN_CAP,
-            help="max parameters per binding before lookups refuse (default %d)"
+            help="max parameters per binding for which the baseline engine and "
+            "off-table --instance lookups enumerate sub-bindings (default %d)"
             % DEFAULT_DOMAIN_CAP,
         )
 

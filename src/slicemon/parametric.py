@@ -3,17 +3,21 @@
 A parametric monitor is the base monitor run on every trace slice.  Both
 engines share one define/join/apply loop, :meth:`_EngineBase.feed`: for a
 fresh binding it defines every missing join of the binding with the table,
-each copied from its ``max_below`` source in the pre-event table; then it
-steps the binding and its defined strict extensions, except those parked in
-a sink state that cannot report.  Each step reads only its own binding's
-state, so the steps may run in any order; the reports of one event come out
-in ``binding_order``.  The engines differ only in the two finders the loop
-calls:
+each copied from its most informative defined sub-binding in the pre-event
+table; then it steps the binding and its defined strict extensions, except
+those parked in a sink state that cannot report.  Each step reads only its
+own binding's state, so the steps may run in any order; the reports of one
+event come out in ``binding_order``.  The engines differ only in the three
+finders the loop calls:
 
-* :class:`BaselineMonitor` scans the whole table — simple, and the semantic
-  yardstick;
-* :class:`IndexedMonitor` looks both up in a domain-keyed index of the
-  defined bindings, without scanning the table or checking compatibility.
+* :class:`BaselineMonitor` scans the whole table for the joins and the
+  bindings at or above, and enumerates sub-bindings (``max_below``, up to
+  the ``cap``) for a source — simple, and the semantic yardstick;
+* :class:`IndexedMonitor` looks the first two up in a domain-keyed index of
+  the defined bindings, holding only the keys its lookups can ask for, and
+  finds a source by restricting the join to each table domain within it.
+  It neither scans the table, nor checks compatibility, nor enumerates
+  sub-bindings, so its cost per define does not grow as 2^|domain|.
 
 Both produce identical state tables, verdicts and report streams, which the
 test suite checks event by event against each other and against the
@@ -24,7 +28,8 @@ same loop with a machine whose state is the word read so far.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .bindings import (
     DEFAULT_DOMAIN_CAP,
@@ -34,7 +39,6 @@ from .bindings import (
     joins_with,
     max_below,
     ordered,
-    strict_subinstances_desc,
 )
 from .events import ParametricEvent, binding_closure, slice_trace
 from .machines import Machine, Verdict
@@ -95,10 +99,14 @@ class RunStats:
 class _EngineBase:
     """The define/join/apply loop, tables, triggers and report policy.
 
-    Subclasses supply the two finders: ``_joins(binding)`` lists the joins of
-    a binding that is not in the table with every table entry, and
-    ``_at_or_above(binding)`` the defined bindings at or above one that is.
-    Both add the join candidates they examine to ``stats.compat_checks``.
+    Subclasses supply the three finders: ``_joins(binding)`` lists the joins
+    of a binding that is not in the table with every table entry,
+    ``_at_or_above(binding)`` the defined bindings at or above one that is,
+    and ``_below(binding)`` the most informative defined binding strictly
+    below a join that is not.  The first two add the join candidates they
+    examine to ``stats.compat_checks``.  ``cap`` bounds the domain size for
+    which the baseline's ``_below`` and ``SliceTable.lookup`` enumerate
+    sub-bindings.
     """
 
     def __init__(
@@ -169,7 +177,7 @@ class _EngineBase:
             # define so that no join copies a state this event created.
             touched = self._joins(binding)
             missing = [joined for joined in touched if joined not in delta]
-            sources = [max_below(joined, delta, self.cap) for joined in missing]
+            sources = [self._below(joined) for joined in missing]
             for joined, source in zip(missing, sources):
                 self._define(joined, source)
 
@@ -233,33 +241,75 @@ class BaselineMonitor(_EngineBase):
         self.stats.compat_checks += len(self.delta)
         return [other for other in self.delta if binding.less_informative(other)]
 
+    def _below(self, binding: ParamInstance) -> ParamInstance:
+        return max_below(binding, self.delta, self.cap)
+
 
 class IndexedMonitor(_EngineBase):
     """Index-guided engine: touches only states the event can affect.
 
     ``extensions[(sub, domain)]`` holds the defined bindings of ``domain``
-    strictly more informative than ``sub``; keys exist only for strict
-    sub-bindings of defined bindings.  A defined binding at or above ``b``
-    is ``b`` or sits in ``extensions[(b, domain)]`` for its domain.  A
-    binding compatible with ``b`` and of a domain ``D`` not within ``b``'s
-    agrees with ``b`` on their shared names, so the compatible neighbours
-    of a fresh binding in ``D`` are exactly ``extensions[(b restricted to D,
-    D)]``: no compatibility checks, no sort.
+    strictly more informative than ``sub``.  The finders only ever look up
+    keys ``(b restricted to E∩D, D)``, where ``E`` is the domain of an
+    event's binding ``b`` and ``D`` a table domain, so only keys of that
+    shape are written.  The *query domains* are the empty domain, every
+    table domain and every domain a fresh event binding has carried; a
+    defined binding of ``D`` is indexed under its restriction to ``E∩D``
+    for every query domain ``E`` with ``E∩D ⊊ D`` (the *cuts* of ``D``).
+    A domain that turns into a query domain adds its cuts to every table
+    domain, and backfills their defined bindings under them, before its
+    first lookup; a binding already in the table has a query domain, so
+    the warm path never needs that check.
+
+    * A defined binding at or above ``b`` is ``b`` or sits in
+      ``extensions[(b, domain)]`` for its domain.
+    * A binding compatible with a fresh ``b`` and of a domain ``D`` not
+      within ``b``'s agrees with ``b`` on their shared names, so the
+      compatible neighbours of ``b`` in ``D`` are exactly
+      ``extensions[(b restricted to D, D)]``: no compatibility checks, no
+      sort.
+    * Every defined binding below a missing join ``j`` is ``j`` restricted
+      to a table domain ``D ⊊ dom(j)``.  These restrictions that are
+      defined are join-closed, since the table is, so their maximum is the
+      join of them all and has the strictly widest domain among them:
+      probing ``D`` widest first, the first defined restriction is the
+      source.  No sub-binding enumeration, so no cap applies.
     """
 
     def __init__(self, machine: Machine, **options):
         super().__init__(machine, **options)
         self.extensions: dict[tuple, set[ParamInstance]] = {}
-        #: Domains of the defined bindings; each maps to itself, so index
-        #: keys share one domain object.
-        self._domains: dict[frozenset[str], frozenset[str]] = {}
+        #: Table domains other than the empty one.  Each maps to itself, so
+        #: that index keys share one domain object, and to its cuts, each
+        #: with the getter of that cut's items from a binding's items.
+        self._domains: dict[frozenset[str], tuple[frozenset[str], dict]] = {}
+        self._queries: set[frozenset[str]] = {frozenset()}
+        #: Per domain of a fresh binding, the table domains ``D`` in which it
+        #: can have neighbours, each with the getter of its items on ``D``;
+        #: per domain of a missing join, the getters of its restrictions to
+        #: the table domains strictly within it, widest first.  Both are
+        #: cleared when a table domain is added.
+        self._probes: dict[frozenset[str], list[tuple[frozenset[str], Callable]]] = {}
+        self._sources: dict[frozenset[str], list[Callable]] = {}
 
     def _joins(self, binding: ParamInstance) -> list[ParamInstance]:
+        query = frozenset(binding.names)
+        probes = self._probes.get(query)
+        if probes is None:
+            if query not in self._queries:
+                self._add_query(query)
+            probes = self._probes[query] = [
+                (domain, _cut(query, domain & query))
+                for domain in self._domains
+                if not domain <= query
+            ]
         extensions = self.extensions
+        items = binding._items
+        wrap = ParamInstance._wrap
         joins = {binding}
         examined = 1
-        for domain in self._domains:
-            neighbours = extensions.get((binding.restrict(domain), domain))
+        for domain, cut in probes:
+            neighbours = extensions.get((wrap(cut(items)), domain))
             if neighbours:
                 examined += len(neighbours)
                 joins.update(neighbour.join(binding) for neighbour in neighbours)
@@ -273,13 +323,75 @@ class IndexedMonitor(_EngineBase):
             found.extend(extensions.get((binding, domain), ()))
         return found
 
+    def _below(self, binding: ParamInstance) -> ParamInstance:
+        names = frozenset(binding.names)
+        sources = self._sources.get(names)
+        if sources is None:
+            within = sorted(
+                (domain for domain in self._domains if domain < names),
+                key=len,
+                reverse=True,
+            )
+            sources = self._sources[names] = [_cut(names, part) for part in within]
+        delta = self.delta
+        items = binding._items
+        wrap = ParamInstance._wrap
+        for cut in sources:
+            sub = wrap(cut(items))
+            if sub in delta:
+                return sub
+        return EMPTY
+
     def _define(self, binding: ParamInstance, source: ParamInstance) -> None:
         super()._define(binding, source)
         names = frozenset(binding.names)
-        domain = self._domains.setdefault(names, names)
+        domain, cuts = self._domains.get(names) or self._add_domain(names)
         extensions = self.extensions
-        for sub in strict_subinstances_desc(binding, self.cap):
-            extensions.setdefault((sub, domain), set()).add(binding)
+        items = binding._items
+        wrap = ParamInstance._wrap
+        for cut in cuts.values():
+            extensions.setdefault((wrap(cut(items)), domain), set()).add(binding)
+
+    def _add_domain(self, domain: frozenset[str]) -> tuple[frozenset[str], dict]:
+        """Make ``domain`` a table domain, and so a query domain."""
+        cuts = {}
+        for query in self._queries:
+            part = query & domain
+            if part != domain and part not in cuts:
+                cuts[part] = _cut(domain, part)
+        entry = self._domains[domain] = (domain, cuts)
+        self._probes.clear()
+        self._sources.clear()
+        self._add_query(domain)
+        return entry
+
+    def _add_query(self, query: frozenset[str]) -> None:
+        """Make ``query`` a query domain: give every table domain its cut."""
+        self._queries.add(query)
+        for domain, cuts in self._domains.values():
+            part = query & domain
+            if part != domain and part not in cuts:
+                cuts[part] = _cut(domain, part)
+                self._backfill(domain, cuts[part])
+
+    def _backfill(self, domain: frozenset[str], cut: Callable) -> None:
+        """Index the defined bindings of ``domain`` under a new cut."""
+        extensions = self.extensions
+        wrap = ParamInstance._wrap
+        # The empty domain is a query domain, so the key of the empty cut
+        # holds every defined binding of the domain.
+        for member in extensions[(EMPTY, domain)]:
+            extensions.setdefault((wrap(cut(member._items)), domain), set()).add(member)
+
+
+def _cut(domain: frozenset[str], part: frozenset[str]) -> Callable[[tuple], tuple]:
+    """Getter of the items on ``part`` from a ``domain`` binding's sorted items."""
+    positions = [i for i, name in enumerate(sorted(domain)) if name in part]
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    # One position alone would return the item, not a tuple; a slice does not.
+    start = positions[0] if positions else 0
+    return itemgetter(slice(start, start + len(positions)))
 
 
 def definitional_verdicts(

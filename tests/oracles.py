@@ -107,14 +107,21 @@ def feed_counting(
     return counts
 
 
-def check_index(engine) -> None:
+def check_index(engine, fed: Iterable) -> None:
     """Assert an ``IndexedMonitor``'s index invariant (quadratic in table size).
 
-    Every index entry must hold exactly the defined bindings of its domain
-    strictly more informative than its key binding, and every such pair of
-    defined bindings must be indexed.
+    ``fed`` are the events fed so far.  Every index entry must hold exactly
+    the defined bindings of its domain strictly more informative than its
+    key binding, and every such pair of defined bindings must be indexed.
+    The query domains are the empty domain, the domains of the defined
+    bindings and those of the fed bindings.  Every key ``(sub, D)`` must
+    have ``dom(sub) = E∩D ⊊ D`` for a query domain ``E``, and every defined
+    binding of ``D`` must be indexed under each such ``E∩D``.
     """
     defined = list(engine.delta)
+    queries = {frozenset()}
+    queries.update(frozenset(b.names) for b in defined)
+    queries.update(frozenset(event.instance.names) for event in fed)
     for (sub, domain), members in engine.extensions.items():
         expected = {
             b for b in defined
@@ -124,11 +131,22 @@ def check_index(engine) -> None:
             "index entry for %r in %s is %r, expected %r"
             % (sub, sorted(domain), members, expected)
         )
+        assert frozenset(sub.names) in {
+            query & domain for query in queries if query & domain != domain
+        }, "index key %r in %s is not the shape of a query" % (sub, sorted(domain))
     for a in defined:
         for b in defined:
             if a != b and a.less_informative(b):
                 assert b in engine.extensions.get((a, frozenset(b.names)), ()), (
                     "index misses a defined extension"
+                )
+    for b in defined:
+        domain = frozenset(b.names)
+        for query in queries:
+            part = query & domain
+            if part != domain:
+                assert b in engine.extensions.get((b.restrict(part), domain), ()), (
+                    "index misses %r under its cut on %s" % (b, sorted(part))
                 )
 
 

@@ -216,27 +216,30 @@ def test_c7_indexed_cost_model():
 
 def test_c8_mutants_are_caught():
     started = time.perf_counter()
-    snapshot = run_selfcheck(count=1000, seed=0, unsafe_no_snapshot=True)
-    join_phase = run_selfcheck(count=1000, seed=0, skip_join_phase=True)
-    park_fail = run_selfcheck(count=1000, seed=0, park_fail=True)
-    ok = (
-        not snapshot.passed
-        and snapshot.failure.check == "slicing"
-        and not join_phase.passed
-        and join_phase.failure.check == "engine-pair"
-        and not park_fail.passed
-        and park_fail.failure.check == "engine-pair"
+    runs = {
+        "snapshot": (run_selfcheck(count=1000, seed=0, unsafe_no_snapshot=True), "slicing"),
+        "join-phase": (run_selfcheck(count=1000, seed=0, skip_join_phase=True), "engine-pair"),
+        "park-fail": (run_selfcheck(count=1000, seed=0, park_fail=True), "engine-pair"),
+        "stale-index": (run_selfcheck(count=1000, seed=0, stale_index=True), "engine-pair"),
+        "smallest-source": (
+            run_selfcheck(count=1000, seed=0, smallest_source=True), "engine-pair"
+        ),
+    }
+    ok = all(
+        not result.passed and result.failure.check == check
+        for result, check in runs.values()
     )
     elapsed = time.perf_counter() - started
     checkpoint(
         "C8",
         ok,
-        "snapshot mutant caught after %s trace(s), join-phase mutant after %s, "
-        "park-fail mutant after %s (budget: 1000 each; %.1fs)"
+        "%s (budget: 1000 each; %.1fs)"
         % (
-            snapshot.traces if not snapshot.passed else ">1000",
-            join_phase.traces if not join_phase.passed else ">1000",
-            park_fail.traces if not park_fail.passed else ">1000",
+            ", ".join(
+                "%s mutant caught after %s trace(s)"
+                % (name, result.traces if not result.passed else ">1000")
+                for name, (result, _) in runs.items()
+            ),
             elapsed,
         ),
     )

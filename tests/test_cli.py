@@ -303,14 +303,23 @@ def test_internal_value_error_is_not_malformed_input(capsys, monkeypatch):
 def test_cap_exceeded_exits_2(capsys, tmp_path):
     wide = tmp_path / "wide.trace"
     wide.write_text(
-        "e " + " ".join("p%d=v" % i for i in range(11)) + "\n", encoding="utf-8"
+        "e " + " ".join("p%d=v" % i for i in range(11)) + "\nf p1=v\n",
+        encoding="utf-8",
     )
-    code, _, err = run(capsys, "slice", "--trace", str(wide))
+    # slicing a wide binding enumerates nothing ...
+    code, out, _ = run(capsys, "slice", "--trace", str(wide))
+    assert code == 0
+    assert out.splitlines()[-1].endswith("\te f")
+    # ... but looking up a wide binding off the table does
+    off_table = ",".join(["p0=w"] + ["p%d=v" % i for i in range(1, 11)])
+    code, _, err = run(capsys, "slice", "--trace", str(wide), "--instance", off_table)
     assert code == 2
     assert "exceeding the enumeration cap" in err
-    # a raised cap accepts the same trace
-    code, out, _ = run(capsys, "slice", "--trace", str(wide), "--cap", "11")
-    assert code == 0
+    # a raised cap answers the same lookup
+    code, out, _ = run(
+        capsys, "slice", "--trace", str(wide), "--instance", off_table, "--cap", "11"
+    )
+    assert (code, out) == (0, "f\n")
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from slicemon import bindings
 from slicemon.bindings import EMPTY, CapExceeded, ParamInstance
 from slicemon.events import ParametricEvent, binding_closure, parse_trace
 from slicemon.machines import FsmMachine, RatioMachine, Verdict
@@ -17,6 +18,13 @@ from slicemon.parametric import (
 )
 from slicemon.patterns import compile_regex
 from slicemon.selfcheck import SkipJoinPhaseMonitor
+from slicemon.slicer import SliceTable
+from slicemon.workloads import (
+    adversarial_machine,
+    adversarial_workload,
+    iterator_machine,
+    iterator_workload,
+)
 
 from .oracles import check_index, feed_counting, random_binding
 
@@ -194,11 +202,11 @@ def test_engines_agree_event_by_event_and_with_definition():
         baseline, indexed = both_engines(
             machine, trigger=[Verdict.MATCH, Verdict.FAIL]
         )
-        for event in trace:
+        for position, event in enumerate(trace, 1):
             assert baseline.feed(event) == indexed.feed(event)
             assert baseline.delta == indexed.delta
             assert baseline.gamma == indexed.gamma
-            check_index(indexed)
+            check_index(indexed, trace[:position])
         # both engines materialize the join closure of the seen bindings
         closure = binding_closure(trace)
         assert set(baseline.delta) == closure
@@ -231,6 +239,61 @@ def test_indexed_engine_cost_shape():
     assert stats.peak_instances == 3  # the empty binding plus k=1, k=2
 
 
+def test_index_size_does_not_grow_with_fresh_bindings():
+    # fresh 3-parameter bindings that join with nothing: the finders never
+    # ask for a key below one of them, so none is written
+    events = adversarial_workload(2000)
+    engine = IndexedMonitor(adversarial_machine())
+    engine.feed_all(events[:1000])
+    keys = len(engine.extensions)
+    engine.feed_all(events[1000:])
+    assert len(engine.delta) == 2001
+    assert len(engine.extensions) == keys <= 1
+
+
+def unsafeiter_join_shape(rng: random.Random, events: int = 300) -> list[ParametricEvent]:
+    """Five collections with two iterators each, created, updated and advanced."""
+    owners = {"c%d.%d" % (c, s): "c%d" % c for c in range(5) for s in range(2)}
+    trace = []
+    for _ in range(events):
+        it = rng.choice(sorted(owners))
+        kind = rng.choice(("create", "update", "next", "next"))
+        if kind == "create":
+            binding = {"i": it, "v": owners[it]}
+        elif kind == "update":
+            binding = {"v": owners[it]}
+        else:
+            binding = {"i": it}
+        trace.append(ParametricEvent(kind, ParamInstance(binding)))
+    return trace
+
+
+def test_indexed_engine_never_enumerates_sub_bindings(
+    monkeypatch, fixtures, locking_spec, hasnext_spec, unsafeiter_spec
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sub-binding enumeration")
+
+    monkeypatch.setattr(bindings, "strict_subinstances_desc", refuse)
+    runs = [
+        (spec.machine, parse_trace(read_fixture(fixtures, name + ".trace")))
+        for spec, name in (
+            (locking_spec, "locking"),
+            (hasnext_spec, "hasnext"),
+            (unsafeiter_spec, "unsafeiter"),
+        )
+    ]
+    runs += [
+        (unsafeiter_spec.machine, unsafeiter_join_shape(random.Random(1))),
+        (iterator_machine(), iterator_workload(2000)),
+        (adversarial_machine(), adversarial_workload(500)),
+    ]
+    for machine, trace in runs:
+        IndexedMonitor(machine).feed_all(trace)
+        SliceTable().feed_all(trace)
+    SliceTable().feed_all(parse_trace(read_fixture(fixtures, "abc.trace")))
+
+
 def test_baseline_engine_scans_whole_table():
     machine = absorbing_match_machine()
     engine = BaselineMonitor(machine)
@@ -258,10 +321,20 @@ def test_skip_join_phase_mutant_misses_combinations():
 
 
 def test_cap_applies_to_event_bindings():
+    # only the baseline engine enumerates sub-bindings for a join's source
     wide = ParamInstance({f"p{i}": "v" for i in range(11)})
-    for engine in both_engines(absorbing_match_machine()):
-        with pytest.raises(CapExceeded):
-            engine.feed(ParametricEvent("hit", wide))
+    trace = [
+        ParametricEvent("hit", ParamInstance({"p0": "v", "p1": "v"})),
+        ParametricEvent("hit", wide),
+    ]
+    machine = absorbing_match_machine()
+    with pytest.raises(CapExceeded):
+        BaselineMonitor(machine).feed_all(trace)
+    indexed = IndexedMonitor(machine)
+    raised_cap = BaselineMonitor(machine, cap=11)
+    assert indexed.feed_all(trace) == raised_cap.feed_all(trace)
+    assert indexed.delta == raised_cap.delta
+    assert indexed.gamma == raised_cap.gamma
 
 
 def test_instances_iterates_deterministically():

@@ -67,9 +67,19 @@ def test_park_fail_mutant_is_caught():
     assert result.traces <= 1000
 
 
+@pytest.mark.parametrize("mutant", ["stale_index", "smallest_source"])
+def test_index_mutants_are_caught(mutant):
+    result = run_selfcheck(count=1000, seed=0, **{mutant: True})
+    assert not result.passed
+    assert result.failure.check == "engine-pair"
+    assert result.traces <= 1000
+
+
 def test_one_indexed_mutant_at_a_time():
     with pytest.raises(ValueError):
         run_selfcheck(count=1, skip_join_phase=True, park_fail=True)
+    with pytest.raises(ValueError):
+        run_selfcheck(count=1, stale_index=True, smallest_source=True)
 
 
 def test_reports_check_catches_a_dropped_dedup():

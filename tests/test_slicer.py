@@ -87,10 +87,16 @@ def test_snapshot_mutant_sources_a_fresh_join():
 
 
 def test_cap_enforced_on_lookup_paths():
+    # feeding never enumerates sub-bindings; an off-table lookup does
     wide = ParamInstance({f"p{i}": "v" for i in range(11)})
-    table = SliceTable()
+    trace = [
+        ParametricEvent("e", wide),
+        ParametricEvent("f", ParamInstance({"p1": "v"})),
+    ]
+    table = SliceTable().feed_all(trace)
+    assert table.slice_of(wide) == ("e", "f")
+    off_table = ParamInstance({**dict(wide), "p0": "w"})
     with pytest.raises(CapExceeded):
-        table.feed(ParametricEvent("e", wide))
-    narrow_table = SliceTable(cap=11)
-    narrow_table.feed(ParametricEvent("e", wide))
-    assert narrow_table.slice_of(wide) == ("e",)
+        table.lookup(off_table)
+    raised_cap = SliceTable(cap=11).feed_all(trace)
+    assert raised_cap.lookup(off_table) == slice_trace(trace, off_table) == ("f",)
