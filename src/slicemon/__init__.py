@@ -10,8 +10,6 @@ unless asked to.  See :mod:`slicemon.slicer` for the slicing table,
 
 from .bindings import (
     BindingFormatError,
-    CapExceeded,
-    DEFAULT_DOMAIN_CAP,
     EMPTY,
     ParamInstance,
     join_closure,
@@ -58,8 +56,6 @@ __all__ = [
     "BalanceMachine",
     "BaselineMonitor",
     "BindingFormatError",
-    "CapExceeded",
-    "DEFAULT_DOMAIN_CAP",
     "DuplicateParam",
     "EMPTY",
     "FsmMachine",

@@ -9,8 +9,10 @@ bottom element and is compatible with everything.
 
 A binding is stored only as its name-sorted tuple of ``(name, value)``
 items, which serves as its hash, equality and encoding source.  The order is
-a subset test on those tuples, the join merges two of them, and the
-sub-bindings of a binding are the sub-tuples of its items.
+a subset test on those tuples, and the join merges two of them.  The most
+informative member of a join-closed set below a binding (its slice source)
+is the widest member below it, so one scan of the set finds it, however many
+parameters the binding has.
 
 Everything downstream (slicing tables, monitor state tables) indexes on
 bindings, so this module also fixes their canonical encoding
@@ -22,13 +24,10 @@ then ascending canonical encoding.
 from __future__ import annotations
 
 import re
-from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "BindingFormatError",
-    "CapExceeded",
-    "DEFAULT_DOMAIN_CAP",
     "EMPTY",
     "ParamInstance",
     "binding_order",
@@ -36,7 +35,6 @@ __all__ = [
     "joins_with",
     "max_below",
     "ordered",
-    "strict_subinstances_desc",
 ]
 
 #: Parameter names are identifiers; values are any non-empty run of
@@ -45,25 +43,9 @@ __all__ = [
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _VALUE_RE = re.compile(r"[^\s=,]+\Z")
 
-#: Largest binding domain for which sub-binding enumeration (2^n candidates)
-#: is permitted.  Lookups on wider bindings raise :class:`CapExceeded`.
-DEFAULT_DOMAIN_CAP = 10
-
 
 class BindingFormatError(ValueError):
     """A binding's text, or one of its parameter names or values, is malformed."""
-
-
-class CapExceeded(Exception):
-    """A binding's domain is too wide for sub-binding enumeration."""
-
-    def __init__(self, size: int, cap: int):
-        super().__init__(
-            "binding has %d parameters, exceeding the enumeration cap of %d"
-            % (size, cap)
-        )
-        self.size = size
-        self.cap = cap
 
 
 class ParamInstance:
@@ -255,47 +237,28 @@ def join_closure(instances: Iterable[ParamInstance]) -> set[ParamInstance]:
     return closed
 
 
-def strict_subinstances_desc(
-    instance: ParamInstance, cap: int = DEFAULT_DOMAIN_CAP
-) -> Iterator[ParamInstance]:
-    """Yield every strictly less informative binding, most informative first.
-
-    Order is descending domain size; within one size it is
-    :func:`itertools.combinations` order over the name-sorted items.  The
-    final binding yielded is always the empty one.  A domain wider than
-    ``cap`` raises :class:`CapExceeded` (the enumeration is exponential in
-    the domain size).
-    """
-    items = instance._items
-    if len(items) > cap:
-        raise CapExceeded(len(items), cap)
-    wrap = ParamInstance._wrap
-    for size in range(len(items) - 1, -1, -1):
-        for combo in combinations(items, size):
-            yield wrap(combo)
-
-
 def max_below(
-    instance: ParamInstance,
-    members: Iterable[ParamInstance],
-    cap: int = DEFAULT_DOMAIN_CAP,
+    instance: ParamInstance, members: Iterable[ParamInstance]
 ) -> ParamInstance:
-    """Most informative member that is at-or-below ``instance``.
+    """Most informative member that is at-or-below ``instance``, in one scan.
 
-    ``members`` must be join-closed (which makes the maximum unique) and
-    therefore contain the empty binding, so the scan always terminates with
-    an answer.  ``instance`` itself is returned when it is a member.  Two
-    distinct members below ``instance`` of one size would have a larger join
-    below it in ``members``, so the first member met, size by size, is the
-    maximum whatever the order within a size.
+    ``members`` must be join-closed, and so contain the empty binding, which
+    guarantees an answer.  The members below ``instance`` are then closed
+    under join too (a join of two bindings below ``instance`` is below it),
+    so the join of them all is a member and strictly wider than any other:
+    the maximum is unique, and it is the widest member below ``instance``.
+    The scan keeps the first member of the largest size it meets, which
+    matters only for a set that is not join-closed.  ``instance`` itself is
+    returned when it is a member.
     """
-    membership = members if hasattr(members, "__contains__") else set(members)
-    if instance in membership:
-        return instance
-    for sub in strict_subinstances_desc(instance, cap):
-        if sub in membership:
-            return sub
-    raise ValueError(
-        "binding set is missing the empty binding (not join-closed): %r"
-        % (instance,)
-    )
+    best = None
+    size = -1
+    for member in members:
+        if len(member) > size and member.less_informative(instance):
+            best, size = member, len(member)
+    if best is None:
+        raise ValueError(
+            "binding set is missing the empty binding (not join-closed): %r"
+            % (instance,)
+        )
+    return best

@@ -2,51 +2,37 @@
 
 Subcommands: ``slice`` (dump slices of a trace), ``monitor`` (print verdict
 reports for a property over a trace), ``selfcheck`` (randomized differential
-checking), ``bench`` (CSV throughput numbers).
+checking).  The benchmark is ``perfbench/``, outside the package.
 
 Exit codes: 0 success / nothing triggered; 1 malformed or unreadable input
-(trace, property file, pattern, alphabet mismatch); 2 a binding too wide for
-sub-binding enumeration, which only the baseline engine (``--algo b``) and
-``slice --instance`` for a binding off the table do, or a usage error; 3 at
-least one report triggered; 4 selfcheck mismatch; 141 the reader closed
-standard output.
+(trace, property file, pattern, alphabet mismatch); 2 a usage error; 3 at
+least one report triggered; 4 selfcheck mismatch; 70 an internal fault,
+with its traceback on standard error; 141 the reader closed standard output.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
-import time
+import traceback
 
-from .bindings import (
-    DEFAULT_DOMAIN_CAP,
-    BindingFormatError,
-    CapExceeded,
-    ParamInstance,
-)
+from .bindings import BindingFormatError, ParamInstance
 from .events import ParamMismatch, ParseError, UnknownEvent, parse_trace
 from .parametric import BaselineMonitor, IndexedMonitor
 from .patterns import PatternSyntaxError, UnknownEventInPattern
 from .selfcheck import run_selfcheck
 from .slicer import SliceTable
 from .specfile import SpecFormatError, parse_property_spec
-from .workloads import (
-    adversarial_machine,
-    adversarial_workload,
-    iterator_machine,
-    iterator_workload,
-)
 
 
 class InputFileError(Exception):
     """A ``--trace`` or ``--spec`` file is missing, unreadable or a directory."""
 
 
-#: Malformed or unreadable input, reported with exit code 1.  Anything else
-#: propagates with its traceback, so a fault of the program is never reported
-#: as bad input.
+#: Malformed or unreadable input, reported with exit code 1.  Any other
+#: exception is a fault of the program: its traceback goes to stderr and the
+#: exit code is 70, so it is never reported as bad input.
 INPUT_ERRORS = (
     BindingFormatError,
     ParseError,
@@ -73,7 +59,7 @@ def _read_text(path: str) -> str:
 
 def cmd_slice(args: argparse.Namespace) -> int:
     trace = parse_trace(_read_text(args.trace))
-    table = SliceTable(cap=args.cap)
+    table = SliceTable()
     table.feed_all(trace)
     if args.instance == "all":
         for binding in table.instances():
@@ -92,7 +78,6 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         spec.machine,
         trigger=spec.trigger,
         report_every=args.report_every,
-        cap=args.cap,
     )
     triggered = False
     for event in trace:
@@ -119,56 +104,11 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     return 4
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    writer = csv.writer(sys.stdout)
-    writer.writerow(
-        ["workload", "trace_size", "algo", "events_per_second",
-         "peak_instances", "monitor_steps"]
-    )
-    workloads = (
-        ("iterator", iterator_workload, iterator_machine),
-        ("adversarial", adversarial_workload, adversarial_machine),
-    )
-    for label, make_events, make_machine in workloads:
-        for size in args.counts:
-            events = make_events(size)
-            for algo, engine_cls in (("b", BaselineMonitor), ("c", IndexedMonitor)):
-                engine = engine_cls(make_machine(), cap=args.cap)
-                started = time.perf_counter()
-                engine.feed_all(events)
-                elapsed = time.perf_counter() - started
-                writer.writerow(
-                    [
-                        label,
-                        size,
-                        algo,
-                        "%.0f" % (size / elapsed if elapsed else float("inf")),
-                        engine.stats.peak_instances,
-                        engine.stats.monitor_steps,
-                    ]
-                )
-    return 0
-
-
-def cap_value(text: str) -> int:
-    cap = int(text)
-    if cap < 0:
-        raise argparse.ArgumentTypeError("must be at least 0, got %d" % cap)
-    return cap
-
-
 def count_value(text: str) -> int:
     count = int(text)
     if count < 1:
         raise argparse.ArgumentTypeError("must be at least 1, got %d" % count)
     return count
-
-
-def size_list(text: str) -> list[int]:
-    sizes = [count_value(chunk) for chunk in text.split(",") if chunk.strip()]
-    if not sizes:
-        raise argparse.ArgumentTypeError("expected at least one size, got %r" % text)
-    return sizes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,14 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--cap", type=cap_value, default=DEFAULT_DOMAIN_CAP,
-            help="max parameters per binding for which the baseline engine and "
-            "off-table --instance lookups enumerate sub-bindings (default %d)"
-            % DEFAULT_DOMAIN_CAP,
-        )
-
     p_slice = sub.add_parser("slice", help="write slices of a trace to stdout")
     p_slice.add_argument("--trace", required=True, help="trace file, or - for stdin")
     p_slice.add_argument(
@@ -193,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="binding to slice for, e.g. 'a=a1,b=b1'; '' is the empty binding; "
         "'all' lists every table row (default)",
     )
-    add_common(p_slice)
     p_slice.set_defaults(func=cmd_slice)
 
     p_mon = sub.add_parser("monitor", help="print verdict reports for a property")
@@ -207,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--report-every", action="store_true",
         help="report on every trigger hit instead of deduplicating repeats",
     )
-    add_common(p_mon)
     p_mon.set_defaults(func=cmd_monitor)
 
     p_check = sub.add_parser("selfcheck", help="differential checks on random traces")
@@ -225,14 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.set_defaults(func=cmd_selfcheck)
 
-    p_bench = sub.add_parser("bench", help="print throughput CSV to stdout")
-    p_bench.add_argument(
-        "--counts", type=size_list, default="1000",
-        help="comma-separated workload sizes (default 1000)",
-    )
-    add_common(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -247,12 +169,12 @@ def main(argv: list[str] | None = None) -> int:
         # devnull so that the flush at exit stays quiet, and exit as SIGPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except CapExceeded as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except Exception:
+        traceback.print_exc()
+        return 70  # EX_SOFTWARE
 
 
 if __name__ == "__main__":

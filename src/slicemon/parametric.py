@@ -10,14 +10,13 @@ own binding's state, so the steps may run in any order; the reports of one
 event come out in ``binding_order``.  The engines differ only in the three
 finders the loop calls:
 
-* :class:`BaselineMonitor` scans the whole table for the joins and the
-  bindings at or above, and enumerates sub-bindings (``max_below``, up to
-  the ``cap``) for a source — simple, and the semantic yardstick;
+* :class:`BaselineMonitor` scans the whole table for the joins, for the
+  bindings at or above, and for a join's source, the widest binding below
+  it (``max_below``) — simple, and the semantic yardstick;
 * :class:`IndexedMonitor` looks the first two up in a domain-keyed index of
   the defined bindings, holding only the keys its lookups can ask for, and
   finds a source by restricting the join to each table domain within it.
-  It neither scans the table, nor checks compatibility, nor enumerates
-  sub-bindings, so its cost per define does not grow as 2^|domain|.
+  It neither scans the table nor checks compatibility.
 
 Both produce identical state tables, verdicts and report streams, which the
 test suite checks event by event against each other and against the
@@ -32,7 +31,6 @@ from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .bindings import (
-    DEFAULT_DOMAIN_CAP,
     EMPTY,
     ParamInstance,
     binding_order,
@@ -75,7 +73,7 @@ class VerdictReport:
 
 @dataclass
 class RunStats:
-    """Per-run work counters (used by the benchmark and the cost tests).
+    """Per-run work counters, read by the cost tests and by perfbench's traced runs.
 
     ``monitor_steps`` counts the monitor steps taken, and ``skipped_steps``
     the bindings an event reached that were parked and so not stepped
@@ -104,9 +102,7 @@ class _EngineBase:
     ``_at_or_above(binding)`` the defined bindings at or above one that is,
     and ``_below(binding)`` the most informative defined binding strictly
     below a join that is not.  The first two add the join candidates they
-    examine to ``stats.compat_checks``.  ``cap`` bounds the domain size for
-    which the baseline's ``_below`` and ``SliceTable.lookup`` enumerate
-    sub-bindings.
+    examine to ``stats.compat_checks``.
     """
 
     def __init__(
@@ -115,12 +111,10 @@ class _EngineBase:
         *,
         trigger: Iterable[Verdict] = (),
         report_every: bool = False,
-        cap: int = DEFAULT_DOMAIN_CAP,
     ):
         self.machine = machine
         self.trigger = frozenset(trigger)
         self.report_every = report_every
-        self.cap = cap
         self.delta: dict[ParamInstance, object] = {EMPTY: machine.initial()}
         self.gamma: dict[ParamInstance, object] = {}
         self.stats = RunStats(peak_instances=1)
@@ -242,7 +236,7 @@ class BaselineMonitor(_EngineBase):
         return [other for other in self.delta if binding.less_informative(other)]
 
     def _below(self, binding: ParamInstance) -> ParamInstance:
-        return max_below(binding, self.delta, self.cap)
+        return max_below(binding, self.delta)
 
 
 class IndexedMonitor(_EngineBase):
@@ -273,7 +267,7 @@ class IndexedMonitor(_EngineBase):
       defined are join-closed, since the table is, so their maximum is the
       join of them all and has the strictly widest domain among them:
       probing ``D`` widest first, the first defined restriction is the
-      source.  No sub-binding enumeration, so no cap applies.
+      source.
     """
 
     def __init__(self, machine: Machine, **options):

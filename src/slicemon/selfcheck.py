@@ -85,13 +85,19 @@ class NoSnapshotMonitor(IndexedMonitor):
 
     The joins are defined one by one in ``binding_order``, so a join can
     copy a join that this event created instead of its pre-event source.
+    The growing table is not join-closed, so ``max_below`` may meet several
+    widest members below a join; the scan runs over the table in reverse
+    order of definition, so the one defined last (by this event, when there
+    is one) wins.  Scanned oldest first, the mutant would meet a pre-event
+    source first and, on the smallest case (``setb b=1`` then ``seta a=1``),
+    copy the right slice.
     """
 
     def _joins(self, binding: ParamInstance) -> list[ParamInstance]:
         joins = sorted(super()._joins(binding), key=binding_order)
         for joined in joins:
             if joined not in self.delta:
-                self._define(joined, max_below(joined, self.delta, self.cap))
+                self._define(joined, max_below(joined, reversed(self.delta)))
         return joins
 
 

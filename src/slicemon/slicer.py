@@ -7,15 +7,16 @@ table starts with just the empty binding, mapped to the empty slice; per
 event with binding ``b``, every join of ``b`` with a table entry receives the
 slice of the most informative entry at or below it, plus the event.  After
 feeding a whole trace, the table's domain is exactly the join closure of the
-bindings seen, and arbitrary bindings — also ones outside the domain — can
-be answered by one lookup.
+bindings seen, and arbitrary bindings — also ones outside the domain, of any
+width — can be answered by one scan of the table for the widest entry below
+them.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .bindings import DEFAULT_DOMAIN_CAP, ParamInstance, max_below, ordered
+from .bindings import ParamInstance, max_below, ordered
 from .events import ParametricEvent
 from .machines import Machine
 from .parametric import IndexedMonitor
@@ -60,8 +61,8 @@ class SliceTable:
     #: The engine that runs the word machine.
     engine_class = IndexedMonitor
 
-    def __init__(self, *, cap: int = DEFAULT_DOMAIN_CAP):
-        self._engine = self.engine_class(_WordMachine(), cap=cap)
+    def __init__(self):
+        self._engine = self.engine_class(_WordMachine())
         self._table = self._engine.delta
 
     # -- feeding -------------------------------------------------------------
@@ -95,5 +96,7 @@ class SliceTable:
 
         The answer is the entry of the most informative table binding at or
         below the query — which equals the definitional slice for the query.
+        It scans the table (``max_below``) rather than asking the engine's
+        source finder, so it checks that finder from an independent route.
         """
-        return _word(self._table[max_below(binding, self._table, self._engine.cap)])
+        return _word(self._table[max_below(binding, self._table)])

@@ -18,12 +18,6 @@ from slicemon.patterns import compile_regex
 from slicemon.selfcheck import run_selfcheck
 from slicemon.slicer import SliceTable
 from slicemon.specfile import parse_property_spec
-from slicemon.workloads import (
-    adversarial_machine,
-    adversarial_workload,
-    iterator_machine,
-    iterator_workload,
-)
 
 from .frozen import (
     AFTER_E4,
@@ -43,6 +37,12 @@ from .oracles import (
     to_expr,
 )
 from .test_bindings import check_lattice_laws
+from .workloads import (
+    adversarial_machine,
+    adversarial_workload,
+    iterator_machine,
+    iterator_workload,
+)
 
 
 def checkpoint(tag: str, ok: bool, detail: str) -> None:

@@ -10,14 +10,12 @@ import pytest
 from slicemon.bindings import (
     EMPTY,
     BindingFormatError,
-    CapExceeded,
     ParamInstance,
     binding_order,
     join_closure,
     joins_with,
     max_below,
     ordered,
-    strict_subinstances_desc,
 )
 from slicemon.events import ParseError, parse_trace
 
@@ -141,27 +139,6 @@ def test_restrict():
 def test_ordered_sorts_by_size_then_encoding():
     items = [b(x="2"), b(x="1", y="1"), EMPTY, b(a="9")]
     assert ordered(items) == [EMPTY, b(a="9"), b(x="2"), b(x="1", y="1")]
-
-
-def test_strict_subinstances_desc_order_and_count():
-    inst = b(x="1", y="2", z="3")
-    subs = list(strict_subinstances_desc(inst))
-    assert len(subs) == 7  # 2^3 - 1, the binding itself excluded
-    sizes = [len(s) for s in subs]
-    assert sizes == sorted(sizes, reverse=True)
-    # within a size, combinations order over the name-sorted items; for
-    # x, y, z it coincides with ascending encoding
-    pairs = [s.encode() for s in subs if len(s) == 2]
-    assert pairs == sorted(pairs)
-    assert subs[-1] == EMPTY
-
-
-def test_strict_subinstances_cap():
-    wide = ParamInstance({f"p{i}": "v" for i in range(11)})
-    with pytest.raises(CapExceeded):
-        list(strict_subinstances_desc(wide))
-    # a custom cap loosens the limit
-    assert sum(1 for _ in strict_subinstances_desc(wide, cap=11)) == 2**11 - 1
 
 
 # -- closure and max_below vs the plain-dict reference --------------------------

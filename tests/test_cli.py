@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import io
 import os
 import subprocess
@@ -295,54 +294,48 @@ def test_internal_value_error_is_not_malformed_input(capsys, monkeypatch):
         raise ValueError("internal fault")
 
     monkeypatch.setattr(_EngineBase, "feed", broken_feed)
-    with pytest.raises(ValueError, match="internal fault"):
-        main(["monitor", "--spec", fx("hasnext.spec"), "--trace", fx("hasnext.trace")])
-    assert "error:" not in capsys.readouterr().err
+    code, out, err = run(
+        capsys, "monitor", "--spec", fx("hasnext.spec"), "--trace", fx("hasnext.trace")
+    )
+    assert (code, out) == (70, "")
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("ValueError: internal fault\n")
+    assert "error:" not in err
 
 
-def test_cap_exceeded_exits_2(capsys, tmp_path):
-    wide = tmp_path / "wide.trace"
-    wide.write_text(
-        "e " + " ".join("p%d=v" % i for i in range(11)) + "\nf p1=v\n",
+def test_wide_bindings_slice_and_monitor(capsys, tmp_path):
+    # a 40-parameter binding has 2^40 sub-bindings, too many to enumerate
+    names = ["p%d" % i for i in range(40)]
+    wide_items = ["%s=v" % name for name in names]
+    trace = tmp_path / "wide.trace"
+    trace.write_text("e " + " ".join(wide_items) + "\nf p1=v\n", encoding="utf-8")
+    off_table = ",".join(["p0=w"] + wide_items[1:])
+    code, out, err = run(capsys, "slice", "--trace", str(trace), "--instance", off_table)
+    assert (code, out, err) == (0, "f\n", "")
+    spec = tmp_path / "wide.spec"
+    spec.write_text(
+        "property Wide\n"
+        "params: %s\n"
+        "event e(%s)\n"
+        "event f(p1)\n"
+        "monitor: regex\n"
+        "pattern: e f\n"
+        "report: match\n" % (", ".join(names), ", ".join(names)),
         encoding="utf-8",
     )
-    # slicing a wide binding enumerates nothing ...
-    code, out, _ = run(capsys, "slice", "--trace", str(wide))
-    assert code == 0
-    assert out.splitlines()[-1].endswith("\te f")
-    # ... but looking up a wide binding off the table does
-    off_table = ",".join(["p0=w"] + ["p%d=v" % i for i in range(1, 11)])
-    code, _, err = run(capsys, "slice", "--trace", str(wide), "--instance", off_table)
-    assert code == 2
-    assert "exceeding the enumeration cap" in err
-    # a raised cap answers the same lookup
-    code, out, _ = run(
-        capsys, "slice", "--trace", str(wide), "--instance", off_table, "--cap", "11"
+    code, out, err = run(
+        capsys, "monitor", "--algo", "b", "--spec", str(spec), "--trace", str(trace)
     )
-    assert (code, out) == (0, "f\n")
+    wide = ",".join("%s=v" % name for name in sorted(names))  # name-sorted
+    assert (code, out, err) == (3, "2\tmatch\t%s\tf\n" % wide, "")
 
 
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (
-            ["slice", "--trace", fx("abc.trace"), "--cap", "-1"],
-            "--cap: must be at least 0, got -1",
-        ),
-        (["bench", "--counts", "0,-3"], "--counts: must be at least 1, got 0"),
-        (["bench", "--counts", "5,-3"], "--counts: must be at least 1, got -3"),
         (["selfcheck", "--counts", "-4"], "--counts: must be at least 1, got -4"),
-        (["bench", "--counts", ""], "--counts: expected at least one size, got ''"),
-        (["bench", "--counts", ","], "--counts: expected at least one size, got ','"),
     ],
-    ids=[
-        "negative-cap",
-        "zero-size",
-        "negative-size",
-        "negative-trace-count",
-        "no-size",
-        "only-commas",
-    ],
+    ids=["negative-trace-count"],
 )
 def test_out_of_range_numbers_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exited:
@@ -379,26 +372,3 @@ def test_selfcheck_catches_join_phase_mutant(capsys):
     code, out, _ = run(capsys, "selfcheck", "--counts", "1000", "--skip-join-phase")
     assert code == 4
     assert "check:  engine-pair" in out
-
-
-# -- bench ---------------------------------------------------------------------
-
-
-def test_bench_csv(capsys):
-    code, out, _ = run(capsys, "bench", "--counts", "60,80")
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == [
-        "workload", "trace_size", "algo", "events_per_second",
-        "peak_instances", "monitor_steps",
-    ]
-    body = rows[1:]
-    # 2 workloads x 2 sizes x 2 engines
-    assert len(body) == 8
-    assert {row[0] for row in body} == {"iterator", "adversarial"}
-    assert {row[2] for row in body} == {"b", "c"}
-    for row in body:
-        assert int(row[1]) in (60, 80)
-        assert float(row[3]) > 0
-        assert int(row[4]) >= 1
-        assert int(row[5]) == int(row[1])  # one monitor step per event here

@@ -6,8 +6,7 @@ import random
 
 import pytest
 
-from slicemon import bindings
-from slicemon.bindings import EMPTY, CapExceeded, ParamInstance
+from slicemon.bindings import EMPTY, ParamInstance
 from slicemon.events import ParametricEvent, binding_closure, parse_trace
 from slicemon.machines import FsmMachine, RatioMachine, Verdict
 from slicemon.parametric import (
@@ -18,15 +17,9 @@ from slicemon.parametric import (
 )
 from slicemon.patterns import compile_regex
 from slicemon.selfcheck import SkipJoinPhaseMonitor
-from slicemon.slicer import SliceTable
-from slicemon.workloads import (
-    adversarial_machine,
-    adversarial_workload,
-    iterator_machine,
-    iterator_workload,
-)
 
 from .oracles import check_index, feed_counting, random_binding
+from .workloads import adversarial_machine, adversarial_workload
 
 
 def both_engines(machine, **kwargs):
@@ -251,49 +244,6 @@ def test_index_size_does_not_grow_with_fresh_bindings():
     assert len(engine.extensions) == keys <= 1
 
 
-def unsafeiter_join_shape(rng: random.Random, events: int = 300) -> list[ParametricEvent]:
-    """Five collections with two iterators each, created, updated and advanced."""
-    owners = {"c%d.%d" % (c, s): "c%d" % c for c in range(5) for s in range(2)}
-    trace = []
-    for _ in range(events):
-        it = rng.choice(sorted(owners))
-        kind = rng.choice(("create", "update", "next", "next"))
-        if kind == "create":
-            binding = {"i": it, "v": owners[it]}
-        elif kind == "update":
-            binding = {"v": owners[it]}
-        else:
-            binding = {"i": it}
-        trace.append(ParametricEvent(kind, ParamInstance(binding)))
-    return trace
-
-
-def test_indexed_engine_never_enumerates_sub_bindings(
-    monkeypatch, fixtures, locking_spec, hasnext_spec, unsafeiter_spec
-):
-    def refuse(*args, **kwargs):
-        raise AssertionError("sub-binding enumeration")
-
-    monkeypatch.setattr(bindings, "strict_subinstances_desc", refuse)
-    runs = [
-        (spec.machine, parse_trace(read_fixture(fixtures, name + ".trace")))
-        for spec, name in (
-            (locking_spec, "locking"),
-            (hasnext_spec, "hasnext"),
-            (unsafeiter_spec, "unsafeiter"),
-        )
-    ]
-    runs += [
-        (unsafeiter_spec.machine, unsafeiter_join_shape(random.Random(1))),
-        (iterator_machine(), iterator_workload(2000)),
-        (adversarial_machine(), adversarial_workload(500)),
-    ]
-    for machine, trace in runs:
-        IndexedMonitor(machine).feed_all(trace)
-        SliceTable().feed_all(trace)
-    SliceTable().feed_all(parse_trace(read_fixture(fixtures, "abc.trace")))
-
-
 def test_baseline_engine_scans_whole_table():
     machine = absorbing_match_machine()
     engine = BaselineMonitor(machine)
@@ -320,21 +270,28 @@ def test_skip_join_phase_mutant_misses_combinations():
     assert joined not in broken.delta
 
 
-def test_cap_applies_to_event_bindings():
-    # only the baseline engine enumerates sub-bindings for a join's source
-    wide = ParamInstance({f"p{i}": "v" for i in range(11)})
+def test_engines_agree_on_a_40_parameter_binding():
+    # a 40-parameter binding has 2^40 sub-bindings, too many to enumerate:
+    # neither engine's source finder may depend on the width of a join
+    wide = {f"p{i}": "v" for i in range(40)}
     trace = [
-        ParametricEvent("hit", ParamInstance({"p0": "v", "p1": "v"})),
-        ParametricEvent("hit", wide),
+        ParametricEvent(name, ParamInstance(binding))
+        for name, binding in [
+            ("a", {"p0": "v", "p1": "v"}),
+            ("b", {"p2": "v"}),
+            ("b", wide),
+            ("a", {**wide, "q": "1"}),
+            ("b", {"p0": "v"}),
+            ("a", {**wide, "p39": "w"}),
+            ("a", {"q": "1"}),
+        ]
     ]
-    machine = absorbing_match_machine()
-    with pytest.raises(CapExceeded):
-        BaselineMonitor(machine).feed_all(trace)
-    indexed = IndexedMonitor(machine)
-    raised_cap = BaselineMonitor(machine, cap=11)
-    assert indexed.feed_all(trace) == raised_cap.feed_all(trace)
-    assert indexed.delta == raised_cap.delta
-    assert indexed.gamma == raised_cap.gamma
+    machine = compile_regex("a b+ a", alphabet=["a", "b"])
+    baseline, indexed = both_engines(machine, trigger=[Verdict.MATCH])
+    reports = baseline.feed_all(trace)
+    assert reports and reports == indexed.feed_all(trace)
+    assert baseline.delta == indexed.delta
+    assert baseline.gamma == indexed.gamma
 
 
 def test_instances_iterates_deterministically():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from slicemon.bindings import EMPTY, CapExceeded, ParamInstance
+from slicemon.bindings import EMPTY, ParamInstance
 from slicemon.events import ParametricEvent, parse_trace, slice_trace
 from slicemon.selfcheck import NoSnapshotSliceTable
 from slicemon.slicer import SliceTable
@@ -86,17 +86,17 @@ def test_snapshot_mutant_sources_a_fresh_join():
     assert bad.slice_of(joined) == ("seta",)
 
 
-def test_cap_enforced_on_lookup_paths():
-    # feeding never enumerates sub-bindings; an off-table lookup does
-    wide = ParamInstance({f"p{i}": "v" for i in range(11)})
+def test_lookup_of_an_off_table_40_parameter_binding():
+    # a 40-parameter binding has 2^40 sub-bindings, too many to enumerate:
+    # an off-table lookup finds the widest table entry below it by a scan
+    wide = ParamInstance({f"p{i}": "v" for i in range(40)})
     trace = [
         ParametricEvent("e", wide),
         ParametricEvent("f", ParamInstance({"p1": "v"})),
+        ParametricEvent("g", ParamInstance({"p0": "w", "p1": "v"})),
     ]
     table = SliceTable().feed_all(trace)
     assert table.slice_of(wide) == ("e", "f")
     off_table = ParamInstance({**dict(wide), "p0": "w"})
-    with pytest.raises(CapExceeded):
-        table.lookup(off_table)
-    raised_cap = SliceTable(cap=11).feed_all(trace)
-    assert raised_cap.lookup(off_table) == slice_trace(trace, off_table) == ("f",)
+    assert off_table not in table
+    assert table.lookup(off_table) == slice_trace(trace, off_table) == ("f", "g")

@@ -1,17 +1,17 @@
-"""Benchmark workloads double as fixed-point cost checks for the engines."""
+"""The fixed workloads double as fixed-point cost checks for the engines."""
 
 from __future__ import annotations
 
 from slicemon.machines import Verdict
 from slicemon.parametric import BaselineMonitor, IndexedMonitor
-from slicemon.workloads import (
+
+from .oracles import feed_counting
+from .workloads import (
     adversarial_machine,
     adversarial_workload,
     iterator_machine,
     iterator_workload,
 )
-
-from .oracles import feed_counting
 
 
 def test_iterator_workload_shape():

@@ -1,10 +1,10 @@
-"""Deterministic workloads for benchmarking and cost assertions."""
+"""Deterministic workloads for the engines' cost assertions."""
 
 from __future__ import annotations
 
-from .bindings import ParamInstance
-from .events import ParametricEvent
-from .machines import FsmMachine, Verdict
+from slicemon.bindings import ParamInstance
+from slicemon.events import ParametricEvent
+from slicemon.machines import FsmMachine, Verdict
 
 __all__ = [
     "adversarial_machine",
