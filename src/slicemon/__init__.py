@@ -23,6 +23,7 @@ from .events import (
     ParseError,
     UnknownEvent,
     binding_closure,
+    iter_trace,
     parse_trace,
     render_trace,
     slice_trace,
@@ -79,6 +80,7 @@ __all__ = [
     "binding_closure",
     "compile_regex",
     "definitional_verdicts",
+    "iter_trace",
     "join_closure",
     "max_below",
     "ordered",

@@ -222,17 +222,23 @@ def join_closure(instances: Iterable[ParamInstance]) -> set[ParamInstance]:
     """Smallest join-closed superset (always includes the empty binding).
 
     Saturates by repeated binary joins; the result is the table domain an
-    online slicer reaches after feeding events carrying ``instances``.
+    online slicer reaches after feeding events carrying ``instances``.  Each
+    popped candidate is joined with ``members``, the set's members in the
+    order they were added; a member appended during that loop is joined with
+    it too, which is harmless, and is joined with every other member once it
+    is popped itself.
     """
     closed: set[ParamInstance] = {EMPTY}
     closed.update(instances)
-    work = list(closed)
+    members = list(closed)
+    work = list(members)
     while work:
         candidate = work.pop()
-        for member in list(closed):
+        for member in members:
             joined = candidate.join(member)
             if joined is not None and joined not in closed:
                 closed.add(joined)
+                members.append(joined)
                 work.append(joined)
     return closed
 

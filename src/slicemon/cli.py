@@ -4,6 +4,14 @@ Subcommands: ``slice`` (dump slices of a trace), ``monitor`` (print verdict
 reports for a property over a trace), ``selfcheck`` (randomized differential
 checking).  The benchmark is ``perfbench/``, outside the package.
 
+``slice`` and ``monitor`` stream their trace (a file, or stdin for ``-``):
+each line is parsed and fed as it is read, through
+:func:`slicemon.events.iter_trace`, and no list of events is kept.
+``monitor`` writes each event's report lines with one write and flushes
+them, so a reader sees a report before the input ends.  A malformed line,
+or an event outside the property's alphabet, exits 1 after the reports of
+the lines before it; the property file is read whole first.
+
 Exit codes: 0 success / nothing triggered; 1 malformed or unreadable input
 (trace, property file, pattern, alphabet mismatch); 2 a usage error; 3 at
 least one report triggered; 4 selfcheck mismatch; 70 an internal fault,
@@ -13,12 +21,15 @@ with its traceback on standard error; 141 the reader closed standard output.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 import traceback
+from typing import Iterator, TextIO
 
 from .bindings import BindingFormatError, ParamInstance
-from .events import ParamMismatch, ParseError, UnknownEvent, parse_trace
+from .events import ParamMismatch, ParseError, UnknownEvent, iter_trace
 from .parametric import BaselineMonitor, IndexedMonitor
 from .patterns import PatternSyntaxError, UnknownEventInPattern
 from .selfcheck import run_selfcheck
@@ -46,21 +57,32 @@ INPUT_ERRORS = (
 )
 
 
-def _read_text(path: str) -> str:
+@contextlib.contextmanager
+def _open_input(path: str) -> Iterator[TextIO]:
+    """A ``--trace`` or ``--spec`` file, or stdin for ``-``, open for reading.
+
+    Both are strict UTF-8, whatever the locale, with Python's text-file line
+    endings: the rule :func:`iter_trace` applies to strings too.
+    """
     if path == "-":
-        # Strict UTF-8 like a file, whatever the locale's stdin decoding.
-        return sys.stdin.buffer.read().decode("utf-8")
+        stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+        try:
+            yield stdin
+        finally:
+            stdin.detach()  # leave sys.stdin's buffer open
+        return
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise InputFileError("%s: %s" % (path, exc.strerror or exc)) from exc
+    with handle:
+        yield handle
 
 
 def cmd_slice(args: argparse.Namespace) -> int:
-    trace = parse_trace(_read_text(args.trace))
     table = SliceTable()
-    table.feed_all(trace)
+    with _open_input(args.trace) as lines:
+        table.feed_all(iter_trace(lines))
     if args.instance == "all":
         for binding in table.instances():
             print("%s\t%s" % (binding.encode(), " ".join(table.slice_of(binding))))
@@ -71,20 +93,25 @@ def cmd_slice(args: argparse.Namespace) -> int:
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
-    spec = parse_property_spec(_read_text(args.spec))
-    trace = parse_trace(_read_text(args.trace))
+    with _open_input(args.spec) as handle:
+        spec = parse_property_spec(handle.read())
     engine_cls = BaselineMonitor if args.algo == "b" else IndexedMonitor
     engine = engine_cls(
         spec.machine,
         trigger=spec.trigger,
         report_every=args.report_every,
     )
+    write, flush = sys.stdout.write, sys.stdout.flush
     triggered = False
-    for event in trace:
-        spec.check_event(event)
-        for report in engine.feed(event):
-            print(report.render())
-            triggered = True
+    with _open_input(args.trace) as lines:
+        for event in iter_trace(lines, spec.check_event):
+            reports = engine.feed(event)
+            if reports:
+                # One write per event, flushed, so the reader sees each
+                # report before the input ends.
+                write("".join(report.render() + "\n" for report in reports))
+                flush()
+                triggered = True
     return 3 if triggered else 0
 
 

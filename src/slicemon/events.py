@@ -13,12 +13,26 @@ The text format, one event per line::
 
 Parameter names are identifiers, values are any non-empty run of characters
 without whitespace, ``=``, ``,`` or ``#``.
+
+Lines end at ``\n``, ``\r\n`` or ``\r`` — the rule Python applies when it
+reads a text file — whether the trace comes as a string, a file or standard
+input.  Other characters that ``str.splitlines`` would split on (``\x0b``,
+``\x0c``, ``\x1c``–``\x1e``, ``\x85``, ``\u2028``, ``\u2029``) are whitespace
+inside a line.
+
+:func:`iter_trace` is the one parser: it yields each event as its line
+arrives, so a trace of any length is read in memory bounded by its distinct
+lines and bindings, not by its length.  Within one run, a line seen before
+yields the same :class:`ParametricEvent` object (up to
+:data:`LINE_CACHE_SIZE` distinct lines, after which the cache starts over),
+and equal bindings are one :class:`ParamInstance` object.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from .bindings import EMPTY, ParamInstance, _NAME_RE, _VALUE_RE, join_closure
 
@@ -29,6 +43,7 @@ __all__ = [
     "ParametricEvent",
     "UnknownEvent",
     "binding_closure",
+    "iter_trace",
     "parse_trace",
     "render_trace",
     "slice_trace",
@@ -68,38 +83,85 @@ class ParametricEvent:
         return self.name + " " + " ".join("%s=%s" % item for item in self.instance)
 
 
-def parse_trace(source: str | Iterable[str]) -> list[ParametricEvent]:
-    """Parse trace text (or an iterable of lines) into events.
+#: Distinct lines whose events :func:`iter_trace` keeps for reuse.  When the
+#: cache holds this many it is emptied, so a stream of ever new lines does
+#: not grow it without bound.
+LINE_CACHE_SIZE = 4096
+
+
+def iter_trace(
+    lines: str | Iterable[str],
+    check: Callable[[ParametricEvent], None] | None = None,
+) -> Iterator[ParametricEvent]:
+    """Yield the events of trace text (or an iterable of lines) as they arrive.
 
     Raises :class:`ParseError` (with the offending line number) on malformed
     lines and :class:`DuplicateParam` when one event binds a name twice.
+
+    ``check`` (say, ``MonitorSpec.check_event``) runs once per distinct
+    line, before its event is cached: a cached event has always passed it,
+    also after the cache was emptied.  An :class:`UnknownEvent` or
+    :class:`ParamMismatch` it raises is raised again with ``line N: `` in
+    front of its message.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
-    events: list[ParametricEvent] = []
+    if isinstance(lines, str):
+        lines = io.StringIO(lines, newline=None)
+    events: dict[str, ParametricEvent] = {}
+    bindings: dict[tuple[tuple[str, str], ...], ParamInstance] = {(): EMPTY}
     for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        name = tokens[0]
-        if not _NAME_RE.match(name):
-            raise ParseError(lineno, "bad event name %r" % name)
-        mapping: dict[str, str] = {}
-        for token in tokens[1:]:
-            pname, eq, value = token.partition("=")
-            if not eq:
-                raise ParseError(lineno, "expected param=value, got %r" % token)
-            if not _NAME_RE.match(pname):
-                raise ParseError(lineno, "bad parameter name %r" % pname)
-            if not _VALUE_RE.match(value):
-                raise ParseError(lineno, "bad parameter value %r" % value)
-            if pname in mapping:
-                raise DuplicateParam(lineno, "parameter %r bound twice" % pname)
-            mapping[pname] = value
-        events.append(
-            ParametricEvent(name, ParamInstance._wrap(tuple(sorted(mapping.items()))))
-        )
-    return events
+        event = events.get(raw)
+        if event is None:
+            event = _parse_line(raw, lineno, bindings)
+            if event is None:
+                continue
+            if check is not None:
+                try:
+                    check(event)
+                except (UnknownEvent, ParamMismatch) as exc:
+                    raise type(exc)("line %d: %s" % (lineno, exc)) from None
+            if len(events) >= LINE_CACHE_SIZE:
+                events.clear()
+            events[raw] = event
+        yield event
+
+
+def _parse_line(
+    raw: str, lineno: int, bindings: dict[tuple[tuple[str, str], ...], ParamInstance]
+) -> ParametricEvent | None:
+    """The event on one line, or None for a blank or comment line.
+
+    ``bindings`` maps each name-sorted item tuple seen so far to its one
+    :class:`ParamInstance`; a new tuple is added.
+    """
+    line = raw.split("#", 1)[0].strip()
+    if not line:
+        return None
+    tokens = line.split()
+    name = tokens[0]
+    if not _NAME_RE.match(name):
+        raise ParseError(lineno, "bad event name %r" % name)
+    mapping: dict[str, str] = {}
+    for token in tokens[1:]:
+        pname, eq, value = token.partition("=")
+        if not eq:
+            raise ParseError(lineno, "expected param=value, got %r" % token)
+        if not _NAME_RE.match(pname):
+            raise ParseError(lineno, "bad parameter name %r" % pname)
+        if not _VALUE_RE.match(value):
+            raise ParseError(lineno, "bad parameter value %r" % value)
+        if pname in mapping:
+            raise DuplicateParam(lineno, "parameter %r bound twice" % pname)
+        mapping[pname] = value
+    items = tuple(sorted(mapping.items()))
+    instance = bindings.get(items)
+    if instance is None:
+        instance = bindings[items] = ParamInstance._wrap(items)
+    return ParametricEvent(name, instance)
+
+
+def parse_trace(source: str | Iterable[str]) -> list[ParametricEvent]:
+    """All events of trace text (or an iterable of lines): :func:`iter_trace` as a list."""
+    return list(iter_trace(source))
 
 
 def render_trace(trace: Iterable[ParametricEvent]) -> str:

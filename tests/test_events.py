@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 
+from slicemon import events
 from slicemon.bindings import EMPTY, ParamInstance
 from slicemon.events import (
     DuplicateParam,
+    ParamMismatch,
     ParametricEvent,
     ParseError,
+    UnknownEvent,
     binding_closure,
+    iter_trace,
     parse_trace,
     render_trace,
     slice_trace,
@@ -97,3 +103,80 @@ def test_binding_closure():
         ParamInstance({"y": "2"}),
         ParamInstance({"x": "1", "y": "2"}),
     }
+
+
+# -- the line rule -------------------------------------------------------------
+
+
+def test_lines_end_only_at_newline_crlf_and_cr():
+    # \x0c and \u2028 are whitespace inside a line, as when a file is read.
+    trace = parse_trace("a x=1\r\nb x=2\x0c\rc\u2028x=3\nd\n")
+    assert [e.render() for e in trace] == ["a x=1", "b x=2", "c x=3", "d"]
+
+
+@pytest.mark.parametrize("text, line", [
+    ("ok\r\nok\r\nnext i=1\x0cnext i=2\r\n", 3),
+    ("ok\rnext i=1\u2028next i=2\n", 2),
+    ("ok a=1\x0bb=2\x1cc=3\x85d=4\u2029e=5\n3bad\n", 2),
+])
+def test_error_line_numbers_follow_the_line_rule(text, line):
+    with pytest.raises(ParseError) as info:
+        parse_trace(text)
+    assert info.value.line == line
+
+
+# -- streaming, interning and the check ----------------------------------------
+
+
+def test_iter_trace_yields_each_event_as_its_line_arrives():
+    def lines():
+        yield "first x=1\n"
+        raise AssertionError("read past the first line")
+
+    assert next(iter_trace(lines())) == ParametricEvent("first", ParamInstance({"x": "1"}))
+
+
+def test_repeated_lines_and_bindings_are_interned():
+    trace = parse_trace("a x=1\nb x=1\na x=1\ntick\nb  x=1\n")
+    assert trace[0] is trace[2]
+    assert trace[0] is not trace[1] and trace[1] == trace[4]
+    assert len({id(e.instance) for e in trace if e.instance}) == 1
+    assert trace[3].instance is EMPTY
+
+
+def test_check_runs_once_per_distinct_line():
+    seen = []
+    trace = list(iter_trace("a x=1\nb x=1\na x=1\na x=1\nb x=2\n", seen.append))
+    assert [e.render() for e in seen] == ["a x=1", "b x=1", "b x=2"]
+    assert len(trace) == 5
+
+
+def test_alphabet_errors_from_check_name_their_line(hasnext_spec):
+    with pytest.raises(UnknownEvent) as info:
+        parse_check("next i=1\n\nbogus i=1\n", hasnext_spec)
+    assert str(info.value) == "line 3: event 'bogus' is not declared by property SafeIteration"
+    with pytest.raises(ParamMismatch) as info:
+        parse_check("next i=1\nnext j=1\n", hasnext_spec)
+    assert str(info.value) == "line 2: event 'next' carries parameters (j) but declares (i)"
+
+
+def test_check_after_a_cache_clear_is_not_skipped(hasnext_spec, monkeypatch):
+    # With room for two lines, a stream cycling over three lines misses the
+    # cache on every line, so every line is checked, up to the undeclared
+    # event at the end.  Events are dropped as they are read, as the CLI
+    # does, so a new event may take the address of one the cache let go.
+    monkeypatch.setattr(events, "LINE_CACHE_SIZE", 2)
+    checked = []
+
+    def check(event):
+        checked.append(event.render())
+        hasnext_spec.check_event(event)
+
+    text = "".join("next i=%d\n" % (n % 3) for n in range(3000)) + "bogus i=1\n"
+    with pytest.raises(UnknownEvent, match="^line 3001: "):
+        deque(iter_trace(text, check), maxlen=0)
+    assert len(checked) == 3001
+
+
+def parse_check(text, spec):
+    return list(iter_trace(text, spec.check_event))
