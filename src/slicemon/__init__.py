@@ -8,87 +8,69 @@ unless asked to.  See :mod:`slicemon.slicer` for the slicing table,
 :mod:`slicemon.cli` for the command line.
 """
 
-from .bindings import (
-    BindingFormatError,
-    EMPTY,
-    ParamInstance,
-    join_closure,
-    max_below,
-    ordered,
-)
-from .events import (
-    DuplicateParam,
-    ParamMismatch,
-    ParametricEvent,
-    ParseError,
-    UnknownEvent,
-    binding_closure,
-    iter_trace,
-    parse_trace,
-    render_trace,
-    slice_trace,
-)
-from .machines import (
-    BalanceMachine,
-    FsmMachine,
-    Machine,
-    MonitorSpec,
-    Ratio,
-    RatioMachine,
-    Verdict,
-)
-from .parametric import (
-    BaselineMonitor,
-    IndexedMonitor,
-    RunStats,
-    VerdictReport,
-    definitional_verdicts,
-)
-from .patterns import (
-    PatternSyntaxError,
-    UnknownEventInPattern,
-    compile_regex,
-)
-from .selfcheck import run_selfcheck
-from .slicer import SliceTable
-from .specfile import SpecFormatError, parse_property_spec
+from importlib import import_module
 
-__all__ = [
-    "BalanceMachine",
-    "BaselineMonitor",
-    "BindingFormatError",
-    "DuplicateParam",
-    "EMPTY",
-    "FsmMachine",
-    "IndexedMonitor",
-    "Machine",
-    "MonitorSpec",
-    "ParamInstance",
-    "ParamMismatch",
-    "ParametricEvent",
-    "ParseError",
-    "PatternSyntaxError",
-    "Ratio",
-    "RatioMachine",
-    "RunStats",
-    "SliceTable",
-    "SpecFormatError",
-    "UnknownEvent",
-    "UnknownEventInPattern",
-    "Verdict",
-    "VerdictReport",
-    "binding_closure",
-    "compile_regex",
-    "definitional_verdicts",
-    "iter_trace",
-    "join_closure",
-    "max_below",
-    "ordered",
-    "parse_property_spec",
-    "parse_trace",
-    "render_trace",
-    "run_selfcheck",
-    "slice_trace",
-]
+#: The module each public name lives in.  A name is imported from its module
+#: on first access (PEP 562), so ``import slicemon`` (and ``python -m
+#: slicemon.cli``, which imports the package first) loads no submodule.
+_HOMES = {
+    "bindings": (
+        "BindingFormatError",
+        "EMPTY",
+        "ParamInstance",
+        "join_closure",
+        "max_below",
+        "ordered",
+    ),
+    "events": (
+        "DuplicateParam",
+        "ParamMismatch",
+        "ParametricEvent",
+        "ParseError",
+        "UnknownEvent",
+        "binding_closure",
+        "iter_trace",
+        "parse_trace",
+        "render_trace",
+        "slice_trace",
+    ),
+    "machines": (
+        "BalanceMachine",
+        "FsmMachine",
+        "Machine",
+        "MonitorSpec",
+        "Ratio",
+        "RatioMachine",
+        "Verdict",
+    ),
+    "parametric": (
+        "BaselineMonitor",
+        "IndexedMonitor",
+        "RunStats",
+        "VerdictReport",
+        "definitional_verdicts",
+    ),
+    "patterns": ("PatternSyntaxError", "UnknownEventInPattern", "compile_regex"),
+    "selfcheck": ("run_selfcheck",),
+    "slicer": ("SliceTable",),
+    "specfile": ("SpecFormatError", "parse_property_spec"),
+}
+_MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"

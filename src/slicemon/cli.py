@@ -16,6 +16,12 @@ Exit codes: 0 success / nothing triggered; 1 malformed or unreadable input
 (trace, property file, pattern, alphabet mismatch); 2 a usage error; 3 at
 least one report triggered; 4 selfcheck mismatch; 70 an internal fault,
 with its traceback on standard error; 141 the reader closed standard output.
+
+Each subcommand imports the modules it runs when it starts, not when this
+module loads: ``monitor`` loads neither the slicer nor the selfcheck, and
+:mod:`slicemon.patterns` only for a ``pattern:`` line.  A run spends much
+of its time starting up, and every module it imports is compiled again
+where no bytecode is cached.
 """
 
 from __future__ import annotations
@@ -25,15 +31,10 @@ import contextlib
 import io
 import os
 import sys
-import traceback
 from typing import Iterator, TextIO
 
 from .bindings import BindingFormatError, ParamInstance
 from .events import ParamMismatch, ParseError, UnknownEvent, iter_trace
-from .parametric import BaselineMonitor, IndexedMonitor
-from .patterns import PatternSyntaxError, UnknownEventInPattern
-from .selfcheck import run_selfcheck
-from .slicer import SliceTable
 from .specfile import SpecFormatError, parse_property_spec
 
 
@@ -47,9 +48,7 @@ class InputFileError(Exception):
 INPUT_ERRORS = (
     BindingFormatError,
     ParseError,
-    SpecFormatError,
-    PatternSyntaxError,
-    UnknownEventInPattern,
+    SpecFormatError,  # also a bad ``pattern:`` line, with its line number
     UnknownEvent,
     ParamMismatch,
     UnicodeDecodeError,  # a trace or property file that is not UTF-8
@@ -80,6 +79,8 @@ def _open_input(path: str) -> Iterator[TextIO]:
 
 
 def cmd_slice(args: argparse.Namespace) -> int:
+    from .slicer import SliceTable
+
     table = SliceTable()
     with _open_input(args.trace) as lines:
         table.feed_all(iter_trace(lines))
@@ -93,6 +94,8 @@ def cmd_slice(args: argparse.Namespace) -> int:
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
+    from .parametric import BaselineMonitor, IndexedMonitor
+
     with _open_input(args.spec) as handle:
         spec = parse_property_spec(handle.read())
     engine_cls = BaselineMonitor if args.algo == "b" else IndexedMonitor
@@ -116,6 +119,8 @@ def cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
+    from .selfcheck import run_selfcheck
+
     result = run_selfcheck(
         count=args.counts,
         seed=args.seed,
@@ -200,6 +205,8 @@ def main(argv: list[str] | None = None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return 70  # EX_SOFTWARE
 

@@ -31,7 +31,6 @@ and equal bindings are one :class:`ParamInstance` object.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .bindings import EMPTY, ParamInstance, _NAME_RE, _VALUE_RE, join_closure
@@ -70,12 +69,31 @@ class ParamMismatch(ValueError):
     """An event carries a different parameter set than its declaration."""
 
 
-@dataclass(frozen=True)
 class ParametricEvent:
-    """A base event name together with the binding it was observed under."""
+    """A base event name together with the binding it was observed under.
 
-    name: str
-    instance: ParamInstance = field(default=EMPTY)
+    A value: events are equal when their names and bindings are.  Like a
+    binding it is immutable by convention (the fields are plain slots, read
+    on every event), and :func:`iter_trace` hands one object to every line
+    that reads the same.
+    """
+
+    __slots__ = ("name", "instance")
+
+    def __init__(self, name: str, instance: ParamInstance = EMPTY):
+        self.name = name
+        self.instance = instance
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name and self.instance == other.instance
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.instance))
+
+    def __repr__(self) -> str:
+        return "ParametricEvent(name=%r, instance=%r)" % (self.name, self.instance)
 
     def render(self) -> str:
         if not self.instance:

@@ -13,7 +13,6 @@ plain assignment, which is only sound under that contract.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable, Iterable, Mapping
 
@@ -43,12 +42,28 @@ class Verdict(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
 class Ratio:
-    """Running success/total counter pair reported by the ratio machine."""
+    """Running success/total counter pair reported by the ratio machine.
 
-    successes: int
-    total: int
+    A value, compared and hashed by its two counts.
+    """
+
+    __slots__ = ("successes", "total")
+
+    def __init__(self, successes: int, total: int):
+        self.successes = successes
+        self.total = total
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.successes == other.successes and self.total == other.total
+
+    def __hash__(self) -> int:
+        return hash((self.successes, self.total))
+
+    def __repr__(self) -> str:
+        return "Ratio(successes=%r, total=%r)" % (self.successes, self.total)
 
     def __str__(self) -> str:
         return "%d/%d" % (self.successes, self.total)
@@ -209,7 +224,6 @@ class RatioMachine(Machine):
         return Ratio(*state)
 
 
-@dataclass(frozen=True)
 class MonitorSpec:
     """A parsed property: alphabet, parameters, machine, and report triggers.
 
@@ -217,12 +231,21 @@ class MonitorSpec:
     it must carry; ``trigger`` is the set of verdicts that produce a report.
     """
 
-    name: str
-    params: tuple[str, ...]
-    events: dict[str, tuple[str, ...]]
-    kind: str
-    machine: Machine
-    trigger: frozenset[Verdict]
+    def __init__(
+        self,
+        name: str,
+        params: tuple[str, ...],
+        events: dict[str, tuple[str, ...]],
+        kind: str,
+        machine: Machine,
+        trigger: frozenset[Verdict],
+    ):
+        self.name = name
+        self.params = params
+        self.events = events
+        self.kind = kind
+        self.machine = machine
+        self.trigger = trigger
 
     def check_event(self, event: ParametricEvent) -> None:
         """Validate one trace event against the declared alphabet.

@@ -26,7 +26,6 @@ same loop with a machine whose state is the word read so far.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -50,17 +49,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class VerdictReport:
     """One report line: where, what, and for which binding.
 
     ``index`` is the 1-based position of the triggering event in the trace.
+    A value, compared and hashed by its four fields.
     """
 
-    index: int
-    verdict: object
-    instance: ParamInstance
-    event_name: str
+    __slots__ = ("index", "verdict", "instance", "event_name")
+
+    def __init__(
+        self, index: int, verdict: object, instance: ParamInstance, event_name: str
+    ):
+        self.index = index
+        self.verdict = verdict
+        self.instance = instance
+        self.event_name = event_name
+
+    def _fields(self) -> tuple:
+        return (self.index, self.verdict, self.instance, self.event_name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "VerdictReport(index=%r, verdict=%r, instance=%r, event_name=%r)" % (
+            self._fields()
+        )
 
     def render(self) -> str:
         return "%d\t%s\t%s\t%s" % (
@@ -71,7 +91,6 @@ class VerdictReport:
         )
 
 
-@dataclass
 class RunStats:
     """Per-run work counters, read by the cost tests and by perfbench's traced runs.
 
@@ -86,12 +105,30 @@ class RunStats:
     same size however long it is.
     """
 
-    events: int = 0
-    monitor_steps: int = 0
-    skipped_steps: int = 0
-    compat_checks: int = 0
-    defines: int = 0
-    peak_instances: int = 0
+    __slots__ = (
+        "events",
+        "monitor_steps",
+        "skipped_steps",
+        "compat_checks",
+        "defines",
+        "peak_instances",
+    )
+
+    def __init__(
+        self,
+        events: int = 0,
+        monitor_steps: int = 0,
+        skipped_steps: int = 0,
+        compat_checks: int = 0,
+        defines: int = 0,
+        peak_instances: int = 0,
+    ):
+        self.events = events
+        self.monitor_steps = monitor_steps
+        self.skipped_steps = skipped_steps
+        self.compat_checks = compat_checks
+        self.defines = defines
+        self.peak_instances = peak_instances
 
 
 class _EngineBase:

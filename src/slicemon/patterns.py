@@ -15,7 +15,6 @@ alphabet — and finally labels each deterministic state with a verdict:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable
 
 from .machines import FsmMachine, Verdict
@@ -50,32 +49,57 @@ class UnknownEventInPattern(ValueError):
 # -- syntax tree ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lit:
-    name: str
+class _Node:
+    """A syntax tree node: a value whose fields are its ``__slots__``.
+
+    Nodes are equal only to nodes of the same type with equal fields, so a
+    ``Seq`` never equals an ``Alt`` of the same parts.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            setattr(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, self._fields()))
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (
+            self.__class__.__name__,
+            ", ".join("%s=%r" % item for item in zip(self.__slots__, self._fields())),
+        )
 
 
-@dataclass(frozen=True)
-class Eps:
-    pass
+class Lit(_Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Seq:
-    parts: tuple
+class Eps(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Alt:
-    parts: tuple
+class Seq(_Node):
+    __slots__ = ("parts",)
 
 
-@dataclass(frozen=True)
-class Repeat:
+class Alt(_Node):
+    __slots__ = ("parts",)
+
+
+class Repeat(_Node):
     """Postfix repetition: ``*`` (min 0), ``+`` (min 1) or ``?`` (optional)."""
 
-    inner: object
-    op: str
+    __slots__ = ("inner", "op")
 
 
 def tokenize(pattern: str) -> list[tuple[str, int]]:

@@ -29,9 +29,11 @@ lines are ignored.
 
 from __future__ import annotations
 
+import io
+from typing import Iterable
+
 from .bindings import _NAME_RE
 from .machines import BalanceMachine, FsmMachine, MonitorSpec, RatioMachine, Verdict
-from .patterns import PatternSyntaxError, UnknownEventInPattern, compile_regex
 
 __all__ = ["SpecFormatError", "parse_property_spec"]
 
@@ -52,8 +54,26 @@ def _identifier(lineno: int, text: str, what: str) -> str:
     return text
 
 
+def compile_regex(pattern: str, alphabet: Iterable[str]) -> FsmMachine:
+    """:func:`slicemon.patterns.compile_regex`, imported on first use.
+
+    Only a ``pattern:`` line needs it, so fsm, balance and ratio properties
+    never load :mod:`slicemon.patterns`.  It stays a module attribute, which
+    :func:`parse_property_spec` looks up on every call, so that a caller can
+    wrap it: perfbench's traced run times it that way.
+    """
+    from .patterns import compile_regex
+
+    return compile_regex(pattern, alphabet)
+
+
 def parse_property_spec(source: str) -> MonitorSpec:
-    """Parse property-file text into a validated :class:`MonitorSpec`."""
+    """Parse property-file text into a validated :class:`MonitorSpec`.
+
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as trace lines do; other
+    characters ``str.splitlines`` would split on are whitespace inside a
+    line.
+    """
     name: str | None = None
     params: list[str] = []
     events: dict[str, tuple[str, ...]] = {}
@@ -74,7 +94,7 @@ def parse_property_spec(source: str) -> MonitorSpec:
                 lineno, "%r is only valid after 'monitor: %s'" % (keyword, line_kind)
             )
 
-    for lineno, raw in enumerate(source.splitlines(), 1):
+    for lineno, raw in enumerate(io.StringIO(source, newline=None), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -140,6 +160,8 @@ def parse_property_spec(source: str) -> MonitorSpec:
             need_kind(lineno, "regex", "pattern:")
             if pattern_machine is not None:
                 raise SpecFormatError(lineno, "duplicate 'pattern:' line")
+            from .patterns import PatternSyntaxError, UnknownEventInPattern
+
             try:
                 pattern_machine = compile_regex(rest, events)
             except (PatternSyntaxError, UnknownEventInPattern) as exc:

@@ -275,6 +275,67 @@ def test_error_line_numbers_follow_the_line_rule(
     assert err == "error: line %d: expected param=value, got 'next'\n" % line
 
 
+def test_spec_lines_follow_the_line_rule(capsys, tmp_path, monkeypatch):
+    # The form feed is whitespace inside line 6, not a line break, so the
+    # spec declares no event ``bogus`` and its line 6 is malformed.
+    spec = tmp_path / "p.spec"
+    text = (FIXTURES / "hasnext.spec").read_text(encoding="utf-8")
+    spec.write_text(
+        text.replace("event next(i)\n", "event next(i)\x0cevent bogus(i)\n"),
+        encoding="utf-8",
+    )
+    trace = trace_through("stdin", b"bogus i=1\n", tmp_path, monkeypatch)
+    code, out, err = run(capsys, "monitor", "--spec", str(spec), "--trace", trace)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 6: event 'next' uses undeclared parameter")
+
+
+# -- what each subcommand loads ------------------------------------------------
+
+LOADED = """\
+import sys
+before = set(sys.modules)
+from slicemon.cli import main
+code = main(sys.argv[1:])
+print(" ".join(sorted(set(sys.modules) - before)), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def modules_loaded_by(*argv: str) -> set[str]:
+    """Modules a fresh interpreter imports to run ``main(argv)``."""
+    child = subprocess.run(
+        [sys.executable, "-c", LOADED, *argv], env=child_env(),
+        stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    return set(child.stderr.splitlines()[-1].split())
+
+
+def test_monitor_loads_only_what_it_runs(tmp_path):
+    empty = tmp_path / "empty.trace"
+    empty.write_text("", encoding="utf-8")
+    loaded = modules_loaded_by(
+        "monitor", "--spec", fx("hasnext.spec"), "--trace", str(empty)
+    )
+    assert "slicemon.parametric" in loaded
+    unwanted = {
+        "dataclasses",
+        "inspect",
+        "traceback",
+        "slicemon.patterns",
+        "slicemon.selfcheck",
+        "slicemon.slicer",
+    }
+    assert loaded & unwanted == set()
+
+
+def test_slice_loads_only_what_it_runs():
+    loaded = modules_loaded_by("slice", "--trace", fx("abc.trace"))
+    assert "slicemon.slicer" in loaded
+    assert loaded & {"slicemon.patterns", "slicemon.selfcheck"} == set()
+
+
 # -- exit-code contract --------------------------------------------------------
 
 

@@ -64,6 +64,17 @@ def test_duplicate_param_rejected():
     assert info.value.line == 1
 
 
+def test_events_are_values():
+    event = ParametricEvent("next", ParamInstance({"i": "1"}))
+    same = ParametricEvent("next", ParamInstance({"i": "1"}))
+    assert event == same and hash(event) == hash(same) and len({event, same}) == 1
+    assert event != ParametricEvent("next", ParamInstance({"i": "2"}))
+    assert event != ParametricEvent("hasnext", ParamInstance({"i": "1"}))
+    assert event != ("next", event.instance)
+    assert ParametricEvent("tick") == ParametricEvent("tick", EMPTY)
+    assert repr(event) == "ParametricEvent(name='next', instance=ParamInstance('i=1'))"
+
+
 def test_render_round_trip():
     text = "open f=log\ntick\nwrite f=log n=3\n"
     assert render_trace(parse_trace(text)) == text

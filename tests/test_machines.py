@@ -144,6 +144,9 @@ def test_ratio_counts():
     assert machine.run([]) == Ratio(0, 0)
     assert machine.run(["hit", "miss", "hit"]) == Ratio(2, 3)
     assert str(Ratio(2, 3)) == "2/3"
+    assert Ratio(2, 3) != Ratio(3, 2) and Ratio(2, 3) != (2, 3)
+    assert hash(Ratio(2, 3)) == hash(Ratio(2, 3)) and len({Ratio(2, 3), Ratio(2, 3)}) == 1
+    assert repr(Ratio(2, 3)) == "Ratio(successes=2, total=3)"
 
 
 def test_ratio_total_counts_everything():

@@ -108,6 +108,20 @@ def test_report_render_format():
     assert report.render() == "2\tmatch\tx=1\ta"
 
 
+def test_reports_are_values():
+    report = VerdictReport(2, Verdict.MATCH, ParamInstance({"x": "1"}), "a")
+    same = VerdictReport(2, Verdict.MATCH, ParamInstance({"x": "1"}), "a")
+    assert report == same and hash(report) == hash(same) and len({report, same}) == 1
+    assert report != VerdictReport(3, Verdict.MATCH, ParamInstance({"x": "1"}), "a")
+    assert report != VerdictReport(2, Verdict.FAIL, ParamInstance({"x": "1"}), "a")
+    assert report != VerdictReport(2, Verdict.MATCH, EMPTY, "a")
+    assert report != VerdictReport(2, Verdict.MATCH, ParamInstance({"x": "1"}), "b")
+    assert repr(report) == (
+        "VerdictReport(index=2, verdict=<Verdict.MATCH: 'match'>, "
+        "instance=ParamInstance('x=1'), event_name='a')"
+    )
+
+
 def test_empty_binding_verdict_defined_only_after_ground_event():
     machine = absorbing_match_machine()
     engine = IndexedMonitor(machine)

@@ -43,6 +43,17 @@ def test_parse_structure():
     assert parse_pattern("a+?") == Repeat(Repeat(Lit("a"), "+"), "?")
 
 
+def test_nodes_equal_only_nodes_of_their_type():
+    assert Eps() == Eps() and hash(Eps()) == hash(Eps())
+    assert Seq((Lit("a"),)) != Alt((Lit("a"),))
+    assert Repeat(Lit("a"), "*") != Repeat(Lit("a"), "+")
+    assert Lit("a") != "a"
+    assert len({Lit("a"), Lit("a"), Lit("b")}) == 2
+    assert repr(Repeat(Seq((Lit("a"), Eps())), "*")) == (
+        "Repeat(inner=Seq(parts=(Lit(name='a'), Eps())), op='*')"
+    )
+
+
 def test_parse_errors_carry_positions():
     for text, position in [
         ("", 0),

@@ -85,6 +85,17 @@ def test_comments_and_blank_lines_ignored():
 # -- rejection branches ------------------------------------------------------------
 
 
+@pytest.mark.parametrize("separator", ["\x0c", "\x85", "\u2028"])
+def test_only_newline_crlf_and_cr_end_a_line(separator):
+    for ending in ("\r\n", "\r"):
+        spec = parse_property_spec(MINIMAL_RATIO.replace("\n", ending))
+        assert spec.events == {"success": ("u",), "failure": ("u",)}
+    # Any other line separator is whitespace inside the line, as in a trace.
+    error = err("property P\nparams: i\nevent next(i)%sevent bogus(i)\n" % separator)
+    assert error.line == 3
+    assert "event 'next' uses undeclared parameter" in str(error)
+
+
 def test_must_start_with_property():
     assert err("params: x\n").line == 1
     assert "property" in str(err("params: x\n"))
