@@ -19,9 +19,9 @@ with its traceback on standard error; 141 the reader closed standard output.
 
 Each subcommand imports the modules it runs when it starts, not when this
 module loads: ``monitor`` loads neither the slicer nor the selfcheck, and
-:mod:`slicemon.patterns` only for a ``pattern:`` line.  A run spends much
-of its time starting up, and every module it imports is compiled again
-where no bytecode is cached.
+:mod:`slicemon.patterns` only for a ``pattern:`` line; ``slice`` loads no
+property-file parser.  A run spends much of its time starting up, and
+every module it imports is compiled again where no bytecode is cached.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import Iterator, TextIO
 
 from .bindings import BindingFormatError, ParamInstance
 from .events import ParamMismatch, ParseError, UnknownEvent, iter_trace
-from .specfile import SpecFormatError, parse_property_spec
 
 
 class InputFileError(Exception):
@@ -47,8 +46,7 @@ class InputFileError(Exception):
 #: exit code is 70, so it is never reported as bad input.
 INPUT_ERRORS = (
     BindingFormatError,
-    ParseError,
-    SpecFormatError,  # also a bad ``pattern:`` line, with its line number
+    ParseError,  # also a malformed property file or ``pattern:`` line
     UnknownEvent,
     ParamMismatch,
     UnicodeDecodeError,  # a trace or property file that is not UTF-8
@@ -95,6 +93,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
 
 def cmd_monitor(args: argparse.Namespace) -> int:
     from .parametric import BaselineMonitor, IndexedMonitor
+    from .specfile import parse_property_spec
 
     with _open_input(args.spec) as handle:
         spec = parse_property_spec(handle.read())
@@ -119,13 +118,15 @@ def cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
-    from .selfcheck import run_selfcheck
+    from .parametric import IndexedMonitor
+    from .selfcheck import NoSnapshotSliceTable, SkipJoinPhaseMonitor, run_selfcheck
+    from .slicer import SliceTable
 
     result = run_selfcheck(
         count=args.counts,
         seed=args.seed,
-        unsafe_no_snapshot=args.unsafe_no_snapshot,
-        skip_join_phase=args.skip_join_phase,
+        indexed_class=SkipJoinPhaseMonitor if args.skip_join_phase else IndexedMonitor,
+        table_class=NoSnapshotSliceTable if args.unsafe_no_snapshot else SliceTable,
     )
     if result.passed:
         for line in result.summary_lines():

@@ -50,7 +50,7 @@ __all__ = [
 
 
 class ParseError(ValueError):
-    """A trace line could not be parsed; carries the 1-based line number."""
+    """An input line could not be parsed; carries the 1-based line number."""
 
     def __init__(self, line: int, message: str):
         super().__init__("line %d: %s" % (line, message))

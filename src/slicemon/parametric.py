@@ -283,14 +283,15 @@ class IndexedMonitor(_EngineBase):
     strictly more informative than ``sub``.  The finders only ever look up
     keys ``(b restricted to E∩D, D)``, where ``E`` is the domain of an
     event's binding ``b`` and ``D`` a table domain, so only keys of that
-    shape are written.  The *query domains* are the empty domain, every
-    table domain and every domain a fresh event binding has carried; a
-    defined binding of ``D`` is indexed under its restriction to ``E∩D``
-    for every query domain ``E`` with ``E∩D ⊊ D`` (the *cuts* of ``D``).
-    A domain that turns into a query domain adds its cuts to every table
-    domain, and backfills their defined bindings under them, before its
-    first lookup; a binding already in the table has a query domain, so
-    the warm path never needs that check.
+    shape are written.  The *query domains* are the empty domain and the
+    table domains; a defined binding of ``D`` is indexed under its
+    restriction to ``E∩D`` for every query domain ``E`` with ``E∩D ⊊ D``
+    (the *cuts* of ``D``).  A fresh binding is one of its own joins, so
+    this event defines it: its domain, if new, becomes a table domain
+    before its first lookup.  A new table domain gets its cuts, and adds
+    its cut to every table domain, backfilling their defined bindings
+    under it; a binding already in the table has a table domain, so the
+    warm path never needs that check.
 
     * A defined binding at or above ``b`` is ``b`` or sits in
       ``extensions[(b, domain)]`` for its domain.
@@ -314,7 +315,6 @@ class IndexedMonitor(_EngineBase):
         #: that index keys share one domain object, and to its cuts, each
         #: with the getter of that cut's items from a binding's items.
         self._domains: dict[frozenset[str], tuple[frozenset[str], dict]] = {}
-        self._queries: set[frozenset[str]] = {frozenset()}
         #: Per domain of a fresh binding, the table domains ``D`` in which it
         #: can have neighbours, each with the getter of its items on ``D``;
         #: per domain of a missing join, the getters of its restrictions to
@@ -327,8 +327,9 @@ class IndexedMonitor(_EngineBase):
         query = frozenset(binding.names)
         probes = self._probes.get(query)
         if probes is None:
-            if query not in self._queries:
-                self._add_query(query)
+            if query not in self._domains:
+                # The binding is one of its joins: this event defines it.
+                self._add_domain(query)
             probes = self._probes[query] = [
                 (domain, _cut(query, domain & query))
                 for domain in self._domains
@@ -384,26 +385,23 @@ class IndexedMonitor(_EngineBase):
             extensions.setdefault((wrap(cut(items)), domain), set()).add(binding)
 
     def _add_domain(self, domain: frozenset[str]) -> tuple[frozenset[str], dict]:
-        """Make ``domain`` a table domain, and so a query domain."""
-        cuts = {}
-        for query in self._queries:
-            part = query & domain
+        """Make ``domain`` a table domain, and so a query domain.
+
+        It gets its cuts by the empty domain and every table domain, and
+        every table domain gets its cut by it, with the backfill.
+        """
+        cuts = {frozenset(): _cut(domain, frozenset())}
+        for other, other_cuts in self._domains.values():
+            part = other & domain
             if part != domain and part not in cuts:
                 cuts[part] = _cut(domain, part)
+            if part != other and part not in other_cuts:
+                other_cuts[part] = _cut(other, part)
+                self._backfill(other, other_cuts[part])
         entry = self._domains[domain] = (domain, cuts)
         self._probes.clear()
         self._sources.clear()
-        self._add_query(domain)
         return entry
-
-    def _add_query(self, query: frozenset[str]) -> None:
-        """Make ``query`` a query domain: give every table domain its cut."""
-        self._queries.add(query)
-        for domain, cuts in self._domains.values():
-            part = query & domain
-            if part != domain and part not in cuts:
-                cuts[part] = _cut(domain, part)
-                self._backfill(domain, cuts[part])
 
     def _backfill(self, domain: frozenset[str], cut: Callable) -> None:
         """Index the defined bindings of ``domain`` under a new cut."""

@@ -29,15 +29,12 @@ Four checks per trace:
 On a mismatch the offending trace is greedily minimized (repeated single
 event deletion while the same check keeps failing) and returned for display.
 
-Five deliberately broken variants of :class:`IndexedMonitor` show that the
-checks have teeth: the finder variants :class:`SkipJoinPhaseMonitor` (caught
-by ``engine-pair``) and :class:`NoSnapshotMonitor`, run as a slicer by
-:class:`NoSnapshotSliceTable` (caught by ``slicing``);
-:class:`ParkFailMonitor`, which parks bindings in states that are not sinks;
-and the index variants :class:`StaleIndexMonitor`, which skips the backfill
-of a new query domain, and :class:`SmallestSourceMonitor`, which copies a
-missing join from its least informative source.  The last three are caught
-by ``engine-pair``.
+Two deliberately broken variants of :class:`IndexedMonitor` show that the
+checks have teeth, and give the CLI's debug flags something to run:
+:class:`SkipJoinPhaseMonitor` (caught by ``engine-pair``) and
+:class:`NoSnapshotMonitor`, run as a slicer by :class:`NoSnapshotSliceTable`
+(caught by ``slicing``).  :func:`run_selfcheck` takes the engine and slicer
+classes it checks, so the test suite passes its own mutants the same way.
 """
 
 from __future__ import annotations
@@ -103,49 +100,6 @@ class NoSnapshotMonitor(IndexedMonitor):
 
 class NoSnapshotSliceTable(SliceTable):
     engine_class = NoSnapshotMonitor
-
-
-class ParkFailMonitor(IndexedMonitor):
-    """Mutant: parks a binding in any ``fail``-labelled state, as if a sink.
-
-    A parked binding is never stepped again, so one that would leave a
-    ``fail`` state that is not absorbing keeps its stale state and verdict.
-    """
-
-    def __init__(self, machine: FsmMachine, **options):
-        super().__init__(machine, **options)
-        self._parking |= {
-            state for state in machine.states if machine.output(state) is Verdict.FAIL
-        }
-
-
-class StaleIndexMonitor(IndexedMonitor):
-    """Mutant: a new query domain's keys cover only bindings defined later.
-
-    The bindings already defined are not indexed under the new cuts, so a
-    fresh binding of a new domain misses its neighbours among them, and a
-    binding that later arrives warm misses its defined extensions.
-    """
-
-    def _backfill(self, domain, cut) -> None:
-        pass
-
-
-class SmallestSourceMonitor(IndexedMonitor):
-    """Mutant: copies a missing join from its least informative defined source.
-
-    It probes the table domains within the join smallest first, so the
-    first defined restriction it meets is not the most informative one.
-    """
-
-    def _below(self, binding: ParamInstance) -> ParamInstance:
-        names = frozenset(binding.names)
-        for domain in sorted(self._domains, key=len):
-            if domain < names:
-                sub = binding.restrict(domain)
-                if sub in self.delta:
-                    return sub
-        return EMPTY
 
 
 @dataclass
@@ -400,36 +354,17 @@ def run_selfcheck(
     count: int = 1000,
     seed: int = 0,
     *,
-    unsafe_no_snapshot: bool = False,
-    skip_join_phase: bool = False,
-    park_fail: bool = False,
-    stale_index: bool = False,
-    smallest_source: bool = False,
+    indexed_class: type[IndexedMonitor] = IndexedMonitor,
+    table_class: type[SliceTable] = SliceTable,
 ) -> SelfCheckResult:
     """Run the four differential checks over ``count`` seeded random traces.
 
-    ``unsafe_no_snapshot`` slices with :class:`NoSnapshotSliceTable`;
-    ``skip_join_phase``, ``park_fail``, ``stale_index`` and
-    ``smallest_source`` monitor with :class:`SkipJoinPhaseMonitor`,
-    :class:`ParkFailMonitor`, :class:`StaleIndexMonitor` and
-    :class:`SmallestSourceMonitor`, at most one of them, so that their
-    detection is itself testable.  Stops at the first mismatch, returning a
-    minimized counterexample.
+    ``indexed_class`` is the engine checked by ``engine-pair``, ``verdicts``
+    and ``reports``, and ``table_class`` the slicer checked by ``slicing``;
+    passing a mutant such as :class:`SkipJoinPhaseMonitor` or
+    :class:`NoSnapshotSliceTable` makes its detection testable.  Stops at
+    the first mismatch, returning a minimized counterexample.
     """
-    mutants = [
-        mutant
-        for mutant, chosen in (
-            (SkipJoinPhaseMonitor, skip_join_phase),
-            (ParkFailMonitor, park_fail),
-            (StaleIndexMonitor, stale_index),
-            (SmallestSourceMonitor, smallest_source),
-        )
-        if chosen
-    ]
-    if len(mutants) > 1:
-        raise ValueError("at most one indexed-engine mutant can be selected")
-    table_class = NoSnapshotSliceTable if unsafe_no_snapshot else SliceTable
-    indexed_class = mutants[0] if mutants else IndexedMonitor
     rng = random.Random(seed)
     passed = dict.fromkeys(("slicing", "engine-pair", "verdicts", "reports"), 0)
 

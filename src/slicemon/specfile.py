@@ -33,6 +33,7 @@ import io
 from typing import Iterable
 
 from .bindings import _NAME_RE
+from .events import ParseError
 from .machines import BalanceMachine, FsmMachine, MonitorSpec, RatioMachine, Verdict
 
 __all__ = ["SpecFormatError", "parse_property_spec"]
@@ -40,12 +41,8 @@ __all__ = ["SpecFormatError", "parse_property_spec"]
 KINDS = ("fsm", "regex", "balance", "ratio")
 
 
-class SpecFormatError(ValueError):
+class SpecFormatError(ParseError):
     """A property file is malformed; carries the 1-based line number."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__("line %d: %s" % (line, message))
-        self.line = line
 
 
 def _identifier(lineno: int, text: str, what: str) -> str:
@@ -218,6 +215,12 @@ def parse_property_spec(source: str) -> MonitorSpec:
                     raise SpecFormatError(lineno, "undeclared event %r" % ev_name)
                 if role in roles:
                     raise SpecFormatError(lineno, "role %r assigned twice" % role)
+                for other, taken in roles.items():
+                    if taken == ev_name:
+                        raise SpecFormatError(
+                            lineno,
+                            "event %r assigned to roles %r and %r" % (ev_name, other, role),
+                        )
                 roles[role] = ev_name
             if set(roles) != {"enter", "exit", "inc", "dec"}:
                 raise SpecFormatError(lineno, "roles: must assign all four roles")

@@ -1,0 +1,70 @@
+"""Deliberately broken engines that the selfcheck must catch.
+
+Each is a subclass of :class:`IndexedMonitor` that takes one shortcut the
+real engine must not take.  :data:`MUTANTS` lists every mutant the
+selfcheck is tested against, with the ``run_selfcheck`` keywords that run
+it and the check expected to catch it; two of them live in
+:mod:`slicemon.selfcheck`, where the CLI's debug flags reach them.  A new
+shortcut adds its mutant here, and the tests that iterate the list pick it
+up.
+"""
+
+from __future__ import annotations
+
+from slicemon.bindings import EMPTY, ParamInstance
+from slicemon.machines import FsmMachine, Verdict
+from slicemon.parametric import IndexedMonitor
+from slicemon.selfcheck import NoSnapshotSliceTable, SkipJoinPhaseMonitor
+
+
+class ParkFailMonitor(IndexedMonitor):
+    """Mutant: parks a binding in any ``fail``-labelled state, as if a sink.
+
+    A parked binding is never stepped again, so one that would leave a
+    ``fail`` state that is not absorbing keeps its stale state and verdict.
+    """
+
+    def __init__(self, machine: FsmMachine, **options):
+        super().__init__(machine, **options)
+        self._parking |= {
+            state for state in machine.states if machine.output(state) is Verdict.FAIL
+        }
+
+
+class StaleIndexMonitor(IndexedMonitor):
+    """Mutant: a new table domain's cut covers only bindings defined later.
+
+    The bindings already defined are not indexed under the new cuts, so a
+    fresh binding of a new domain misses its neighbours among them, and a
+    binding that later arrives warm misses its defined extensions.
+    """
+
+    def _backfill(self, domain, cut) -> None:
+        pass
+
+
+class SmallestSourceMonitor(IndexedMonitor):
+    """Mutant: copies a missing join from its least informative defined source.
+
+    It probes the table domains within the join smallest first, so the
+    first defined restriction it meets is not the most informative one.
+    """
+
+    def _below(self, binding: ParamInstance) -> ParamInstance:
+        names = frozenset(binding.names)
+        for domain in sorted(self._domains, key=len):
+            if domain < names:
+                sub = binding.restrict(domain)
+                if sub in self.delta:
+                    return sub
+        return EMPTY
+
+
+#: (name, ``run_selfcheck`` keywords, the check that must catch it).
+MUTANTS = [
+    ("snapshot", {"table_class": NoSnapshotSliceTable}, "slicing"),
+    ("join-phase", {"indexed_class": SkipJoinPhaseMonitor}, "engine-pair"),
+    ("park-fail", {"indexed_class": ParkFailMonitor}, "engine-pair"),
+    ("stale-index", {"indexed_class": StaleIndexMonitor}, "engine-pair"),
+    ("smallest-source", {"indexed_class": SmallestSourceMonitor}, "engine-pair"),
+]

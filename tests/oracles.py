@@ -113,15 +113,16 @@ def check_index(engine, fed: Iterable) -> None:
     ``fed`` are the events fed so far.  Every index entry must hold exactly
     the defined bindings of its domain strictly more informative than its
     key binding, and every such pair of defined bindings must be indexed.
-    The query domains are the empty domain, the domains of the defined
-    bindings and those of the fed bindings.  Every key ``(sub, D)`` must
-    have ``dom(sub) = E∩D ⊊ D`` for a query domain ``E``, and every defined
-    binding of ``D`` must be indexed under each such ``E∩D``.
+    Every fed binding must be defined, so the query domains are the empty
+    domain and the domains of the defined bindings.  Every key ``(sub, D)``
+    must have ``dom(sub) = E∩D ⊊ D`` for a query domain ``E``, and every
+    defined binding of ``D`` must be indexed under each such ``E∩D``.
     """
     defined = list(engine.delta)
+    undefined = [event.instance for event in fed if event.instance not in engine.delta]
+    assert not undefined, "fed bindings not defined: %r" % undefined
     queries = {frozenset()}
     queries.update(frozenset(b.names) for b in defined)
-    queries.update(frozenset(event.instance.names) for event in fed)
     for (sub, domain), members in engine.extensions.items():
         expected = {
             b for b in defined

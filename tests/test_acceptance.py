@@ -28,6 +28,7 @@ from .frozen import (
     LOCKING_FINAL_VERDICTS,
     LOCKING_REPORT_LINES,
 )
+from .mutants import MUTANTS
 from .oracles import (
     DerivativeClassifier,
     all_words,
@@ -217,13 +218,8 @@ def test_c7_indexed_cost_model():
 def test_c8_mutants_are_caught():
     started = time.perf_counter()
     runs = {
-        "snapshot": (run_selfcheck(count=1000, seed=0, unsafe_no_snapshot=True), "slicing"),
-        "join-phase": (run_selfcheck(count=1000, seed=0, skip_join_phase=True), "engine-pair"),
-        "park-fail": (run_selfcheck(count=1000, seed=0, park_fail=True), "engine-pair"),
-        "stale-index": (run_selfcheck(count=1000, seed=0, stale_index=True), "engine-pair"),
-        "smallest-source": (
-            run_selfcheck(count=1000, seed=0, smallest_source=True), "engine-pair"
-        ),
+        name: (run_selfcheck(count=1000, seed=0, **kwargs), check)
+        for name, kwargs, check in MUTANTS
     }
     ok = all(
         not result.passed and result.failure.check == check

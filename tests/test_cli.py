@@ -333,7 +333,8 @@ def test_monitor_loads_only_what_it_runs(tmp_path):
 def test_slice_loads_only_what_it_runs():
     loaded = modules_loaded_by("slice", "--trace", fx("abc.trace"))
     assert "slicemon.slicer" in loaded
-    assert loaded & {"slicemon.patterns", "slicemon.selfcheck"} == set()
+    unwanted = {"slicemon.patterns", "slicemon.selfcheck", "slicemon.specfile"}
+    assert loaded & unwanted == set()
 
 
 # -- exit-code contract --------------------------------------------------------

@@ -17,6 +17,8 @@ from slicemon.selfcheck import (
     run_selfcheck,
 )
 
+from .mutants import MUTANTS
+
 
 def test_clean_run_passes():
     result = run_selfcheck(count=60, seed=5)
@@ -39,11 +41,18 @@ def test_same_seed_is_deterministic():
     assert first.summary_lines() == second.summary_lines()
 
 
+@pytest.mark.parametrize("name, kwargs, check", MUTANTS, ids=[m[0] for m in MUTANTS])
+def test_mutant_is_caught(name, kwargs, check):
+    result = run_selfcheck(count=1000, seed=0, **kwargs)
+    assert not result.passed
+    assert result.failure.check == check
+    assert result.traces <= 1000
+
+
 def test_snapshot_mutant_is_caught_and_minimized():
-    result = run_selfcheck(count=1000, seed=0, unsafe_no_snapshot=True)
+    result = run_selfcheck(count=1000, seed=0, table_class=NoSnapshotSliceTable)
     assert not result.passed
     assert result.failure.check == "slicing"
-    assert result.traces <= 1000
     # the minimized trace still fails the table check on its own
     assert _check_slicing(result.failure.trace, [], NoSnapshotSliceTable) is not None
     # ... and is genuinely small: the bug needs only a couple of events
@@ -51,35 +60,6 @@ def test_snapshot_mutant_is_caught_and_minimized():
     rendered = result.failure.render()
     assert "check:  slicing" in rendered
     assert "minimized trace" in rendered
-
-
-def test_join_phase_mutant_is_caught():
-    result = run_selfcheck(count=1000, seed=0, skip_join_phase=True)
-    assert not result.passed
-    assert result.failure.check == "engine-pair"
-    assert result.traces <= 1000
-
-
-def test_park_fail_mutant_is_caught():
-    result = run_selfcheck(count=1000, seed=0, park_fail=True)
-    assert not result.passed
-    assert result.failure.check == "engine-pair"
-    assert result.traces <= 1000
-
-
-@pytest.mark.parametrize("mutant", ["stale_index", "smallest_source"])
-def test_index_mutants_are_caught(mutant):
-    result = run_selfcheck(count=1000, seed=0, **{mutant: True})
-    assert not result.passed
-    assert result.failure.check == "engine-pair"
-    assert result.traces <= 1000
-
-
-def test_one_indexed_mutant_at_a_time():
-    with pytest.raises(ValueError):
-        run_selfcheck(count=1, skip_join_phase=True, park_fail=True)
-    with pytest.raises(ValueError):
-        run_selfcheck(count=1, stale_index=True, smallest_source=True)
 
 
 def test_reports_check_catches_a_dropped_dedup():

@@ -191,6 +191,9 @@ def test_balance_payload_errors():
     assert "expected enter=" in str(err(base + "roles: lock=b\n"))
     assert "undeclared event" in str(err(base + "roles: enter=zz\n"))
     assert "assigned twice" in str(err(base + "roles: enter=b enter=e\n"))
+    shared = err(base + "roles: enter=b exit=b inc=i dec=i\n")
+    assert shared.line == 7
+    assert "event 'b' assigned to roles 'enter' and 'exit'" in str(shared)
     assert "all four roles" in str(err(base + "roles: enter=b exit=e\n"))
     twice = err(
         base
