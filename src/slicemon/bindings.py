@@ -24,6 +24,7 @@ then ascending canonical encoding.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
 #: canonical encoding, so every binding reads back from its encoding).
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _VALUE_RE = re.compile(r"[^\s=,]+\Z")
+_name_of = itemgetter(0)
 
 
 class BindingFormatError(ValueError):
@@ -56,7 +58,7 @@ class ParamInstance:
     least informative binding.
     """
 
-    __slots__ = ("_items", "_hash", "_enc")
+    __slots__ = ("_items", "_hash", "_enc", "_domain")
 
     def __init__(self, mapping: Mapping[str, str] | Iterable[tuple[str, str]] = ()):
         items = tuple(sorted(dict(mapping).items()))
@@ -68,6 +70,7 @@ class ParamInstance:
         self._items = items
         self._hash = hash(items)
         self._enc = None
+        self._domain = None
 
     @classmethod
     def _wrap(cls, items: tuple[tuple[str, str], ...]) -> "ParamInstance":
@@ -76,6 +79,7 @@ class ParamInstance:
         self._items = items
         self._hash = hash(items)
         self._enc = None
+        self._domain = None
         return self
 
     @classmethod
@@ -112,6 +116,14 @@ class ParamInstance:
     def names(self) -> tuple[str, ...]:
         """Bound parameter names, sorted."""
         return tuple(name for name, _ in self._items)
+
+    @property
+    def domain(self) -> frozenset[str]:
+        """Bound parameter names as a set, computed on first use and kept."""
+        domain = self._domain
+        if domain is None:
+            domain = self._domain = frozenset(map(_name_of, self._items))
+        return domain
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ParamInstance):

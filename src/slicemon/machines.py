@@ -166,12 +166,18 @@ class BalanceMachine(Machine):
     is ``(violated, counters)`` where ``counters`` holds one count per open
     section (outermost first).  A violation — decrementing below zero, leaving
     a section with a nonzero count, or an ``exit`` with no open section — is
-    sticky and can never be repaired, hence ``fail``.  The word matches
-    exactly when nothing is open and the outer count is zero; otherwise a
-    proper completion still exists and the verdict is ``unknown``.
+    sticky and can never be repaired, hence ``fail``.  Every violation leads
+    to the one state ``VIOLATED``, whatever the counters were, so that state
+    is the machine's sink.  The word matches exactly when nothing is open
+    and the outer count is zero; otherwise a proper completion still exists
+    and the verdict is ``unknown``.
 
     Event names outside the four roles leave the state unchanged.
     """
+
+    #: The one violated state; it keeps no counters.
+    VIOLATED = (True, ())
+    sinks = frozenset([VIOLATED])
 
     def __init__(self, enter: str, exit: str, inc: str, dec: str):
         self.roles = {"enter": enter, "exit": exit, "inc": inc, "dec": dec}
@@ -188,13 +194,13 @@ class BalanceMachine(Machine):
             return (False, counters + (0,))
         if name == self._exit:
             if len(counters) == 1 or counters[-1] != 0:
-                return (True, counters)
+                return self.VIOLATED
             return (False, counters[:-1])
         if name == self._inc:
             return (False, counters[:-1] + (counters[-1] + 1,))
         if name == self._dec:
             if counters[-1] == 0:
-                return (True, counters)
+                return self.VIOLATED
             return (False, counters[:-1] + (counters[-1] - 1,))
         return state
 

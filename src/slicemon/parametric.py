@@ -11,12 +11,14 @@ event come out in ``binding_order``.  The engines differ only in the three
 finders the loop calls:
 
 * :class:`BaselineMonitor` scans the whole table for the joins, for the
-  bindings at or above, and for a join's source, the widest binding below
-  it (``max_below``) — simple, and the semantic yardstick;
+  bindings at or above (leaving out parked strict extensions), and for a
+  join's source, the widest binding below it (``max_below``) — simple, and
+  the semantic yardstick;
 * :class:`IndexedMonitor` looks the first two up in a domain-keyed index of
   the defined bindings, holding only the keys its lookups can ask for, and
   finds a source by restricting the join to each table domain within it.
-  It neither scans the table nor checks compatibility.
+  It neither scans the table nor checks compatibility.  Its warm finder
+  reads only the live side of the index, not the parked one.
 
 Both produce identical state tables, verdicts and report streams, which the
 test suite checks event by event against each other and against the
@@ -96,7 +98,10 @@ class RunStats:
 
     ``monitor_steps`` counts the monitor steps taken, and ``skipped_steps``
     the bindings an event reached that were parked and so not stepped
-    (their sum is the number of bindings the events reached).
+    (their sum is the number of bindings the events reached).  An event
+    reaches all the joins of a fresh binding, but a known binding and only
+    its live strict extensions; so a skip is a known binding parked
+    itself, or a parked join of a fresh one.
     ``compat_checks`` counts the join candidates examined to find the
     bindings each event affects (every table entry for the baseline; a
     fresh binding and its indexed neighbours for the indexed engine).
@@ -136,10 +141,13 @@ class _EngineBase:
 
     Subclasses supply the three finders: ``_joins(binding)`` lists the joins
     of a binding that is not in the table with every table entry,
-    ``_at_or_above(binding)`` the defined bindings at or above one that is,
-    and ``_below(binding)`` the most informative defined binding strictly
-    below a join that is not.  The first two add the join candidates they
-    examine to ``stats.compat_checks``.
+    ``_at_or_above(binding)`` the binding, which is in the table, and its
+    defined strict extensions that are not parked, and ``_below(binding)``
+    the most informative defined binding strictly below a join that is not.
+    The first two add the join candidates they examine to
+    ``stats.compat_checks``.  ``_park`` is called only when a step parks a
+    binding, and ``_index`` only for an event that defined joins, after its
+    steps.
     """
 
     def __init__(
@@ -189,16 +197,18 @@ class _EngineBase:
         ``report_every``.  A parked binding is not stepped again: its state
         would stay the sink, its verdict is already in ``gamma`` and would
         not change, and so no report would come of it.  It keeps its table
-        entry and index keys, so ``delta``, ``gamma`` and the reports are
-        those of stepping it.  A binding is parked only after a step of its
-        own, never for a state it holds without one: a join copied from a
-        parked source, or the empty binding starting in a sink, has no
-        verdict recorded yet and may report on its first step.
+        entry, so joins are still copied from it, and ``delta``, ``gamma``
+        and the reports are those of stepping it; the finders need not list
+        it as an extension of a known binding.  A binding is parked only
+        after a step of its own, never for a state it holds without one: a
+        join copied from a parked source, or the empty binding starting in a
+        sink, has no verdict recorded yet and may report on its first step.
         """
         stats = self.stats
         stats.events += 1
         delta = self.delta
         binding = event.instance
+        missing = None
         if binding in delta:
             touched = self._at_or_above(binding)
         else:
@@ -234,7 +244,9 @@ class _EngineBase:
             elif report_every and verdict in trigger:
                 reports.append(VerdictReport(index, verdict, affected, event.name))
             if parking and state in parking:
-                parked.add(affected)
+                self._park(affected)
+        if missing:
+            self._index(missing)
         stats.monitor_steps += len(touched) - skipped
         if skipped:
             stats.skipped_steps += skipped
@@ -254,6 +266,13 @@ class _EngineBase:
         delta[binding] = delta[source]
         self.stats.defines += 1
 
+    def _park(self, binding: ParamInstance) -> None:
+        """Park a binding whose step just left it in a sink."""
+        self._parked.add(binding)
+
+    def _index(self, defined: list[ParamInstance]) -> None:
+        """Note the bindings this event defined, after its steps."""
+
 
 #: Sentinel distinguishing "never evaluated" from any real verdict.
 _NEVER = object()
@@ -270,7 +289,14 @@ class BaselineMonitor(_EngineBase):
 
     def _at_or_above(self, binding: ParamInstance) -> list[ParamInstance]:
         self.stats.compat_checks += len(self.delta)
-        return [other for other in self.delta if binding.less_informative(other)]
+        parked = self._parked
+        return [binding] + [
+            other
+            for other in self.delta
+            if other not in parked
+            and other != binding
+            and binding.less_informative(other)
+        ]
 
     def _below(self, binding: ParamInstance) -> ParamInstance:
         return max_below(binding, self.delta)
@@ -279,9 +305,12 @@ class BaselineMonitor(_EngineBase):
 class IndexedMonitor(_EngineBase):
     """Index-guided engine: touches only states the event can affect.
 
-    ``extensions[(sub, domain)]`` holds the defined bindings of ``domain``
-    strictly more informative than ``sub``.  The finders only ever look up
-    keys ``(b restricted to E∩D, D)``, where ``E`` is the domain of an
+    The index has two sides under the same keys: ``extensions[key]`` holds
+    the live bindings of the key, and ``parked_extensions[key]`` the parked
+    ones.  A key is ``(cut items, D)``: under it sit the defined bindings of
+    domain ``D`` strictly more informative than the binding with those items
+    (a plain name-sorted item tuple).  The finders only ever look up keys
+    ``(items of b restricted to E∩D, D)``, where ``E`` is the domain of an
     event's binding ``b`` and ``D`` a table domain, so only keys of that
     shape are written.  The *query domains* are the empty domain and the
     table domains; a defined binding of ``D`` is indexed under its
@@ -290,16 +319,21 @@ class IndexedMonitor(_EngineBase):
     this event defines it: its domain, if new, becomes a table domain
     before its first lookup.  A new table domain gets its cuts, and adds
     its cut to every table domain, backfilling their defined bindings
-    under it; a binding already in the table has a table domain, so the
-    warm path never needs that check.
+    under it on both sides; a binding already in the table has a table
+    domain, so the warm path never needs that check.
 
-    * A defined binding at or above ``b`` is ``b`` or sits in
-      ``extensions[(b, domain)]`` for its domain.
+    A join's keys are written once, after the steps of the event that
+    defined it, on the side that step left it; a live binding that parks
+    later moves once, and a live set it leaves empty is deleted.
+
+    * The warm finder returns ``b`` and the live bindings under
+      ``(b's items, D)`` for every table domain ``D``: a parked binding is
+      never stepped.
     * A binding compatible with a fresh ``b`` and of a domain ``D`` not
       within ``b``'s agrees with ``b`` on their shared names, so the
-      compatible neighbours of ``b`` in ``D`` are exactly
-      ``extensions[(b restricted to D, D)]``: no compatibility checks, no
-      sort.
+      compatible neighbours of ``b`` in ``D`` are exactly the bindings
+      under ``(b's items restricted to D, D)``, on both sides, so that the
+      table stays join-closed: no compatibility checks, no sort.
     * Every defined binding below a missing join ``j`` is ``j`` restricted
       to a table domain ``D ⊊ dom(j)``.  These restrictions that are
       defined are join-closed, since the table is, so their maximum is the
@@ -311,6 +345,7 @@ class IndexedMonitor(_EngineBase):
     def __init__(self, machine: Machine, **options):
         super().__init__(machine, **options)
         self.extensions: dict[tuple, set[ParamInstance]] = {}
+        self.parked_extensions: dict[tuple, set[ParamInstance]] = {}
         #: Table domains other than the empty one.  Each maps to itself, so
         #: that index keys share one domain object, and to its cuts, each
         #: with the getter of that cut's items from a binding's items.
@@ -324,7 +359,7 @@ class IndexedMonitor(_EngineBase):
         self._sources: dict[frozenset[str], list[Callable]] = {}
 
     def _joins(self, binding: ParamInstance) -> list[ParamInstance]:
-        query = frozenset(binding.names)
+        query = binding.domain
         probes = self._probes.get(query)
         if probes is None:
             if query not in self._domains:
@@ -335,28 +370,31 @@ class IndexedMonitor(_EngineBase):
                 for domain in self._domains
                 if not domain <= query
             ]
-        extensions = self.extensions
+        parked = self.parked_extensions
+        sides = (self.extensions, parked) if parked else (self.extensions,)
         items = binding._items
-        wrap = ParamInstance._wrap
         joins = {binding}
         examined = 1
         for domain, cut in probes:
-            neighbours = extensions.get((wrap(cut(items)), domain))
-            if neighbours:
-                examined += len(neighbours)
-                joins.update(neighbour.join(binding) for neighbour in neighbours)
+            key = (cut(items), domain)
+            for side in sides:
+                neighbours = side.get(key)
+                if neighbours:
+                    examined += len(neighbours)
+                    joins.update(neighbour.join(binding) for neighbour in neighbours)
         self.stats.compat_checks += examined
         return list(joins)
 
     def _at_or_above(self, binding: ParamInstance) -> list[ParamInstance]:
         extensions = self.extensions
+        items = binding._items
         found = [binding]
         for domain in self._domains:
-            found.extend(extensions.get((binding, domain), ()))
+            found.extend(extensions.get((items, domain), ()))
         return found
 
     def _below(self, binding: ParamInstance) -> ParamInstance:
-        names = frozenset(binding.names)
+        names = binding.domain
         sources = self._sources.get(names)
         if sources is None:
             within = sorted(
@@ -374,15 +412,39 @@ class IndexedMonitor(_EngineBase):
                 return sub
         return EMPTY
 
-    def _define(self, binding: ParamInstance, source: ParamInstance) -> None:
-        super()._define(binding, source)
-        names = frozenset(binding.names)
-        domain, cuts = self._domains.get(names) or self._add_domain(names)
-        extensions = self.extensions
+    def _index(self, defined: list[ParamInstance]) -> None:
+        """Write the keys of this event's joins, each on its side, once."""
+        parked = self._parked
+        for binding in defined:
+            names = binding.domain
+            domain, cuts = self._domains.get(names) or self._add_domain(names)
+            side = self.parked_extensions if binding in parked else self.extensions
+            items = binding._items
+            for cut in cuts.values():
+                side.setdefault((cut(items), domain), set()).add(binding)
+
+    def _park(self, binding: ParamInstance) -> None:
+        """Move a live binding's keys to the parked side."""
+        super()._park(binding)
+        live = self.extensions
+        # The empty cut's key holds every live binding of the domain.  A
+        # binding this event defined is not there yet: ``_index`` writes it
+        # straight to the parked side.
+        names = binding.domain
+        everyone = live.get(((), names))
+        if everyone is None or binding not in everyone:
+            return
+        domain, cuts = self._domains[names]
+        parked = self.parked_extensions
         items = binding._items
-        wrap = ParamInstance._wrap
         for cut in cuts.values():
-            extensions.setdefault((wrap(cut(items)), domain), set()).add(binding)
+            key = (cut(items), domain)
+            members = live[key]
+            if len(members) == 1:
+                del live[key]
+            else:
+                members.remove(binding)
+            parked.setdefault(key, set()).add(binding)
 
     def _add_domain(self, domain: frozenset[str]) -> tuple[frozenset[str], dict]:
         """Make ``domain`` a table domain, and so a query domain.
@@ -404,13 +466,13 @@ class IndexedMonitor(_EngineBase):
         return entry
 
     def _backfill(self, domain: frozenset[str], cut: Callable) -> None:
-        """Index the defined bindings of ``domain`` under a new cut."""
-        extensions = self.extensions
-        wrap = ParamInstance._wrap
+        """Index the defined bindings of ``domain`` under a new cut, per side."""
         # The empty domain is a query domain, so the key of the empty cut
-        # holds every defined binding of the domain.
-        for member in extensions[(EMPTY, domain)]:
-            extensions.setdefault((wrap(cut(member._items)), domain), set()).add(member)
+        # holds every indexed binding of the domain on its side.
+        everyone = ((), domain)
+        for side in (self.extensions, self.parked_extensions):
+            for member in side.get(everyone, ()):
+                side.setdefault((cut(member._items), domain), set()).add(member)
 
 
 def _cut(domain: frozenset[str], part: frozenset[str]) -> Callable[[tuple], tuple]:

@@ -92,9 +92,10 @@ class NoSnapshotMonitor(IndexedMonitor):
 
     def _joins(self, binding: ParamInstance) -> list[ParamInstance]:
         joins = sorted(super()._joins(binding), key=binding_order)
-        for joined in joins:
-            if joined not in self.delta:
-                self._define(joined, max_below(joined, reversed(self.delta)))
+        defined = [joined for joined in joins if joined not in self.delta]
+        for joined in defined:
+            self._define(joined, max_below(joined, reversed(self.delta)))
+        self._index(defined)
         return joins
 
 

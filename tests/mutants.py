@@ -43,6 +43,27 @@ class StaleIndexMonitor(IndexedMonitor):
         pass
 
 
+class LiveOnlyJoinsMonitor(IndexedMonitor):
+    """Mutant: a fresh binding joins only with live bindings.
+
+    Its join finder reads the live side of the index alone, so the joins
+    with parked bindings are never defined and the table is no longer
+    join-closed.
+    """
+
+    def _joins(self, binding: ParamInstance) -> list[ParamInstance]:
+        query = binding.domain
+        if query not in self._domains:
+            self._add_domain(query)
+        joins = {binding}
+        for domain in self._domains:
+            if not domain <= query:
+                sub = binding.restrict(domain & query)
+                for neighbour in self.extensions.get((sub._items, domain), ()):
+                    joins.add(neighbour.join(binding))
+        return list(joins)
+
+
 class SmallestSourceMonitor(IndexedMonitor):
     """Mutant: copies a missing join from its least informative defined source.
 
@@ -51,7 +72,7 @@ class SmallestSourceMonitor(IndexedMonitor):
     """
 
     def _below(self, binding: ParamInstance) -> ParamInstance:
-        names = frozenset(binding.names)
+        names = binding.domain
         for domain in sorted(self._domains, key=len):
             if domain < names:
                 sub = binding.restrict(domain)
@@ -67,4 +88,5 @@ MUTANTS = [
     ("park-fail", {"indexed_class": ParkFailMonitor}, "engine-pair"),
     ("stale-index", {"indexed_class": StaleIndexMonitor}, "engine-pair"),
     ("smallest-source", {"indexed_class": SmallestSourceMonitor}, "engine-pair"),
+    ("live-only-joins", {"indexed_class": LiveOnlyJoinsMonitor}, "engine-pair"),
 ]

@@ -110,35 +110,49 @@ def feed_counting(
 def check_index(engine, fed: Iterable) -> None:
     """Assert an ``IndexedMonitor``'s index invariant (quadratic in table size).
 
-    ``fed`` are the events fed so far.  Every index entry must hold exactly
-    the defined bindings of its domain strictly more informative than its
-    key binding, and every such pair of defined bindings must be indexed.
-    Every fed binding must be defined, so the query domains are the empty
-    domain and the domains of the defined bindings.  Every key ``(sub, D)``
-    must have ``dom(sub) = E∩D ⊊ D`` for a query domain ``E``, and every
-    defined binding of ``D`` must be indexed under each such ``E∩D``.
+    ``fed`` are the events fed so far.  The index has a live side
+    (``extensions``) and a parked side (``parked_extensions``), keyed alike
+    by ``(items, D)`` with ``items`` a plain item tuple.  Every entry must
+    be a non-empty set holding exactly the defined bindings of ``D``
+    strictly more informative than the binding of ``items`` that are on
+    its side: parked exactly when in the engine's parked set.  Every fed
+    binding must be defined, so the query domains are the empty domain and
+    the domains of the defined bindings.  Every key must have
+    ``dom(items) = E∩D ⊊ D`` for a query domain ``E``, and every non-empty
+    defined binding of ``D`` must sit under each such ``E∩D`` on exactly
+    one side, the one its parking says.
     """
     defined = list(engine.delta)
     undefined = [event.instance for event in fed if event.instance not in engine.delta]
     assert not undefined, "fed bindings not defined: %r" % undefined
+    parked = engine._parked
+    sides = {False: engine.extensions, True: engine.parked_extensions}
     queries = {frozenset()}
     queries.update(frozenset(b.names) for b in defined)
-    for (sub, domain), members in engine.extensions.items():
-        expected = {
-            b for b in defined
-            if frozenset(b.names) == domain and sub != b and sub.less_informative(b)
-        }
-        assert members == expected, (
-            "index entry for %r in %s is %r, expected %r"
-            % (sub, sorted(domain), members, expected)
-        )
-        assert frozenset(sub.names) in {
-            query & domain for query in queries if query & domain != domain
-        }, "index key %r in %s is not the shape of a query" % (sub, sorted(domain))
+    for on_parked, side in sides.items():
+        for (items, domain), members in side.items():
+            assert type(items) is tuple and type(domain) is frozenset, (
+                "index key (%r, %r) is not an item tuple and a domain" % (items, domain)
+            )
+            sub = ParamInstance(items)
+            expected = {
+                b for b in defined
+                if frozenset(b.names) == domain
+                and sub != b
+                and sub.less_informative(b)
+                and (b in parked) == on_parked
+            }
+            assert members and members == expected, (
+                "%s index entry for %r in %s is %r, expected a non-empty %r"
+                % ("parked" if on_parked else "live", sub, sorted(domain), members, expected)
+            )
+            assert frozenset(sub.names) in {
+                query & domain for query in queries if query & domain != domain
+            }, "index key %r in %s is not the shape of a query" % (sub, sorted(domain))
     for a in defined:
         for b in defined:
             if a != b and a.less_informative(b):
-                assert b in engine.extensions.get((a, frozenset(b.names)), ()), (
+                assert b in sides[b in parked].get((a._items, frozenset(b.names)), ()), (
                     "index misses a defined extension"
                 )
     for b in defined:
@@ -146,8 +160,14 @@ def check_index(engine, fed: Iterable) -> None:
         for query in queries:
             part = query & domain
             if part != domain:
-                assert b in engine.extensions.get((b.restrict(part), domain), ()), (
-                    "index misses %r under its cut on %s" % (b, sorted(part))
+                key = (b.restrict(part)._items, domain)
+                homes = [
+                    on_parked for on_parked, side in sides.items()
+                    if b in side.get(key, ())
+                ]
+                assert homes == [b in parked], (
+                    "%r sits under its cut on %s on %s, expected the %s side"
+                    % (b, sorted(part), homes, "parked" if b in parked else "live")
                 )
 
 

@@ -185,10 +185,10 @@ def test_c7_indexed_cost_model():
     # |{binding} union extensions(binding)| == 1 monitor state
     if touched != [1] * len(events):
         problems.append("touched more than the affected set")
-    # the index is keyed by (sub-binding, domain): an iterator binding with a
-    # defined strict extension would be the sub-binding of some key
-    iterators = {event.instance for event in events[:200]}
-    if any(sub in iterators for sub, _ in engine.extensions):
+    # the index is keyed by (sub-binding items, domain): an iterator binding
+    # with a defined strict extension would give the items of some key
+    iterators = {event.instance._items for event in events[:200]}
+    if any(items in iterators for items, _ in engine.extensions):
         problems.append("iterator bindings unexpectedly grew extensions")
 
     adversarial = adversarial_workload(2000)

@@ -97,6 +97,8 @@ def test_container_protocol():
     assert len(inst) == 2
     assert dict(inst) == {"x": "1", "y": "2"}
     assert inst.names == ("x", "y")
+    assert inst.domain == {"x", "y"} and inst.domain is inst.domain
+    assert EMPTY.domain == frozenset()
 
 
 def test_equality_ignores_construction_order():

@@ -8,7 +8,7 @@ import pytest
 
 from slicemon.bindings import EMPTY, ParamInstance
 from slicemon.events import ParametricEvent, binding_closure, parse_trace
-from slicemon.machines import FsmMachine, RatioMachine, Verdict
+from slicemon.machines import BalanceMachine, FsmMachine, RatioMachine, Verdict
 from slicemon.parametric import (
     BaselineMonitor,
     IndexedMonitor,
@@ -17,9 +17,10 @@ from slicemon.parametric import (
 )
 from slicemon.patterns import compile_regex
 from slicemon.selfcheck import SkipJoinPhaseMonitor
+from slicemon.specfile import parse_property_spec
 
 from .oracles import check_index, feed_counting, random_binding
-from .workloads import adversarial_machine, adversarial_workload
+from .workloads import adversarial_machine, adversarial_workload, unsafeiter_workload
 
 
 def both_engines(machine, **kwargs):
@@ -56,6 +57,69 @@ def test_unsafeiter_fixture_reports(fixtures, unsafeiter_spec):
     for engine in both_engines(unsafeiter_spec.machine, trigger=unsafeiter_spec.trigger):
         reports = engine.feed_all(trace)
         assert [r.render() for r in reports] == ["5\tmatch\ti=i1,v=v1\tnext"]
+
+
+@pytest.mark.parametrize("name", ["locking", "hasnext", "unsafeiter", "balanced"])
+@pytest.mark.parametrize("report_every", [False, True])
+def test_engines_agree_on_fixture_work(fixtures, name, report_every):
+    spec = parse_property_spec(read_fixture(fixtures, name + ".spec"))
+    trace = parse_trace(read_fixture(fixtures, name + ".trace"))
+    baseline, indexed = both_engines(
+        spec.machine, trigger=spec.trigger, report_every=report_every
+    )
+    assert baseline.feed_all(trace) == indexed.feed_all(trace)
+    for field in ("monitor_steps", "skipped_steps", "defines"):
+        assert getattr(baseline.stats, field) == getattr(indexed.stats, field), field
+
+
+#: ``monitor --spec fixtures/balanced.spec --trace fixtures/balanced.trace``,
+#: with and without ``--report-every``: as before violated states were one sink.
+BALANCED_REPORTS = {
+    False: ["3\tfail\tl=l1\trelease", "9\tfail\tl=l3\tend"],
+    True: [
+        "3\tfail\tl=l1\trelease",
+        "5\tfail\tl=l1\tend",
+        "6\tfail\tl=l1\tbegin",
+        "7\tfail\tl=l1\tacquire",
+        "9\tfail\tl=l1\tend",
+        "9\tfail\tl=l3\tend",
+        "10\tfail\tl=l1\tbegin",
+        "10\tfail\tl=l3\tbegin",
+        "11\tfail\tl=l3\trelease",
+        "12\tfail\tl=l1\tend",
+        "12\tfail\tl=l3\tend",
+    ],
+}
+
+
+@pytest.mark.parametrize("engine_class", [BaselineMonitor, IndexedMonitor])
+@pytest.mark.parametrize("report_every", [False, True])
+def test_balance_violation_parks_its_binding(fixtures, engine_class, report_every):
+    class CountingBalance(BalanceMachine):
+        from_violated = 0
+
+        def step(self, state, name):
+            if state[0]:
+                CountingBalance.from_violated += 1
+            return super().step(state, name)
+
+    spec = parse_property_spec(read_fixture(fixtures, "balanced.spec"))
+    machine = CountingBalance(**spec.machine.roles)
+    assert machine.sinks == {BalanceMachine.VIOLATED}
+    trace = parse_trace(read_fixture(fixtures, "balanced.trace"))
+    engine = engine_class(machine, trigger=spec.trigger, report_every=report_every)
+    lines = [report.render() for report in engine.feed_all(trace)]
+    assert lines == BALANCED_REPORTS[report_every]
+    violated = [ParamInstance({"l": "l1"}), ParamInstance({"l": "l3"})]
+    assert [engine.delta[b] for b in violated] == [BalanceMachine.VIOLATED] * 2
+    assert [engine.gamma[b] for b in violated] == [Verdict.FAIL] * 2
+    if report_every:
+        # a reported sink is not parked: l1 and l3 step on to the end
+        assert CountingBalance.from_violated == 9
+    else:
+        # the violating step is the last step of l1 and of l3
+        assert CountingBalance.from_violated == 0
+        assert engine._parked == set(violated)
 
 
 # -- report policy ------------------------------------------------------------------
@@ -146,8 +210,9 @@ def test_join_from_parked_source_reports_on_first_step(engine_class):
         (2, "j=2,k=1"),
     ]
     assert engine.gamma[ParamInstance({"j": "2", "k": "1"})] is Verdict.MATCH
-    # the third event reaches both bindings and steps neither
-    assert (engine.stats.monitor_steps, engine.stats.skipped_steps) == (2, 2)
+    # the third event steps neither: it reaches k=1 itself, parked, and
+    # not its parked extension j=2,k=1
+    assert (engine.stats.monitor_steps, engine.stats.skipped_steps) == (2, 1)
 
 
 @pytest.mark.parametrize("engine_class", [BaselineMonitor, IndexedMonitor])
@@ -214,6 +279,8 @@ def test_engines_agree_event_by_event_and_with_definition():
             assert baseline.delta == indexed.delta
             assert baseline.gamma == indexed.gamma
             check_index(indexed, trace[:position])
+        for field in ("monitor_steps", "skipped_steps", "defines"):
+            assert getattr(baseline.stats, field) == getattr(indexed.stats, field)
         # both engines materialize the join closure of the seen bindings
         closure = binding_closure(trace)
         assert set(baseline.delta) == closure
@@ -244,6 +311,41 @@ def test_indexed_engine_cost_shape():
     assert [a + b for a, b in zip(steps, skipped)] == [1, 1, 1, 1]
     assert stats.defines == 2
     assert stats.peak_instances == 3  # the empty binding plus k=1, k=2
+
+
+def test_warm_events_do_not_reach_parked_extensions(unsafeiter_spec):
+    # The paper's join shape: a lone ``i`` or ``v`` slice can never match, and
+    # most (collection, iterator) pairs soon sit in the pattern's dead sink
+    # too.  A warm event reaches its own binding, parked or not, and its live
+    # extensions, never the parked ones only to skip them.
+    events = unsafeiter_workload(600)
+    spec = unsafeiter_spec
+    engine = IndexedMonitor(spec.machine, trigger=spec.trigger)
+    warm_events = skips_avoided = 0
+    for event in events:
+        binding = event.instance
+        warm = binding in engine.delta
+        own = 1 if binding in engine._parked else 0
+        parked_above = sum(
+            1 for other in engine._parked
+            if other != binding and binding.less_informative(other)
+        )
+        ((skipped,),) = feed_counting(engine, [event], ("skipped_steps",))
+        if warm:
+            warm_events += 1
+            skips_avoided += parked_above
+            assert skipped == own, event
+    stats = engine.stats
+    assert warm_events > 500 and skips_avoided > 5 * stats.skipped_steps
+    assert len(engine._parked) > len(engine.delta) // 2
+    baseline = BaselineMonitor(spec.machine, trigger=spec.trigger)
+    assert baseline.feed_all(events) == IndexedMonitor(
+        spec.machine, trigger=spec.trigger
+    ).feed_all(events)
+    assert (baseline.stats.monitor_steps, baseline.stats.skipped_steps) == (
+        stats.monitor_steps,
+        stats.skipped_steps,
+    )
 
 
 def test_index_size_does_not_grow_with_fresh_bindings():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from slicemon.bindings import ParamInstance
 from slicemon.events import ParametricEvent
 from slicemon.machines import FsmMachine, Verdict
@@ -11,6 +13,7 @@ __all__ = [
     "adversarial_workload",
     "iterator_machine",
     "iterator_workload",
+    "unsafeiter_workload",
 ]
 
 
@@ -72,4 +75,39 @@ def adversarial_workload(count: int) -> list[ParametricEvent]:
             (("x", value), ("y", value), ("z", value))
         )
         events.append(ParametricEvent("probe", binding))
+    return events
+
+
+def unsafeiter_workload(
+    count: int, collections: int = 5, slots: int = 3, seed: int = 0
+) -> list[ParametricEvent]:
+    """The two-parameter join shape of ``fixtures/unsafeiter.spec``.
+
+    Each collection ``v`` owns ``slots`` iterators ``i``.  A warm-up creates
+    every iterator, updates every collection and advances every iterator
+    once, which joins the table up to every (collection, iterator) pair;
+    then come ``count`` events, drawn ``create`` : ``update`` : ``next``
+    as 1 : 2 : 7, each on a seeded random iterator.  Most pairs soon sit in the
+    pattern's dead sink, so most of the table is parked.
+    """
+    rng = random.Random(seed)
+    owners = {
+        "c%d.%d" % (c, s): "c%d" % c for c in range(collections) for s in range(slots)
+    }
+    iterators = sorted(owners)
+
+    def event(kind: str, iterator: str) -> ParametricEvent:
+        if kind == "create":
+            items = (("i", iterator), ("v", owners[iterator]))
+        elif kind == "update":
+            items = (("v", owners[iterator]),)
+        else:
+            items = (("i", iterator),)
+        return ParametricEvent(kind, ParamInstance._wrap(items))
+
+    events = [event("create", it) for it in iterators]
+    events += [event("update", it) for it in iterators[::slots]]
+    events += [event("next", it) for it in iterators]
+    kinds = rng.choices(("create", "update", "next"), (1, 2, 7), k=count)
+    events += [event(kind, rng.choice(iterators)) for kind in kinds]
     return events
