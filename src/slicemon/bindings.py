@@ -7,12 +7,14 @@ compatible when they agree on every shared parameter; exactly then their
 *join* (the union of the two assignments) exists.  The empty binding is the
 bottom element and is compatible with everything.
 
-A binding is stored only as its name-sorted tuple of ``(name, value)``
-items, which serves as its hash, equality and encoding source.  The order is
-a subset test on those tuples, and the join merges two of them.  The most
-informative member of a join-closed set below a binding (its slice source)
-is the widest member below it, so one scan of the set finds it, however many
-parameters the binding has.
+A binding is its name-sorted tuple of ``(name, value)`` items:
+:class:`ParamInstance` subclasses ``tuple`` and adds no state, so a binding
+hashes, compares, iterates and measures its length with tuple's own code, and
+equals (and hashes like) the plain tuple of its items.  The order is a subset
+test on those tuples, and the join merges two of them.  The most informative
+member of a join-closed set below a binding (its slice source) is the widest
+member below it, so one scan of the set finds it, however many parameters the
+binding has.
 
 Everything downstream (slicing tables, monitor state tables) indexes on
 bindings, so this module also fixes their canonical encoding
@@ -24,8 +26,9 @@ then ascending canonical encoding.
 from __future__ import annotations
 
 import re
+from functools import partial
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 __all__ = [
     "BindingFormatError",
@@ -50,37 +53,27 @@ class BindingFormatError(ValueError):
     """A binding's text, or one of its parameter names or values, is malformed."""
 
 
-class ParamInstance:
+class ParamInstance(tuple):
     """An immutable assignment of values to a finite set of parameter names.
 
-    Instances are canonical (items are kept name-sorted), hashable, and cheap
-    to compare.  The empty assignment — module constant :data:`EMPTY` — is the
-    least informative binding.
+    A binding is the tuple of its ``(name, value)`` items, sorted by name.
+    Being that tuple, it hashes and compares like it: a binding equals, and
+    is found in a dict or set under, its plain item tuple.  The empty
+    assignment — module constant :data:`EMPTY` — is the least informative
+    binding.  Tuple operations that build a new tuple (slicing, ``+``)
+    return plain tuples; the methods below return bindings.
     """
 
-    __slots__ = ("_items", "_hash", "_enc", "_domain")
+    __slots__ = ()
 
-    def __init__(self, mapping: Mapping[str, str] | Iterable[tuple[str, str]] = ()):
+    def __new__(cls, mapping: Mapping[str, str] | Iterable[tuple[str, str]] = ()):
         items = tuple(sorted(dict(mapping).items()))
         for name, value in items:
             if not isinstance(name, str) or not _NAME_RE.match(name):
                 raise BindingFormatError("bad parameter name: %r" % (name,))
             if not isinstance(value, str) or not _VALUE_RE.match(value):
                 raise BindingFormatError("bad parameter value: %r" % (value,))
-        self._items = items
-        self._hash = hash(items)
-        self._enc = None
-        self._domain = None
-
-    @classmethod
-    def _wrap(cls, items: tuple[tuple[str, str], ...]) -> "ParamInstance":
-        # Internal fast path: items must already be validated and name-sorted.
-        self = object.__new__(cls)
-        self._items = items
-        self._hash = hash(items)
-        self._enc = None
-        self._domain = None
-        return self
+        return tuple.__new__(cls, items)
 
     @classmethod
     def parse(cls, text: str) -> "ParamInstance":
@@ -100,44 +93,25 @@ class ParamInstance:
 
     def encode(self) -> str:
         """Canonical encoding: name-sorted ``name=value`` pairs, comma-joined."""
-        if self._enc is None:
-            self._enc = ",".join("%s=%s" % item for item in self._items)
-        return self._enc
-
-    # -- basic container behaviour ------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        return iter(self._items)
+        return ",".join(map("=".join, self))
 
     @property
     def names(self) -> tuple[str, ...]:
         """Bound parameter names, sorted."""
-        return tuple(name for name, _ in self._items)
+        return tuple(map(_name_of, self))
 
     @property
     def domain(self) -> frozenset[str]:
-        """Bound parameter names as a set, computed on first use and kept."""
-        domain = self._domain
-        if domain is None:
-            domain = self._domain = frozenset(map(_name_of, self._items))
-        return domain
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ParamInstance):
-            return NotImplemented
-        return self._items == other._items
-
-    def __hash__(self) -> int:
-        return self._hash
+        """Bound parameter names as a set."""
+        return frozenset(map(_name_of, self))
 
     def __repr__(self) -> str:
         return "ParamInstance(%r)" % self.encode()
 
-    def __bool__(self) -> bool:
-        return bool(self._items)
+    def __reduce__(self):
+        # Copies and unpickled bindings, under every pickle protocol, are
+        # built by the constructor and so validated.
+        return (self.__class__, (tuple(self),))
 
     # -- lattice structure ---------------------------------------------------
 
@@ -147,11 +121,10 @@ class ParamInstance:
         This is the (non-strict) lattice order; every binding is less
         informative than itself.
         """
-        if len(self._items) > len(other._items):
+        if len(self) > len(other):
             return False
-        items = other._items
-        for item in self._items:
-            if item not in items:
+        for item in self:
+            if item not in other:
                 return False
         return True
 
@@ -161,7 +134,7 @@ class ParamInstance:
 
     def join(self, other: "ParamInstance") -> "ParamInstance | None":
         """Least binding more informative than both, or None when incompatible."""
-        left, right = self._items, other._items
+        left, right = self, other
         if not right:
             return self
         if not left:
@@ -190,15 +163,17 @@ class ParamInstance:
             return self
         if len(merged) == len(right):
             return other
-        return ParamInstance._wrap(tuple(merged))
+        return ParamInstance._wrap(merged)
 
     def restrict(self, names: Iterable[str]) -> "ParamInstance":
         """Sub-binding on the given names (names not bound here are ignored)."""
         keep = names if isinstance(names, (set, frozenset)) else set(names)
-        return ParamInstance._wrap(
-            tuple(item for item in self._items if item[0] in keep)
-        )
+        return ParamInstance._wrap(item for item in self if item[0] in keep)
 
+
+#: Internal fast path: the binding of items that are already validated and
+#: name-sorted, given as any iterable.
+ParamInstance._wrap = partial(tuple.__new__, ParamInstance)
 
 #: The empty binding — bottom of the lattice.
 EMPTY = ParamInstance()

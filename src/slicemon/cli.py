@@ -83,8 +83,8 @@ def cmd_slice(args: argparse.Namespace) -> int:
     with _open_input(args.trace) as lines:
         table.feed_all(iter_trace(lines))
     if args.instance == "all":
-        for binding in table.instances():
-            print("%s\t%s" % (binding.encode(), " ".join(table.slice_of(binding))))
+        for encoding, words in table.rows():
+            print("%s\t%s" % (encoding, " ".join(words)))
     else:
         binding = ParamInstance.parse(args.instance)
         print(" ".join(table.lookup(binding)))

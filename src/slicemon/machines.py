@@ -252,6 +252,8 @@ class MonitorSpec:
         self.kind = kind
         self.machine = machine
         self.trigger = trigger
+        #: Each declared event's parameter names, sorted as a binding's are.
+        self._carries = {name: tuple(sorted(names)) for name, names in events.items()}
 
     def check_event(self, event: ParametricEvent) -> None:
         """Validate one trace event against the declared alphabet.
@@ -260,14 +262,14 @@ class MonitorSpec:
         :class:`ParamMismatch` when the carried parameter set differs from
         the declaration.
         """
-        declared = self.events.get(event.name)
-        if declared is None:
+        expected = self._carries.get(event.name)
+        if expected is None:
             raise UnknownEvent(
                 "event %r is not declared by property %s" % (event.name, self.name)
             )
         carried = event.instance.names
-        if tuple(sorted(declared)) != carried:
+        if carried != expected:
             raise ParamMismatch(
                 "event %r carries parameters (%s) but declares (%s)"
-                % (event.name, ",".join(carried), ",".join(declared))
+                % (event.name, ",".join(carried), ",".join(self.events[event.name]))
             )

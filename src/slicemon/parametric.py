@@ -34,7 +34,6 @@ from typing import Callable, Iterable, Sequence
 from .bindings import (
     EMPTY,
     ParamInstance,
-    binding_order,
     joins_with,
     max_below,
     ordered,
@@ -58,7 +57,7 @@ class VerdictReport:
     A value, compared and hashed by its four fields.
     """
 
-    __slots__ = ("index", "verdict", "instance", "event_name")
+    __slots__ = ("index", "verdict", "instance", "event_name", "_encoding")
 
     def __init__(
         self, index: int, verdict: object, instance: ParamInstance, event_name: str
@@ -67,6 +66,8 @@ class VerdictReport:
         self.verdict = verdict
         self.instance = instance
         self.event_name = event_name
+        #: The instance's encoding, once ``_order_key`` has made it.
+        self._encoding = None
 
     def _fields(self) -> tuple:
         return (self.index, self.verdict, self.instance, self.event_name)
@@ -84,13 +85,16 @@ class VerdictReport:
             self._fields()
         )
 
+    def _order_key(self) -> tuple[int, str]:
+        """``binding_order`` of the report's binding, keeping its encoding for ``render``."""
+        self._encoding = encoding = self.instance.encode()
+        return (len(self.instance), encoding)
+
     def render(self) -> str:
-        return "%d\t%s\t%s\t%s" % (
-            self.index,
-            self.verdict,
-            self.instance.encode(),
-            self.event_name,
-        )
+        encoding = self._encoding
+        if encoding is None:
+            encoding = self.instance.encode()
+        return "%d\t%s\t%s\t%s" % (self.index, self.verdict, encoding, self.event_name)
 
 
 class RunStats:
@@ -253,16 +257,16 @@ class _EngineBase:
         if len(delta) > stats.peak_instances:
             stats.peak_instances = len(delta)
         if len(reports) > 1:
-            reports.sort(key=lambda report: binding_order(report.instance))
+            reports.sort(key=VerdictReport._order_key)
         return reports
 
     def _define(self, binding: ParamInstance, source: ParamInstance) -> None:
-        """Create a table entry as a copy of a strictly less informative one."""
+        """Create a table entry as a copy of a strictly less informative one.
+
+        ``binding`` is not yet in the table and ``source`` is; the test
+        suite's differential checks assert both on every define.
+        """
         delta = self.delta
-        assert binding not in delta, "binding already defined"
-        assert source != binding and source.less_informative(binding), (
-            "copy source must be strictly less informative"
-        )
         delta[binding] = delta[source]
         self.stats.defines += 1
 
@@ -340,6 +344,11 @@ class IndexedMonitor(_EngineBase):
       join of them all and has the strictly widest domain among them:
       probing ``D`` widest first, the first defined restriction is the
       source.
+
+    A binding equals its item tuple, so the warm finder looks its keys up
+    with the binding itself, and the source finder probes ``delta`` with
+    each restriction's item tuple, making a binding only of the one it
+    returns.
     """
 
     def __init__(self, machine: Machine, **options):
@@ -372,11 +381,10 @@ class IndexedMonitor(_EngineBase):
             ]
         parked = self.parked_extensions
         sides = (self.extensions, parked) if parked else (self.extensions,)
-        items = binding._items
         joins = {binding}
         examined = 1
         for domain, cut in probes:
-            key = (cut(items), domain)
+            key = (cut(binding), domain)
             for side in sides:
                 neighbours = side.get(key)
                 if neighbours:
@@ -387,10 +395,9 @@ class IndexedMonitor(_EngineBase):
 
     def _at_or_above(self, binding: ParamInstance) -> list[ParamInstance]:
         extensions = self.extensions
-        items = binding._items
         found = [binding]
         for domain in self._domains:
-            found.extend(extensions.get((items, domain), ()))
+            found.extend(extensions.get((binding, domain), ()))
         return found
 
     def _below(self, binding: ParamInstance) -> ParamInstance:
@@ -404,12 +411,10 @@ class IndexedMonitor(_EngineBase):
             )
             sources = self._sources[names] = [_cut(names, part) for part in within]
         delta = self.delta
-        items = binding._items
-        wrap = ParamInstance._wrap
         for cut in sources:
-            sub = wrap(cut(items))
-            if sub in delta:
-                return sub
+            items = cut(binding)
+            if items in delta:
+                return ParamInstance._wrap(items)
         return EMPTY
 
     def _index(self, defined: list[ParamInstance]) -> None:
@@ -419,9 +424,8 @@ class IndexedMonitor(_EngineBase):
             names = binding.domain
             domain, cuts = self._domains.get(names) or self._add_domain(names)
             side = self.parked_extensions if binding in parked else self.extensions
-            items = binding._items
             for cut in cuts.values():
-                side.setdefault((cut(items), domain), set()).add(binding)
+                side.setdefault((cut(binding), domain), set()).add(binding)
 
     def _park(self, binding: ParamInstance) -> None:
         """Move a live binding's keys to the parked side."""
@@ -436,9 +440,8 @@ class IndexedMonitor(_EngineBase):
             return
         domain, cuts = self._domains[names]
         parked = self.parked_extensions
-        items = binding._items
         for cut in cuts.values():
-            key = (cut(items), domain)
+            key = (cut(binding), domain)
             members = live[key]
             if len(members) == 1:
                 del live[key]
@@ -472,11 +475,11 @@ class IndexedMonitor(_EngineBase):
         everyone = ((), domain)
         for side in (self.extensions, self.parked_extensions):
             for member in side.get(everyone, ()):
-                side.setdefault((cut(member._items), domain), set()).add(member)
+                side.setdefault((cut(member), domain), set()).add(member)
 
 
 def _cut(domain: frozenset[str], part: frozenset[str]) -> Callable[[tuple], tuple]:
-    """Getter of the items on ``part`` from a ``domain`` binding's sorted items."""
+    """Getter of the plain item tuple on ``part`` from a ``domain`` binding."""
     positions = [i for i, name in enumerate(sorted(domain)) if name in part]
     if len(positions) > 1:
         return itemgetter(*positions)

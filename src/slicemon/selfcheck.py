@@ -190,7 +190,7 @@ def _random_probe(rng: random.Random) -> ParamInstance:
     k = rng.randint(0, len(PARAM_POOL))
     names = sorted(rng.sample(PARAM_POOL, k))
     values = VALUE_POOL + ("w9",)
-    return ParamInstance._wrap(tuple((n, rng.choice(values)) for n in names))
+    return ParamInstance._wrap((n, rng.choice(values)) for n in names)
 
 
 def _check_slicing(

@@ -14,7 +14,7 @@ them.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .bindings import ParamInstance, max_below, ordered
 from .events import ParametricEvent
@@ -80,6 +80,18 @@ class SliceTable:
     def instances(self) -> list[ParamInstance]:
         """The table domain (join-closed), in the canonical order."""
         return ordered(self._table)
+
+    def rows(self) -> Iterator[tuple[str, tuple[str, ...]]]:
+        """Each binding's encoding with its slice, in the canonical order.
+
+        The sort key holds the encoding, so each binding is encoded once.
+        """
+        keyed = sorted(
+            (len(binding), binding.encode(), state)
+            for binding, state in self._table.items()
+        )
+        for _, encoding, state in keyed:
+            yield encoding, _word(state)
 
     def __contains__(self, binding: ParamInstance) -> bool:
         return binding in self._table

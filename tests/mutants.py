@@ -59,7 +59,7 @@ class LiveOnlyJoinsMonitor(IndexedMonitor):
         for domain in self._domains:
             if not domain <= query:
                 sub = binding.restrict(domain & query)
-                for neighbour in self.extensions.get((sub._items, domain), ()):
+                for neighbour in self.extensions.get((sub, domain), ()):
                     joins.add(neighbour.join(binding))
         return list(joins)
 

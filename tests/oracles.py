@@ -107,6 +107,31 @@ def feed_counting(
     return counts
 
 
+def checked_defines(engine):
+    """Make ``engine`` assert the define invariants on every define; return it.
+
+    A define creates a table entry for a binding not yet in the table, as a
+    copy of the state of a defined source strictly less informative than it.
+    The engines do not assert this themselves: a define sits on the path of
+    every fresh event.
+    """
+    define = engine._define
+
+    def checked(binding: ParamInstance, source: ParamInstance) -> None:
+        assert type(binding) is ParamInstance and type(source) is ParamInstance, (
+            "define of %r from %r: not both bindings" % (binding, source)
+        )
+        assert binding not in engine.delta, "binding %r already defined" % (binding,)
+        assert source in engine.delta, "copy source %r is not defined" % (source,)
+        assert source != binding and source.less_informative(binding), (
+            "copy source %r is not strictly less informative than %r" % (source, binding)
+        )
+        define(binding, source)
+
+    engine._define = checked
+    return engine
+
+
 def check_index(engine, fed: Iterable) -> None:
     """Assert an ``IndexedMonitor``'s index invariant (quadratic in table size).
 
@@ -152,7 +177,7 @@ def check_index(engine, fed: Iterable) -> None:
     for a in defined:
         for b in defined:
             if a != b and a.less_informative(b):
-                assert b in sides[b in parked].get((a._items, frozenset(b.names)), ()), (
+                assert b in sides[b in parked].get((tuple(a), frozenset(b.names)), ()), (
                     "index misses a defined extension"
                 )
     for b in defined:
@@ -160,7 +185,7 @@ def check_index(engine, fed: Iterable) -> None:
         for query in queries:
             part = query & domain
             if part != domain:
-                key = (b.restrict(part)._items, domain)
+                key = (tuple(b.restrict(part)), domain)
                 homes = [
                     on_parked for on_parked, side in sides.items()
                     if b in side.get(key, ())

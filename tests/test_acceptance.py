@@ -186,8 +186,10 @@ def test_c7_indexed_cost_model():
     if touched != [1] * len(events):
         problems.append("touched more than the affected set")
     # the index is keyed by (sub-binding items, domain): an iterator binding
-    # with a defined strict extension would give the items of some key
-    iterators = {event.instance._items for event in events[:200]}
+    # with a defined strict extension would give the items of some key.  The
+    # bindings are taken as plain tuples, so the check holds however a
+    # binding compares with a tuple.
+    iterators = {tuple(event.instance) for event in events[:200]}
     if any(items in iterators for items, _ in engine.extensions):
         problems.append("iterator bindings unexpectedly grew extensions")
 

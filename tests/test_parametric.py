@@ -17,14 +17,19 @@ from slicemon.parametric import (
 )
 from slicemon.patterns import compile_regex
 from slicemon.selfcheck import SkipJoinPhaseMonitor
+from slicemon.slicer import SliceTable
 from slicemon.specfile import parse_property_spec
 
-from .oracles import check_index, feed_counting, random_binding
+from .oracles import check_index, checked_defines, feed_counting, random_binding
 from .workloads import adversarial_machine, adversarial_workload, unsafeiter_workload
 
 
 def both_engines(machine, **kwargs):
-    return BaselineMonitor(machine, **kwargs), IndexedMonitor(machine, **kwargs)
+    """The two engines on one machine, each asserting the define invariants."""
+    return (
+        checked_defines(BaselineMonitor(machine, **kwargs)),
+        checked_defines(IndexedMonitor(machine, **kwargs)),
+    )
 
 
 def read_fixture(fixtures, name: str) -> str:
@@ -240,6 +245,34 @@ def test_reports_of_one_event_come_in_binding_order():
             assert [r.instance.encode() for r in engine.feed_all(trace[:5])] == []
             assert [r.instance.encode() for r in engine.feed(trace[5])] == in_order
             assert [r.instance.encode() for r in engine.feed(trace[6])] == last
+
+
+def test_reports_and_slice_rows_encode_each_binding_once(monkeypatch):
+    # A binding keeps no encoding, so the sort of an event's reports hands
+    # its encodings to ``render``, and ``rows`` sorts on the encodings it
+    # prints.
+    machine = compile_regex("(hit | tick) (hit | tick) (hit | tick)*", ["hit", "tick"])
+    trace = [ParametricEvent("hit", ParamInstance({"k": v})) for v in ("4", "10", "1")]
+    trace.append(ParametricEvent("tick"))
+    encoded = []
+    encode = ParamInstance.encode
+
+    def counting(binding):
+        encoded.append(binding)
+        return encode(binding)
+
+    monkeypatch.setattr(ParamInstance, "encode", counting)
+    engine = IndexedMonitor(machine, trigger=[Verdict.MATCH])
+    engine.feed_all(trace[:3])
+    assert encoded == []
+    lines = [report.render() for report in engine.feed(trace[3])]
+    assert lines == ["4\tmatch\tk=1\ttick", "4\tmatch\tk=10\ttick", "4\tmatch\tk=4\ttick"]
+    assert len(encoded) == 3
+    table = SliceTable().feed_all(trace)
+    del encoded[:]
+    rows = list(table.rows())
+    assert len(encoded) == len(rows) == 4
+    assert rows == [(b.encode(), table.slice_of(b)) for b in table.instances()]
 
 
 # -- the two engines agree, and both agree with the definition ----------------------
