@@ -42,10 +42,11 @@ __all__ = [
 ]
 
 #: Parameter names are identifiers; values are any non-empty run of
-#: characters containing no whitespace, ``=`` or ``,`` (the separators of the
-#: canonical encoding, so every binding reads back from its encoding).
+#: characters containing no whitespace, ``=``, ``,`` or ``#`` (the separators
+#: of the canonical encoding, and the start of a trace comment, so every
+#: binding reads back from its encoding and from its rendered trace line).
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_VALUE_RE = re.compile(r"[^\s=,]+\Z")
+_VALUE_RE = re.compile(r"[^\s=,#]+\Z")
 _name_of = itemgetter(0)
 
 
@@ -208,25 +209,15 @@ def joins_with(
 def join_closure(instances: Iterable[ParamInstance]) -> set[ParamInstance]:
     """Smallest join-closed superset (always includes the empty binding).
 
-    Saturates by repeated binary joins; the result is the table domain an
-    online slicer reaches after feeding events carrying ``instances``.  Each
-    popped candidate is joined with ``members``, the set's members in the
-    order they were added; a member appended during that loop is joined with
-    it too, which is harmless, and is joined with every other member once it
-    is popped itself.
+    The result is the table domain an online slicer reaches after feeding
+    events carrying ``instances``, and it is built the same way, one pass per
+    binding: a binding not yet in the set adds its joins with every member.
+    The set stays join-closed, because ``(b⊔m)⊔(b⊔n) = b⊔(m⊔n)``.
     """
     closed: set[ParamInstance] = {EMPTY}
-    closed.update(instances)
-    members = list(closed)
-    work = list(members)
-    while work:
-        candidate = work.pop()
-        for member in members:
-            joined = candidate.join(member)
-            if joined is not None and joined not in closed:
-                closed.add(joined)
-                members.append(joined)
-                work.append(joined)
+    for instance in instances:
+        if instance not in closed:
+            closed |= joins_with(instance, closed)
     return closed
 
 

@@ -125,7 +125,7 @@ def iter_trace(
     if isinstance(lines, str):
         lines = io.StringIO(lines, newline=None)
     events: dict[str, ParametricEvent] = {}
-    bindings: dict[tuple[tuple[str, str], ...], ParamInstance] = {(): EMPTY}
+    bindings: dict[ParamInstance, ParamInstance] = {EMPTY: EMPTY}
     for lineno, raw in enumerate(lines, 1):
         event = events.get(raw)
         if event is None:
@@ -144,12 +144,13 @@ def iter_trace(
 
 
 def _parse_line(
-    raw: str, lineno: int, bindings: dict[tuple[tuple[str, str], ...], ParamInstance]
+    raw: str, lineno: int, bindings: dict[ParamInstance, ParamInstance]
 ) -> ParametricEvent | None:
     """The event on one line, or None for a blank or comment line.
 
-    ``bindings`` maps each name-sorted item tuple seen so far to its one
-    :class:`ParamInstance`; a new tuple is added.
+    ``bindings`` maps each binding seen so far to itself, the one object
+    for it; a binding equals its item tuple, so the tuple finds it, and a
+    new one is added.
     """
     line = raw.split("#", 1)[0].strip()
     if not line:
@@ -173,7 +174,8 @@ def _parse_line(
     items = tuple(sorted(mapping.items()))
     instance = bindings.get(items)
     if instance is None:
-        instance = bindings[items] = ParamInstance._wrap(items)
+        instance = ParamInstance._wrap(items)
+        bindings[instance] = instance
     return ParametricEvent(name, instance)
 
 

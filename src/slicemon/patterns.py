@@ -3,9 +3,10 @@
 Patterns are regular expressions whose atoms are event names, with
 juxtaposition for sequencing, ``|`` for alternatives, postfix ``*``/``+``/``?``
 for repetition, parentheses for grouping, and ``ε`` for the empty word.
-Compilation goes the classic route — syntax tree, then a nondeterministic
-automaton with epsilon moves, then the subset construction over the declared
-alphabet — and finally labels each deterministic state with a verdict:
+The recursive-descent parser builds the nondeterministic automaton with
+epsilon moves as it reads, one Thompson fragment per construct, so there is
+no syntax tree.  The subset construction over the declared alphabet then
+makes it deterministic, and each deterministic state gets a verdict:
 
 * ``match``   — the state is accepting (the word read is in the language);
 * ``fail``    — no accepting state is reachable (no continuation can match);
@@ -46,62 +47,6 @@ class UnknownEventInPattern(ValueError):
         self.event = name
 
 
-# -- syntax tree ----------------------------------------------------------------
-
-
-class _Node:
-    """A syntax tree node: a value whose fields are its ``__slots__``.
-
-    Nodes are equal only to nodes of the same type with equal fields, so a
-    ``Seq`` never equals an ``Alt`` of the same parts.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, *fields):
-        for name, value in zip(self.__slots__, fields, strict=True):
-            setattr(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash((self.__class__, self._fields()))
-
-    def __repr__(self) -> str:
-        return "%s(%s)" % (
-            self.__class__.__name__,
-            ", ".join("%s=%r" % item for item in zip(self.__slots__, self._fields())),
-        )
-
-
-class Lit(_Node):
-    __slots__ = ("name",)
-
-
-class Eps(_Node):
-    __slots__ = ()
-
-
-class Seq(_Node):
-    __slots__ = ("parts",)
-
-
-class Alt(_Node):
-    __slots__ = ("parts",)
-
-
-class Repeat(_Node):
-    """Postfix repetition: ``*`` (min 0), ``+`` (min 1) or ``?`` (optional)."""
-
-    __slots__ = ("inner", "op")
-
-
 def tokenize(pattern: str) -> list[tuple[str, int]]:
     tokens: list[tuple[str, int]] = []
     pos = 0
@@ -117,78 +62,12 @@ def tokenize(pattern: str) -> list[tuple[str, int]]:
     return tokens
 
 
-def parse_pattern(pattern: str):
-    """Parse pattern text into a syntax tree (see module docstring for syntax)."""
-    tokens = tokenize(pattern)
-    index = 0
-
-    def peek() -> str | None:
-        return tokens[index][0] if index < len(tokens) else None
-
-    def here() -> int:
-        return tokens[index][1] if index < len(tokens) else len(pattern)
-
-    def parse_alt():
-        nonlocal index
-        parts = [parse_seq()]
-        while peek() == "|":
-            index += 1
-            parts.append(parse_seq())
-        return parts[0] if len(parts) == 1 else Alt(tuple(parts))
-
-    def parse_seq():
-        nonlocal index
-        parts = []
-        while True:
-            tok = peek()
-            if tok is None or tok in ")|":
-                break
-            parts.append(parse_postfix())
-        if not parts:
-            raise PatternSyntaxError("expected an event name, ε or group", here())
-        return parts[0] if len(parts) == 1 else Seq(tuple(parts))
-
-    def parse_postfix():
-        nonlocal index
-        node = parse_atom()
-        while peek() in ("*", "+", "?"):
-            node = Repeat(node, tokens[index][0])
-            index += 1
-        return node
-
-    def parse_atom():
-        nonlocal index
-        tok = peek()
-        if tok is None:
-            raise PatternSyntaxError("unexpected end of pattern", here())
-        if tok == "(":
-            index += 1
-            node = parse_alt()
-            if peek() != ")":
-                raise PatternSyntaxError("expected ')'", here())
-            index += 1
-            return node
-        if tok == EPSILON:
-            index += 1
-            return Eps()
-        if tok in ")|*+?":
-            raise PatternSyntaxError("unexpected %r" % tok, here())
-        index += 1
-        return Lit(tok)
-
-    if not tokens:
-        raise PatternSyntaxError("empty pattern", 0)
-    tree = parse_alt()
-    if index < len(tokens):
-        raise PatternSyntaxError("unexpected %r" % tokens[index][0], tokens[index][1])
-    return tree
-
-
-# -- nondeterministic automaton ---------------------------------------------------
-
-
 class _NfaBuilder:
-    """Accumulates epsilon/symbol edges while translating the syntax tree."""
+    """A nondeterministic automaton with epsilon moves, built by Thompson's rules.
+
+    Each of ``lit``, ``empty``, ``seq``, ``alt`` and ``repeat`` adds the edges
+    of one construct and returns its ``(start, accept)`` fragment.
+    """
 
     def __init__(self):
         self.count = 0
@@ -202,44 +81,41 @@ class _NfaBuilder:
     def link_eps(self, a: int, b: int) -> None:
         self.eps.setdefault(a, []).append(b)
 
-    def link_sym(self, a: int, name: str, b: int) -> None:
-        self.sym.setdefault(a, []).append((name, b))
+    def lit(self, name: str) -> tuple[int, int]:
+        start, accept = self.fresh(), self.fresh()
+        self.sym.setdefault(start, []).append((name, accept))
+        return start, accept
 
-    def build(self, node) -> tuple[int, int]:
-        """Translate a tree node into a (start, accept) state pair."""
-        if isinstance(node, Lit):
-            start, accept = self.fresh(), self.fresh()
-            self.link_sym(start, node.name, accept)
-            return start, accept
-        if isinstance(node, Eps):
-            start, accept = self.fresh(), self.fresh()
+    def empty(self) -> tuple[int, int]:
+        start, accept = self.fresh(), self.fresh()
+        self.link_eps(start, accept)
+        return start, accept
+
+    def seq(self, parts: list[tuple[int, int]]) -> tuple[int, int]:
+        start, accept = parts[0]
+        for nstart, naccept in parts[1:]:
+            self.link_eps(accept, nstart)
+            accept = naccept
+        return start, accept
+
+    def alt(self, parts: list[tuple[int, int]]) -> tuple[int, int]:
+        start, accept = self.fresh(), self.fresh()
+        for pstart, paccept in parts:
+            self.link_eps(start, pstart)
+            self.link_eps(paccept, accept)
+        return start, accept
+
+    def repeat(self, inner: tuple[int, int], op: str) -> tuple[int, int]:
+        """Postfix repetition: ``*`` (min 0), ``+`` (min 1) or ``?`` (optional)."""
+        istart, iaccept = inner
+        start, accept = self.fresh(), self.fresh()
+        self.link_eps(start, istart)
+        self.link_eps(iaccept, accept)
+        if op in ("*", "?"):
             self.link_eps(start, accept)
-            return start, accept
-        if isinstance(node, Seq):
-            start, accept = self.build(node.parts[0])
-            for part in node.parts[1:]:
-                nstart, naccept = self.build(part)
-                self.link_eps(accept, nstart)
-                accept = naccept
-            return start, accept
-        if isinstance(node, Alt):
-            start, accept = self.fresh(), self.fresh()
-            for part in node.parts:
-                pstart, paccept = self.build(part)
-                self.link_eps(start, pstart)
-                self.link_eps(paccept, accept)
-            return start, accept
-        if isinstance(node, Repeat):
-            istart, iaccept = self.build(node.inner)
-            start, accept = self.fresh(), self.fresh()
-            self.link_eps(start, istart)
-            self.link_eps(iaccept, accept)
-            if node.op in ("*", "?"):
-                self.link_eps(start, accept)
-            if node.op in ("*", "+"):
-                self.link_eps(iaccept, istart)
-            return start, accept
-        raise TypeError("not a pattern node: %r" % (node,))
+        if op in ("*", "+"):
+            self.link_eps(iaccept, istart)
+        return start, accept
 
     def closure(self, states: Iterable[int]) -> frozenset[int]:
         seen = set(states)
@@ -253,76 +129,123 @@ class _NfaBuilder:
         return frozenset(seen)
 
 
-def literals(node) -> set[str]:
-    """Event names mentioned in a syntax tree."""
-    if isinstance(node, Lit):
-        return {node.name}
-    if isinstance(node, Eps):
-        return set()
-    if isinstance(node, (Seq, Alt)):
-        out: set[str] = set()
-        for part in node.parts:
-            out |= literals(part)
-        return out
-    if isinstance(node, Repeat):
-        return literals(node.inner)
-    raise TypeError("not a pattern node: %r" % (node,))
+def _parse(pattern: str, nfa: _NfaBuilder) -> tuple[tuple[int, int], set[str]]:
+    """Parse pattern text straight into ``nfa``.
+
+    Returns the whole pattern's ``(start, accept)`` fragment and the event
+    names it mentions (see the module docstring for the syntax).
+    """
+    tokens = tokenize(pattern)
+    index = 0
+    names: set[str] = set()
+
+    def peek() -> str | None:
+        return tokens[index][0] if index < len(tokens) else None
+
+    def here() -> int:
+        return tokens[index][1] if index < len(tokens) else len(pattern)
+
+    def parse_alt():
+        nonlocal index
+        parts = [parse_seq()]
+        while peek() == "|":
+            index += 1
+            parts.append(parse_seq())
+        return parts[0] if len(parts) == 1 else nfa.alt(parts)
+
+    def parse_seq():
+        parts = []
+        while True:
+            tok = peek()
+            if tok is None or tok in ")|":
+                break
+            parts.append(parse_postfix())
+        if not parts:
+            raise PatternSyntaxError("expected an event name, ε or group", here())
+        return nfa.seq(parts)
+
+    def parse_postfix():
+        nonlocal index
+        fragment = parse_atom()
+        while peek() in ("*", "+", "?"):
+            fragment = nfa.repeat(fragment, tokens[index][0])
+            index += 1
+        return fragment
+
+    def parse_atom():
+        nonlocal index
+        tok = peek()
+        if tok is None:
+            raise PatternSyntaxError("unexpected end of pattern", here())
+        if tok == "(":
+            index += 1
+            fragment = parse_alt()
+            if peek() != ")":
+                raise PatternSyntaxError("expected ')'", here())
+            index += 1
+            return fragment
+        if tok == EPSILON:
+            index += 1
+            return nfa.empty()
+        if tok in ")|*+?":
+            raise PatternSyntaxError("unexpected %r" % tok, here())
+        index += 1
+        names.add(tok)
+        return nfa.lit(tok)
+
+    if not tokens:
+        raise PatternSyntaxError("empty pattern", 0)
+    fragment = parse_alt()
+    if index < len(tokens):
+        raise PatternSyntaxError("unexpected %r" % tokens[index][0], tokens[index][1])
+    return fragment, names
 
 
 def compile_regex(pattern: str, alphabet: Iterable[str]) -> FsmMachine:
     """Compile pattern text into an :class:`FsmMachine` over ``alphabet``.
 
     Raises :class:`PatternSyntaxError` for malformed patterns and
-    :class:`UnknownEventInPattern` when an atom is not a declared event.
+    :class:`UnknownEventInPattern` when an atom is not a declared event; a
+    syntax error anywhere wins over an undeclared name.
     The states are the integers of the subset construction, with ``0``
     initial.  The table is total: missing moves land in a non-live sink
     (verdict ``fail``), and states from which no accepting state is reachable
     are labeled ``fail`` as well.
     """
     names = sorted(set(alphabet))
-    tree = parse_pattern(pattern)
-    for name in sorted(literals(tree)):
-        if name not in names:
-            raise UnknownEventInPattern(name)
-
-    builder = _NfaBuilder()
-    nfa_start, nfa_accept = builder.build(tree)
+    nfa = _NfaBuilder()
+    (nfa_start, nfa_accept), mentioned = _parse(pattern, nfa)
+    unknown = mentioned.difference(names)
+    if unknown:
+        raise UnknownEventInPattern(min(unknown))
 
     # Subset construction, keeping the empty subset as an explicit sink so the
-    # transition function is total over the alphabet.
-    start = builder.closure([nfa_start])
+    # transition function is total over the alphabet.  ``order`` is the
+    # breadth-first queue: the loop reaches each subset appended to it.
+    start = nfa.closure([nfa_start])
     ids: dict[frozenset[int], int] = {start: 0}
     order: list[frozenset[int]] = [start]
-    transitions: list[dict[str, int]] = []
-    pending = [start]
-    while pending:
-        subset = pending.pop(0)
-        row: dict[str, int] = {}
+    table: dict[tuple[int, str], int] = {}
+    reverse: dict[int, set[int]] = {}
+    for source, subset in enumerate(order):
+        moves: dict[str, list[int]] = {}
+        for state in subset:
+            for label, target in nfa.sym.get(state, ()):
+                moves.setdefault(label, []).append(target)
         for name in names:
-            moved = [
-                target
-                for state in subset
-                for (label, target) in builder.sym.get(state, ())
-                if label == name
-            ]
-            target_subset = builder.closure(moved) if moved else frozenset()
-            if target_subset not in ids:
-                ids[target_subset] = len(order)
+            moved = moves.get(name)
+            target_subset = nfa.closure(moved) if moved else frozenset()
+            target = ids.get(target_subset)
+            if target is None:
+                target = ids[target_subset] = len(order)
                 order.append(target_subset)
-                pending.append(target_subset)
-            row[name] = ids[target_subset]
-        transitions.append(row)
+            table[source, name] = target
+            reverse.setdefault(target, set()).add(source)
 
-    accepting = frozenset(
-        ids[subset] for subset in order if nfa_accept in subset
-    )
+    accepting = [state for state, subset in enumerate(order) if nfa_accept in subset]
 
     # Verdict liveness: walk the reversed transition graph from accepting
     # states; anything unreached can never match again.
-    reverse: dict[int, set[int]] = {}
-    for source, row in enumerate(transitions):
-        for target in row.values():
-            reverse.setdefault(target, set()).add(source)
     live = set(accepting)
     work = list(accepting)
     while work:
@@ -332,13 +255,6 @@ def compile_regex(pattern: str, alphabet: Iterable[str]) -> FsmMachine:
                 live.add(source)
                 work.append(source)
 
-    labels = {
-        state: Verdict.FAIL for state in range(len(order)) if state not in live
-    }
+    labels = {state: Verdict.FAIL for state in range(len(order)) if state not in live}
     labels.update((state, Verdict.MATCH) for state in accepting)
-    table = {
-        (source, name): target
-        for source, row in enumerate(transitions)
-        for name, target in row.items()
-    }
     return FsmMachine(0, table, labels, names)

@@ -155,6 +155,15 @@ def test_repeated_lines_and_bindings_are_interned():
     assert trace[3].instance is EMPTY
 
 
+def test_each_interned_binding_is_its_own_key():
+    bindings = {EMPTY: EMPTY}
+    for lineno, raw in enumerate(["a x=1", "b y=2 x=1", "c x=1 y=2", "d x=1", "tick"], 1):
+        events._parse_line(raw, lineno, bindings)
+    assert len(bindings) == 3
+    assert all(key is value for key, value in bindings.items())
+    assert all(type(key) is ParamInstance for key in bindings)
+
+
 def test_check_runs_once_per_distinct_line():
     seen = []
     trace = list(iter_trace("a x=1\nb x=1\na x=1\na x=1\nb x=2\n", seen.append))

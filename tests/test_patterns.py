@@ -6,17 +6,11 @@ import random
 
 import pytest
 
-from slicemon.machines import Verdict
+from slicemon.machines import STUCK, Verdict
 from slicemon.patterns import (
-    Alt,
-    Eps,
-    Lit,
     PatternSyntaxError,
-    Repeat,
-    Seq,
     UnknownEventInPattern,
     compile_regex,
-    parse_pattern,
 )
 
 from .oracles import (
@@ -33,25 +27,19 @@ from .oracles import (
 
 
 def test_parse_structure():
-    assert parse_pattern("a") == Lit("a")
-    assert parse_pattern("ε") == Eps()
-    assert parse_pattern("a b") == Seq((Lit("a"), Lit("b")))
-    # alternation binds loosest, postfix tightest
-    assert parse_pattern("a b | c") == Alt((Seq((Lit("a"), Lit("b"))), Lit("c")))
-    assert parse_pattern("a b*") == Seq((Lit("a"), Repeat(Lit("b"), "*")))
-    assert parse_pattern("(a b)*") == Repeat(Seq((Lit("a"), Lit("b"))), "*")
-    assert parse_pattern("a+?") == Repeat(Repeat(Lit("a"), "+"), "?")
-
-
-def test_nodes_equal_only_nodes_of_their_type():
-    assert Eps() == Eps() and hash(Eps()) == hash(Eps())
-    assert Seq((Lit("a"),)) != Alt((Lit("a"),))
-    assert Repeat(Lit("a"), "*") != Repeat(Lit("a"), "+")
-    assert Lit("a") != "a"
-    assert len({Lit("a"), Lit("a"), Lit("b")}) == 2
-    assert repr(Repeat(Seq((Lit("a"), Eps())), "*")) == (
-        "Repeat(inner=Seq(parts=(Lit(name='a'), Eps())), op='*')"
-    )
+    # alternation binds loosest
+    machine = compile_regex("a b | c", alphabet=["a", "b", "c"])
+    assert verdicts(machine, [["c"], ["a", "b"], ["a", "c"]]) == [
+        "match",
+        "match",
+        "fail",
+    ]
+    # postfix binds tightest; parentheses group
+    assert compile_regex("a b*", alphabet=["a", "b"]).run(["a"]) is Verdict.MATCH
+    assert compile_regex("(a b)*", alphabet=["a", "b"]).run(["a"]) is Verdict.UNKNOWN
+    # postfix operators stack: (a+)? takes the empty word and any run of a
+    machine = compile_regex("a+?", alphabet=["a"])
+    assert verdicts(machine, [[], ["a", "a"]]) == ["match", "match"]
 
 
 def test_parse_errors_carry_positions():
@@ -62,9 +50,10 @@ def test_parse_errors_carry_positions():
         ("a)", 1),
         ("*a", 0),
         ("a $ b", 2),
+        ("zz |", 4),  # a syntax error wins over the undeclared name
     ]:
         with pytest.raises(PatternSyntaxError) as info:
-            parse_pattern(text)
+            compile_regex(text, alphabet=["a", "b"])
         assert info.value.position == position
 
 
@@ -72,6 +61,10 @@ def test_unknown_event_rejected():
     with pytest.raises(UnknownEventInPattern) as info:
         compile_regex("open close", alphabet=["open"])
     assert info.value.event == "close"
+    # of several undeclared names, the first in sorted order is named
+    with pytest.raises(UnknownEventInPattern) as info:
+        compile_regex("y x", alphabet=["a"])
+    assert info.value.event == "x"
 
 
 # -- compiled verdict semantics ------------------------------------------------
@@ -123,6 +116,34 @@ def test_locking_fixture_pattern():
     # an 'end' while an acquire is still open can never be repaired
     assert machine.run(["begin", "acquire", "end"]) is Verdict.FAIL
     assert machine.run(["end"]) is Verdict.FAIL
+
+
+def test_unsafeiter_table_is_pinned():
+    # Worked out by hand: the subset construction numbers states breadth-first
+    # over the sorted alphabet, and the empty subset (2) is the fail sink.
+    machine = compile_regex("create next* update+ next", ["create", "next", "update"])
+    table = {
+        0: {"create": 1, "next": 2, "update": 2},
+        1: {"create": 2, "next": 3, "update": 4},
+        2: {"create": 2, "next": 2, "update": 2},
+        3: {"create": 2, "next": 3, "update": 4},
+        4: {"create": 2, "next": 5, "update": 4},
+        5: {"create": 2, "next": 2, "update": 2},
+    }
+    assert machine.initial() == 0
+    assert machine.states == frozenset(table)
+    for state, row in table.items():
+        for name, target in row.items():
+            assert machine.step(state, name) == target, (state, name)
+    assert {state: str(machine.output(state)) for state in table} == {
+        0: "unknown",
+        1: "unknown",
+        2: "fail",
+        3: "unknown",
+        4: "unknown",
+        5: "match",
+    }
+    assert machine.sinks == frozenset({2, STUCK})
 
 
 def test_transition_function_is_total():
