@@ -7,8 +7,9 @@ each copied from its most informative defined sub-binding in the pre-event
 table; then it steps the binding and its defined strict extensions, except
 those parked in a sink state that cannot report.  Each step reads only its
 own binding's state, so the steps may run in any order; the reports of one
-event come out in ``binding_order``.  The engines differ only in the three
-finders the loop calls:
+event come out in ``binding_order``.  A fresh binding's joins are sourced,
+defined and indexed a domain at a time.  The engines differ only in the
+three finders the loop calls:
 
 * :class:`BaselineMonitor` scans the whole table for the joins, for the
   bindings at or above (leaving out parked strict extensions), and for a
@@ -31,21 +32,12 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .bindings import (
-    EMPTY,
-    ParamInstance,
-    joins_with,
-    max_below,
-    ordered,
-)
+from .bindings import EMPTY, ParamInstance, joins_with, max_below, ordered
 from .events import ParametricEvent, binding_closure, slice_trace
 from .machines import Machine, Verdict
 
 __all__ = [
-    "BaselineMonitor",
-    "IndexedMonitor",
-    "RunStats",
-    "VerdictReport",
+    "BaselineMonitor", "IndexedMonitor", "RunStats", "VerdictReport",
     "definitional_verdicts",
 ]
 
@@ -115,22 +107,12 @@ class RunStats:
     """
 
     __slots__ = (
-        "events",
-        "monitor_steps",
-        "skipped_steps",
-        "compat_checks",
-        "defines",
-        "peak_instances",
+        "events", "monitor_steps", "skipped_steps", "compat_checks", "defines", "peak_instances"
     )
 
     def __init__(
-        self,
-        events: int = 0,
-        monitor_steps: int = 0,
-        skipped_steps: int = 0,
-        compat_checks: int = 0,
-        defines: int = 0,
-        peak_instances: int = 0,
+        self, events: int = 0, monitor_steps: int = 0, skipped_steps: int = 0,
+        compat_checks: int = 0, defines: int = 0, peak_instances: int = 0,
     ):
         self.events = events
         self.monitor_steps = monitor_steps
@@ -143,23 +125,19 @@ class RunStats:
 class _EngineBase:
     """The define/join/apply loop, tables, triggers and report policy.
 
-    Subclasses supply the three finders: ``_joins(binding)`` lists the joins
-    of a binding that is not in the table with every table entry,
-    ``_at_or_above(binding)`` the binding, which is in the table, and its
-    defined strict extensions that are not parked, and ``_below(binding)``
-    the most informative defined binding strictly below a join that is not.
-    The first two add the join candidates they examine to
-    ``stats.compat_checks``.  ``_park`` is called only when a step parks a
-    binding, and ``_index`` only for an event that defined joins, after its
-    steps.
+    Subclasses supply the three finders: ``_joins(binding)`` returns the
+    joins of a binding not in the table with every table entry, as
+    ``{domain: set of joins}``; ``_at_or_above(binding)`` the binding, which
+    is in the table, and its defined strict extensions that are not parked;
+    ``_below(domain, joins)`` the most informative binding strictly below
+    each of a group's missing joins, in order, in the pre-event table.  The
+    first two add the candidates they examine to ``stats.compat_checks``.
+    ``_index(domain, joins)`` is called per group an event defined, after
+    its steps, and ``_park`` when a step parks a binding stepped before.
     """
 
     def __init__(
-        self,
-        machine: Machine,
-        *,
-        trigger: Iterable[Verdict] = (),
-        report_every: bool = False,
+        self, machine: Machine, *, trigger: Iterable[Verdict] = (), report_every: bool = False
     ):
         self.machine = machine
         self.trigger = frozenset(trigger)
@@ -212,7 +190,7 @@ class _EngineBase:
         stats.events += 1
         delta = self.delta
         binding = event.instance
-        missing = None
+        defined = ()
         if binding in delta:
             touched = self._at_or_above(binding)
         else:
@@ -220,11 +198,14 @@ class _EngineBase:
             # bindings the event affects.  Each missing one copies the state
             # of its most informative defined sub-binding, read before any
             # define so that no join copies a state this event created.
-            touched = self._joins(binding)
-            missing = [joined for joined in touched if joined not in delta]
-            sources = [self._below(joined) for joined in missing]
-            for joined, source in zip(missing, sources):
-                self._define(joined, source)
+            touched, defined = [], []
+            for domain, joins in self._joins(binding).items():
+                missing = joins.difference(delta)
+                if missing:
+                    defined.append((domain, missing, self._below(domain, missing)))
+                touched += joins
+            for _, missing, sources in defined:
+                self._define(missing, sources)
 
         machine = self.machine
         gamma = self.gamma
@@ -241,16 +222,21 @@ class _EngineBase:
                 continue
             delta[affected] = state = machine.step(delta[affected], event.name)
             verdict = machine.output(state)
-            if verdict != gamma.get(affected, _NEVER):
+            before = gamma.get(affected, _NEVER)
+            if verdict != before:
                 gamma[affected] = verdict
                 if verdict in trigger:
                     reports.append(VerdictReport(index, verdict, affected, event.name))
             elif report_every and verdict in trigger:
                 reports.append(VerdictReport(index, verdict, affected, event.name))
             if parking and state in parking:
-                self._park(affected)
-        if missing:
-            self._index(missing)
+                parked.add(affected)
+                # Only a join this event defined has no verdict before its
+                # step; ``_index`` writes it straight to its side.
+                if before is not _NEVER:
+                    self._park(affected)
+        for domain, missing, _ in defined:
+            self._index(domain, missing)
         stats.monitor_steps += len(touched) - skipped
         if skipped:
             stats.skipped_steps += skipped
@@ -260,22 +246,21 @@ class _EngineBase:
             reports.sort(key=VerdictReport._order_key)
         return reports
 
-    def _define(self, binding: ParamInstance, source: ParamInstance) -> None:
-        """Create a table entry as a copy of a strictly less informative one.
+    def _define(self, joins: Iterable[ParamInstance], sources: list) -> None:
+        """Create table entries, each a copy of its source, paired in order.
 
-        ``binding`` is not yet in the table and ``source`` is; the test
-        suite's differential checks assert both on every define.
+        No join is in the table yet, and each source is and is strictly less
+        informative; the test suite's differential checks assert this.
         """
         delta = self.delta
-        delta[binding] = delta[source]
-        self.stats.defines += 1
+        delta.update(zip(joins, map(delta.__getitem__, sources)))
+        self.stats.defines += len(sources)
 
     def _park(self, binding: ParamInstance) -> None:
-        """Park a binding whose step just left it in a sink."""
-        self._parked.add(binding)
+        """Note that a step parked a binding that an earlier step reached."""
 
-    def _index(self, defined: list[ParamInstance]) -> None:
-        """Note the bindings this event defined, after its steps."""
+    def _index(self, domain: frozenset[str], joins: set[ParamInstance]) -> None:
+        """Note a group of bindings this event defined, after its steps."""
 
 
 #: Sentinel distinguishing "never evaluated" from any real verdict.
@@ -285,11 +270,14 @@ _NEVER = object()
 class BaselineMonitor(_EngineBase):
     """Full-scan engine: finds affected bindings by scanning the whole table."""
 
-    def _joins(self, binding: ParamInstance) -> list[ParamInstance]:
+    def _joins(self, binding: ParamInstance) -> dict[frozenset[str], set]:
         # The empty binding is always present, so the binding itself is one
         # of the joins.
         self.stats.compat_checks += len(self.delta)
-        return list(joins_with(binding, self.delta))
+        groups: dict[frozenset[str], set[ParamInstance]] = {}
+        for joined in joins_with(binding, self.delta):
+            groups.setdefault(joined.domain, set()).add(joined)
+        return groups
 
     def _at_or_above(self, binding: ParamInstance) -> list[ParamInstance]:
         self.stats.compat_checks += len(self.delta)
@@ -302,8 +290,8 @@ class BaselineMonitor(_EngineBase):
             and binding.less_informative(other)
         ]
 
-    def _below(self, binding: ParamInstance) -> ParamInstance:
-        return max_below(binding, self.delta)
+    def _below(self, domain: frozenset[str], joins: set) -> list[ParamInstance]:
+        return [max_below(joined, self.delta) for joined in joins]
 
 
 class IndexedMonitor(_EngineBase):
@@ -327,8 +315,8 @@ class IndexedMonitor(_EngineBase):
     domain, so the warm path never needs that check.
 
     A join's keys are written once, after the steps of the event that
-    defined it, on the side that step left it; a live binding that parks
-    later moves once, and a live set it leaves empty is deleted.
+    defined it, on the side that step left it; an indexed live binding that
+    parks later moves once, and a live set it leaves empty is deleted.
 
     * The warm finder returns ``b`` and the live bindings under
       ``(b's items, D)`` for every table domain ``D``: a parked binding is
@@ -337,7 +325,9 @@ class IndexedMonitor(_EngineBase):
       within ``b``'s agrees with ``b`` on their shared names, so the
       compatible neighbours of ``b`` in ``D`` are exactly the bindings
       under ``(b's items restricted to D, D)``, on both sides, so that the
-      table stays join-closed: no compatibility checks, no sort.
+      table stays join-closed: no compatibility checks, no sort.  The joins
+      are the neighbours themselves if ``E ⊆ D``, else the items of ``b``
+      and of a neighbour put in name order by the *merge plan* of ``(E, D)``.
     * Every defined binding below a missing join ``j`` is ``j`` restricted
       to a table domain ``D ⊊ dom(j)``.  These restrictions that are
       defined are join-closed, since the table is, so their maximum is the
@@ -347,8 +337,7 @@ class IndexedMonitor(_EngineBase):
 
     A binding equals its item tuple, so the warm finder looks its keys up
     with the binding itself, and the source finder probes ``delta`` with
-    each restriction's item tuple, making a binding only of the one it
-    returns.
+    item tuples, making a binding only of the one it returns.
     """
 
     def __init__(self, machine: Machine, **options):
@@ -359,39 +348,57 @@ class IndexedMonitor(_EngineBase):
         #: that index keys share one domain object, and to its cuts, each
         #: with the getter of that cut's items from a binding's items.
         self._domains: dict[frozenset[str], tuple[frozenset[str], dict]] = {}
-        #: Per domain of a fresh binding, the table domains ``D`` in which it
-        #: can have neighbours, each with the getter of its items on ``D``;
-        #: per domain of a missing join, the getters of its restrictions to
-        #: the table domains strictly within it, widest first.  Both are
-        #: cleared when a table domain is added.
-        self._probes: dict[frozenset[str], list[tuple[frozenset[str], Callable]]] = {}
+        #: Per domain of a fresh binding, its ``_plan``; per domain of a
+        #: group of joins, the getters of their restrictions to the table
+        #: domains strictly within it, widest first.  Both are cleared when
+        #: a table domain is added.
+        self._plans: dict[frozenset[str], list[tuple]] = {}
         self._sources: dict[frozenset[str], list[Callable]] = {}
 
-    def _joins(self, binding: ParamInstance) -> list[ParamInstance]:
+    def _joins(self, binding: ParamInstance) -> dict[frozenset[str], set]:
         query = binding.domain
-        probes = self._probes.get(query)
-        if probes is None:
+        plan = self._plans.get(query)
+        if plan is None:
             if query not in self._domains:
                 # The binding is one of its joins: this event defines it.
                 self._add_domain(query)
-            probes = self._probes[query] = [
-                (domain, _cut(query, domain & query))
-                for domain in self._domains
-                if not domain <= query
-            ]
+            plan = self._plans[query] = self._plan(query)
         parked = self.parked_extensions
         sides = (self.extensions, parked) if parked else (self.extensions,)
-        joins = {binding}
+        groups = {query: {binding}}
         examined = 1
-        for domain, cut in probes:
+        for domain, cut, joined, merge in plan:
             key = (cut(binding), domain)
             for side in sides:
                 neighbours = side.get(key)
                 if neighbours:
                     examined += len(neighbours)
-                    joins.update(neighbour.join(binding) for neighbour in neighbours)
+                    joins = groups.setdefault(joined, set())
+                    if merge is None:
+                        joins.update(neighbours)
+                    else:
+                        merged = map(merge, map(binding.__add__, neighbours))
+                        joins.update(map(ParamInstance._wrap, merged))
         self.stats.compat_checks += examined
-        return list(joins)
+        return groups
+
+    def _plan(self, query: frozenset[str]) -> list[tuple]:
+        """``(D, cut, D∪query, merge plan)`` per table domain ``D`` not within ``query``.
+
+        The plan gets a join's items, in name order, from the binding's
+        items followed by a neighbour's; it is None if ``D`` holds ``query``.
+        """
+        plan = []
+        for domain in self._domains:
+            if not domain <= query:
+                if query <= domain:
+                    joined, merge = domain, None
+                else:
+                    joined = domain | query
+                    names = sorted(query) + sorted(domain)
+                    merge = itemgetter(*map(names.index, sorted(joined)))
+                plan.append((domain, _cut(query, domain & query), joined, merge))
+        return plan
 
     def _at_or_above(self, binding: ParamInstance) -> list[ParamInstance]:
         extensions = self.extensions
@@ -400,46 +407,39 @@ class IndexedMonitor(_EngineBase):
             found.extend(extensions.get((binding, domain), ()))
         return found
 
-    def _below(self, binding: ParamInstance) -> ParamInstance:
-        names = binding.domain
-        sources = self._sources.get(names)
+    def _below(self, domain: frozenset[str], joins: set) -> list[ParamInstance]:
+        sources = self._sources.get(domain)
         if sources is None:
-            within = sorted(
-                (domain for domain in self._domains if domain < names),
-                key=len,
-                reverse=True,
-            )
-            sources = self._sources[names] = [_cut(names, part) for part in within]
-        delta = self.delta
-        for cut in sources:
-            items = cut(binding)
-            if items in delta:
-                return ParamInstance._wrap(items)
-        return EMPTY
+            within = [other for other in self._domains if other < domain]
+            within.sort(key=len, reverse=True)
+            sources = self._sources[domain] = [_cut(domain, part) for part in within]
+        delta, wrap = self.delta, ParamInstance._wrap
+        found = []
+        for joined in joins:
+            for cut in sources:
+                items = cut(joined)
+                if items in delta:
+                    found.append(wrap(items))
+                    break
+            else:
+                found.append(EMPTY)
+        return found
 
-    def _index(self, defined: list[ParamInstance]) -> None:
-        """Write the keys of this event's joins, each on its side, once."""
+    def _index(self, domain: frozenset[str], joins: set[ParamInstance]) -> None:
+        """Write the keys of a group of this event's joins, each on its side, once."""
+        domain, cuts = self._domains.get(domain) or self._add_domain(domain)
         parked = self._parked
-        for binding in defined:
-            names = binding.domain
-            domain, cuts = self._domains.get(names) or self._add_domain(names)
-            side = self.parked_extensions if binding in parked else self.extensions
+        for member in joins:
+            side = self.parked_extensions if member in parked else self.extensions
             for cut in cuts.values():
-                side.setdefault((cut(binding), domain), set()).add(binding)
+                side.setdefault((cut(member), domain), set()).add(member)
 
     def _park(self, binding: ParamInstance) -> None:
         """Move a live binding's keys to the parked side."""
-        super()._park(binding)
-        live = self.extensions
-        # The empty cut's key holds every live binding of the domain.  A
-        # binding this event defined is not there yet: ``_index`` writes it
-        # straight to the parked side.
-        names = binding.domain
-        everyone = live.get(((), names))
-        if everyone is None or binding not in everyone:
+        if not binding:  # no key holds the empty binding
             return
-        domain, cuts = self._domains[names]
-        parked = self.parked_extensions
+        domain, cuts = self._domains[binding.domain]
+        live, parked = self.extensions, self.parked_extensions
         for cut in cuts.values():
             key = (cut(binding), domain)
             members = live[key]
@@ -464,7 +464,7 @@ class IndexedMonitor(_EngineBase):
                 other_cuts[part] = _cut(other, part)
                 self._backfill(other, other_cuts[part])
         entry = self._domains[domain] = (domain, cuts)
-        self._probes.clear()
+        self._plans.clear()
         self._sources.clear()
         return entry
 

@@ -73,8 +73,11 @@ class SkipJoinPhaseMonitor(IndexedMonitor):
     combinations they stand for are missed.
     """
 
-    def _joins(self, binding: ParamInstance) -> list[ParamInstance]:
-        return self._at_or_above(binding)
+    def _joins(self, binding: ParamInstance) -> dict[frozenset[str], set]:
+        groups: dict[frozenset[str], set[ParamInstance]] = {}
+        for found in self._at_or_above(binding):
+            groups.setdefault(found.domain, set()).add(found)
+        return groups
 
 
 class NoSnapshotMonitor(IndexedMonitor):
@@ -90,13 +93,17 @@ class NoSnapshotMonitor(IndexedMonitor):
     copy the right slice.
     """
 
-    def _joins(self, binding: ParamInstance) -> list[ParamInstance]:
-        joins = sorted(super()._joins(binding), key=binding_order)
-        defined = [joined for joined in joins if joined not in self.delta]
-        for joined in defined:
-            self._define(joined, max_below(joined, reversed(self.delta)))
-        self._index(defined)
-        return joins
+    def _joins(self, binding: ParamInstance) -> dict[frozenset[str], set]:
+        groups = super()._joins(binding)
+        missing = {
+            domain: joins.difference(self.delta) for domain, joins in groups.items()
+        }
+        for joined in sorted(set().union(*missing.values()), key=binding_order):
+            self._define([joined], [max_below(joined, reversed(self.delta))])
+        for domain, defined in missing.items():
+            if defined:
+                self._index(domain, defined)
+        return groups
 
 
 class NoSnapshotSliceTable(SliceTable):

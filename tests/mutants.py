@@ -51,17 +51,17 @@ class LiveOnlyJoinsMonitor(IndexedMonitor):
     join-closed.
     """
 
-    def _joins(self, binding: ParamInstance) -> list[ParamInstance]:
+    def _joins(self, binding: ParamInstance) -> dict[frozenset[str], set]:
         query = binding.domain
         if query not in self._domains:
             self._add_domain(query)
-        joins = {binding}
+        groups = {query: {binding}}
         for domain in self._domains:
             if not domain <= query:
                 sub = binding.restrict(domain & query)
                 for neighbour in self.extensions.get((sub, domain), ()):
-                    joins.add(neighbour.join(binding))
-        return list(joins)
+                    groups.setdefault(domain | query, set()).add(neighbour.join(binding))
+        return groups
 
 
 class SmallestSourceMonitor(IndexedMonitor):
@@ -71,14 +71,35 @@ class SmallestSourceMonitor(IndexedMonitor):
     first defined restriction it meets is not the most informative one.
     """
 
-    def _below(self, binding: ParamInstance) -> ParamInstance:
-        names = binding.domain
-        for domain in sorted(self._domains, key=len):
-            if domain < names:
-                sub = binding.restrict(domain)
-                if sub in self.delta:
-                    return sub
-        return EMPTY
+    def _below(self, domain: frozenset[str], joins: set) -> list[ParamInstance]:
+        within = sorted((other for other in self._domains if other < domain), key=len)
+        sources = []
+        for joined in joins:
+            subs = (joined.restrict(other) for other in within)
+            sources.append(next((sub for sub in subs if sub in self.delta), EMPTY))
+        return sources
+
+
+class StalePlanMonitor(IndexedMonitor):
+    """Mutant: caches a merge plan per neighbour domain, not per pair of domains.
+
+    The first event domain to meet neighbours of a domain ``D`` fixes the
+    positions that build every later join with ``D``, so a fresh binding of
+    another domain merges its items with a neighbour's in the wrong order.
+    The cache also keys on the event domain's size, so that the stale
+    positions still pick a join of the right length and the engine runs on
+    to a wrong table instead of failing on an index.
+    """
+
+    def __init__(self, machine: FsmMachine, **options):
+        super().__init__(machine, **options)
+        self._stale: dict[tuple, object] = {}
+
+    def _plan(self, query: frozenset[str]) -> list[tuple]:
+        return [
+            (domain, cut, joined, self._stale.setdefault((domain, len(query)), merge))
+            for domain, cut, joined, merge in super()._plan(query)
+        ]
 
 
 #: (name, ``run_selfcheck`` keywords, the check that must catch it).
@@ -89,4 +110,5 @@ MUTANTS = [
     ("stale-index", {"indexed_class": StaleIndexMonitor}, "engine-pair"),
     ("smallest-source", {"indexed_class": SmallestSourceMonitor}, "engine-pair"),
     ("live-only-joins", {"indexed_class": LiveOnlyJoinsMonitor}, "engine-pair"),
+    ("stale-plan", {"indexed_class": StalePlanMonitor}, "engine-pair"),
 ]

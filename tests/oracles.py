@@ -112,21 +112,25 @@ def checked_defines(engine):
 
     A define creates a table entry for a binding not yet in the table, as a
     copy of the state of a defined source strictly less informative than it.
-    The engines do not assert this themselves: a define sits on the path of
-    every fresh event.
+    The engines define a group of joins at once, each paired in order with
+    its source, and do not assert this themselves: a define sits on the
+    path of every fresh event.
     """
     define = engine._define
 
-    def checked(binding: ParamInstance, source: ParamInstance) -> None:
-        assert type(binding) is ParamInstance and type(source) is ParamInstance, (
-            "define of %r from %r: not both bindings" % (binding, source)
-        )
-        assert binding not in engine.delta, "binding %r already defined" % (binding,)
-        assert source in engine.delta, "copy source %r is not defined" % (source,)
-        assert source != binding and source.less_informative(binding), (
-            "copy source %r is not strictly less informative than %r" % (source, binding)
-        )
-        define(binding, source)
+    def checked(joins, sources) -> None:
+        joins = list(joins)
+        assert len(joins) == len(sources), "%d joins, %d sources" % (len(joins), len(sources))
+        for binding, source in zip(joins, sources):
+            assert type(binding) is ParamInstance and type(source) is ParamInstance, (
+                "define of %r from %r: not both bindings" % (binding, source)
+            )
+            assert binding not in engine.delta, "binding %r already defined" % (binding,)
+            assert source in engine.delta, "copy source %r is not defined" % (source,)
+            assert source != binding and source.less_informative(binding), (
+                "copy source %r is not strictly less informative than %r" % (source, binding)
+            )
+        define(joins, sources)
 
     engine._define = checked
     return engine

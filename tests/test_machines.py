@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from itertools import product
 
 import pytest
@@ -20,6 +22,28 @@ from slicemon.machines import (
 from slicemon.patterns import compile_regex
 
 from .oracles import grammar_member, stack_verdict
+
+# -- verdicts ----------------------------------------------------------------------
+
+
+def test_verdicts_hash_by_identity_and_keep_their_value_behaviour():
+    assert Verdict.__hash__ is object.__hash__
+    members = list(Verdict)
+    assert [str(v) for v in members] == ["match", "fail", "unknown"]
+    table = {verdict: str(verdict) for verdict in members}
+    for verdict in members:
+        assert hash(verdict) == object.__hash__(verdict)
+        assert verdict in set(members) and verdict in frozenset([verdict])
+        assert table[verdict] == verdict.value
+        assert Verdict(verdict.value) is verdict and Verdict[verdict.name] is verdict
+        assert copy.copy(verdict) is verdict and copy.deepcopy(verdict) is verdict
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(verdict, protocol)) is verdict
+        others = [other for other in members if other is not verdict]
+        assert all(verdict != other and other not in {verdict} for other in others)
+    assert Verdict.UNKNOWN != "unknown" and "unknown" not in table
+    assert Ratio(1, 2) not in frozenset(members)
+
 
 # -- finite-state machines -------------------------------------------------------
 

@@ -381,6 +381,72 @@ def test_warm_events_do_not_reach_parked_extensions(unsafeiter_spec):
     )
 
 
+#: ``RunStats`` totals on ``unsafeiter_workload(600)``, as the engines kept
+#: them before a fresh binding's joins were grouped by domain: reports,
+#: events, monitor steps, skipped steps, compat checks, defines and peak
+#: table size.
+UNSAFEITER_600_COUNTS = {
+    BaselineMonitor: (15, 635, 140, 600, 58650, 95, 96),
+    IndexedMonitor: (15, 635, 140, 600, 140, 95, 96),
+}
+
+
+@pytest.mark.parametrize("report_every", [False, True])
+@pytest.mark.parametrize("engine_class", [BaselineMonitor, IndexedMonitor])
+def test_unsafeiter_work_counts_are_pinned(unsafeiter_spec, engine_class, report_every):
+    spec = unsafeiter_spec
+    engine = engine_class(spec.machine, trigger=spec.trigger, report_every=report_every)
+    reports = engine.feed_all(unsafeiter_workload(600))
+    stats = engine.stats
+    assert (
+        len(reports),
+        stats.events,
+        stats.monitor_steps,
+        stats.skipped_steps,
+        stats.compat_checks,
+        stats.defines,
+        stats.peak_instances,
+    ) == UNSAFEITER_600_COUNTS[engine_class]
+
+
+def test_fresh_events_build_one_domain_merge_joins_and_move_no_new_join(
+    monkeypatch, unsafeiter_spec
+):
+    # A fresh binding's joins come grouped by domain: the event builds its
+    # binding's domain once however many joins it defines, merges each join
+    # from item tuples without ``ParamInstance.join``, and writes a join it
+    # defined to its side of the index once, so ``_park`` never moves one.
+    built, joined, moved = [], [], []
+    domain, join, park = ParamInstance.domain, ParamInstance.join, IndexedMonitor._park
+    monkeypatch.setattr(
+        ParamInstance, "domain", property(lambda b: built.append(b) or domain.fget(b))
+    )
+    monkeypatch.setattr(
+        ParamInstance, "join", lambda b, other: joined.append(b) or join(b, other)
+    )
+    monkeypatch.setattr(
+        IndexedMonitor, "_park", lambda self, b: moved.append(b) or park(self, b)
+    )
+    spec = unsafeiter_spec
+    engine = IndexedMonitor(spec.machine, trigger=spec.trigger)
+    widest = parked_new = moves = 0
+    for event in unsafeiter_workload(600):
+        before = set(engine.delta)
+        del built[:], moved[:]
+        engine.feed(event)
+        new = set(engine.delta) - before
+        if new:
+            assert len(built) <= 1, event
+            widest = max(widest, len(new))
+            parked_new += len(new & engine._parked)
+        assert not new & set(moved), event
+        moves += len(moved)
+    assert joined == []
+    # Fresh events defined several joins each, most parked on their first
+    # step, and other steps parked bindings already indexed.
+    assert widest >= 4 and parked_new > 20 and moves > 0
+
+
 def test_index_size_does_not_grow_with_fresh_bindings():
     # fresh 3-parameter bindings that join with nothing: the finders never
     # ask for a key below one of them, so none is written
