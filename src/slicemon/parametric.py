@@ -4,11 +4,12 @@ A parametric monitor is the base monitor run on every trace slice.  Both
 engines share one define/join/apply loop, :meth:`_EngineBase.feed`: for a
 fresh binding it defines every missing join of the binding with the table,
 each copied from its most informative defined sub-binding in the pre-event
-table; then it steps the binding and its defined strict extensions, except
-those parked in a sink state that cannot report.  Each step reads only its
-own binding's state, so the steps may run in any order; the reports of one
-event come out in ``binding_order``.  A fresh binding's joins are sourced,
-defined and indexed a domain at a time.  The engines differ only in the
+table, and born parked if that sub-binding is parked; then it steps the
+binding and its defined strict extensions, except those parked in a sink
+state that cannot report.  Each step reads only its own binding's state, so
+the steps may run in any order; the reports of one event come out in
+``binding_order``.  A fresh binding's joins are sourced, defined and
+indexed a domain at a time.  The engines differ only in the
 three finders the loop calls:
 
 * :class:`BaselineMonitor` scans the whole table for the joins, for the
@@ -18,8 +19,9 @@ three finders the loop calls:
 * :class:`IndexedMonitor` looks the first two up in a domain-keyed index of
   the defined bindings, holding only the keys its lookups can ask for, and
   finds a source by restricting the join to each table domain within it.
-  It neither scans the table nor checks compatibility.  Its warm finder
-  reads only the live side of the index, not the parked one.
+  It neither scans the table nor checks compatibility.  Only a fresh
+  binding's merge probes read the parked side of the index, which keeps
+  only the keys they ask for.
 
 Both produce identical state tables, verdicts and report streams, which the
 test suite checks event by event against each other and against the
@@ -94,10 +96,11 @@ class RunStats:
 
     ``monitor_steps`` counts the monitor steps taken, and ``skipped_steps``
     the bindings an event reached that were parked and so not stepped
-    (their sum is the number of bindings the events reached).  An event
-    reaches all the joins of a fresh binding, but a known binding and only
-    its live strict extensions; so a skip is a known binding parked
-    itself, or a parked join of a fresh one.
+    (their sum is the number of bindings the events reached).  A join born
+    parked counts as a step, though no machine step is made for it.  An
+    event reaches a known binding and its live strict extensions, or the
+    missing and the live defined joins of a fresh binding; so a skip is
+    only ever a known binding parked itself.
     ``compat_checks`` counts the join candidates examined to find the
     bindings each event affects (every table entry for the baseline; a
     fresh binding and its indexed neighbours for the indexed engine).
@@ -127,13 +130,17 @@ class _EngineBase:
 
     Subclasses supply the three finders: ``_joins(binding)`` returns the
     joins of a binding not in the table with every table entry, as
-    ``{domain: set of joins}``; ``_at_or_above(binding)`` the binding, which
-    is in the table, and its defined strict extensions that are not parked;
-    ``_below(domain, joins)`` the most informative binding strictly below
-    each of a group's missing joins, in order, in the pre-event table.  The
-    first two add the candidates they examine to ``stats.compat_checks``.
-    ``_index(domain, joins)`` is called per group an event defined, after
-    its steps, and ``_park`` when a step parks a binding stepped before.
+    ``{domain: set of joins}`` with the binding's own domain first;
+    ``_at_or_above(binding)`` the binding, which is in the table, and its
+    defined strict extensions that are not parked; ``_below(domain, joins)``
+    the most informative binding strictly below each of a group's missing
+    joins, in order, in the pre-event table.  The first two add the
+    candidates they examine to ``stats.compat_checks``.  ``_joins`` may
+    leave out parked joins already defined, which the loop does not reach.
+    ``_index(domain, joins, query)`` is called per group an event defined,
+    after its steps, with the fresh binding's domain ``query``, the first
+    key ``_joins`` returned; ``_park`` when a step parks a binding stepped
+    before; ``_bear`` parks the joins born parked.
     """
 
     def __init__(
@@ -181,45 +188,59 @@ class _EngineBase:
         not change, and so no report would come of it.  It keeps its table
         entry, so joins are still copied from it, and ``delta``, ``gamma``
         and the reports are those of stepping it; the finders need not list
-        it as an extension of a known binding.  A binding is parked only
-        after a step of its own, never for a state it holds without one: a
-        join copied from a parked source, or the empty binding starting in a
-        sink, has no verdict recorded yet and may report on its first step.
+        it as an extension of a known binding or as a defined join of a
+        fresh one, and the loop does not reach it.  A missing join copied from a parked source
+        is *born parked*: its first step would leave it in the source's
+        sink with the source's verdict, so it gets that verdict without a
+        machine step, counts as a step, and reports it if it is a trigger,
+        as no verdict was recorded before.  Otherwise a binding is parked
+        only after a step of its own: the empty binding starting in a sink
+        has no verdict recorded yet and may report on its first step.
         """
         stats = self.stats
         stats.events += 1
         delta = self.delta
+        parked = self._parked
         binding = event.instance
+        reports: list[VerdictReport] = []
         defined = ()
         if binding in delta:
             touched = self._at_or_above(binding)
+            if binding in parked:
+                del touched[0]
+                stats.skipped_steps += 1
         else:
             # The joins of a fresh binding with the table are exactly the
             # bindings the event affects.  Each missing one copies the state
             # of its most informative defined sub-binding, read before any
-            # define so that no join copies a state this event created.
+            # define so that no join copies a state this event created; one
+            # copied from a parked source is born parked.  Of the defined
+            # ones, only the live are reached.
             touched, defined = [], []
-            for domain, joins in self._joins(binding).items():
+            groups = self._joins(binding)
+            query = next(iter(groups))
+            for domain, joins in groups.items():
                 missing = joins.difference(delta)
+                if len(missing) != len(joins):
+                    touched += joins.difference(missing, parked)
                 if missing:
                     defined.append((domain, missing, self._below(domain, missing)))
-                touched += joins
             for _, missing, sources in defined:
                 self._define(missing, sources)
+                if parked.isdisjoint(sources):
+                    touched += missing
+                else:
+                    stepped = self._bear(missing, sources, event, reports)
+                    stats.monitor_steps += len(missing) - len(stepped)
+                    touched += stepped
 
         machine = self.machine
         gamma = self.gamma
         trigger = self.trigger
         report_every = self.report_every
-        parked = self._parked
         parking = self._parking
         index = stats.events
-        reports: list[VerdictReport] = []
-        skipped = 0
         for affected in touched:
-            if affected in parked:
-                skipped += 1
-                continue
             delta[affected] = state = machine.step(delta[affected], event.name)
             verdict = machine.output(state)
             before = gamma.get(affected, _NEVER)
@@ -236,10 +257,8 @@ class _EngineBase:
                 if before is not _NEVER:
                     self._park(affected)
         for domain, missing, _ in defined:
-            self._index(domain, missing)
-        stats.monitor_steps += len(touched) - skipped
-        if skipped:
-            stats.skipped_steps += skipped
+            self._index(domain, missing, query)
+        stats.monitor_steps += len(touched)
         if len(delta) > stats.peak_instances:
             stats.peak_instances = len(delta)
         if len(reports) > 1:
@@ -256,11 +275,38 @@ class _EngineBase:
         delta.update(zip(joins, map(delta.__getitem__, sources)))
         self.stats.defines += len(sources)
 
+    def _bear(
+        self, joins: Iterable[ParamInstance], sources: list, event: ParametricEvent,
+        reports: list[VerdictReport],
+    ) -> list[ParamInstance]:
+        """Park the defined joins copied from a parked source; return the others.
+
+        Such a join's first step would leave it in its source's sink, with
+        its source's verdict, so it takes that verdict without a machine
+        step and reports it if it is a trigger: no verdict was recorded
+        before.  Under ``report_every`` no parking sink's verdict is one.
+        """
+        parked, gamma, trigger = self._parked, self.gamma, self.trigger
+        stepped = []
+        for joined, source in zip(joins, sources):
+            if source in parked:
+                parked.add(joined)
+                gamma[joined] = verdict = gamma[source]
+                if verdict in trigger:
+                    reports.append(
+                        VerdictReport(self.stats.events, verdict, joined, event.name)
+                    )
+            else:
+                stepped.append(joined)
+        return stepped
+
     def _park(self, binding: ParamInstance) -> None:
         """Note that a step parked a binding that an earlier step reached."""
 
-    def _index(self, domain: frozenset[str], joins: set[ParamInstance]) -> None:
-        """Note a group of bindings this event defined, after its steps."""
+    def _index(
+        self, domain: frozenset[str], joins: set[ParamInstance], query: frozenset[str]
+    ) -> None:
+        """Note a group of bindings a fresh binding of domain ``query`` defined."""
 
 
 #: Sentinel distinguishing "never evaluated" from any real verdict.
@@ -274,7 +320,7 @@ class BaselineMonitor(_EngineBase):
         # The empty binding is always present, so the binding itself is one
         # of the joins.
         self.stats.compat_checks += len(self.delta)
-        groups: dict[frozenset[str], set[ParamInstance]] = {}
+        groups: dict[frozenset[str], set[ParamInstance]] = {binding.domain: set()}
         for joined in joins_with(binding, self.delta):
             groups.setdefault(joined.domain, set()).add(joined)
         return groups
@@ -297,26 +343,31 @@ class BaselineMonitor(_EngineBase):
 class IndexedMonitor(_EngineBase):
     """Index-guided engine: touches only states the event can affect.
 
-    The index has two sides under the same keys: ``extensions[key]`` holds
-    the live bindings of the key, and ``parked_extensions[key]`` the parked
-    ones.  A key is ``(cut items, D)``: under it sit the defined bindings of
-    domain ``D`` strictly more informative than the binding with those items
-    (a plain name-sorted item tuple).  The finders only ever look up keys
-    ``(items of b restricted to E∩D, D)``, where ``E`` is the domain of an
-    event's binding ``b`` and ``D`` a table domain, so only keys of that
-    shape are written.  The *query domains* are the empty domain and the
-    table domains; a defined binding of ``D`` is indexed under its
-    restriction to ``E∩D`` for every query domain ``E`` with ``E∩D ⊊ D``
-    (the *cuts* of ``D``).  A fresh binding is one of its own joins, so
-    this event defines it: its domain, if new, becomes a table domain
-    before its first lookup.  A new table domain gets its cuts, and adds
-    its cut to every table domain, backfilling their defined bindings
-    under it on both sides; a binding already in the table has a table
-    domain, so the warm path never needs that check.
+    The index has two sides: ``extensions[key]`` holds the live bindings of
+    the key, and ``parked_extensions[key]`` the parked ones.  A key is
+    ``(cut items, D)``: under it sit the defined bindings of domain ``D``
+    strictly more informative than the binding with those items (a plain
+    name-sorted item tuple).  The finders only ever look up keys ``(items
+    of b restricted to E∩D, D)``, where ``E`` is the domain of an event's
+    binding ``b`` and ``D`` a table domain, so only keys of that shape are
+    written.  The *query domains* are the empty domain and the table
+    domains; a live binding of ``D`` is indexed under its restriction to
+    ``E∩D`` for every query domain ``E`` with ``E∩D ⊊ D`` (the *cuts* of
+    ``D``).  Only a merge probe, from a query domain incomparable with
+    ``D``, reads the parked side, so a parked binding of ``D`` sits only
+    under those cuts and the empty one (its *parked cuts*).  A fresh
+    binding is one of its own joins, so this event defines it: its domain,
+    if new, becomes a table domain before its first lookup.  A new table
+    domain gets its cuts, and adds its cut to every table domain,
+    backfilling their defined bindings under it on the live side, and on
+    the parked side if the two domains are incomparable; a binding already
+    in the table has a table domain, so the warm path never needs that
+    check.
 
     A join's keys are written once, after the steps of the event that
-    defined it, on the side that step left it; an indexed live binding that
-    parks later moves once, and a live set it leaves empty is deleted.
+    defined it, on the side its birth or first step left it; an indexed
+    live binding that parks later moves once, and a live set it leaves
+    empty is deleted.
 
     * The warm finder returns ``b`` and the live bindings under
       ``(b's items, D)`` for every table domain ``D``: a parked binding is
@@ -324,10 +375,12 @@ class IndexedMonitor(_EngineBase):
     * A binding compatible with a fresh ``b`` and of a domain ``D`` not
       within ``b``'s agrees with ``b`` on their shared names, so the
       compatible neighbours of ``b`` in ``D`` are exactly the bindings
-      under ``(b's items restricted to D, D)``, on both sides, so that the
-      table stays join-closed: no compatibility checks, no sort.  The joins
-      are the neighbours themselves if ``E ⊆ D``, else the items of ``b``
-      and of a neighbour put in name order by the *merge plan* of ``(E, D)``.
+      under ``(b's items restricted to D, D)``: no compatibility checks,
+      no sort.  If ``E ⊆ D``, the neighbours extend ``b`` and are its
+      joins, all defined, so only the live ones, which the event steps,
+      are looked up.  Otherwise both sides are, so that the table stays
+      join-closed, and the items of ``b`` and of a neighbour are put in
+      name order by the *merge plan* of ``(E, D)``.
     * Every defined binding below a missing join ``j`` is ``j`` restricted
       to a table domain ``D ⊊ dom(j)``.  These restrictions that are
       defined are join-closed, since the table is, so their maximum is the
@@ -345,9 +398,10 @@ class IndexedMonitor(_EngineBase):
         self.extensions: dict[tuple, set[ParamInstance]] = {}
         self.parked_extensions: dict[tuple, set[ParamInstance]] = {}
         #: Table domains other than the empty one.  Each maps to itself, so
-        #: that index keys share one domain object, and to its cuts, each
-        #: with the getter of that cut's items from a binding's items.
-        self._domains: dict[frozenset[str], tuple[frozenset[str], dict]] = {}
+        #: that index keys share one domain object, to its cuts, each with
+        #: the getter of that cut's items from a binding's items, and to its
+        #: parked cuts, a part of them.
+        self._domains: dict[frozenset[str], tuple[frozenset[str], dict, dict]] = {}
         #: Per domain of a fresh binding, its ``_plan``; per domain of a
         #: group of joins, the getters of their restrictions to the table
         #: domains strictly within it, widest first.  Both are cleared when
@@ -363,11 +417,9 @@ class IndexedMonitor(_EngineBase):
                 # The binding is one of its joins: this event defines it.
                 self._add_domain(query)
             plan = self._plans[query] = self._plan(query)
-        parked = self.parked_extensions
-        sides = (self.extensions, parked) if parked else (self.extensions,)
         groups = {query: {binding}}
         examined = 1
-        for domain, cut, joined, merge in plan:
+        for domain, cut, joined, merge, sides in plan:
             key = (cut(binding), domain)
             for side in sides:
                 neighbours = side.get(key)
@@ -383,21 +435,26 @@ class IndexedMonitor(_EngineBase):
         return groups
 
     def _plan(self, query: frozenset[str]) -> list[tuple]:
-        """``(D, cut, D∪query, merge plan)`` per table domain ``D`` not within ``query``.
+        """``(D, cut, D∪query, merge plan, sides)`` per table domain ``D`` not within ``query``.
 
         The plan gets a join's items, in name order, from the binding's
-        items followed by a neighbour's; it is None if ``D`` holds ``query``.
+        items followed by a neighbour's; it is None if ``D`` holds
+        ``query``.  Then the neighbours extend the binding and are its
+        joins, all defined, and the parked ones are not reached: only the
+        live side of the index is read.
         """
+        live = (self.extensions,)
+        both = (self.extensions, self.parked_extensions)
         plan = []
         for domain in self._domains:
             if not domain <= query:
                 if query <= domain:
-                    joined, merge = domain, None
+                    joined, merge, sides = domain, None, live
                 else:
-                    joined = domain | query
+                    joined, sides = domain | query, both
                     names = sorted(query) + sorted(domain)
                     merge = itemgetter(*map(names.index, sorted(joined)))
-                plan.append((domain, _cut(query, domain & query), joined, merge))
+                plan.append((domain, _cut(query, domain & query), joined, merge, sides))
         return plan
 
     def _at_or_above(self, binding: ParamInstance) -> list[ParamInstance]:
@@ -413,6 +470,8 @@ class IndexedMonitor(_EngineBase):
             within = [other for other in self._domains if other < domain]
             within.sort(key=len, reverse=True)
             sources = self._sources[domain] = [_cut(domain, part) for part in within]
+        if not sources:
+            return [EMPTY] * len(joins)
         delta, wrap = self.delta, ParamInstance._wrap
         found = []
         for joined in joins:
@@ -425,20 +484,49 @@ class IndexedMonitor(_EngineBase):
                 found.append(EMPTY)
         return found
 
-    def _index(self, domain: frozenset[str], joins: set[ParamInstance]) -> None:
-        """Write the keys of a group of this event's joins, each on its side, once."""
-        domain, cuts = self._domains.get(domain) or self._add_domain(domain)
-        parked = self._parked
-        for member in joins:
-            side = self.parked_extensions if member in parked else self.extensions
-            for cut in cuts.values():
-                side.setdefault((cut(member), domain), set()).add(member)
+    def _index(
+        self, domain: frozenset[str], joins: set[ParamInstance], query: frozenset[str]
+    ) -> None:
+        """Write the keys of a group of this event's joins, each on its side, once.
+
+        Every member extends the fresh binding, of domain ``query``, so the
+        members agree on a cut within ``query``: such a cut takes a side's
+        members with one ``set.update``.
+        """
+        domain, cuts, parked_cuts = self._domains.get(domain) or self._add_domain(domain)
+        if len(joins) == 1:
+            # Every cut of one member is its own key, and the group
+            # bookkeeping below costs more than it saves: without this
+            # loop, fresh-bindings, whose groups all have one member,
+            # measured a slower p50 (CHANGES.md).
+            for member in joins:
+                if member in self._parked:
+                    side, cuts = self.parked_extensions, parked_cuts
+                else:
+                    side = self.extensions
+                for cut in cuts.values():
+                    side.setdefault((cut(member), domain), set()).add(member)
+            return
+        on_parked = joins.intersection(self._parked)
+        for side, members, side_cuts in (
+            (self.extensions, joins - on_parked if on_parked else joins, cuts),
+            (self.parked_extensions, on_parked, parked_cuts),
+        ):
+            if not members:
+                continue
+            first = next(iter(members))
+            for part, cut in side_cuts.items():
+                if part <= query:
+                    side.setdefault((cut(first), domain), set()).update(members)
+                else:
+                    for member in members:
+                        side.setdefault((cut(member), domain), set()).add(member)
 
     def _park(self, binding: ParamInstance) -> None:
-        """Move a live binding's keys to the parked side."""
+        """Move a live binding's keys to the parked side, under its parked cuts."""
         if not binding:  # no key holds the empty binding
             return
-        domain, cuts = self._domains[binding.domain]
+        domain, cuts, parked_cuts = self._domains[binding.domain]
         live, parked = self.extensions, self.parked_extensions
         for cut in cuts.values():
             key = (cut(binding), domain)
@@ -447,35 +535,41 @@ class IndexedMonitor(_EngineBase):
                 del live[key]
             else:
                 members.remove(binding)
-            parked.setdefault(key, set()).add(binding)
+        for cut in parked_cuts.values():
+            parked.setdefault((cut(binding), domain), set()).add(binding)
 
-    def _add_domain(self, domain: frozenset[str]) -> tuple[frozenset[str], dict]:
+    def _add_domain(self, domain: frozenset[str]) -> tuple[frozenset[str], dict, dict]:
         """Make ``domain`` a table domain, and so a query domain.
 
         It gets its cuts by the empty domain and every table domain, and
-        every table domain gets its cut by it, with the backfill.
+        every table domain gets its cut by it, with the backfill.  The cut
+        of two incomparable domains is a parked cut of both.
         """
         cuts = {frozenset(): _cut(domain, frozenset())}
-        for other, other_cuts in self._domains.values():
+        parked_cuts = dict(cuts)
+        for other, other_cuts, other_parked_cuts in self._domains.values():
             part = other & domain
             if part != domain and part not in cuts:
                 cuts[part] = _cut(domain, part)
             if part != other and part not in other_cuts:
                 other_cuts[part] = _cut(other, part)
-                self._backfill(other, other_cuts[part])
-        entry = self._domains[domain] = (domain, cuts)
+                self._backfill(other, other_cuts[part], self.extensions)
+            if part != domain and part != other:
+                parked_cuts[part] = cuts[part]
+                if part not in other_parked_cuts:
+                    other_parked_cuts[part] = other_cuts[part]
+                    self._backfill(other, other_cuts[part], self.parked_extensions)
+        entry = self._domains[domain] = (domain, cuts, parked_cuts)
         self._plans.clear()
         self._sources.clear()
         return entry
 
-    def _backfill(self, domain: frozenset[str], cut: Callable) -> None:
-        """Index the defined bindings of ``domain`` under a new cut, per side."""
-        # The empty domain is a query domain, so the key of the empty cut
-        # holds every indexed binding of the domain on its side.
-        everyone = ((), domain)
-        for side in (self.extensions, self.parked_extensions):
-            for member in side.get(everyone, ()):
-                side.setdefault((cut(member), domain), set()).add(member)
+    def _backfill(self, domain: frozenset[str], cut: Callable, side: dict) -> None:
+        """Index the bindings of ``domain`` on one side of the index under a new cut."""
+        # The empty cut is a cut on both sides, so its key holds every
+        # binding of the domain on the side.
+        for member in side.get(((), domain), ()):
+            side.setdefault((cut(member), domain), set()).add(member)
 
 
 def _cut(domain: frozenset[str], part: frozenset[str]) -> Callable[[tuple], tuple]:

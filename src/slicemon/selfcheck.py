@@ -95,6 +95,7 @@ class NoSnapshotMonitor(IndexedMonitor):
 
     def _joins(self, binding: ParamInstance) -> dict[frozenset[str], set]:
         groups = super()._joins(binding)
+        query = next(iter(groups))
         missing = {
             domain: joins.difference(self.delta) for domain, joins in groups.items()
         }
@@ -102,7 +103,7 @@ class NoSnapshotMonitor(IndexedMonitor):
             self._define([joined], [max_below(joined, reversed(self.delta))])
         for domain, defined in missing.items():
             if defined:
-                self._index(domain, defined)
+                self._index(domain, defined, query)
         return groups
 
 

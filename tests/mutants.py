@@ -39,7 +39,7 @@ class StaleIndexMonitor(IndexedMonitor):
     binding that later arrives warm misses its defined extensions.
     """
 
-    def _backfill(self, domain, cut) -> None:
+    def _backfill(self, domain, cut, side) -> None:
         pass
 
 
@@ -97,9 +97,39 @@ class StalePlanMonitor(IndexedMonitor):
 
     def _plan(self, query: frozenset[str]) -> list[tuple]:
         return [
-            (domain, cut, joined, self._stale.setdefault((domain, len(query)), merge))
-            for domain, cut, joined, merge in super()._plan(query)
+            (domain, cut, joined, self._stale.setdefault((domain, len(query)), merge), sides)
+            for domain, cut, joined, merge, sides in super()._plan(query)
         ]
+
+
+class SilentBirthMonitor(IndexedMonitor):
+    """Mutant: a join born parked never reports.
+
+    A join copied from a parked source takes its source's verdict without
+    a step, and this mutant drops the report that verdict earns when it is
+    a trigger, as if a verdict copied were a verdict already reported.
+    """
+
+    def _bear(self, joins, sources, event, reports) -> list[ParamInstance]:
+        return super()._bear(joins, sources, event, [])
+
+
+class EmptyCutParkedMonitor(IndexedMonitor):
+    """Mutant: the parked side keeps each binding under its empty cut only.
+
+    A fresh binding finds its parked neighbours of an incomparable domain
+    under the cut by the names the two domains share; when they share any,
+    it finds none, and the joins with them are never defined.
+    """
+
+    def _add_domain(self, domain: frozenset[str]) -> tuple:
+        entry = super()._add_domain(domain)
+        for _, _, parked_cuts in self._domains.values():
+            for part in [part for part in parked_cuts if part]:
+                del parked_cuts[part]
+        for key in [key for key in self.parked_extensions if key[0]]:
+            del self.parked_extensions[key]
+        return entry
 
 
 #: (name, ``run_selfcheck`` keywords, the check that must catch it).
@@ -111,4 +141,6 @@ MUTANTS = [
     ("smallest-source", {"indexed_class": SmallestSourceMonitor}, "engine-pair"),
     ("live-only-joins", {"indexed_class": LiveOnlyJoinsMonitor}, "engine-pair"),
     ("stale-plan", {"indexed_class": StalePlanMonitor}, "engine-pair"),
+    ("silent-birth", {"indexed_class": SilentBirthMonitor}, "engine-pair"),
+    ("empty-cut-parked", {"indexed_class": EmptyCutParkedMonitor}, "engine-pair"),
 ]

@@ -146,10 +146,11 @@ def check_index(engine, fed: Iterable) -> None:
     strictly more informative than the binding of ``items`` that are on
     its side: parked exactly when in the engine's parked set.  Every fed
     binding must be defined, so the query domains are the empty domain and
-    the domains of the defined bindings.  Every key must have
-    ``dom(items) = E∩D ⊊ D`` for a query domain ``E``, and every non-empty
-    defined binding of ``D`` must sit under each such ``E∩D`` on exactly
-    one side, the one its parking says.
+    the domains of the defined bindings.  A live binding of ``D`` sits
+    under its cut by every query domain ``E`` with ``E∩D ⊊ D``, on the
+    live side only.  A parked binding of ``D`` sits under ``((), D)`` and
+    under its cuts by the query domains incomparable with ``D``, on the
+    parked side only, and under no other key.
     """
     defined = list(engine.delta)
     undefined = [event.instance for event in fed if event.instance not in engine.delta]
@@ -158,6 +159,16 @@ def check_index(engine, fed: Iterable) -> None:
     sides = {False: engine.extensions, True: engine.parked_extensions}
     queries = {frozenset()}
     queries.update(frozenset(b.names) for b in defined)
+
+    def parts(domain: frozenset, on_parked: bool) -> set:
+        """The domains of the keys of ``domain`` on one side."""
+        if not on_parked:
+            return {query & domain for query in queries if not domain <= query}
+        return {frozenset()} | {
+            query & domain for query in queries
+            if not domain <= query and not query <= domain
+        }
+
     for on_parked, side in sides.items():
         for (items, domain), members in side.items():
             assert type(items) is tuple and type(domain) is frozenset, (
@@ -175,29 +186,22 @@ def check_index(engine, fed: Iterable) -> None:
                 "%s index entry for %r in %s is %r, expected a non-empty %r"
                 % ("parked" if on_parked else "live", sub, sorted(domain), members, expected)
             )
-            assert frozenset(sub.names) in {
-                query & domain for query in queries if query & domain != domain
-            }, "index key %r in %s is not the shape of a query" % (sub, sorted(domain))
-    for a in defined:
-        for b in defined:
-            if a != b and a.less_informative(b):
-                assert b in sides[b in parked].get((tuple(a), frozenset(b.names)), ()), (
-                    "index misses a defined extension"
-                )
+            assert frozenset(sub.names) in parts(domain, on_parked), (
+                "%s index key %r in %s is not the shape of a query on that side"
+                % ("parked" if on_parked else "live", sub, sorted(domain))
+            )
     for b in defined:
+        if not b:
+            continue
         domain = frozenset(b.names)
-        for query in queries:
-            part = query & domain
-            if part != domain:
-                key = (tuple(b.restrict(part)), domain)
-                homes = [
-                    on_parked for on_parked, side in sides.items()
-                    if b in side.get(key, ())
-                ]
-                assert homes == [b in parked], (
-                    "%r sits under its cut on %s on %s, expected the %s side"
-                    % (b, sorted(part), homes, "parked" if b in parked else "live")
-                )
+        home = b in parked
+        for part in parts(domain, home):
+            key = (tuple(b.restrict(part)), domain)
+            homes = [on_parked for on_parked, side in sides.items() if b in side.get(key, ())]
+            assert homes == [home], (
+                "%r sits under its cut on %s on %s, expected the %s side"
+                % (b, sorted(part), homes, "parked" if home else "live")
+            )
 
 
 # Set-level helpers over ParamInstance for the law checks; the package itself

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
-from slicemon.bindings import EMPTY, ParamInstance
+from slicemon.bindings import EMPTY, ParamInstance, max_below
 from slicemon.events import ParametricEvent, binding_closure, parse_trace
 from slicemon.machines import BalanceMachine, FsmMachine, RatioMachine, Verdict
 from slicemon.parametric import (
@@ -208,16 +209,32 @@ def test_join_from_parked_source_reports_on_first_step(engine_class):
     engine = engine_class(absorbing_match_machine(), trigger=[Verdict.MATCH])
     k1 = ParametricEvent("hit", ParamInstance({"k": "1"}))
     k1j2 = ParametricEvent("hit", ParamInstance({"j": "2", "k": "1"}))
-    # k=1 parks in "won"; j=2,k=1 is copied from it and has no verdict yet
+    # k=1 parks in "won"; j=2,k=1 is copied from it, so it is born parked
+    # with k=1's verdict, and reports it, as it had no verdict yet
     reports = engine.feed_all([k1, k1j2, k1])
     assert [(r.index, r.instance.encode()) for r in reports] == [
         (1, "k=1"),
         (2, "j=2,k=1"),
     ]
     assert engine.gamma[ParamInstance({"j": "2", "k": "1"})] is Verdict.MATCH
-    # the third event steps neither: it reaches k=1 itself, parked, and
-    # not its parked extension j=2,k=1
+    # the birth counts as a step; the third event steps neither: it
+    # reaches k=1 itself, parked, and not its parked extension j=2,k=1
     assert (engine.stats.monitor_steps, engine.stats.skipped_steps) == (2, 1)
+
+
+@pytest.mark.parametrize("engine_class", [BaselineMonitor, IndexedMonitor])
+def test_fresh_binding_does_not_reach_its_parked_joins(engine_class):
+    engine = engine_class(absorbing_match_machine(), trigger=[Verdict.MATCH])
+    k1j2 = ParametricEvent("hit", ParamInstance({"j": "2", "k": "1"}))
+    k1 = ParametricEvent("hit", ParamInstance({"k": "1"}))
+    # j=2,k=1 parks in "won"; the fresh k=1 is defined and stepped, but its
+    # defined join j=2,k=1 is parked and neither stepped nor skipped
+    reports = engine.feed_all([k1j2, k1])
+    assert [(r.index, r.instance.encode()) for r in reports] == [
+        (1, "j=2,k=1"),
+        (2, "k=1"),
+    ]
+    assert (engine.stats.monitor_steps, engine.stats.skipped_steps) == (2, 0)
 
 
 @pytest.mark.parametrize("engine_class", [BaselineMonitor, IndexedMonitor])
@@ -407,6 +424,59 @@ def test_unsafeiter_work_counts_are_pinned(unsafeiter_spec, engine_class, report
         stats.defines,
         stats.peak_instances,
     ) == UNSAFEITER_600_COUNTS[engine_class]
+
+
+class CountingMachine:
+    """A machine proxy that counts its steps and passes on the sinks."""
+
+    def __init__(self, machine):
+        self.machine = machine
+        self.sinks = machine.sinks
+        self.steps = 0
+
+    def initial(self):
+        return self.machine.initial()
+
+    def step(self, state, name):
+        self.steps += 1
+        return self.machine.step(state, name)
+
+    def output(self, state):
+        return self.machine.output(state)
+
+
+@pytest.mark.parametrize("engine_class", [BaselineMonitor, IndexedMonitor])
+def test_born_parked_joins_step_no_machine(unsafeiter_spec, engine_class):
+    # Nearly every join a warm-up ``next i`` defines copies a collection
+    # already parked in the pattern's dead sink.  Such a join is born
+    # parked: it counts as a step, but no machine step is made for it.
+    spec = unsafeiter_spec
+    machine = CountingMachine(spec.machine)
+    engine = engine_class(machine, trigger=spec.trigger)
+    stats = engine.stats
+    born_total = reports = 0
+    for event in unsafeiter_workload(600):
+        table, parked = set(engine.delta), set(engine._parked)
+        steps, calls = stats.monitor_steps, machine.steps
+        reports += len(engine.feed(event))
+        new = set(engine.delta) - table
+        born = sum(1 for joined in new if max_below(joined, table) in parked)
+        assert machine.steps - calls == stats.monitor_steps - steps - born, event
+        born_total += born
+    assert born_total >= 50 and machine.steps + born_total == stats.monitor_steps
+    assert (
+        reports, stats.events, stats.monitor_steps, stats.skipped_steps,
+        stats.compat_checks, stats.defines, stats.peak_instances,
+    ) == UNSAFEITER_600_COUNTS[engine_class]
+    if engine_class is IndexedMonitor:
+        # No query domain is incomparable with {i, v}: a parked pair sits
+        # under the empty cut alone, where the backfill reads it.
+        memberships = Counter(
+            member for members in engine.parked_extensions.values() for member in members
+        )
+        pairs = [binding for binding in engine._parked if len(binding) == 2]
+        assert len(pairs) > 50
+        assert all(memberships[pair] == 1 for pair in pairs)
 
 
 def test_fresh_events_build_one_domain_merge_joins_and_move_no_new_join(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from slicemon.bindings import EMPTY, ParamInstance
@@ -17,7 +19,7 @@ from slicemon.selfcheck import (
     run_selfcheck,
 )
 
-from .mutants import MUTANTS
+from .mutants import MUTANTS, SilentBirthMonitor
 
 
 def test_clean_run_passes():
@@ -41,9 +43,16 @@ def test_same_seed_is_deterministic():
     assert first.summary_lines() == second.summary_lines()
 
 
+@functools.lru_cache(maxsize=None)
+def _mutant_run(name):
+    """The selfcheck run of a mutant of ``MUTANTS``, made once per test run."""
+    kwargs = next(kwargs for mutant, kwargs, _ in MUTANTS if mutant == name)
+    return run_selfcheck(count=1000, seed=0, **kwargs)
+
+
 @pytest.mark.parametrize("name, kwargs, check", MUTANTS, ids=[m[0] for m in MUTANTS])
 def test_mutant_is_caught(name, kwargs, check):
-    result = run_selfcheck(count=1000, seed=0, **kwargs)
+    result = _mutant_run(name)
     assert not result.passed
     assert result.failure.check == check
     assert result.traces <= 1000
@@ -76,6 +85,17 @@ def test_reports_check_catches_a_dropped_dedup():
     trace = [ParametricEvent("a"), ParametricEvent("a")]
     assert _check_reports(trace, machine, IndexedMonitor) is None
     assert "report_every=False" in _check_reports(trace, machine, NoDedupMonitor)
+
+
+def test_reports_check_alone_catches_a_silent_birth():
+    # The engine-pair check runs first and meets the missing report against
+    # the baseline; the reports check must see it against the definitional
+    # slices too, on the same minimized trace.
+    failure = _mutant_run("silent-birth").failure
+    assert failure is not None
+    assert _check_reports(failure.trace, failure.machine, IndexedMonitor) is None
+    detail = _check_reports(failure.trace, failure.machine, SilentBirthMonitor)
+    assert "report_every=False" in detail
 
 
 def test_verdicts_check_compares_which_bindings_have_one():
