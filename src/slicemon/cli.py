@@ -118,16 +118,9 @@ def cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
-    from .parametric import IndexedMonitor
-    from .selfcheck import NoSnapshotSliceTable, SkipJoinPhaseMonitor, run_selfcheck
-    from .slicer import SliceTable
+    from .selfcheck import run_selfcheck
 
-    result = run_selfcheck(
-        count=args.counts,
-        seed=args.seed,
-        indexed_class=SkipJoinPhaseMonitor if args.skip_join_phase else IndexedMonitor,
-        table_class=NoSnapshotSliceTable if args.unsafe_no_snapshot else SliceTable,
-    )
+    result = run_selfcheck(count=args.counts, seed=args.seed)
     if result.passed:
         for line in result.summary_lines():
             print(line)
@@ -177,14 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument(
         "--counts", type=count_value, default=1000, help="number of random traces"
-    )
-    p_check.add_argument(
-        "--unsafe-no-snapshot", action="store_true",
-        help="(debug) run the slicer without its snapshot discipline",
-    )
-    p_check.add_argument(
-        "--skip-join-phase", action="store_true",
-        help="(debug) run the indexed engine without its join step",
     )
     p_check.set_defaults(func=cmd_selfcheck)
 

@@ -29,12 +29,9 @@ Four checks per trace:
 On a mismatch the offending trace is greedily minimized (repeated single
 event deletion while the same check keeps failing) and returned for display.
 
-Two deliberately broken variants of :class:`IndexedMonitor` show that the
-checks have teeth, and give the CLI's debug flags something to run:
-:class:`SkipJoinPhaseMonitor` (caught by ``engine-pair``) and
-:class:`NoSnapshotMonitor`, run as a slicer by :class:`NoSnapshotSliceTable`
-(caught by ``slicing``).  :func:`run_selfcheck` takes the engine and slicer
-classes it checks, so the test suite passes its own mutants the same way.
+:func:`run_selfcheck` takes the engine and slicer classes it checks, so the
+test suite shows that the checks have teeth by passing its deliberately
+broken variants in their place.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .bindings import EMPTY, ParamInstance, binding_order, max_below, ordered
+from .bindings import EMPTY, ParamInstance, ordered
 from .events import ParametricEvent, binding_closure, render_trace, slice_trace
 from .machines import FsmMachine, Machine, Verdict
 from .parametric import (
@@ -64,51 +61,6 @@ OFF_TABLE_PROBES = 10
 #: Share of random machines in which one drawn state is made absorbing.
 SINK_SHARE = 0.5
 TRIGGER = frozenset((Verdict.MATCH, Verdict.FAIL))
-
-
-class SkipJoinPhaseMonitor(IndexedMonitor):
-    """Mutant: a fresh binding affects only itself and its extensions.
-
-    It never defines the joins of a fresh binding with the table, so the
-    combinations they stand for are missed.
-    """
-
-    def _joins(self, binding: ParamInstance) -> dict[frozenset[str], set]:
-        groups: dict[frozenset[str], set[ParamInstance]] = {}
-        for found in self._at_or_above(binding):
-            groups.setdefault(found.domain, set()).add(found)
-        return groups
-
-
-class NoSnapshotMonitor(IndexedMonitor):
-    """Mutant: defines each join from ``max_below`` on the growing table.
-
-    The joins are defined one by one in ``binding_order``, so a join can
-    copy a join that this event created instead of its pre-event source.
-    The growing table is not join-closed, so ``max_below`` may meet several
-    widest members below a join; the scan runs over the table in reverse
-    order of definition, so the one defined last (by this event, when there
-    is one) wins.  Scanned oldest first, the mutant would meet a pre-event
-    source first and, on the smallest case (``setb b=1`` then ``seta a=1``),
-    copy the right slice.
-    """
-
-    def _joins(self, binding: ParamInstance) -> dict[frozenset[str], set]:
-        groups = super()._joins(binding)
-        query = next(iter(groups))
-        missing = {
-            domain: joins.difference(self.delta) for domain, joins in groups.items()
-        }
-        for joined in sorted(set().union(*missing.values()), key=binding_order):
-            self._define([joined], [max_below(joined, reversed(self.delta))])
-        for domain, defined in missing.items():
-            if defined:
-                self._index(domain, defined, query)
-        return groups
-
-
-class NoSnapshotSliceTable(SliceTable):
-    engine_class = NoSnapshotMonitor
 
 
 @dataclass
@@ -370,9 +322,9 @@ def run_selfcheck(
 
     ``indexed_class`` is the engine checked by ``engine-pair``, ``verdicts``
     and ``reports``, and ``table_class`` the slicer checked by ``slicing``;
-    passing a mutant such as :class:`SkipJoinPhaseMonitor` or
-    :class:`NoSnapshotSliceTable` makes its detection testable.  Stops at
-    the first mismatch, returning a minimized counterexample.
+    passing a deliberately broken subclass in either place makes its
+    detection testable.  Stops at the first mismatch, returning a minimized
+    counterexample.
     """
     rng = random.Random(seed)
     passed = dict.fromkeys(("slicing", "engine-pair", "verdicts", "reports"), 0)

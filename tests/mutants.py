@@ -1,20 +1,67 @@
 """Deliberately broken engines that the selfcheck must catch.
 
-Each is a subclass of :class:`IndexedMonitor` that takes one shortcut the
-real engine must not take.  :data:`MUTANTS` lists every mutant the
-selfcheck is tested against, with the ``run_selfcheck`` keywords that run
-it and the check expected to catch it; two of them live in
-:mod:`slicemon.selfcheck`, where the CLI's debug flags reach them.  A new
+Each takes one shortcut the real engine must not take: a subclass of
+:class:`IndexedMonitor`, or, for the slicer, a :class:`SliceTable` that
+runs one.  :data:`MUTANTS` lists every mutant the selfcheck is tested
+against, with the ``run_selfcheck`` keywords that run it and the check
+expected to catch it; all of them live here, and none in ``src/``.  A new
 shortcut adds its mutant here, and the tests that iterate the list pick it
 up.
 """
 
 from __future__ import annotations
 
-from slicemon.bindings import EMPTY, ParamInstance
+from slicemon.bindings import EMPTY, ParamInstance, binding_order, max_below
 from slicemon.machines import FsmMachine, Verdict
 from slicemon.parametric import IndexedMonitor
-from slicemon.selfcheck import NoSnapshotSliceTable, SkipJoinPhaseMonitor
+from slicemon.slicer import SliceTable
+
+
+class SkipJoinPhaseMonitor(IndexedMonitor):
+    """Mutant: a fresh binding affects only itself and its extensions.
+
+    It never defines the joins of a fresh binding with the table, so the
+    combinations they stand for are missed.
+    """
+
+    def _joins(self, binding: ParamInstance) -> dict[frozenset[str], set]:
+        groups: dict[frozenset[str], set[ParamInstance]] = {}
+        for found in self._at_or_above(binding):
+            groups.setdefault(found.domain, set()).add(found)
+        return groups
+
+
+class NoSnapshotMonitor(IndexedMonitor):
+    """Mutant: defines each join from ``max_below`` on the growing table.
+
+    The joins are defined one by one in ``binding_order``, so a join can
+    copy a join that this event created instead of its pre-event source.
+    The growing table is not join-closed, so ``max_below`` may meet several
+    widest members below a join; the scan runs over the table in reverse
+    order of definition, so the one defined last (by this event, when there
+    is one) wins.  Scanned oldest first, the mutant would meet a pre-event
+    source first and, on the smallest case (``setb b=1`` then ``seta a=1``),
+    copy the right slice.
+    """
+
+    def _joins(self, binding: ParamInstance) -> dict[frozenset[str], set]:
+        groups = super()._joins(binding)
+        query = next(iter(groups))
+        missing = {
+            domain: joins.difference(self.delta) for domain, joins in groups.items()
+        }
+        for joined in sorted(set().union(*missing.values()), key=binding_order):
+            self._define([joined], [max_below(joined, reversed(self.delta))])
+        for domain, defined in missing.items():
+            if defined:
+                self._index(domain, defined, query)
+        return groups
+
+
+class NoSnapshotSliceTable(SliceTable):
+    """Mutant slicer: a :class:`SliceTable` that runs :class:`NoSnapshotMonitor`."""
+
+    engine_class = NoSnapshotMonitor
 
 
 class ParkFailMonitor(IndexedMonitor):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import io
 import os
@@ -12,10 +13,13 @@ import tracemalloc
 
 import pytest
 
+from slicemon import selfcheck
 from slicemon.cli import main
+from slicemon.events import render_trace
 from slicemon.parametric import _EngineBase
 
 from .conftest import FIXTURES, REPO
+from .mutants import SkipJoinPhaseMonitor
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -540,16 +544,26 @@ def test_selfcheck_ok(capsys):
     ]
 
 
-def test_selfcheck_catches_snapshot_mutant(capsys):
-    code, out, _ = run(
-        capsys, "selfcheck", "--counts", "1000", "--unsafe-no-snapshot"
+def test_selfcheck_mismatch_exits_4(capsys, monkeypatch):
+    # The CLI checks the shipped engines only; a mutant reaches it through
+    # the one seam the tests use, run_selfcheck's keywords.
+    broken = functools.partial(
+        selfcheck.run_selfcheck, indexed_class=SkipJoinPhaseMonitor
     )
-    assert code == 4
-    assert out.startswith("MISMATCH after ")
-    assert "check:  slicing" in out
+    monkeypatch.setattr(selfcheck, "run_selfcheck", broken)
+    code, out, err = run(capsys, "selfcheck", "--counts", "1000")
+    result = broken(count=1000, seed=0)
+    assert (code, err) == (4, "")
+    lines = out.splitlines()
+    assert lines[0] == "MISMATCH after %d traces (seed 0)" % result.traces
+    assert lines[1] == "check:  engine-pair"
+    assert out.endswith("--- minimized trace ---\n" + render_trace(result.failure.trace))
 
 
-def test_selfcheck_catches_join_phase_mutant(capsys):
-    code, out, _ = run(capsys, "selfcheck", "--counts", "1000", "--skip-join-phase")
-    assert code == 4
-    assert "check:  engine-pair" in out
+@pytest.mark.parametrize("flag", ["--unsafe-no-snapshot", "--skip-join-phase"])
+def test_selfcheck_has_no_debug_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exited:
+        main(["selfcheck", "--counts", "10", flag])
+    captured = capsys.readouterr()
+    assert (exited.value.code, captured.out) == (2, "")
+    assert "unrecognized arguments: %s" % flag in captured.err

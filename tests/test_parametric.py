@@ -17,10 +17,10 @@ from slicemon.parametric import (
     definitional_verdicts,
 )
 from slicemon.patterns import compile_regex
-from slicemon.selfcheck import SkipJoinPhaseMonitor
 from slicemon.slicer import SliceTable
 from slicemon.specfile import parse_property_spec
 
+from .mutants import SkipJoinPhaseMonitor
 from .oracles import check_index, checked_defines, feed_counting, random_binding
 from .workloads import adversarial_machine, adversarial_workload, unsafeiter_workload
 

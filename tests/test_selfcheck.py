@@ -3,23 +3,25 @@
 from __future__ import annotations
 
 import functools
+import inspect
 
 import pytest
 
+from slicemon import selfcheck
 from slicemon.bindings import EMPTY, ParamInstance
 from slicemon.events import ParametricEvent
 from slicemon.machines import FsmMachine, Verdict
-from slicemon.parametric import IndexedMonitor
+from slicemon.parametric import BaselineMonitor, IndexedMonitor
 from slicemon.selfcheck import (
-    NoSnapshotSliceTable,
     _check_reports,
     _check_slicing,
     _check_verdicts,
     _minimize,
     run_selfcheck,
 )
+from slicemon.slicer import SliceTable
 
-from .mutants import MUTANTS, SilentBirthMonitor
+from .mutants import MUTANTS, NoSnapshotSliceTable, SilentBirthMonitor
 
 
 def test_clean_run_passes():
@@ -59,7 +61,7 @@ def test_mutant_is_caught(name, kwargs, check):
 
 
 def test_snapshot_mutant_is_caught_and_minimized():
-    result = run_selfcheck(count=1000, seed=0, table_class=NoSnapshotSliceTable)
+    result = _mutant_run("snapshot")
     assert not result.passed
     assert result.failure.check == "slicing"
     # the minimized trace still fails the table check on its own
@@ -69,6 +71,19 @@ def test_snapshot_mutant_is_caught_and_minimized():
     rendered = result.failure.render()
     assert "check:  slicing" in rendered
     assert "minimized trace" in rendered
+
+
+def test_selfcheck_module_defines_no_engine_or_slicer():
+    # A deliberately broken engine or slicer belongs in tests/mutants.py:
+    # the selfcheck checks the program that ships, and takes its mutants
+    # through run_selfcheck's keywords.
+    shipped = (IndexedMonitor, BaselineMonitor, SliceTable)
+    defined = [
+        cls for _, cls in inspect.getmembers(selfcheck, inspect.isclass)
+        if cls.__module__ == selfcheck.__name__
+    ]
+    assert defined  # CheckFailure and SelfCheckResult at least
+    assert [cls.__name__ for cls in defined if issubclass(cls, shipped)] == []
 
 
 def test_reports_check_catches_a_dropped_dedup():

@@ -8,10 +8,10 @@ import pytest
 
 from slicemon.bindings import EMPTY, ParamInstance
 from slicemon.events import ParametricEvent, parse_trace, slice_trace
-from slicemon.selfcheck import NoSnapshotSliceTable
 from slicemon.slicer import SliceTable
 
 from .frozen import AFTER_E4, AFTER_E6, AFTER_E8, FINAL, FINAL_LOOKUPS
+from .mutants import NoSnapshotSliceTable
 from .oracles import is_join_closed, random_binding
 
 
