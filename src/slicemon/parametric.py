@@ -34,7 +34,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .bindings import EMPTY, ParamInstance, joins_with, max_below, ordered
+from .bindings import EMPTY, ParamInstance, binding_order, joins_with, max_below, ordered
 from .events import ParametricEvent, binding_closure, slice_trace
 from .machines import Machine, Verdict
 
@@ -51,7 +51,7 @@ class VerdictReport:
     A value, compared and hashed by its four fields.
     """
 
-    __slots__ = ("index", "verdict", "instance", "event_name", "_encoding")
+    __slots__ = ("index", "verdict", "instance", "event_name")
 
     def __init__(
         self, index: int, verdict: object, instance: ParamInstance, event_name: str
@@ -60,8 +60,6 @@ class VerdictReport:
         self.verdict = verdict
         self.instance = instance
         self.event_name = event_name
-        #: The instance's encoding, once ``_order_key`` has made it.
-        self._encoding = None
 
     def _fields(self) -> tuple:
         return (self.index, self.verdict, self.instance, self.event_name)
@@ -79,16 +77,10 @@ class VerdictReport:
             self._fields()
         )
 
-    def _order_key(self) -> tuple[int, str]:
-        """``binding_order`` of the report's binding, keeping its encoding for ``render``."""
-        self._encoding = encoding = self.instance.encode()
-        return (len(self.instance), encoding)
-
     def render(self) -> str:
-        encoding = self._encoding
-        if encoding is None:
-            encoding = self.instance.encode()
-        return "%d\t%s\t%s\t%s" % (self.index, self.verdict, encoding, self.event_name)
+        return "%d\t%s\t%s\t%s" % (
+            self.index, self.verdict, self.instance.encode(), self.event_name
+        )
 
 
 class RunStats:
@@ -262,7 +254,7 @@ class _EngineBase:
         if len(delta) > stats.peak_instances:
             stats.peak_instances = len(delta)
         if len(reports) > 1:
-            reports.sort(key=VerdictReport._order_key)
+            reports.sort(key=lambda report: binding_order(report.instance))
         return reports
 
     def _define(self, joins: Iterable[ParamInstance], sources: list) -> None:
@@ -357,14 +349,15 @@ class IndexedMonitor(_EngineBase):
     ``E∩D`` for every query domain ``E`` with ``E∩D ⊊ D`` (the *cuts* of
     ``D``).  Only a merge probe, from a query domain incomparable with
     ``D``, reads the parked side, so a parked binding of ``D`` sits only
-    under those cuts and the empty one (its *parked cuts*).  A fresh
-    binding is one of its own joins, so this event defines it: its domain,
-    if new, becomes a table domain before its first lookup.  A new table
-    domain gets its cuts, and adds its cut to every table domain,
-    backfilling their defined bindings under it on the live side, and on
-    the parked side if the two domains are incomparable; a binding already
-    in the table has a table domain, so the warm path never needs that
-    check.
+    under those cuts (its *parked cuts*); if no query domain is
+    incomparable with ``D``, only ``_parked`` records it.  A fresh binding
+    is one of its own joins, so this event defines it: its domain, if new,
+    becomes a table domain before its first lookup.  A new table domain
+    gets its cuts, and adds its cut to every table domain, backfilling
+    their defined bindings under it on the live side, and on the parked
+    side, from ``_parked``, if the two domains are incomparable; a binding
+    already in the table has a table domain, so the warm path never needs
+    that check.
 
     A join's keys are written once, after the steps of the event that
     defined it, on the side its birth or first step left it; an indexed
@@ -545,10 +538,10 @@ class IndexedMonitor(_EngineBase):
 
         It gets its cuts by the empty domain and every table domain, and
         every table domain gets its cut by it, with the backfill.  The cut
-        of two incomparable domains is a parked cut of both.
+        of two incomparable domains is a parked cut of both, and no other is.
         """
         cuts = {frozenset(): _cut(domain, frozenset())}
-        parked_cuts = dict(cuts)
+        parked_cuts = {}
         for other, other_cuts, other_parked_cuts in self._domains.values():
             part = other & domain
             if part != domain and part not in cuts:
@@ -568,9 +561,12 @@ class IndexedMonitor(_EngineBase):
 
     def _backfill(self, domain: frozenset[str], cut: Callable, side: dict) -> None:
         """Index the bindings of ``domain`` on one side of the index under a new cut."""
-        # The empty cut is a cut on both sides, so its key holds every
-        # binding of the domain on the side.
-        for member in side.get(((), domain), ()):
+        if side is self.extensions:  # the live side's empty cut holds them
+            members = side.get(((), domain), ())
+        else:
+            names = tuple(sorted(domain))
+            members = [member for member in self._parked if member.names == names]
+        for member in members:
             side.setdefault((cut(member), domain), set()).add(member)
 
 

@@ -6,14 +6,18 @@ runs one.  :data:`MUTANTS` lists every mutant the selfcheck is tested
 against, with the ``run_selfcheck`` keywords that run it and the check
 expected to catch it; all of them live here, and none in ``src/``.  A new
 shortcut adds its mutant here, and the tests that iterate the list pick it
-up.
+up.  :func:`mutant_run` runs each mutant's selfcheck once per test session,
+for every test that reads it.
 """
 
 from __future__ import annotations
 
+import functools
+
 from slicemon.bindings import EMPTY, ParamInstance, binding_order, max_below
 from slicemon.machines import FsmMachine, Verdict
 from slicemon.parametric import IndexedMonitor
+from slicemon.selfcheck import SelfCheckResult, run_selfcheck
 from slicemon.slicer import SliceTable
 
 
@@ -90,6 +94,20 @@ class StaleIndexMonitor(IndexedMonitor):
         pass
 
 
+class StaleParkedIndexMonitor(IndexedMonitor):
+    """Mutant: a new parked cut covers only bindings that park later.
+
+    The parked side has no key that holds every parked binding of a
+    domain, so its backfill reads ``_parked``; this mutant skips it.  A
+    fresh binding of a new domain then misses its parked neighbours of an
+    incomparable domain, and the joins with them are never defined.
+    """
+
+    def _backfill(self, domain, cut, side) -> None:
+        if side is self.extensions:
+            super()._backfill(domain, cut, side)
+
+
 class LiveOnlyJoinsMonitor(IndexedMonitor):
     """Mutant: a fresh binding joins only with live bindings.
 
@@ -162,7 +180,7 @@ class SilentBirthMonitor(IndexedMonitor):
 
 
 class EmptyCutParkedMonitor(IndexedMonitor):
-    """Mutant: the parked side keeps each binding under its empty cut only.
+    """Mutant: the parked side keeps no cut but the empty one.
 
     A fresh binding finds its parked neighbours of an incomparable domain
     under the cut by the names the two domains share; when they share any,
@@ -185,9 +203,17 @@ MUTANTS = [
     ("join-phase", {"indexed_class": SkipJoinPhaseMonitor}, "engine-pair"),
     ("park-fail", {"indexed_class": ParkFailMonitor}, "engine-pair"),
     ("stale-index", {"indexed_class": StaleIndexMonitor}, "engine-pair"),
+    ("stale-parked-index", {"indexed_class": StaleParkedIndexMonitor}, "engine-pair"),
     ("smallest-source", {"indexed_class": SmallestSourceMonitor}, "engine-pair"),
     ("live-only-joins", {"indexed_class": LiveOnlyJoinsMonitor}, "engine-pair"),
     ("stale-plan", {"indexed_class": StalePlanMonitor}, "engine-pair"),
     ("silent-birth", {"indexed_class": SilentBirthMonitor}, "engine-pair"),
     ("empty-cut-parked", {"indexed_class": EmptyCutParkedMonitor}, "engine-pair"),
 ]
+
+
+@functools.lru_cache(maxsize=None)
+def mutant_run(name: str) -> SelfCheckResult:
+    """The seed-0, 1,000-trace selfcheck of a ``MUTANTS`` mutant, run once per session."""
+    kwargs = next(kwargs for mutant, kwargs, _ in MUTANTS if mutant == name)
+    return run_selfcheck(count=1000, seed=0, **kwargs)

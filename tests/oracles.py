@@ -148,9 +148,9 @@ def check_index(engine, fed: Iterable) -> None:
     binding must be defined, so the query domains are the empty domain and
     the domains of the defined bindings.  A live binding of ``D`` sits
     under its cut by every query domain ``E`` with ``E∩D ⊊ D``, on the
-    live side only.  A parked binding of ``D`` sits under ``((), D)`` and
-    under its cuts by the query domains incomparable with ``D``, on the
-    parked side only, and under no other key.
+    live side only.  A parked binding of ``D`` sits under its cuts by the
+    query domains incomparable with ``D``, on the parked side only, and
+    under no other key.
     """
     defined = list(engine.delta)
     undefined = [event.instance for event in fed if event.instance not in engine.delta]
@@ -164,7 +164,7 @@ def check_index(engine, fed: Iterable) -> None:
         """The domains of the keys of ``domain`` on one side."""
         if not on_parked:
             return {query & domain for query in queries if not domain <= query}
-        return {frozenset()} | {
+        return {
             query & domain for query in queries
             if not domain <= query and not query <= domain
         }

@@ -6,7 +6,9 @@ import functools
 import gc
 import io
 import os
+import re
 import select
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -567,3 +569,40 @@ def test_selfcheck_has_no_debug_flags(capsys, flag):
     captured = capsys.readouterr()
     assert (exited.value.code, captured.out) == (2, "")
     assert "unrecognized arguments: %s" % flag in captured.err
+
+
+# -- README ------------------------------------------------------------------
+
+
+def readme_examples() -> list[tuple[str, str, int | None]]:
+    """Each README ``slicemon slice`` or ``monitor`` example: command, stdout, exit code.
+
+    In a ``console`` block a ``$`` line is a command and the lines up to the
+    next one are its output.  The exit code is the output of an ``echo $?``
+    right after the command, or None if there is none.
+    """
+    blocks = re.findall(r"```console\n(.*?)```", (REPO / "README.md").read_text(), re.S)
+    examples = []
+    for block in blocks:
+        commands: list[list[str]] = []
+        for line in block.splitlines(keepends=True):
+            if line.startswith("$ "):
+                commands.append([line[2:].strip(), ""])
+            elif commands:
+                commands[-1][1] += line
+        commands.append(["", ""])
+        for (command, out), (after, code) in zip(commands, commands[1:]):
+            if command.startswith(("slicemon slice ", "slicemon monitor ")):
+                examples.append((command, out, int(code) if after == "echo $?" else None))
+    return examples
+
+
+def test_readme_console_examples_print_what_they_show(capsys, monkeypatch):
+    examples = readme_examples()
+    assert len(examples) >= 3 and any(code is not None for *_, code in examples)
+    monkeypatch.chdir(REPO)
+    for command, out, expected_code in examples:
+        code, printed, _ = run(capsys, *shlex.split(command)[1:])
+        assert printed == out, command
+        if expected_code is not None:
+            assert code == expected_code, command

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import inspect
 
 import pytest
@@ -21,7 +20,7 @@ from slicemon.selfcheck import (
 )
 from slicemon.slicer import SliceTable
 
-from .mutants import MUTANTS, NoSnapshotSliceTable, SilentBirthMonitor
+from .mutants import MUTANTS, NoSnapshotSliceTable, SilentBirthMonitor, mutant_run
 
 
 def test_clean_run_passes():
@@ -45,23 +44,16 @@ def test_same_seed_is_deterministic():
     assert first.summary_lines() == second.summary_lines()
 
 
-@functools.lru_cache(maxsize=None)
-def _mutant_run(name):
-    """The selfcheck run of a mutant of ``MUTANTS``, made once per test run."""
-    kwargs = next(kwargs for mutant, kwargs, _ in MUTANTS if mutant == name)
-    return run_selfcheck(count=1000, seed=0, **kwargs)
-
-
 @pytest.mark.parametrize("name, kwargs, check", MUTANTS, ids=[m[0] for m in MUTANTS])
 def test_mutant_is_caught(name, kwargs, check):
-    result = _mutant_run(name)
+    result = mutant_run(name)
     assert not result.passed
     assert result.failure.check == check
     assert result.traces <= 1000
 
 
 def test_snapshot_mutant_is_caught_and_minimized():
-    result = _mutant_run("snapshot")
+    result = mutant_run("snapshot")
     assert not result.passed
     assert result.failure.check == "slicing"
     # the minimized trace still fails the table check on its own
@@ -106,7 +98,7 @@ def test_reports_check_alone_catches_a_silent_birth():
     # The engine-pair check runs first and meets the missing report against
     # the baseline; the reports check must see it against the definitional
     # slices too, on the same minimized trace.
-    failure = _mutant_run("silent-birth").failure
+    failure = mutant_run("silent-birth").failure
     assert failure is not None
     assert _check_reports(failure.trace, failure.machine, IndexedMonitor) is None
     detail = _check_reports(failure.trace, failure.machine, SilentBirthMonitor)
