@@ -44,7 +44,9 @@ class Verdict(Enum):
     __hash__ = object.__hash__
 
     def __str__(self) -> str:
-        return self.value
+        # ``_value_`` is a plain attribute; ``value`` is a Python-level
+        # descriptor, read on every rendered report.
+        return self._value_
 
 
 class Ratio:

@@ -2,15 +2,16 @@
 
 A parametric monitor is the base monitor run on every trace slice.  Both
 engines share one define/join/apply loop, :meth:`_EngineBase.feed`: for a
-fresh binding it defines every missing join of the binding with the table,
-each copied from its most informative defined sub-binding in the pre-event
-table, and born parked if that sub-binding is parked; then it steps the
-binding and its defined strict extensions, except those parked in a sink
-state that cannot report.  Each step reads only its own binding's state, so
-the steps may run in any order; the reports of one event come out in
-``binding_order``.  A fresh binding's joins are sourced, defined and
-indexed a domain at a time.  The engines differ only in the
-three finders the loop calls:
+fresh binding it defines the binding itself and every missing join of it
+with its neighbours in the table, each copied from its most informative
+defined sub-binding in the pre-event table, and born parked if that
+sub-binding is parked; then it steps the binding and its defined strict
+extensions, except those parked in a sink state that cannot report.  Each
+step reads only its own binding's state, so the steps may run in any
+order; the reports of one event come out in ``binding_order``.  The fresh
+binding is a group of its own; the joins with its neighbours are grouped
+by domain; every group is sourced, defined and indexed by the same steps.
+The engines differ only in the three finders the loop calls:
 
 * :class:`BaselineMonitor` scans the whole table for the joins, for the
   bindings at or above (leaving out parked strict extensions), and for a
@@ -32,7 +33,7 @@ same loop with a machine whose state is the word read so far.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .bindings import EMPTY, ParamInstance, binding_order, joins_with, max_below, ordered
 from .events import ParametricEvent, binding_closure, slice_trace
@@ -120,19 +121,22 @@ class RunStats:
 class _EngineBase:
     """The define/join/apply loop, tables, triggers and report policy.
 
-    Subclasses supply the three finders: ``_joins(binding)`` returns the
-    joins of a binding not in the table with every table entry, as
-    ``{domain: set of joins}`` with the binding's own domain first;
+    Subclasses supply the three finders: ``_joins(binding)`` returns, for
+    a binding not in the table, its domain (the *query domain*) and its
+    joins with the table entries it does not extend, its *neighbours*, as
+    ``{domain: set of joins}``: the binding itself, its one join of its own
+    domain, is left out, and the loop defines it;
     ``_at_or_above(binding)`` the binding, which is in the table, and its
     defined strict extensions that are not parked; ``_below(domain, joins)``
     the most informative binding strictly below each of a group's missing
-    joins, in order, in the pre-event table.  The first two add the
-    candidates they examine to ``stats.compat_checks``.  ``_joins`` may
-    leave out parked joins already defined, which the loop does not reach.
-    ``_index(domain, joins, query)`` is called per group an event defined,
-    after its steps, with the fresh binding's domain ``query``, the first
-    key ``_joins`` returned; ``_park`` when a step parks a binding stepped
-    before; ``_bear`` parks the joins born parked.
+    joins, in order, in the pre-event table (the fresh binding alone is such
+    a group).  The first two add the candidates they examine to
+    ``stats.compat_checks``.  ``_joins`` may leave out parked joins already
+    defined, which the loop does not reach.  ``_index(domain, joins,
+    query)`` is called per group an event defined, the fresh binding's
+    first, after its steps, with the query domain ``query``; ``_park`` when
+    a step parks a binding stepped before; ``_bear`` parks the joins born
+    parked.
     """
 
     def __init__(
@@ -173,6 +177,12 @@ class _EngineBase:
         come in ``binding_order`` of their bindings; the order of the steps
         is unspecified.
 
+        An event on a fresh binding defines the binding itself, a group of
+        one with its own ``_below`` probe, and the missing joins of the
+        neighbour groups ``_joins`` returns; every group is sourced from the
+        pre-event table, then defined, born parked or stepped, and indexed
+        alike.
+
         A step that lands in one of the machine's sinks parks its binding
         unless the sink's verdict would be reported again under
         ``report_every``.  A parked binding is not stepped again: its state
@@ -203,14 +213,16 @@ class _EngineBase:
                 stats.skipped_steps += 1
         else:
             # The joins of a fresh binding with the table are exactly the
-            # bindings the event affects.  Each missing one copies the state
-            # of its most informative defined sub-binding, read before any
-            # define so that no join copies a state this event created; one
-            # copied from a parked source is born parked.  Of the defined
-            # ones, only the live are reached.
-            touched, defined = [], []
-            groups = self._joins(binding)
-            query = next(iter(groups))
+            # bindings the event affects: the binding itself, a group of its
+            # own, and its joins with its neighbours.  Each missing one
+            # copies the state of its most informative defined sub-binding,
+            # read before any define so that no join copies a state this
+            # event created; one copied from a parked source is born parked.
+            # Of the defined ones, only the live are reached.
+            query, groups = self._joins(binding)
+            touched = []
+            alone = (binding,)
+            defined = [(query, alone, self._below(query, alone))]
             for domain, joins in groups.items():
                 missing = joins.difference(delta)
                 if len(missing) != len(joins):
@@ -264,7 +276,8 @@ class _EngineBase:
         informative; the test suite's differential checks assert this.
         """
         delta = self.delta
-        delta.update(zip(joins, map(delta.__getitem__, sources)))
+        for joined, source in zip(joins, sources):
+            delta[joined] = delta[source]
         self.stats.defines += len(sources)
 
     def _bear(
@@ -298,7 +311,8 @@ class _EngineBase:
         """Note that a step parked a binding that an earlier step reached."""
 
     def _index(
-        self, domain: frozenset[str], joins: set[ParamInstance], query: frozenset[str]
+        self, domain: frozenset[str], joins: Collection[ParamInstance],
+        query: frozenset[str],
     ) -> None:
         """Note a group of bindings a fresh binding of domain ``query`` defined."""
 
@@ -310,14 +324,18 @@ _NEVER = object()
 class BaselineMonitor(_EngineBase):
     """Full-scan engine: finds affected bindings by scanning the whole table."""
 
-    def _joins(self, binding: ParamInstance) -> dict[frozenset[str], set]:
+    def _joins(
+        self, binding: ParamInstance
+    ) -> tuple[frozenset[str], dict[frozenset[str], set]]:
         # The empty binding is always present, so the binding itself is one
-        # of the joins.
+        # of the joins, and the only one of its domain: the loop defines it.
         self.stats.compat_checks += len(self.delta)
-        groups: dict[frozenset[str], set[ParamInstance]] = {binding.domain: set()}
+        query = binding.domain
+        groups: dict[frozenset[str], set[ParamInstance]] = {}
         for joined in joins_with(binding, self.delta):
             groups.setdefault(joined.domain, set()).add(joined)
-        return groups
+        del groups[query]
+        return query, groups
 
     def _at_or_above(self, binding: ParamInstance) -> list[ParamInstance]:
         self.stats.compat_checks += len(self.delta)
@@ -330,7 +348,9 @@ class BaselineMonitor(_EngineBase):
             and binding.less_informative(other)
         ]
 
-    def _below(self, domain: frozenset[str], joins: set) -> list[ParamInstance]:
+    def _below(
+        self, domain: frozenset[str], joins: Collection[ParamInstance]
+    ) -> list[ParamInstance]:
         return [max_below(joined, self.delta) for joined in joins]
 
 
@@ -404,7 +424,9 @@ class IndexedMonitor(_EngineBase):
         self._plans: dict[frozenset[str], list[tuple]] = {}
         self._sources: dict[frozenset[str], list[Callable]] = {}
 
-    def _joins(self, binding: ParamInstance) -> dict[frozenset[str], set]:
+    def _joins(
+        self, binding: ParamInstance
+    ) -> tuple[frozenset[str], dict[frozenset[str], set]]:
         query = binding.domain
         plan = self._plans.get(query)
         if plan is None:
@@ -412,7 +434,7 @@ class IndexedMonitor(_EngineBase):
                 # The binding is one of its joins: this event defines it.
                 self._add_domain(query)
             plan = self._plans[query] = self._plan(query)
-        groups = {query: {binding}}
+        groups: dict[frozenset[str], set[ParamInstance]] = {}
         examined = 1
         for domain, cut, joined, merge, sides in plan:
             key = (cut(binding), domain)
@@ -427,7 +449,7 @@ class IndexedMonitor(_EngineBase):
                         merged = map(merge, map(binding.__add__, neighbours))
                         joins.update(map(ParamInstance._wrap, merged))
         self.stats.compat_checks += examined
-        return groups
+        return query, groups
 
     def _plan(self, query: frozenset[str]) -> list[tuple]:
         """``(D, cut, D∪query, merge plan, sides)`` per table domain ``D`` not within ``query``.
@@ -459,7 +481,9 @@ class IndexedMonitor(_EngineBase):
             found.extend(extensions.get((binding, domain), ()))
         return found
 
-    def _below(self, domain: frozenset[str], joins: set) -> list[ParamInstance]:
+    def _below(
+        self, domain: frozenset[str], joins: Collection[ParamInstance]
+    ) -> list[ParamInstance]:
         sources = self._sources.get(domain)
         if sources is None:
             within = [other for other in self._domains if other < domain]
@@ -480,20 +504,22 @@ class IndexedMonitor(_EngineBase):
         return found
 
     def _index(
-        self, domain: frozenset[str], joins: set[ParamInstance], query: frozenset[str]
+        self, domain: frozenset[str], joins: Collection[ParamInstance],
+        query: frozenset[str],
     ) -> None:
         """Write the keys of a group of this event's joins, each on its side, once.
 
         Every member extends the fresh binding, of domain ``query``, so the
         members agree on a cut within ``query``: such a cut takes a side's
-        members with one ``set.update``.
+        members with one ``set.update``.  The fresh binding comes alone in
+        a tuple; a group of its neighbours' joins is a set.
         """
         domain, cuts, parked_cuts = self._domains.get(domain) or self._add_domain(domain)
         if len(joins) == 1:
             # Every cut of one member is its own key, and the group
             # bookkeeping below costs more than it saves: without this
-            # loop, fresh-bindings, whose groups all have one member,
-            # measured a slower p50 (CHANGES.md).
+            # loop, fresh-bindings, whose only group is each event's fresh
+            # binding, measured a slower p50 (CHANGES.md).
             for member in joins:
                 if member in self._parked:
                     side, cuts = self.parked_extensions, parked_cuts

@@ -324,7 +324,11 @@ def run_selfcheck(
     and ``reports``, and ``table_class`` the slicer checked by ``slicing``;
     passing a deliberately broken subclass in either place makes its
     detection testable.  Stops at the first mismatch, returning a minimized
-    counterexample.
+    counterexample.  The checks run in that order on each trace, and
+    ``engine-pair`` already compares the report streams of the two engines
+    without ``report_every``, on the same trace as ``reports``; so only a
+    fault that shows under ``report_every`` alone can reach ``reports``
+    first.
     """
     rng = random.Random(seed)
     passed = dict.fromkeys(("slicing", "engine-pair", "verdicts", "reports"), 0)

@@ -6,15 +6,18 @@ runs one.  :data:`MUTANTS` lists every mutant the selfcheck is tested
 against, with the ``run_selfcheck`` keywords that run it and the check
 expected to catch it; all of them live here, and none in ``src/``.  A new
 shortcut adds its mutant here, and the tests that iterate the list pick it
-up.  :func:`mutant_run` runs each mutant's selfcheck once per test session,
-for every test that reads it.
+up.  ``run_selfcheck`` runs ``engine-pair`` before ``reports`` on each
+trace, and it compares the report streams without ``report_every``: only a
+mutant whose fault shows under ``report_every`` alone can name ``reports``
+as its catcher.  :func:`mutant_run` runs each mutant's selfcheck once per
+test session, for every test that reads it.
 """
 
 from __future__ import annotations
 
 import functools
 
-from slicemon.bindings import EMPTY, ParamInstance, binding_order, max_below
+from slicemon.bindings import EMPTY, ParamInstance, max_below
 from slicemon.machines import FsmMachine, Verdict
 from slicemon.parametric import IndexedMonitor
 from slicemon.selfcheck import SelfCheckResult, run_selfcheck
@@ -28,38 +31,36 @@ class SkipJoinPhaseMonitor(IndexedMonitor):
     combinations they stand for are missed.
     """
 
-    def _joins(self, binding: ParamInstance) -> dict[frozenset[str], set]:
+    def _joins(self, binding: ParamInstance) -> tuple[frozenset[str], dict]:
         groups: dict[frozenset[str], set[ParamInstance]] = {}
-        for found in self._at_or_above(binding):
+        for found in self._at_or_above(binding)[1:]:
             groups.setdefault(found.domain, set()).add(found)
-        return groups
+        return binding.domain, groups
 
 
 class NoSnapshotMonitor(IndexedMonitor):
     """Mutant: defines each join from ``max_below`` on the growing table.
 
-    The joins are defined one by one in ``binding_order``, so a join can
-    copy a join that this event created instead of its pre-event source.
-    The growing table is not join-closed, so ``max_below`` may meet several
-    widest members below a join; the scan runs over the table in reverse
-    order of definition, so the one defined last (by this event, when there
-    is one) wins.  Scanned oldest first, the mutant would meet a pre-event
-    source first and, on the smallest case (``setb b=1`` then ``seta a=1``),
-    copy the right slice.
+    Its source finder defines each join as soon as it has found its source.
+    The loop asks for the fresh binding's source first, so a join found
+    later can copy the fresh binding, or another join that this event
+    created, instead of its pre-event source; the loop's own define then
+    copies the same source again.  The growing table is not join-closed, so
+    ``max_below`` may meet several widest members below a join; the scan
+    runs over the table in reverse order of definition, so the one defined
+    last (by this event, when there is one) wins.  Scanned oldest first,
+    the mutant would meet a pre-event source first and, on the smallest
+    case (``setb b=1`` then ``seta a=1``), copy the right slice.
     """
 
-    def _joins(self, binding: ParamInstance) -> dict[frozenset[str], set]:
-        groups = super()._joins(binding)
-        query = next(iter(groups))
-        missing = {
-            domain: joins.difference(self.delta) for domain, joins in groups.items()
-        }
-        for joined in sorted(set().union(*missing.values()), key=binding_order):
-            self._define([joined], [max_below(joined, reversed(self.delta))])
-        for domain, defined in missing.items():
-            if defined:
-                self._index(domain, defined, query)
-        return groups
+    def _below(self, domain: frozenset[str], joins) -> list[ParamInstance]:
+        delta = self.delta
+        sources = []
+        for joined in joins:
+            source = max_below(joined, reversed(delta))
+            delta[joined] = delta[source]
+            sources.append(source)
+        return sources
 
 
 class NoSnapshotSliceTable(SliceTable):
@@ -116,17 +117,17 @@ class LiveOnlyJoinsMonitor(IndexedMonitor):
     join-closed.
     """
 
-    def _joins(self, binding: ParamInstance) -> dict[frozenset[str], set]:
+    def _joins(self, binding: ParamInstance) -> tuple[frozenset[str], dict]:
         query = binding.domain
         if query not in self._domains:
             self._add_domain(query)
-        groups = {query: {binding}}
+        groups: dict[frozenset[str], set[ParamInstance]] = {}
         for domain in self._domains:
             if not domain <= query:
                 sub = binding.restrict(domain & query)
                 for neighbour in self.extensions.get((sub, domain), ()):
                     groups.setdefault(domain | query, set()).add(neighbour.join(binding))
-        return groups
+        return query, groups
 
 
 class SmallestSourceMonitor(IndexedMonitor):
@@ -197,6 +198,29 @@ class EmptyCutParkedMonitor(IndexedMonitor):
         return entry
 
 
+class LoneEmptySourceMonitor(IndexedMonitor):
+    """Mutant: a fresh binding that meets no neighbour copies the empty binding.
+
+    The loop defines a fresh binding itself, apart from its neighbour
+    groups.  When the join finder returns no group, this mutant sources the
+    binding from ``EMPTY`` instead of its most informative defined
+    sub-binding, as if a binding that joins with nothing had nothing below
+    it either.
+    """
+
+    _lone = False
+
+    def _joins(self, binding: ParamInstance) -> tuple[frozenset[str], dict]:
+        query, groups = super()._joins(binding)
+        self._lone = not groups
+        return query, groups
+
+    def _below(self, domain: frozenset[str], joins) -> list[ParamInstance]:
+        if self._lone:  # the loop asks for the fresh binding's source first
+            return [EMPTY] * len(joins)
+        return super()._below(domain, joins)
+
+
 #: (name, ``run_selfcheck`` keywords, the check that must catch it).
 MUTANTS = [
     ("snapshot", {"table_class": NoSnapshotSliceTable}, "slicing"),
@@ -209,6 +233,7 @@ MUTANTS = [
     ("stale-plan", {"indexed_class": StalePlanMonitor}, "engine-pair"),
     ("silent-birth", {"indexed_class": SilentBirthMonitor}, "engine-pair"),
     ("empty-cut-parked", {"indexed_class": EmptyCutParkedMonitor}, "engine-pair"),
+    ("lone-empty-source", {"indexed_class": LoneEmptySourceMonitor}, "engine-pair"),
 ]
 
 

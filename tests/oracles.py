@@ -114,12 +114,15 @@ def checked_defines(engine):
     copy of the state of a defined source strictly less informative than it.
     The engines define a group of joins at once, each paired in order with
     its source, and do not assert this themselves: a define sits on the
-    path of every fresh event.
+    path of every fresh event.  The check counts the joins it saw in its
+    ``defines`` attribute, which a test can hold against ``stats.defines``
+    to find a define that went round it.
     """
     define = engine._define
 
     def checked(joins, sources) -> None:
         joins = list(joins)
+        checked.defines += len(joins)
         assert len(joins) == len(sources), "%d joins, %d sources" % (len(joins), len(sources))
         for binding, source in zip(joins, sources):
             assert type(binding) is ParamInstance and type(source) is ParamInstance, (
@@ -132,6 +135,7 @@ def checked_defines(engine):
             )
         define(joins, sources)
 
+    checked.defines = 0
     engine._define = checked
     return engine
 

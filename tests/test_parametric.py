@@ -450,7 +450,9 @@ UNSAFEITER_600_COUNTS = {
 @pytest.mark.parametrize("engine_class", [BaselineMonitor, IndexedMonitor])
 def test_unsafeiter_work_counts_are_pinned(unsafeiter_spec, engine_class, report_every):
     spec = unsafeiter_spec
-    engine = engine_class(spec.machine, trigger=spec.trigger, report_every=report_every)
+    engine = checked_defines(
+        engine_class(spec.machine, trigger=spec.trigger, report_every=report_every)
+    )
     reports = engine.feed_all(unsafeiter_workload(600))
     stats = engine.stats
     assert (
@@ -462,6 +464,9 @@ def test_unsafeiter_work_counts_are_pinned(unsafeiter_spec, engine_class, report
         stats.defines,
         stats.peak_instances,
     ) == UNSAFEITER_600_COUNTS[engine_class]
+    # Every table entry, a fresh binding's own included, went through the
+    # define oracle.
+    assert engine._define.defines == stats.defines
 
 
 class CountingMachine:
