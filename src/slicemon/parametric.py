@@ -4,19 +4,20 @@ A parametric monitor is the base monitor run on every trace slice.  Both
 engines share one define/join/apply loop, :meth:`_EngineBase.feed`: for a
 fresh binding it defines the binding itself and every missing join of it
 with its neighbours in the table, each copied from its most informative
-defined sub-binding in the pre-event table, and born parked if that
-sub-binding is parked; then it steps the binding and its defined strict
-extensions, except those parked in a sink state that cannot report.  Each
-step reads only its own binding's state, so the steps may run in any
-order; the reports of one event come out in ``binding_order``.  The fresh
-binding is a group of its own; the joins with its neighbours are grouped
-by domain; every group is sourced, defined and indexed by the same steps.
-The engines differ only in the three finders the loop calls:
+defined sub-binding in the pre-event table (:meth:`_EngineBase._define`
+has the rule for a copy of a parked one); then it steps the binding and
+its defined strict extensions, except those parked in a sink state that
+cannot report.  Each step reads only its own binding's state, so the
+steps may run in any order; the reports of one event come out in
+``binding_order``.  The fresh binding is a group of its own; the joins
+with its neighbours are grouped by domain; every group is sourced,
+defined and indexed by the same steps.  The engines differ only in the
+three finders the loop calls:
 
 * :class:`BaselineMonitor` scans the whole table for the joins, for the
-  bindings at or above (leaving out parked strict extensions), and for a
-  join's source, the widest binding below it (``max_below``) — simple, and
-  the semantic yardstick;
+  live strict extensions of a known binding, and for a join's source, the
+  widest binding below it (``max_below``) — simple, and the semantic
+  yardstick;
 * :class:`IndexedMonitor` looks the first two up in a domain-keyed index of
   the defined bindings, holding only the keys its lookups can ask for, and
   finds a source by restricting the join to each table domain within it.
@@ -90,7 +91,7 @@ class RunStats:
     ``monitor_steps`` counts the monitor steps taken, and ``skipped_steps``
     the bindings an event reached that were parked and so not stepped
     (their sum is the number of bindings the events reached).  A join born
-    parked counts as a step, though no machine step is made for it.  An
+    parked counts as a step (:meth:`_EngineBase._define`).  An
     event reaches a known binding and its live strict extensions, or the
     missing and the live defined joins of a fresh binding; so a skip is
     only ever a known binding parked itself.
@@ -125,18 +126,20 @@ class _EngineBase:
     a binding not in the table, its domain (the *query domain*) and its
     joins with the table entries it does not extend, its *neighbours*, as
     ``{domain: set of joins}``: the binding itself, its one join of its own
-    domain, is left out, and the loop defines it;
-    ``_at_or_above(binding)`` the binding, which is in the table, and its
-    defined strict extensions that are not parked; ``_below(domain, joins)``
-    the most informative binding strictly below each of a group's missing
-    joins, in order, in the pre-event table (the fresh binding alone is such
-    a group).  The first two add the candidates they examine to
-    ``stats.compat_checks``.  ``_joins`` may leave out parked joins already
-    defined, which the loop does not reach.  ``_index(domain, joins,
-    query)`` is called per group an event defined, the fresh binding's
-    first, after its steps, with the query domain ``query``; ``_park`` when
-    a step parks a binding stepped before; ``_bear`` parks the joins born
-    parked.
+    domain, is left out, and the loop defines it; ``_above(binding)`` the
+    defined strict extensions, not parked, of a binding in the table, which
+    is left out too, and the loop steps it unless it is parked;
+    ``_below(domain, joins)`` the most informative binding strictly below
+    each of a group's missing joins, in order, in the pre-event table (the
+    fresh binding alone is such a group).  The first two add the candidates
+    they examine to ``stats.compat_checks``.  ``_joins`` may leave out
+    parked joins already defined, which the loop does not reach.
+
+    Two hooks note what the loop did: ``_index(domain, joins)`` is called
+    per group of one domain an event defined, the fresh binding's first,
+    after the event's steps; ``_park`` when a step parks a binding stepped
+    before.  ``_define`` creates a group's entries and returns the joins
+    the loop steps.
     """
 
     def __init__(
@@ -180,8 +183,8 @@ class _EngineBase:
         An event on a fresh binding defines the binding itself, a group of
         one with its own ``_below`` probe, and the missing joins of the
         neighbour groups ``_joins`` returns; every group is sourced from the
-        pre-event table, then defined, born parked or stepped, and indexed
-        alike.
+        pre-event table, then defined by ``_define``, which leaves the joins
+        born parked out of the steps, and indexed alike.
 
         A step that lands in one of the machine's sinks parks its binding
         unless the sink's verdict would be reported again under
@@ -191,13 +194,10 @@ class _EngineBase:
         entry, so joins are still copied from it, and ``delta``, ``gamma``
         and the reports are those of stepping it; the finders need not list
         it as an extension of a known binding or as a defined join of a
-        fresh one, and the loop does not reach it.  A missing join copied from a parked source
-        is *born parked*: its first step would leave it in the source's
-        sink with the source's verdict, so it gets that verdict without a
-        machine step, counts as a step, and reports it if it is a trigger,
-        as no verdict was recorded before.  Otherwise a binding is parked
-        only after a step of its own: the empty binding starting in a sink
-        has no verdict recorded yet and may report on its first step.
+        fresh one, and the loop does not reach it.  A binding is parked only
+        after a step of its own, or at birth (``_define``): the empty
+        binding starting in a sink has no verdict recorded yet and may
+        report on its first step.
         """
         stats = self.stats
         stats.events += 1
@@ -207,18 +207,18 @@ class _EngineBase:
         reports: list[VerdictReport] = []
         defined = ()
         if binding in delta:
-            touched = self._at_or_above(binding)
+            touched = self._above(binding)
             if binding in parked:
-                del touched[0]
                 stats.skipped_steps += 1
+            else:
+                touched.append(binding)
         else:
             # The joins of a fresh binding with the table are exactly the
             # bindings the event affects: the binding itself, a group of its
             # own, and its joins with its neighbours.  Each missing one
             # copies the state of its most informative defined sub-binding,
             # read before any define so that no join copies a state this
-            # event created; one copied from a parked source is born parked.
-            # Of the defined ones, only the live are reached.
+            # event created.  Of the defined ones, only the live are reached.
             query, groups = self._joins(binding)
             touched = []
             alone = (binding,)
@@ -230,13 +230,7 @@ class _EngineBase:
                 if missing:
                     defined.append((domain, missing, self._below(domain, missing)))
             for _, missing, sources in defined:
-                self._define(missing, sources)
-                if parked.isdisjoint(sources):
-                    touched += missing
-                else:
-                    stepped = self._bear(missing, sources, event, reports)
-                    stats.monitor_steps += len(missing) - len(stepped)
-                    touched += stepped
+                touched += self._define(missing, sources, event, reports)
 
         machine = self.machine
         gamma = self.gamma
@@ -261,7 +255,7 @@ class _EngineBase:
                 if before is not _NEVER:
                     self._park(affected)
         for domain, missing, _ in defined:
-            self._index(domain, missing, query)
+            self._index(domain, missing)
         stats.monitor_steps += len(touched)
         if len(delta) > stats.peak_instances:
             stats.peak_instances = len(delta)
@@ -269,33 +263,34 @@ class _EngineBase:
             reports.sort(key=lambda report: binding_order(report.instance))
         return reports
 
-    def _define(self, joins: Iterable[ParamInstance], sources: list) -> None:
-        """Create table entries, each a copy of its source, paired in order.
+    def _define(
+        self, joins: Collection[ParamInstance], sources: list, event: ParametricEvent,
+        reports: list[VerdictReport],
+    ) -> Collection[ParamInstance]:
+        """Create a group's table entries, each a copy of its source; return the joins to step.
 
         No join is in the table yet, and each source is and is strictly less
         informative; the test suite's differential checks assert this.
+
+        A join copied from a parked source is *born parked*: its first step
+        would leave it in its source's sink with its source's verdict, so
+        it takes that verdict without a machine step, counts in
+        ``monitor_steps``, and reports the verdict to ``reports`` if it is a
+        trigger, as no verdict was recorded before.  Under ``report_every``
+        no parking sink's verdict is one.  Stepping such joins in the
+        normal loop instead measured a higher unsafeiter-join p99 event
+        latency in process (CHANGES.md).
         """
-        delta = self.delta
-        for joined, source in zip(joins, sources):
-            delta[joined] = delta[source]
+        delta, parked = self.delta, self._parked
         self.stats.defines += len(sources)
-
-    def _bear(
-        self, joins: Iterable[ParamInstance], sources: list, event: ParametricEvent,
-        reports: list[VerdictReport],
-    ) -> list[ParamInstance]:
-        """Park the defined joins copied from a parked source; return the others.
-
-        Such a join's first step would leave it in its source's sink, with
-        its source's verdict, so it takes that verdict without a machine
-        step and reports it if it is a trigger: no verdict was recorded
-        before.  Under ``report_every`` no parking sink's verdict is one.
-        Stepping such joins in the normal loop instead measured a higher
-        unsafeiter-join p99 event latency in process (CHANGES.md).
-        """
-        parked, gamma, trigger = self._parked, self.gamma, self.trigger
+        if parked.isdisjoint(sources):
+            for joined, source in zip(joins, sources):
+                delta[joined] = delta[source]
+            return joins
+        gamma, trigger = self.gamma, self.trigger
         stepped = []
         for joined, source in zip(joins, sources):
+            delta[joined] = delta[source]
             if source in parked:
                 parked.add(joined)
                 gamma[joined] = verdict = gamma[source]
@@ -305,16 +300,14 @@ class _EngineBase:
                     )
             else:
                 stepped.append(joined)
+        self.stats.monitor_steps += len(sources) - len(stepped)
         return stepped
 
     def _park(self, binding: ParamInstance) -> None:
         """Note that a step parked a binding that an earlier step reached."""
 
-    def _index(
-        self, domain: frozenset[str], joins: Collection[ParamInstance],
-        query: frozenset[str],
-    ) -> None:
-        """Note a group of bindings a fresh binding of domain ``query`` defined."""
+    def _index(self, domain: frozenset[str], joins: Collection[ParamInstance]) -> None:
+        """Note a group of bindings of ``domain`` that this event defined."""
 
 
 #: Sentinel distinguishing "never evaluated" from any real verdict.
@@ -337,10 +330,10 @@ class BaselineMonitor(_EngineBase):
         del groups[query]
         return query, groups
 
-    def _at_or_above(self, binding: ParamInstance) -> list[ParamInstance]:
+    def _above(self, binding: ParamInstance) -> list[ParamInstance]:
         self.stats.compat_checks += len(self.delta)
         parked = self._parked
-        return [binding] + [
+        return [
             other
             for other in self.delta
             if other not in parked
@@ -384,9 +377,8 @@ class IndexedMonitor(_EngineBase):
     live binding that parks later moves once, and a live set it leaves
     empty is deleted.
 
-    * The warm finder returns ``b`` and the live bindings under
-      ``(b's items, D)`` for every table domain ``D``: a parked binding is
-      never stepped.
+    * The warm finder returns the live bindings under ``(b's items, D)``
+      for every table domain ``D``: a parked binding is never stepped.
     * A binding compatible with a fresh ``b`` and of a domain ``D`` not
       within ``b``'s agrees with ``b`` on their shared names, so the
       compatible neighbours of ``b`` in ``D`` are exactly the bindings
@@ -474,9 +466,9 @@ class IndexedMonitor(_EngineBase):
                 plan.append((domain, _cut(query, domain & query), joined, merge, sides))
         return plan
 
-    def _at_or_above(self, binding: ParamInstance) -> list[ParamInstance]:
+    def _above(self, binding: ParamInstance) -> list[ParamInstance]:
         extensions = self.extensions
-        found = [binding]
+        found = []
         for domain in self._domains:
             found.extend(extensions.get((binding, domain), ()))
         return found
@@ -503,45 +495,16 @@ class IndexedMonitor(_EngineBase):
                 found.append(EMPTY)
         return found
 
-    def _index(
-        self, domain: frozenset[str], joins: Collection[ParamInstance],
-        query: frozenset[str],
-    ) -> None:
-        """Write the keys of a group of this event's joins, each on its side, once.
-
-        Every member extends the fresh binding, of domain ``query``, so the
-        members agree on a cut within ``query``: such a cut takes a side's
-        members with one ``set.update``.  The fresh binding comes alone in
-        a tuple; a group of its neighbours' joins is a set.
-        """
+    def _index(self, domain: frozenset[str], joins: Collection[ParamInstance]) -> None:
+        """Write the keys of a group of this event's joins, each on its side, once."""
         domain, cuts, parked_cuts = self._domains.get(domain) or self._add_domain(domain)
-        if len(joins) == 1:
-            # Every cut of one member is its own key, and the group
-            # bookkeeping below costs more than it saves: without this
-            # loop, fresh-bindings, whose only group is each event's fresh
-            # binding, measured a slower p50 (CHANGES.md).
-            for member in joins:
-                if member in self._parked:
-                    side, cuts = self.parked_extensions, parked_cuts
-                else:
-                    side = self.extensions
-                for cut in cuts.values():
-                    side.setdefault((cut(member), domain), set()).add(member)
-            return
-        on_parked = joins.intersection(self._parked)
-        for side, members, side_cuts in (
-            (self.extensions, joins - on_parked if on_parked else joins, cuts),
-            (self.parked_extensions, on_parked, parked_cuts),
-        ):
-            if not members:
-                continue
-            first = next(iter(members))
-            for part, cut in side_cuts.items():
-                if part <= query:
-                    side.setdefault((cut(first), domain), set()).update(members)
-                else:
-                    for member in members:
-                        side.setdefault((cut(member), domain), set()).add(member)
+        for member in joins:
+            if member in self._parked:
+                side, member_cuts = self.parked_extensions, parked_cuts
+            else:
+                side, member_cuts = self.extensions, cuts
+            for cut in member_cuts.values():
+                side.setdefault((cut(member), domain), set()).add(member)
 
     def _park(self, binding: ParamInstance) -> None:
         """Move a live binding's keys to the parked side, under its parked cuts."""

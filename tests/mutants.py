@@ -33,7 +33,7 @@ class SkipJoinPhaseMonitor(IndexedMonitor):
 
     def _joins(self, binding: ParamInstance) -> tuple[frozenset[str], dict]:
         groups: dict[frozenset[str], set[ParamInstance]] = {}
-        for found in self._at_or_above(binding)[1:]:
+        for found in self._above(binding):
             groups.setdefault(found.domain, set()).add(found)
         return binding.domain, groups
 
@@ -176,8 +176,9 @@ class SilentBirthMonitor(IndexedMonitor):
     a trigger, as if a verdict copied were a verdict already reported.
     """
 
-    def _bear(self, joins, sources, event, reports) -> list[ParamInstance]:
-        return super()._bear(joins, sources, event, [])
+    def _define(self, joins, sources, event, reports):
+        # The only reports a define makes are those of joins born parked.
+        return super()._define(joins, sources, event, [])
 
 
 class EmptyCutParkedMonitor(IndexedMonitor):

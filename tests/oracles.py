@@ -116,15 +116,16 @@ def checked_defines(engine):
     its source, and do not assert this themselves: a define sits on the
     path of every fresh event.  The check counts the joins it saw in its
     ``defines`` attribute, which a test can hold against ``stats.defines``
-    to find a define that went round it.
+    to find a define that went round it, and returns the joins the define
+    returns, which the loop steps.
     """
     define = engine._define
 
-    def checked(joins, sources) -> None:
-        joins = list(joins)
-        checked.defines += len(joins)
-        assert len(joins) == len(sources), "%d joins, %d sources" % (len(joins), len(sources))
-        for binding, source in zip(joins, sources):
+    def checked(joins, sources, event, reports):
+        listed = list(joins)
+        checked.defines += len(listed)
+        assert len(listed) == len(sources), "%d joins, %d sources" % (len(listed), len(sources))
+        for binding, source in zip(listed, sources):
             assert type(binding) is ParamInstance and type(source) is ParamInstance, (
                 "define of %r from %r: not both bindings" % (binding, source)
             )
@@ -133,10 +134,39 @@ def checked_defines(engine):
             assert source != binding and source.less_informative(binding), (
                 "copy source %r is not strictly less informative than %r" % (source, binding)
             )
-        define(joins, sources)
+        return define(joins, sources, event, reports)
 
     checked.defines = 0
     engine._define = checked
+    return engine
+
+
+def checked_finders(engine):
+    """Make ``engine`` assert the finder contract on every lookup; return it.
+
+    The loop steps an event's own binding itself, so neither finder may
+    return it: ``_above(b)`` returns only strict extensions of ``b``, and
+    the groups ``_joins(b)`` returns hold only the joins of ``b`` with its
+    neighbours, none of ``b``'s own domain.
+    """
+    above, joins = engine._above, engine._joins
+
+    def checked_above(binding):
+        found = above(binding)
+        for other in found:
+            assert other != binding, "_above(%r) returned the binding itself" % (binding,)
+            assert binding.less_informative(other), (
+                "_above(%r) returned %r, not an extension" % (binding, other)
+            )
+        return found
+
+    def checked_joins(binding):
+        query, groups = joins(binding)
+        assert query == binding.domain, "_joins(%r) gave query domain %r" % (binding, query)
+        assert query not in groups, "_joins(%r) returned a group of its own domain" % (binding,)
+        return query, groups
+
+    engine._above, engine._joins = checked_above, checked_joins
     return engine
 
 

@@ -21,15 +21,17 @@ from slicemon.slicer import SliceTable
 from slicemon.specfile import parse_property_spec
 
 from .mutants import SkipJoinPhaseMonitor, StaleParkedIndexMonitor
-from .oracles import check_index, checked_defines, feed_counting, random_binding
+from .oracles import (
+    check_index, checked_defines, checked_finders, feed_counting, random_binding,
+)
 from .workloads import adversarial_machine, adversarial_workload, unsafeiter_workload
 
 
 def both_engines(machine, **kwargs):
-    """The two engines on one machine, each asserting the define invariants."""
+    """The two engines on one machine, each asserting the define and finder contracts."""
     return (
-        checked_defines(BaselineMonitor(machine, **kwargs)),
-        checked_defines(IndexedMonitor(machine, **kwargs)),
+        checked_finders(checked_defines(BaselineMonitor(machine, **kwargs))),
+        checked_finders(checked_defines(IndexedMonitor(machine, **kwargs))),
     )
 
 
@@ -285,6 +287,39 @@ def test_pairs_parked_before_a_new_domain_join_with_its_bindings():
     stale = StaleParkedIndexMonitor(machine, trigger=[Verdict.MATCH])
     stale.feed_all(trace)
     assert born.isdisjoint(stale.delta)
+
+
+@pytest.mark.parametrize("prefix", [[], [("touch", {"i": "i0", "w": "w1"})]])
+def test_group_mixing_live_and_born_parked_joins(prefix):
+    # ``kill`` parks a collection in "dead"; ``touch`` leaves one live.  The
+    # fresh i=i1 then defines one group of domain {i, v} holding a join
+    # copied from the parked v=c1, born parked, and one copied from the
+    # live v=c2, stepped.  With the {i, w} prefix, {i, v} has a parked cut
+    # by {i} when the group is indexed, so both sides get keys.
+    machine = FsmMachine(
+        "start",
+        {
+            ("start", "touch"): "start", ("start", "step"): "start",
+            ("start", "kill"): "dead",
+            **{("dead", name): "dead" for name in ("touch", "step", "kill")},
+        },
+        {"dead": Verdict.FAIL},
+        ["touch", "kill", "step"],
+    )
+    events = prefix + [("touch", {"v": "c2"}), ("kill", {"v": "c1"}), ("step", {"i": "i1"})]
+    trace = [ParametricEvent(name, ParamInstance(values)) for name, values in events]
+    baseline, indexed = both_engines(machine, trigger=[Verdict.FAIL])
+    for position, event in enumerate(trace, 1):
+        assert indexed.feed(event) == baseline.feed(event), event
+        assert indexed.delta == baseline.delta and indexed.gamma == baseline.gamma, event
+        assert indexed._parked == baseline._parked, event
+        check_index(indexed, trace[:position])
+    born, live = ParamInstance({"i": "i1", "v": "c1"}), ParamInstance({"i": "i1", "v": "c2"})
+    assert born in indexed._parked and live not in indexed._parked
+    assert indexed.gamma[born] is Verdict.FAIL and indexed.delta[live] == "start"
+    on_parked = indexed.parked_extensions.get(((("i", "i1"),), born.domain), set())
+    assert on_parked == ({born} if prefix else set())
+    assert live in indexed.extensions[((("i", "i1"),), live.domain)]
 
 
 def test_reports_of_one_event_come_in_binding_order():
