@@ -129,10 +129,6 @@ class ParamInstance(tuple):
                 return False
         return True
 
-    def compatible(self, other: "ParamInstance") -> bool:
-        """True when the two bindings agree on every shared parameter."""
-        return self.join(other) is not None
-
     def join(self, other: "ParamInstance") -> "ParamInstance | None":
         """Least binding more informative than both, or None when incompatible."""
         left, right = self, other
@@ -165,11 +161,6 @@ class ParamInstance(tuple):
         if len(merged) == len(right):
             return other
         return ParamInstance._wrap(merged)
-
-    def restrict(self, names: Iterable[str]) -> "ParamInstance":
-        """Sub-binding on the given names (names not bound here are ignored)."""
-        keep = names if isinstance(names, (set, frozenset)) else set(names)
-        return ParamInstance._wrap(item for item in self if item[0] in keep)
 
 
 #: Internal fast path: the binding of items that are already validated and

@@ -225,8 +225,7 @@ class _EngineBase:
             defined = [(query, alone, self._below(query, alone))]
             for domain, joins in groups.items():
                 missing = joins.difference(delta)
-                if len(missing) != len(joins):
-                    touched += joins.difference(missing, parked)
+                touched += joins.difference(missing, parked)
                 if missing:
                     defined.append((domain, missing, self._below(domain, missing)))
             for _, missing, sources in defined:
@@ -259,6 +258,7 @@ class _EngineBase:
         stats.monitor_steps += len(touched)
         if len(delta) > stats.peak_instances:
             stats.peak_instances = len(delta)
+        # Sorting lone reports too measured ×1.16 fresh-bindings p50 latency (CHANGES.md).
         if len(reports) > 1:
             reports.sort(key=lambda report: binding_order(report.instance))
         return reports
@@ -282,12 +282,8 @@ class _EngineBase:
         latency in process (CHANGES.md).
         """
         delta, parked = self.delta, self._parked
-        self.stats.defines += len(sources)
-        if parked.isdisjoint(sources):
-            for joined, source in zip(joins, sources):
-                delta[joined] = delta[source]
-            return joins
         gamma, trigger = self.gamma, self.trigger
+        self.stats.defines += len(sources)
         stepped = []
         for joined, source in zip(joins, sources):
             delta[joined] = delta[source]
@@ -420,6 +416,7 @@ class IndexedMonitor(_EngineBase):
         self, binding: ParamInstance
     ) -> tuple[frozenset[str], dict[frozenset[str], set]]:
         query = binding.domain
+        # Planning every fresh binding anew measured ×1.21 unsafeiter-join p99 (CHANGES.md).
         plan = self._plans.get(query)
         if plan is None:
             if query not in self._domains:
@@ -450,7 +447,9 @@ class IndexedMonitor(_EngineBase):
         items followed by a neighbour's; it is None if ``D`` holds
         ``query``.  Then the neighbours extend the binding and are its
         joins, all defined, and the parked ones are not reached: only the
-        live side of the index is read.
+        live side of the index is read, and its own binding objects are
+        handed back, since a rebuilt equal tuple would enter ``_parked``
+        and the reports as a second object.
         """
         live = (self.extensions,)
         both = (self.extensions, self.parked_extensions)
@@ -476,13 +475,12 @@ class IndexedMonitor(_EngineBase):
     def _below(
         self, domain: frozenset[str], joins: Collection[ParamInstance]
     ) -> list[ParamInstance]:
+        # Deriving them for every group measured ×1.20 unsafeiter-join p99 (CHANGES.md).
         sources = self._sources.get(domain)
         if sources is None:
             within = [other for other in self._domains if other < domain]
             within.sort(key=len, reverse=True)
             sources = self._sources[domain] = [_cut(domain, part) for part in within]
-        if not sources:
-            return [EMPTY] * len(joins)
         delta, wrap = self.delta, ParamInstance._wrap
         found = []
         for joined in joins:

@@ -40,6 +40,17 @@ __all__ = ["SpecFormatError", "parse_property_spec"]
 
 KINDS = ("fsm", "regex", "balance", "ratio")
 
+#: Keywords a file may use at most once.
+ONCE = frozenset({"property", "monitor:", "report:", "pattern:", "roles:", "success:"})
+
+#: Payload keywords, each legal only after its kind's ``monitor:`` line.
+KIND_OF = {
+    "pattern:": "regex",
+    "state": "fsm", "trans": "fsm", "label": "fsm",
+    "roles:": "balance",
+    "success:": "ratio",
+}
+
 
 class SpecFormatError(ParseError):
     """A property file is malformed; carries the 1-based line number."""
@@ -76,7 +87,7 @@ def parse_property_spec(source: str) -> MonitorSpec:
     events: dict[str, tuple[str, ...]] = {}
     kind: str | None = None
     trigger: set[Verdict] = set()
-    saw_report = False
+    seen: set[str] = set()  # keywords met so far
 
     pattern_machine: FsmMachine | None = None
     fsm_states: dict[str, bool] = {}  # name -> declared initial?
@@ -85,12 +96,6 @@ def parse_property_spec(source: str) -> MonitorSpec:
     roles: dict[str, str] | None = None
     success: list[str] | None = None
 
-    def need_kind(lineno: int, line_kind: str, keyword: str) -> None:
-        if kind != line_kind:
-            raise SpecFormatError(
-                lineno, "%r is only valid after 'monitor: %s'" % (keyword, line_kind)
-            )
-
     for lineno, raw in enumerate(io.StringIO(source, newline=None), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -98,13 +103,18 @@ def parse_property_spec(source: str) -> MonitorSpec:
         keyword, _, rest = line.partition(" ")
         rest = rest.strip()
 
-        if keyword == "property":
-            if name is not None:
-                raise SpecFormatError(lineno, "duplicate 'property' line")
-            name = _identifier(lineno, rest, "property name")
-        elif name is None:
+        if name is None and keyword != "property":
             raise SpecFormatError(lineno, "file must start with a 'property' line")
+        if keyword in KIND_OF and kind != KIND_OF[keyword]:
+            raise SpecFormatError(
+                lineno, "%r is only valid after 'monitor: %s'" % (keyword, KIND_OF[keyword])
+            )
+        if keyword in seen and keyword in ONCE:
+            raise SpecFormatError(lineno, "duplicate %r line" % keyword)
+        seen.add(keyword)
 
+        if keyword == "property":
+            name = _identifier(lineno, rest, "property name")
         elif keyword == "params:":
             for param in filter(None, (p.strip() for p in rest.split(","))):
                 param = _identifier(lineno, param, "parameter")
@@ -118,7 +128,7 @@ def parse_property_spec(source: str) -> MonitorSpec:
             ev_name = _identifier(lineno, ev_name.strip(), "event name")
             if ev_name in events:
                 raise SpecFormatError(lineno, "event %r declared twice" % ev_name)
-            if pattern_machine is not None:
+            if "pattern:" in seen:
                 raise SpecFormatError(
                     lineno, "event %r declared after the 'pattern:' line" % ev_name
                 )
@@ -135,8 +145,6 @@ def parse_property_spec(source: str) -> MonitorSpec:
                 ev_params.append(param)
             events[ev_name] = tuple(ev_params)
         elif keyword == "monitor:":
-            if kind is not None:
-                raise SpecFormatError(lineno, "duplicate 'monitor:' line")
             if rest not in KINDS:
                 raise SpecFormatError(
                     lineno, "unknown monitor kind %r (expected one of %s)"
@@ -144,9 +152,6 @@ def parse_property_spec(source: str) -> MonitorSpec:
                 )
             kind = rest
         elif keyword == "report:":
-            if saw_report:
-                raise SpecFormatError(lineno, "duplicate 'report:' line")
-            saw_report = True
             for tag in filter(None, (t.strip() for t in rest.split(","))):
                 try:
                     trigger.add(Verdict(tag))
@@ -154,9 +159,6 @@ def parse_property_spec(source: str) -> MonitorSpec:
                     raise SpecFormatError(lineno, "unknown verdict %r" % tag) from None
 
         elif keyword == "pattern:":
-            need_kind(lineno, "regex", "pattern:")
-            if pattern_machine is not None:
-                raise SpecFormatError(lineno, "duplicate 'pattern:' line")
             from .patterns import PatternSyntaxError, UnknownEventInPattern
 
             try:
@@ -164,7 +166,6 @@ def parse_property_spec(source: str) -> MonitorSpec:
             except (PatternSyntaxError, UnknownEventInPattern) as exc:
                 raise SpecFormatError(lineno, str(exc)) from exc
         elif keyword == "state":
-            need_kind(lineno, "fsm", "state")
             fields = rest.split()
             if len(fields) not in (1, 2) or (len(fields) == 2 and fields[1] != "initial"):
                 raise SpecFormatError(lineno, "expected 'state name [initial]'")
@@ -173,7 +174,6 @@ def parse_property_spec(source: str) -> MonitorSpec:
                 raise SpecFormatError(lineno, "state %r declared twice" % state)
             fsm_states[state] = len(fields) == 2
         elif keyword == "trans":
-            need_kind(lineno, "fsm", "trans")
             fields = rest.split()
             if len(fields) != 3:
                 raise SpecFormatError(lineno, "expected 'trans from event to'")
@@ -189,7 +189,6 @@ def parse_property_spec(source: str) -> MonitorSpec:
                 )
             fsm_trans[(src, ev_name)] = dst
         elif keyword == "label":
-            need_kind(lineno, "fsm", "label")
             fields = rest.split()
             if len(fields) != 2:
                 raise SpecFormatError(lineno, "expected 'label state verdict'")
@@ -203,9 +202,6 @@ def parse_property_spec(source: str) -> MonitorSpec:
             except ValueError:
                 raise SpecFormatError(lineno, "unknown verdict %r" % tag) from None
         elif keyword == "roles:":
-            need_kind(lineno, "balance", "roles:")
-            if roles is not None:
-                raise SpecFormatError(lineno, "duplicate 'roles:' line")
             roles = {}
             for token in rest.split():
                 role, eq, ev_name = token.partition("=")
@@ -225,14 +221,13 @@ def parse_property_spec(source: str) -> MonitorSpec:
             if set(roles) != {"enter", "exit", "inc", "dec"}:
                 raise SpecFormatError(lineno, "roles: must assign all four roles")
         elif keyword == "success:":
-            need_kind(lineno, "ratio", "success:")
-            if success is not None:
-                raise SpecFormatError(lineno, "duplicate 'success:' line")
             success = []
             for ev_name in filter(None, (t.strip() for t in rest.split(","))):
                 if ev_name not in events:
                     raise SpecFormatError(lineno, "undeclared event %r" % ev_name)
                 success.append(ev_name)
+            if not success:
+                raise SpecFormatError(lineno, "'success:' names no event")
         else:
             raise SpecFormatError(lineno, "unrecognized line %r" % line)
 
@@ -259,7 +254,7 @@ def parse_property_spec(source: str) -> MonitorSpec:
             raise SpecFormatError(1, "balance monitor needs a 'roles:' line")
         machine = BalanceMachine(roles["enter"], roles["exit"], roles["inc"], roles["dec"])
     else:
-        if not success:
+        if success is None:
             raise SpecFormatError(1, "ratio monitor needs a 'success:' line")
         machine = RatioMachine(success)
 

@@ -23,6 +23,8 @@ from slicemon.parametric import IndexedMonitor
 from slicemon.selfcheck import SelfCheckResult, run_selfcheck
 from slicemon.slicer import SliceTable
 
+from .oracles import restrict
+
 
 class SkipJoinPhaseMonitor(IndexedMonitor):
     """Mutant: a fresh binding affects only itself and its extensions.
@@ -124,7 +126,7 @@ class LiveOnlyJoinsMonitor(IndexedMonitor):
         groups: dict[frozenset[str], set[ParamInstance]] = {}
         for domain in self._domains:
             if not domain <= query:
-                sub = binding.restrict(domain & query)
+                sub = restrict(binding, domain & query)
                 for neighbour in self.extensions.get((sub, domain), ()):
                     groups.setdefault(domain | query, set()).add(neighbour.join(binding))
         return query, groups
@@ -141,7 +143,7 @@ class SmallestSourceMonitor(IndexedMonitor):
         within = sorted((other for other in self._domains if other < domain), key=len)
         sources = []
         for joined in joins:
-            subs = (joined.restrict(other) for other in within)
+            subs = (restrict(joined, other) for other in within)
             sources.append(next((sub for sub in subs if sub in self.delta), EMPTY))
         return sources
 

@@ -230,7 +230,7 @@ def check_index(engine, fed: Iterable) -> None:
         domain = frozenset(b.names)
         home = b in parked
         for part in parts(domain, home):
-            key = (tuple(b.restrict(part)), domain)
+            key = (tuple(restrict(b, part)), domain)
             homes = [on_parked for on_parked, side in sides.items() if b in side.get(key, ())]
             assert homes == [home], (
                 "%r sits under its cut on %s on %s, expected the %s side"
@@ -238,8 +238,15 @@ def check_index(engine, fed: Iterable) -> None:
             )
 
 
-# Set-level helpers over ParamInstance for the law checks; the package itself
-# never needs them (its tables grow by joins with one binding at a time).
+# Helpers over ParamInstance for the law checks, the index check and the
+# mutants; the package itself never needs them (its tables grow by joins with
+# one binding at a time, and its index cuts item tuples with getters).
+
+
+def restrict(binding: ParamInstance, names: Iterable[str]) -> ParamInstance:
+    """Sub-binding of ``binding`` on ``names`` (names it does not bind are ignored)."""
+    keep = set(names)
+    return ParamInstance(item for item in binding if item[0] in keep)
 
 
 def join_sets(

@@ -202,7 +202,7 @@ def test_c7_indexed_cost_model():
     for position, event in enumerate(adversarial[:300]):
         if event.instance not in table:
             table.append(event.instance)
-        compatible = sum(1 for binding in table if binding.compatible(event.instance))
+        compatible = sum(1 for binding in table if binding.join(event.instance) is not None)
         if adv_touched[position] > compatible:
             problems.append("event %d touched %d > %d compatible" % (
                 position, adv_touched[position], compatible))

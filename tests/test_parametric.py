@@ -279,7 +279,7 @@ def test_pairs_parked_before_a_new_domain_join_with_its_bindings():
         pair.join(binding)
         for pair in pairs
         for binding in (event.instance for event in trace[7:])
-        if pair.compatible(binding)
+        if pair.join(binding) is not None
     }
     assert len(born) == 5 and born <= set(indexed.delta)
     # Without the parked side's backfill, the pairs sit under no key the

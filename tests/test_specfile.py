@@ -210,6 +210,10 @@ def test_ratio_payload_errors():
     assert "undeclared event" in str(err(base + "success: nope\n"))
     assert "duplicate 'success:'" in str(err(base + "success: ok\nsuccess: ok\n"))
     assert "needs a 'success:'" in str(err(base))
+    for empty in ("success:\n", "success: \n", "success: ,\n"):
+        named_none = err(base + empty)
+        assert named_none.line == 4
+        assert "'success:' names no event" in str(named_none)
 
 
 def test_unrecognized_line():
