@@ -16,6 +16,7 @@ from abc import ABC, abstractmethod
 from enum import Enum
 from typing import Hashable, Iterable, Mapping
 
+from .bindings import _name_of
 from .events import ParametricEvent, ParamMismatch, UnknownEvent
 
 __all__ = [
@@ -274,7 +275,7 @@ class MonitorSpec:
             raise UnknownEvent(
                 "event %r is not declared by property %s" % (event.name, self.name)
             )
-        carried = event.instance.names
+        carried = tuple(map(_name_of, event.instance))  # ``.names``, without the property call
         if carried != expected:
             raise ParamMismatch(
                 "event %r carries parameters (%s) but declares (%s)"

@@ -20,8 +20,10 @@ three finders the loop calls:
   yardstick;
 * :class:`IndexedMonitor` looks the first two up in a domain-keyed index of
   the defined bindings, holding only the keys its lookups can ask for, and
-  finds a source by restricting the join to each table domain within it.
-  It neither scans the table nor checks compatibility.  Only a fresh
+  only in the domains where they can hit; it finds a source by restricting
+  the join to each table domain within it, or, where no table domain can
+  hold a wider one, takes the neighbour the join was built from.  It
+  neither scans the table nor checks compatibility.  Only a fresh
   binding's merge probes read the parked side of the index, which keeps
   only the keys they ask for.
 
@@ -33,6 +35,7 @@ same loop with a machine whose state is the word read so far.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Sequence
 
@@ -125,15 +128,20 @@ class _EngineBase:
     Subclasses supply the three finders: ``_joins(binding)`` returns, for
     a binding not in the table, its domain (the *query domain*) and its
     joins with the table entries it does not extend, its *neighbours*, as
-    ``{domain: set of joins}``: the binding itself, its one join of its own
-    domain, is left out, and the loop defines it; ``_above(binding)`` the
-    defined strict extensions, not parked, of a binding in the table, which
-    is left out too, and the loop steps it unless it is parked;
-    ``_below(domain, joins)`` the most informative binding strictly below
-    each of a group's missing joins, in order, in the pre-event table (the
-    fresh binding alone is such a group).  The first two add the candidates
-    they examine to ``stats.compat_checks``.  ``_joins`` may leave out
-    parked joins already defined, which the loop does not reach.
+    ``{domain: {join: source or None}}``: the binding itself, its one join
+    of its own domain, is left out, and the loop defines it;
+    ``_above(binding)`` the defined strict extensions, not parked, of a
+    binding in the table, which is left out too, and the loop steps it
+    unless it is parked; ``_below(domain, missing, joins)`` the most
+    informative binding strictly below each of a group's ``missing`` joins,
+    in order, in the pre-event table, where ``joins`` is the group as
+    ``_joins`` returned it (the fresh binding alone is such a group, with
+    None for ``joins``).  A source ``_joins`` records for a join must be
+    that binding, and ``_below`` may return it without looking.
+    ``_joins`` adds the candidates it examines to ``stats.compat_checks``,
+    and ``_above`` those it checks for compatibility, if any.  ``_joins``
+    may leave out parked joins already defined, which the loop does not
+    reach.
 
     Two hooks note what the loop did: ``_index(domain, joins)`` is called
     per group of one domain an event defined, the fresh binding's first,
@@ -221,13 +229,17 @@ class _EngineBase:
             # event created.  Of the defined ones, only the live are reached.
             query, groups = self._joins(binding)
             touched = []
+            # A one-entry dict for the binding's own group measured ×1.08
+            # fresh-bindings feed time in process (CHANGES.md).
             alone = (binding,)
-            defined = [(query, alone, self._below(query, alone))]
+            defined = [(query, alone, self._below(query, alone, None))]
             for domain, joins in groups.items():
-                missing = joins.difference(delta)
-                touched += joins.difference(missing, parked)
+                # ``joins.keys() - delta`` would scan all of ``delta``.
+                members = set(joins)
+                missing = members.difference(delta)
+                touched += members.difference(missing, parked)
                 if missing:
-                    defined.append((domain, missing, self._below(domain, missing)))
+                    defined.append((domain, missing, self._below(domain, missing, joins)))
             for _, missing, sources in defined:
                 touched += self._define(missing, sources, event, reports)
 
@@ -253,11 +265,12 @@ class _EngineBase:
                 # step; ``_index`` writes it straight to its side.
                 if before is not _NEVER:
                     self._park(affected)
-        for domain, missing, _ in defined:
-            self._index(domain, missing)
         stats.monitor_steps += len(touched)
-        if len(delta) > stats.peak_instances:
-            stats.peak_instances = len(delta)
+        if defined:  # only a fresh binding grows the table
+            for domain, missing, _ in defined:
+                self._index(domain, missing)
+            if len(delta) > stats.peak_instances:
+                stats.peak_instances = len(delta)
         # Sorting lone reports too measured ×1.16 fresh-bindings p50 latency (CHANGES.md).
         if len(reports) > 1:
             reports.sort(key=lambda report: binding_order(report.instance))
@@ -315,14 +328,14 @@ class BaselineMonitor(_EngineBase):
 
     def _joins(
         self, binding: ParamInstance
-    ) -> tuple[frozenset[str], dict[frozenset[str], set]]:
+    ) -> tuple[frozenset[str], dict[frozenset[str], dict]]:
         # The empty binding is always present, so the binding itself is one
         # of the joins, and the only one of its domain: the loop defines it.
         self.stats.compat_checks += len(self.delta)
         query = binding.domain
-        groups: dict[frozenset[str], set[ParamInstance]] = {}
+        groups: dict[frozenset[str], dict[ParamInstance, None]] = {}
         for joined in joins_with(binding, self.delta):
-            groups.setdefault(joined.domain, set()).add(joined)
+            groups.setdefault(joined.domain, {})[joined] = None
         del groups[query]
         return query, groups
 
@@ -338,9 +351,9 @@ class BaselineMonitor(_EngineBase):
         ]
 
     def _below(
-        self, domain: frozenset[str], joins: Collection[ParamInstance]
+        self, domain: frozenset[str], missing: Collection[ParamInstance], joins: dict | None
     ) -> list[ParamInstance]:
-        return [max_below(joined, self.delta) for joined in joins]
+        return [max_below(joined, self.delta) for joined in missing]
 
 
 class IndexedMonitor(_EngineBase):
@@ -373,8 +386,10 @@ class IndexedMonitor(_EngineBase):
     live binding that parks later moves once, and a live set it leaves
     empty is deleted.
 
-    * The warm finder returns the live bindings under ``(b's items, D)``
-      for every table domain ``D``: a parked binding is never stepped.
+    * The warm finder returns the live bindings under ``(b's items, D)``:
+      a parked binding is never stepped.  Only a domain ``D`` wider than
+      ``b``'s can hold a strict extension of ``b``, so it reads the table
+      domains widest first and stops at the first that is not wider.
     * A binding compatible with a fresh ``b`` and of a domain ``D`` not
       within ``b``'s agrees with ``b`` on their shared names, so the
       compatible neighbours of ``b`` in ``D`` are exactly the bindings
@@ -389,7 +404,10 @@ class IndexedMonitor(_EngineBase):
       defined are join-closed, since the table is, so their maximum is the
       join of them all and has the strictly widest domain among them:
       probing ``D`` widest first, the first defined restriction is the
-      source.
+      source.  A merged join holds its neighbour ``n``, and so does its
+      source; if no table domain lies strictly between ``dom(n)`` and
+      ``dom(j)``, the source is ``n``, which the join finder records, and
+      nothing is probed.
 
     A binding equals its item tuple, so the warm finder looks its keys up
     with the binding itself, and the source finder probes ``delta`` with
@@ -405,6 +423,8 @@ class IndexedMonitor(_EngineBase):
         #: the getter of that cut's items from a binding's items, and to its
         #: parked cuts, a part of them.
         self._domains: dict[frozenset[str], tuple[frozenset[str], dict, dict]] = {}
+        #: The table domains, widest first.
+        self._widest: list[frozenset[str]] = []
         #: Per domain of a fresh binding, its ``_plan``; per domain of a
         #: group of joins, the getters of their restrictions to the table
         #: domains strictly within it, widest first.  Both are cleared when
@@ -414,7 +434,7 @@ class IndexedMonitor(_EngineBase):
 
     def _joins(
         self, binding: ParamInstance
-    ) -> tuple[frozenset[str], dict[frozenset[str], set]]:
+    ) -> tuple[frozenset[str], dict[frozenset[str], dict]]:
         query = binding.domain
         # Planning every fresh binding anew measured ×1.21 unsafeiter-join p99 (CHANGES.md).
         plan = self._plans.get(query)
@@ -423,25 +443,28 @@ class IndexedMonitor(_EngineBase):
                 # The binding is one of its joins: this event defines it.
                 self._add_domain(query)
             plan = self._plans[query] = self._plan(query)
-        groups: dict[frozenset[str], set[ParamInstance]] = {}
+        groups: dict[frozenset[str], dict[ParamInstance, ParamInstance | None]] = {}
         examined = 1
-        for domain, cut, joined, merge, sides in plan:
+        for domain, cut, joined, merge, sides, sourced in plan:
             key = (cut(binding), domain)
             for side in sides:
                 neighbours = side.get(key)
                 if neighbours:
                     examined += len(neighbours)
-                    joins = groups.setdefault(joined, set())
+                    joins = groups.setdefault(joined, {})
                     if merge is None:
-                        joins.update(neighbours)
+                        joins.update(dict.fromkeys(neighbours))
                     else:
                         merged = map(merge, map(binding.__add__, neighbours))
-                        joins.update(map(ParamInstance._wrap, merged))
+                        joins.update(zip(
+                            map(ParamInstance._wrap, merged),
+                            neighbours if sourced else repeat(None),
+                        ))
         self.stats.compat_checks += examined
         return query, groups
 
     def _plan(self, query: frozenset[str]) -> list[tuple]:
-        """``(D, cut, D∪query, merge plan, sides)`` per table domain ``D`` not within ``query``.
+        """``(D, cut, D∪query, merge plan, sides, sourced)`` per table domain ``D`` ⊄ query.
 
         The plan gets a join's items, in name order, from the binding's
         items followed by a neighbour's; it is None if ``D`` holds
@@ -450,6 +473,10 @@ class IndexedMonitor(_EngineBase):
         live side of the index is read, and its own binding objects are
         handed back, since a rebuilt equal tuple would enter ``_parked``
         and the reports as a second object.
+
+        ``sourced`` is true if no table domain lies strictly between ``D``
+        and ``D∪query``: then a missing join's source, which holds its
+        neighbour, has the neighbour's domain and is the neighbour.
         """
         live = (self.extensions,)
         both = (self.extensions, self.parked_extensions)
@@ -457,23 +484,27 @@ class IndexedMonitor(_EngineBase):
         for domain in self._domains:
             if not domain <= query:
                 if query <= domain:
-                    joined, merge, sides = domain, None, live
+                    joined, merge, sides, sourced = domain, None, live, False
                 else:
                     joined, sides = domain | query, both
                     names = sorted(query) + sorted(domain)
                     merge = itemgetter(*map(names.index, sorted(joined)))
-                plan.append((domain, _cut(query, domain & query), joined, merge, sides))
+                    sourced = not any(domain < other < joined for other in self._domains)
+                plan.append((domain, _cut(query, domain & query), joined, merge, sides, sourced))
         return plan
 
     def _above(self, binding: ParamInstance) -> list[ParamInstance]:
         extensions = self.extensions
+        size = len(binding)
         found = []
-        for domain in self._domains:
+        for domain in self._widest:
+            if len(domain) <= size:  # no strict extension of the binding
+                break
             found.extend(extensions.get((binding, domain), ()))
         return found
 
     def _below(
-        self, domain: frozenset[str], joins: Collection[ParamInstance]
+        self, domain: frozenset[str], missing: Collection[ParamInstance], joins: dict | None
     ) -> list[ParamInstance]:
         # Deriving them for every group measured ×1.20 unsafeiter-join p99 (CHANGES.md).
         sources = self._sources.get(domain)
@@ -483,14 +514,17 @@ class IndexedMonitor(_EngineBase):
             sources = self._sources[domain] = [_cut(domain, part) for part in within]
         delta, wrap = self.delta, ParamInstance._wrap
         found = []
-        for joined in joins:
-            for cut in sources:
-                items = cut(joined)
-                if items in delta:
-                    found.append(wrap(items))
-                    break
-            else:
-                found.append(EMPTY)
+        for joined in missing:
+            source = joins[joined] if joins else None
+            if source is None:
+                for cut in sources:
+                    items = cut(joined)
+                    if items in delta:
+                        source = wrap(items)
+                        break
+                else:
+                    source = EMPTY
+            found.append(source)
         return found
 
     def _index(self, domain: frozenset[str], joins: Collection[ParamInstance]) -> None:
@@ -542,6 +576,7 @@ class IndexedMonitor(_EngineBase):
                     other_parked_cuts[part] = other_cuts[part]
                     self._backfill(other, other_cuts[part], self.parked_extensions)
         entry = self._domains[domain] = (domain, cuts, parked_cuts)
+        self._widest = sorted(self._domains, key=len, reverse=True)
         self._plans.clear()
         self._sources.clear()
         return entry

@@ -8,9 +8,10 @@ expected to catch it; all of them live here, and none in ``src/``.  A new
 shortcut adds its mutant here, and the tests that iterate the list pick it
 up.  ``run_selfcheck`` runs ``engine-pair`` before ``reports`` on each
 trace, and it compares the report streams without ``report_every``: only a
-mutant whose fault shows under ``report_every`` alone can name ``reports``
-as its catcher.  :func:`mutant_run` runs each mutant's selfcheck once per
-test session, for every test that reads it.
+mutant whose fault shows under ``report_every`` alone, on the first trace
+that shows it at all, can name ``reports`` as its catcher.
+:func:`mutant_run` runs each mutant's selfcheck once per test session, for
+every test that reads it.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ class SkipJoinPhaseMonitor(IndexedMonitor):
     """
 
     def _joins(self, binding: ParamInstance) -> tuple[frozenset[str], dict]:
-        groups: dict[frozenset[str], set[ParamInstance]] = {}
+        groups: dict[frozenset[str], dict] = {}
         for found in self._above(binding):
-            groups.setdefault(found.domain, set()).add(found)
+            groups.setdefault(found.domain, {})[found] = None
         return binding.domain, groups
 
 
@@ -55,10 +56,10 @@ class NoSnapshotMonitor(IndexedMonitor):
     case (``setb b=1`` then ``seta a=1``), copy the right slice.
     """
 
-    def _below(self, domain: frozenset[str], joins) -> list[ParamInstance]:
+    def _below(self, domain: frozenset[str], missing, joins) -> list[ParamInstance]:
         delta = self.delta
         sources = []
-        for joined in joins:
+        for joined in missing:
             source = max_below(joined, reversed(delta))
             delta[joined] = delta[source]
             sources.append(source)
@@ -123,28 +124,30 @@ class LiveOnlyJoinsMonitor(IndexedMonitor):
         query = binding.domain
         if query not in self._domains:
             self._add_domain(query)
-        groups: dict[frozenset[str], set[ParamInstance]] = {}
+        groups: dict[frozenset[str], dict] = {}
         for domain in self._domains:
             if not domain <= query:
                 sub = restrict(binding, domain & query)
                 for neighbour in self.extensions.get((sub, domain), ()):
-                    groups.setdefault(domain | query, set()).add(neighbour.join(binding))
+                    groups.setdefault(domain | query, {})[neighbour.join(binding)] = None
         return query, groups
 
 
 class SmallestSourceMonitor(IndexedMonitor):
     """Mutant: copies a missing join from its least informative defined source.
 
-    It probes the table domains within the join smallest first, so the
-    first defined restriction it meets is not the most informative one.
+    Where the join finder recorded no source, it probes the table domains
+    within the join smallest first, so the first defined restriction it
+    meets is not the most informative one.
     """
 
-    def _below(self, domain: frozenset[str], joins: set) -> list[ParamInstance]:
+    def _below(self, domain: frozenset[str], missing, joins) -> list[ParamInstance]:
         within = sorted((other for other in self._domains if other < domain), key=len)
         sources = []
-        for joined in joins:
+        for joined in missing:
             subs = (restrict(joined, other) for other in within)
-            sources.append(next((sub for sub in subs if sub in self.delta), EMPTY))
+            recorded = joins[joined] if joins else None
+            sources.append(recorded or next((sub for sub in subs if sub in self.delta), EMPTY))
         return sources
 
 
@@ -165,8 +168,8 @@ class StalePlanMonitor(IndexedMonitor):
 
     def _plan(self, query: frozenset[str]) -> list[tuple]:
         return [
-            (domain, cut, joined, self._stale.setdefault((domain, len(query)), merge), sides)
-            for domain, cut, joined, merge, sides in super()._plan(query)
+            (domain, cut, joined, self._stale.setdefault((domain, len(query)), merge), *rest)
+            for domain, cut, joined, merge, *rest in super()._plan(query)
         ]
 
 
@@ -218,10 +221,40 @@ class LoneEmptySourceMonitor(IndexedMonitor):
         self._lone = not groups
         return query, groups
 
-    def _below(self, domain: frozenset[str], joins) -> list[ParamInstance]:
+    def _below(self, domain: frozenset[str], missing, joins) -> list[ParamInstance]:
         if self._lone:  # the loop asks for the fresh binding's source first
-            return [EMPTY] * len(joins)
-        return super()._below(domain, joins)
+            return [EMPTY] * len(missing)
+        return super()._below(domain, missing, joins)
+
+
+class StaleWiderMonitor(IndexedMonitor):
+    """Mutant: a new table domain joins the end of the widest-first list.
+
+    The warm finder stops at the first domain in the list no wider than
+    the event's binding, so the strict extensions of a domain added after
+    a narrower one are never reached by a warm event.
+    """
+
+    def _add_domain(self, domain: frozenset[str]) -> tuple:
+        widest = self._widest
+        entry = super()._add_domain(domain)
+        self._widest = widest + [domain]
+        return entry
+
+
+class NeighbourSourceMonitor(IndexedMonitor):
+    """Mutant: a merged join always takes its neighbour as its source.
+
+    It records the neighbour as the source even when a table domain lies
+    strictly between the neighbour's domain and the join's, where a wider
+    defined restriction of the join may be the most informative one.
+    """
+
+    def _plan(self, query: frozenset[str]) -> list[tuple]:
+        return [
+            (domain, cut, joined, merge, sides, merge is not None)
+            for domain, cut, joined, merge, sides, _ in super()._plan(query)
+        ]
 
 
 #: (name, ``run_selfcheck`` keywords, the check that must catch it).
@@ -237,6 +270,8 @@ MUTANTS = [
     ("silent-birth", {"indexed_class": SilentBirthMonitor}, "engine-pair"),
     ("empty-cut-parked", {"indexed_class": EmptyCutParkedMonitor}, "engine-pair"),
     ("lone-empty-source", {"indexed_class": LoneEmptySourceMonitor}, "engine-pair"),
+    ("stale-wider", {"indexed_class": StaleWiderMonitor}, "reports"),
+    ("neighbour-source", {"indexed_class": NeighbourSourceMonitor}, "engine-pair"),
 ]
 
 

@@ -16,7 +16,7 @@ import random
 from functools import lru_cache
 from typing import Iterable
 
-from slicemon.bindings import EMPTY, ParamInstance
+from slicemon.bindings import EMPTY, ParamInstance, max_below
 
 # ---------------------------------------------------------------------------
 # Plain-dict lattice reference
@@ -147,7 +147,11 @@ def checked_finders(engine):
     The loop steps an event's own binding itself, so neither finder may
     return it: ``_above(b)`` returns only strict extensions of ``b``, and
     the groups ``_joins(b)`` returns hold only the joins of ``b`` with its
-    neighbours, none of ``b``'s own domain.
+    neighbours, none of ``b``'s own domain.  ``_joins`` runs on the
+    pre-event table, so a source it records for a missing join must be the
+    join's ``max_below`` in the table as it stands; the check counts the
+    sources it held so in the ``sourced`` attribute of the wrapped
+    ``_joins``.
     """
     above, joins = engine._above, engine._joins
 
@@ -164,7 +168,17 @@ def checked_finders(engine):
         query, groups = joins(binding)
         assert query == binding.domain, "_joins(%r) gave query domain %r" % (binding, query)
         assert query not in groups, "_joins(%r) returned a group of its own domain" % (binding,)
+        for group in groups.values():
+            for joined, source in group.items():
+                if source is not None and joined not in engine.delta:
+                    checked_joins.sourced += 1
+                    assert source == max_below(joined, engine.delta), (
+                        "_joins(%r) recorded %r as the source of %r, not its max_below"
+                        % (binding, source, joined)
+                    )
         return query, groups
+
+    checked_joins.sourced = 0
 
     engine._above, engine._joins = checked_above, checked_joins
     return engine

@@ -20,11 +20,16 @@ from slicemon.patterns import compile_regex
 from slicemon.slicer import SliceTable
 from slicemon.specfile import parse_property_spec
 
-from .mutants import SkipJoinPhaseMonitor, StaleParkedIndexMonitor
+from .mutants import (
+    NeighbourSourceMonitor, SkipJoinPhaseMonitor, StaleParkedIndexMonitor, StaleWiderMonitor,
+)
 from .oracles import (
     check_index, checked_defines, checked_finders, feed_counting, random_binding,
 )
-from .workloads import adversarial_machine, adversarial_workload, unsafeiter_workload
+from .workloads import (
+    adversarial_machine, adversarial_workload, iterator_machine, iterator_workload,
+    unsafeiter_workload,
+)
 
 
 def both_engines(machine, **kwargs):
@@ -469,6 +474,77 @@ def test_warm_events_do_not_reach_parked_extensions(unsafeiter_spec):
         stats.monitor_steps,
         stats.skipped_steps,
     )
+
+
+class CountingDict(dict):
+    """A dict that counts its ``get`` calls, to stand in for one side of the index."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return dict.get(self, key, default)
+
+
+def test_warm_events_probe_only_wider_domains(unsafeiter_spec):
+    # Only a domain wider than a binding's can hold a strict extension of
+    # it.  On the UnsafeIterator shape the table domains are {i}, {v} and
+    # {i, v}: a warm ``next i`` or ``update v`` looks up one key, in
+    # {i, v}, and a warm ``create`` none.
+    spec = unsafeiter_spec
+    engine = checked_finders(IndexedMonitor(spec.machine, trigger=spec.trigger))
+    engine.extensions = extensions = CountingDict()
+    warm = Counter()
+    for event in unsafeiter_workload(600):
+        known = event.instance in engine.delta
+        before = extensions.gets
+        engine.feed(event)
+        if known:
+            probes = extensions.gets - before
+            assert probes == (1 if len(event.instance) == 1 else 0), event
+            warm[event.name] += probes
+    assert warm == {"next": 427, "update": 105, "create": 0}
+    # Every merged join of a fresh ``next`` or ``update`` took its
+    # neighbour as source, which the finder oracle held against max_below.
+    assert engine._joins.sourced == 60
+    # One table domain: a warm iterator event looks nothing up.
+    engine = IndexedMonitor(iterator_machine())
+    engine.extensions = extensions = CountingDict()
+    engine.feed_all(iterator_workload(1000))
+    assert extensions.gets == 0
+
+
+@pytest.mark.parametrize("engine_class", [IndexedMonitor, StaleWiderMonitor])
+def test_a_domain_added_after_a_warm_lookup_is_probed(engine_class):
+    # A warm x=1 first meets a table with the domain {x} alone, then, once
+    # x=1,y=1 is defined, must reach it through the wider domain {x, y}.
+    machine = adversarial_machine()  # a toggle: no sink, every step shows
+    x1, xy = ParamInstance({"x": "1"}), ParamInstance({"x": "1", "y": "1"})
+    trace = [ParametricEvent("probe", binding) for binding in (x1, x1, xy, x1)]
+    baseline, engine = BaselineMonitor(machine), engine_class(machine)
+    assert engine.feed_all(trace[:3]) == baseline.feed_all(trace[:3])
+    sound = engine_class is IndexedMonitor
+    assert engine._above(x1) == ([xy] if sound else [])
+    engine.feed(trace[3])
+    baseline.feed(trace[3])
+    assert (engine.delta == baseline.delta) is sound
+
+
+def test_finder_oracle_catches_a_neighbour_taken_past_a_wider_source():
+    # x=v2,z=v3 joins y=v1 into x=v2,y=v1,z=v3.  The table domain {y, z}
+    # lies between {y} and the join's domain, and y=v1,z=v3 is defined
+    # there: it, not the neighbour y=v1, is the join's source.
+    trace = [
+        ParametricEvent("probe", ParamInstance.parse(text))
+        for text in ("y=v1,z=v3", "y=v1", "x=v2,z=v3")
+    ]
+    machine = adversarial_machine()
+    baseline, engine = BaselineMonitor(machine), checked_finders(IndexedMonitor(machine))
+    assert engine.feed_all(trace) == baseline.feed_all(trace)
+    assert engine.delta == baseline.delta
+    broken = checked_finders(NeighbourSourceMonitor(machine))
+    with pytest.raises(AssertionError, match="not its max_below"):
+        broken.feed_all(trace)
 
 
 #: ``RunStats`` totals on ``unsafeiter_workload(600)``, as the engines kept
