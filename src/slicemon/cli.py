@@ -13,15 +13,26 @@ or an event outside the property's alphabet, exits 1 after the reports of
 the lines before it; the property file is read whole first.
 
 Exit codes: 0 success / nothing triggered; 1 malformed or unreadable input
-(trace, property file, pattern, alphabet mismatch); 2 a usage error; 3 at
-least one report triggered; 4 selfcheck mismatch; 70 an internal fault,
-with its traceback on standard error; 141 the reader closed standard output.
+(trace, property file, pattern, alphabet mismatch, ``-`` with stdin
+closed); 2 a usage error; 3 at least one report triggered; 4 selfcheck
+mismatch; 70 an internal fault, with its traceback on standard error; 141
+the reader closed standard output.
 
 Each subcommand imports the modules it runs when it starts, not when this
 module loads: ``monitor`` loads neither the slicer nor the selfcheck, and
 :mod:`slicemon.patterns` only for a ``pattern:`` line; ``slice`` loads no
 property-file parser.  A run spends much of its time starting up, and
 every module it imports is compiled again where no bytecode is cached.
+
+The process entry point is :func:`run`, for ``python -m slicemon.cli`` and
+the ``slicemon`` script; :func:`main` is the in-process API and returns
+the exit code.  :func:`run` flushes stdout and stderr once :func:`main`
+returns and ends the process with :func:`os._exit`, skipping the
+interpreter's teardown of every loaded module and object, which costs
+about 10 ms a run.  So the ``atexit`` handlers that other code registered
+do not run.  Under a tracer or profiler (``python -m cProfile``,
+coverage, pdb) the process exits normally, so that they write their
+output.  A usage error or ``--help`` exits from :mod:`argparse` as usual.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ import contextlib
 import io
 import os
 import sys
-from typing import Iterator, TextIO
+from typing import Iterator, NoReturn, TextIO
 
 from .bindings import BindingFormatError, ParamInstance
 from .events import ParamMismatch, ParseError, UnknownEvent, iter_trace
@@ -62,6 +73,8 @@ def _open_input(path: str) -> Iterator[TextIO]:
     endings: the rule :func:`iter_trace` applies to strings too.
     """
     if path == "-":
+        if sys.stdin is None:  # fd 0 was closed when the process started
+            raise InputFileError("-: standard input is closed")
         stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
         try:
             yield stdin
@@ -183,10 +196,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # The reader has gone (``| head``).  Send what is still buffered to
-        # devnull so that the flush at exit stays quiet, and exit as SIGPIPE.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        return _reader_gone(sys.stdout)
     except INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
@@ -197,5 +207,46 @@ def main(argv: list[str] | None = None) -> int:
         return 70  # EX_SOFTWARE
 
 
+def _reader_gone(stream: TextIO) -> int:
+    """The reader of ``stream`` has gone (``| head``): exit as SIGPIPE.
+
+    What is still buffered goes to devnull, so that a flush at exit stays
+    quiet.
+    """
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    return 141
+
+
+def _traced() -> bool:
+    """Whether a tracer or profiler runs, which writes its output at exit."""
+    # Python 3.12+: cProfile, and coverage's "sysmon" core, use sys.monitoring.
+    monitoring = getattr(sys, "monitoring", None)
+    return (
+        sys.gettrace() is not None
+        or sys.getprofile() is not None
+        or (monitoring is not None and any(map(monitoring.get_tool, range(6))))
+    )
+
+
+def run() -> NoReturn:
+    """Run :func:`main` as the process, and end it without interpreter teardown."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:  # its fd was closed when the process started
+            continue
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            code = _reader_gone(stream)
+        except Exception:
+            import traceback
+
+            traceback.print_exc()
+            code = 70
+    if _traced():
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -476,7 +476,9 @@ class IndexedMonitor(_EngineBase):
 
         ``sourced`` is true if no table domain lies strictly between ``D``
         and ``D∪query``: then a missing join's source, which holds its
-        neighbour, has the neighbour's domain and is the neighbour.
+        neighbour, has the neighbour's domain and is the neighbour.  The
+        sourced entries come last, so that the None of another entry that
+        reaches the same join does not overwrite the source they record.
         """
         live = (self.extensions,)
         both = (self.extensions, self.parked_extensions)
@@ -491,6 +493,7 @@ class IndexedMonitor(_EngineBase):
                     merge = itemgetter(*map(names.index, sorted(joined)))
                     sourced = not any(domain < other < joined for other in self._domains)
                 plan.append((domain, _cut(query, domain & query), joined, merge, sides, sourced))
+        plan.sort(key=itemgetter(5))  # stable: the unsourced keep their order
         return plan
 
     def _above(self, binding: ParamInstance) -> list[ParamInstance]:

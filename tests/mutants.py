@@ -247,14 +247,19 @@ class NeighbourSourceMonitor(IndexedMonitor):
 
     It records the neighbour as the source even when a table domain lies
     strictly between the neighbour's domain and the join's, where a wider
-    defined restriction of the join may be the most informative one.
+    defined restriction of the join may be the most informative one.  Its
+    plan is in the order the engine gives those marks: the unsourced
+    entries first, each part in table domain order.
     """
 
     def _plan(self, query: frozenset[str]) -> list[tuple]:
-        return [
+        order = list(self._domains)
+        plan = [
             (domain, cut, joined, merge, sides, merge is not None)
             for domain, cut, joined, merge, sides, _ in super()._plan(query)
         ]
+        plan.sort(key=lambda entry: (entry[5], order.index(entry[0])))
+        return plan
 
 
 #: (name, ``run_selfcheck`` keywords, the check that must catch it).

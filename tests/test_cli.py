@@ -15,7 +15,7 @@ import tracemalloc
 
 import pytest
 
-from slicemon import selfcheck
+from slicemon import cli, selfcheck
 from slicemon.cli import main
 from slicemon.events import render_trace
 from slicemon.parametric import _EngineBase
@@ -106,6 +106,26 @@ def test_closed_output_pipe_exits_141(tmp_path):
         child.stdout.close()  # about 200 kB of rows are still to come
         _, err = child.communicate(timeout=60)
     assert (child.returncode, err) == (141, b"")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["slice", "--trace", "-"], ["monitor", "--spec", fx("hasnext.spec"), "--trace", "-"]],
+    ids=["slice", "monitor"],
+)
+def test_closed_stdin_exits_1(capsys, monkeypatch, argv):
+    monkeypatch.setattr("sys.stdin", None)  # as Python sets it when fd 0 is closed
+    assert run(capsys, *argv) == (1, "", "error: -: standard input is closed\n")
+
+
+def test_spawned_with_closed_stdin_exits_1():
+    done = subprocess.run(
+        ["sh", "-c", 'exec "$0" "$@" <&-'] + SLICEMON + ["slice", "--trace", "-"],
+        capture_output=True, env=child_env(), timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, b"", b"error: -: standard input is closed\n"
+    )
 
 
 # -- monitor -----------------------------------------------------------------
@@ -299,6 +319,139 @@ def test_spec_lines_follow_the_line_rule(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "monitor", "--spec", str(spec), "--trace", trace)
     assert (code, out) == (1, "")
     assert err.startswith("error: line 6: event 'next' uses undeclared parameter")
+
+
+# -- the process entry point ---------------------------------------------------
+
+
+def spawned(*argv: str, command: list[str] = SLICEMON) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``python -m slicemon.cli`` read through pipes.
+
+    Stdout is block-buffered, as Python makes a pipe by default, so that
+    output left in the buffer at exit would be missing.
+    """
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    done = subprocess.run(
+        command + list(argv), stdin=subprocess.DEVNULL, capture_output=True,
+        env=env, timeout=60,
+    )
+    return done.returncode, done.stdout.decode(), done.stderr.decode()
+
+
+def in_process(capsys, *argv: str) -> tuple[int, str, str]:
+    """``run`` for ``main``, with a usage error's ``SystemExit`` as its code."""
+    try:
+        return run(capsys, *argv)
+    except SystemExit as exited:
+        captured = capsys.readouterr()
+        return exited.code, captured.out, captured.err
+
+
+def test_spawned_slice_writes_every_row(capsys, tmp_path):
+    # About 200 kB of rows, more than a pipe holds: a row left in the
+    # buffer at exit would be missing.
+    trace = tmp_path / "big.trace"
+    trace.write_text("".join("e x=%d\n" % i for i in range(20000)), encoding="utf-8")
+    expected = run(capsys, "slice", "--trace", str(trace), "--instance", "all")
+    assert expected[1].count("\n") == 20001
+    assert spawned("slice", "--trace", str(trace), "--instance", "all") == expected
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["slice", "--trace", fx("abc.trace")], 0),
+        (["slice", "--trace", fx("missing.trace")], 1),
+        (["monitor", "--trace", fx("locking.trace")], 2),
+        (["monitor", "--spec", fx("locking.spec"), "--trace", fx("locking.trace")], 3),
+    ],
+    ids=["ok", "bad-input", "usage", "triggered"],
+)
+def test_spawned_run_exits_as_main_returns(capsys, argv, code):
+    expected = in_process(capsys, *argv)
+    assert expected[0] == code
+    assert spawned(*argv) == expected
+
+
+BROKEN_FEED = """\
+import sys
+from slicemon.cli import run
+from slicemon.parametric import _EngineBase
+
+def broken_feed(self, event):
+    raise ValueError("internal fault")
+
+_EngineBase.feed = broken_feed
+sys.argv[0] = "slicemon"
+run()
+"""
+
+
+def test_spawned_fault_exits_70():
+    done = subprocess.run(
+        [sys.executable, "-c", BROKEN_FEED, "monitor", "--spec", fx("hasnext.spec"),
+         "--trace", fx("hasnext.trace")],
+        stdin=subprocess.DEVNULL, capture_output=True, env=child_env(), timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (70, b"")
+    assert done.stderr.startswith(b"Traceback (most recent call last):")
+    assert done.stderr.endswith(b"ValueError: internal fault\n")
+
+
+class Unflushable:
+    """A stream on ``fd`` whose flush raises ``exc``."""
+
+    def __init__(self, exc: Exception, fd: int):
+        self.exc, self.fd = exc, fd
+
+    def flush(self):
+        raise self.exc
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize(
+    "exc,code", [(None, 0), (BrokenPipeError(), 141), (OSError(28, "disk full"), 70)],
+    ids=["closed", "broken-pipe", "other"],
+)
+def test_run_flushes_stdout_then_exits(capsys, monkeypatch, exc, code):
+    read, write = os.pipe()
+    monkeypatch.setattr(cli, "main", lambda: 0)
+    monkeypatch.setattr(cli, "_traced", lambda: False)
+    monkeypatch.setattr("sys.stdout", None if exc is None else Unflushable(exc, write))
+
+    def exit_now(status):
+        raise SystemExit(status)
+
+    monkeypatch.setattr(os, "_exit", exit_now)
+    try:
+        with pytest.raises(SystemExit) as exited:
+            cli.run()
+    finally:
+        os.close(read)
+        os.close(write)
+    err = capsys.readouterr().err
+    assert exited.value.code == code
+    assert err.endswith("OSError: [Errno 28] disk full\n") if code == 70 else err == ""
+
+
+def test_profiled_run_prints_reports_and_stats():
+    code, out, err = spawned(
+        "monitor", "--spec", fx("locking.spec"), "--trace", fx("locking.trace"),
+        command=[sys.executable, "-m", "cProfile", "-m", "slicemon.cli"],
+    )
+    assert (code, err) == (0, "")  # cProfile catches the SystemExit
+    assert out.startswith("6\tfail\tr=r2\tend\n")
+    assert "function calls" in out and "ncalls" in out
+
+
+def test_slicemon_script_is_the_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    with open(REPO / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"slicemon": "slicemon.cli:run"}
 
 
 # -- what each subcommand loads ------------------------------------------------

@@ -542,6 +542,9 @@ def test_finder_oracle_catches_a_neighbour_taken_past_a_wider_source():
     baseline, engine = BaselineMonitor(machine), checked_finders(IndexedMonitor(machine))
     assert engine.feed_all(trace) == baseline.feed_all(trace)
     assert engine.delta == baseline.delta
+    # The {y} entry reaches the join too, unsourced: it must not clear the
+    # source the {y, z} entry recorded.
+    assert engine._joins.sourced == 1
     broken = checked_finders(NeighbourSourceMonitor(machine))
     with pytest.raises(AssertionError, match="not its max_below"):
         broken.feed_all(trace)
