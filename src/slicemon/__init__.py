@@ -17,6 +17,7 @@ _HOMES = {
     "bindings": (
         "BindingFormatError",
         "EMPTY",
+        "InputError",
         "ParamInstance",
         "join_closure",
         "max_below",

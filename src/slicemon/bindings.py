@@ -33,6 +33,7 @@ from typing import Iterable, Mapping
 __all__ = [
     "BindingFormatError",
     "EMPTY",
+    "InputError",
     "ParamInstance",
     "binding_order",
     "join_closure",
@@ -41,16 +42,26 @@ __all__ = [
     "ordered",
 ]
 
-#: Parameter names are identifiers; values are any non-empty run of
-#: characters containing no whitespace, ``=``, ``,`` or ``#`` (the separators
-#: of the canonical encoding, and the start of a trace comment, so every
-#: binding reads back from its encoding and from its rendered trace line).
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+#: Parameter, event, state and property names are identifiers; values are
+#: any non-empty run of characters containing no whitespace, ``=``, ``,`` or
+#: ``#`` (the separators of the canonical encoding, and the start of a
+#: comment, so every binding reads back from its encoding and from its
+#: rendered trace line).
+_IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_IDENTIFIER + r"\Z")
 _VALUE_RE = re.compile(r"[^\s=,#]+\Z")
 _name_of = itemgetter(0)
 
 
-class BindingFormatError(ValueError):
+class InputError(ValueError):
+    """Malformed or unreadable input: a trace, a property file, a pattern or a binding.
+
+    Every error slicemon raises for bad input derives from it, and the
+    command line reports exactly these as bad input (exit code 1).
+    """
+
+
+class BindingFormatError(InputError):
     """A binding's text, or one of its parameter names or values, is malformed."""
 
 

@@ -6,17 +6,23 @@ checking).  The benchmark is ``perfbench/``, outside the package.
 
 ``slice`` and ``monitor`` stream their trace (a file, or stdin for ``-``):
 each line is parsed and fed as it is read, through
-:func:`slicemon.events.iter_trace`, and no list of events is kept.
-``monitor`` writes each event's report lines with one write and flushes
-them, so a reader sees a report before the input ends.  A malformed line,
-or an event outside the property's alphabet, exits 1 after the reports of
-the lines before it; the property file is read whole first.
+:func:`slicemon.events.iter_trace`, and no list of events is kept.  Trace
+and property files are UTF-8, a leading byte-order mark is skipped, and
+their lines follow the one rule of :mod:`slicemon.events`.  ``monitor``
+writes each event's report lines with one write and flushes them, so a
+reader sees a report before the input ends.  A malformed line, or an
+event outside the property's alphabet, exits 1 after the reports of the
+lines before it; the property file is read whole first, so ``--spec`` and
+``--trace`` cannot both be ``-``.  ``slice`` writes its table
+:data:`ROWS_PER_WRITE` rows at a time.
 
-Exit codes: 0 success / nothing triggered; 1 malformed or unreadable input
-(trace, property file, pattern, alphabet mismatch, ``-`` with stdin
-closed); 2 a usage error; 3 at least one report triggered; 4 selfcheck
-mismatch; 70 an internal fault, with its traceback on standard error; 141
-the reader closed standard output.
+Exit codes: 0 success / nothing triggered; 1 malformed or unreadable input,
+which is exactly an :class:`~slicemon.bindings.InputError` (trace, property
+file, pattern, binding, alphabet mismatch, a file that is missing or not
+UTF-8, ``-`` with stdin closed), reported as one ``error:`` line; 2 a usage
+error; 3 at least one report triggered; 4 selfcheck mismatch; 70 an
+internal fault, with its traceback on standard error; 141 the reader
+closed standard output.
 
 Each subcommand imports the modules it runs when it starts, not when this
 module loads: ``monitor`` loads neither the slicer nor the selfcheck, and
@@ -42,51 +48,43 @@ import contextlib
 import io
 import os
 import sys
+from itertools import islice
 from typing import Iterator, NoReturn, TextIO
 
-from .bindings import BindingFormatError, ParamInstance
-from .events import ParamMismatch, ParseError, UnknownEvent, iter_trace
+from .bindings import InputError, ParamInstance
+from .events import iter_trace
 
-
-class InputFileError(Exception):
-    """A ``--trace`` or ``--spec`` file is missing, unreadable or a directory."""
-
-
-#: Malformed or unreadable input, reported with exit code 1.  Any other
-#: exception is a fault of the program: its traceback goes to stderr and the
-#: exit code is 70, so it is never reported as bad input.
-INPUT_ERRORS = (
-    BindingFormatError,
-    ParseError,  # also a malformed property file or ``pattern:`` line
-    UnknownEvent,
-    ParamMismatch,
-    UnicodeDecodeError,  # a trace or property file that is not UTF-8
-    InputFileError,
-)
+#: Table rows that ``slice`` joins into one write, so that an unbuffered
+#: stdout is not written once per row, and the joined text stays bounded.
+ROWS_PER_WRITE = 256
 
 
 @contextlib.contextmanager
 def _open_input(path: str) -> Iterator[TextIO]:
     """A ``--trace`` or ``--spec`` file, or stdin for ``-``, open for reading.
 
-    Both are strict UTF-8, whatever the locale, with Python's text-file line
-    endings: the rule :func:`iter_trace` applies to strings too.
+    Both are strict UTF-8, whatever the locale, less a leading byte-order
+    mark, with Python's text-file line endings: the rule :func:`iter_trace`
+    applies to strings too.  A missing or unreadable file, closed stdin and
+    bytes that are not UTF-8 raise :class:`InputError`.
     """
     if path == "-":
         if sys.stdin is None:  # fd 0 was closed when the process started
-            raise InputFileError("-: standard input is closed")
-        stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+            raise InputError("-: standard input is closed")
+        stream = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig")
+        close = stream.detach  # leave sys.stdin's buffer open
+    else:
         try:
-            yield stdin
-        finally:
-            stdin.detach()  # leave sys.stdin's buffer open
-        return
+            stream = open(path, "r", encoding="utf-8-sig")
+        except OSError as exc:
+            raise InputError("%s: %s" % (path, exc.strerror or exc)) from exc
+        close = stream.close
     try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise InputFileError("%s: %s" % (path, exc.strerror or exc)) from exc
-    with handle:
-        yield handle
+        yield stream
+    except UnicodeDecodeError as exc:
+        raise InputError(str(exc)) from exc
+    finally:
+        close()
 
 
 def cmd_slice(args: argparse.Namespace) -> int:
@@ -96,8 +94,10 @@ def cmd_slice(args: argparse.Namespace) -> int:
     with _open_input(args.trace) as lines:
         table.feed_all(iter_trace(lines))
     if args.instance == "all":
-        for encoding, words in table.rows():
-            print("%s\t%s" % (encoding, " ".join(words)))
+        rows = ("%s\t%s\n" % (encoding, " ".join(words)) for encoding, words in table.rows())
+        # Every row holds at least its tab and newline, so "" is the end.
+        while block := "".join(islice(rows, ROWS_PER_WRITE)):
+            sys.stdout.write(block)
     else:
         binding = ParamInstance.parse(args.instance)
         print(" ".join(table.lookup(binding)))
@@ -105,6 +105,8 @@ def cmd_slice(args: argparse.Namespace) -> int:
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
+    if args.spec == args.trace == "-":
+        args.usage_error("--spec and --trace cannot both read standard input")
     from .parametric import BaselineMonitor, IndexedMonitor
     from .specfile import parse_property_spec
 
@@ -177,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--report-every", action="store_true",
         help="report on every trigger hit instead of deduplicating repeats",
     )
-    p_mon.set_defaults(func=cmd_monitor)
+    p_mon.set_defaults(func=cmd_monitor, usage_error=p_mon.error)
 
     p_check = sub.add_parser("selfcheck", help="differential checks on random traces")
     p_check.add_argument("--seed", type=int, default=0)
@@ -197,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except BrokenPipeError:
         return _reader_gone(sys.stdout)
-    except INPUT_ERRORS as exc:
+    except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except Exception:

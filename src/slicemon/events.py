@@ -14,11 +14,14 @@ The text format, one event per line::
 Parameter names are identifiers, values are any non-empty run of characters
 without whitespace, ``=``, ``,`` or ``#``.
 
-Lines end at ``\n``, ``\r\n`` or ``\r`` — the rule Python applies when it
-reads a text file — whether the trace comes as a string, a file or standard
-input.  Other characters that ``str.splitlines`` would split on (``\x0b``,
-``\x0c``, ``\x1c``–``\x1e``, ``\x85``, ``\u2028``, ``\u2029``) are whitespace
-inside a line.
+This module also owns the line rule that traces and property files share
+(:func:`_line_text`).  Lines end at ``\n``, ``\r\n`` or ``\r`` — the rule
+Python applies when it reads a text file — whether the input comes as a
+string, a file or standard input.  Other characters that ``str.splitlines``
+would split on (``\x0b``, ``\x0c``, ``\x1c``–``\x1e``, ``\x85``,
+``\u2028``, ``\u2029``) are whitespace inside a line.  A line's text is
+what comes before its first ``#``, stripped; a line with no text is
+skipped; and any run of whitespace (``str.split``'s) separates its fields.
 
 :func:`iter_trace` is the one parser: it yields each event as its line
 arrives, so a trace of any length is read in memory bounded by its distinct
@@ -33,7 +36,7 @@ from __future__ import annotations
 import io
 from typing import Callable, Iterable, Iterator
 
-from .bindings import EMPTY, ParamInstance, _NAME_RE, _VALUE_RE, join_closure
+from .bindings import EMPTY, InputError, ParamInstance, _NAME_RE, _VALUE_RE, join_closure
 
 __all__ = [
     "DuplicateParam",
@@ -49,7 +52,7 @@ __all__ = [
 ]
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """An input line could not be parsed; carries the 1-based line number."""
 
     def __init__(self, line: int, message: str):
@@ -61,11 +64,11 @@ class DuplicateParam(ParseError):
     """The same parameter name appeared twice in one event."""
 
 
-class UnknownEvent(ValueError):
+class UnknownEvent(InputError):
     """An event name is not part of the property's declared alphabet."""
 
 
-class ParamMismatch(ValueError):
+class ParamMismatch(InputError):
     """An event carries a different parameter set than its declaration."""
 
 
@@ -143,6 +146,14 @@ def iter_trace(
         yield event
 
 
+def _line_text(raw: str) -> str:
+    """The text of one trace or property-file line: before its first ``#``, stripped.
+
+    "" is a blank or comment line.  ``.split()`` gives the fields.
+    """
+    return raw.split("#", 1)[0].strip()
+
+
 def _parse_line(
     raw: str, lineno: int, bindings: dict[ParamInstance, ParamInstance]
 ) -> ParametricEvent | None:
@@ -152,10 +163,9 @@ def _parse_line(
     for it; a binding equals its item tuple, so the tuple finds it, and a
     new one is added.
     """
-    line = raw.split("#", 1)[0].strip()
-    if not line:
+    tokens = _line_text(raw).split()
+    if not tokens:
         return None
-    tokens = line.split()
     name = tokens[0]
     if not _NAME_RE.match(name):
         raise ParseError(lineno, "bad event name %r" % name)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
+from .bindings import InputError, _IDENTIFIER
 from .machines import FsmMachine, Verdict
 
 __all__ = [
@@ -28,10 +29,10 @@ __all__ = [
 
 EPSILON = "ε"
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[()|*+?]|" + EPSILON)
+_TOKEN_RE = re.compile(_IDENTIFIER + r"|[()|*+?]|" + EPSILON)
 
 
-class PatternSyntaxError(ValueError):
+class PatternSyntaxError(InputError):
     """The pattern text is not a well-formed expression."""
 
     def __init__(self, message: str, position: int):
@@ -39,7 +40,7 @@ class PatternSyntaxError(ValueError):
         self.position = position
 
 
-class UnknownEventInPattern(ValueError):
+class UnknownEventInPattern(InputError):
     """The pattern mentions an event name outside the declared alphabet."""
 
     def __init__(self, name: str):

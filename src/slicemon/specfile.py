@@ -23,8 +23,13 @@ are legal afterwards:
 * ``ratio``   — ``success: <ev>`` naming the events counted as successes.
 
 ``report:`` lists the verdicts that produce report lines; it may be empty or
-omitted entirely (then nothing triggers).  ``#`` starts a comment; blank
-lines are ignored.
+omitted entirely (then nothing triggers).
+
+Lines follow the rule trace lines follow (:mod:`slicemon.events`): ``#``
+starts a comment, blank lines are ignored, lines end at ``\n``, ``\r\n``
+or ``\r``, and any whitespace separates a line's keyword from the rest.
+Names are identifiers, and ``params:``, the arguments of an ``event`` and
+``report:`` and ``success:`` are comma-separated lists.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from __future__ import annotations
 import io
 from typing import Iterable
 
-from .bindings import _NAME_RE
-from .events import ParseError
+from .bindings import InputError, _NAME_RE
+from .events import ParseError, _line_text
 from .machines import BalanceMachine, FsmMachine, MonitorSpec, RatioMachine, Verdict
 
 __all__ = ["SpecFormatError", "parse_property_spec"]
@@ -62,6 +67,24 @@ def _identifier(lineno: int, text: str, what: str) -> str:
     return text
 
 
+def _comma_list(text: str) -> list[str]:
+    """The non-empty items of a comma-separated list, stripped."""
+    return [item for item in map(str.strip, text.split(",")) if item]
+
+
+def _declared(lineno: int, name: str, declared: dict, what: str = "event") -> str:
+    if name not in declared:
+        raise SpecFormatError(lineno, "undeclared %s %r" % (what, name))
+    return name
+
+
+def _verdict(lineno: int, tag: str) -> Verdict:
+    try:
+        return Verdict(tag)
+    except ValueError:
+        raise SpecFormatError(lineno, "unknown verdict %r" % tag) from None
+
+
 def compile_regex(pattern: str, alphabet: Iterable[str]) -> FsmMachine:
     """:func:`slicemon.patterns.compile_regex`, imported on first use.
 
@@ -76,12 +99,7 @@ def compile_regex(pattern: str, alphabet: Iterable[str]) -> FsmMachine:
 
 
 def parse_property_spec(source: str) -> MonitorSpec:
-    """Parse property-file text into a validated :class:`MonitorSpec`.
-
-    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as trace lines do; other
-    characters ``str.splitlines`` would split on are whitespace inside a
-    line.
-    """
+    """Parse property-file text into a validated :class:`MonitorSpec`."""
     name: str | None = None
     params: list[str] = []
     events: dict[str, tuple[str, ...]] = {}
@@ -97,11 +115,11 @@ def parse_property_spec(source: str) -> MonitorSpec:
     success: list[str] | None = None
 
     for lineno, raw in enumerate(io.StringIO(source, newline=None), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = _line_text(raw)
         if not line:
             continue
-        keyword, _, rest = line.partition(" ")
-        rest = rest.strip()
+        keyword = line.split(None, 1)[0]
+        rest = line[len(keyword):].lstrip()
 
         if name is None and keyword != "property":
             raise SpecFormatError(lineno, "file must start with a 'property' line")
@@ -116,7 +134,7 @@ def parse_property_spec(source: str) -> MonitorSpec:
         if keyword == "property":
             name = _identifier(lineno, rest, "property name")
         elif keyword == "params:":
-            for param in filter(None, (p.strip() for p in rest.split(","))):
+            for param in _comma_list(rest):
                 param = _identifier(lineno, param, "parameter")
                 if param in params:
                     raise SpecFormatError(lineno, "parameter %r declared twice" % param)
@@ -133,7 +151,7 @@ def parse_property_spec(source: str) -> MonitorSpec:
                     lineno, "event %r declared after the 'pattern:' line" % ev_name
                 )
             ev_params = []
-            for param in filter(None, (p.strip() for p in arglist.split(","))):
+            for param in _comma_list(arglist):
                 if param not in params:
                     raise SpecFormatError(
                         lineno, "event %r uses undeclared parameter %r" % (ev_name, param)
@@ -152,18 +170,12 @@ def parse_property_spec(source: str) -> MonitorSpec:
                 )
             kind = rest
         elif keyword == "report:":
-            for tag in filter(None, (t.strip() for t in rest.split(","))):
-                try:
-                    trigger.add(Verdict(tag))
-                except ValueError:
-                    raise SpecFormatError(lineno, "unknown verdict %r" % tag) from None
+            trigger.update(_verdict(lineno, tag) for tag in _comma_list(rest))
 
         elif keyword == "pattern:":
-            from .patterns import PatternSyntaxError, UnknownEventInPattern
-
             try:
                 pattern_machine = compile_regex(rest, events)
-            except (PatternSyntaxError, UnknownEventInPattern) as exc:
+            except InputError as exc:  # a bad pattern, or an undeclared event in it
                 raise SpecFormatError(lineno, str(exc)) from exc
         elif keyword == "state":
             fields = rest.split()
@@ -179,10 +191,8 @@ def parse_property_spec(source: str) -> MonitorSpec:
                 raise SpecFormatError(lineno, "expected 'trans from event to'")
             src, ev_name, dst = fields
             for state in (src, dst):
-                if state not in fsm_states:
-                    raise SpecFormatError(lineno, "undeclared state %r" % state)
-            if ev_name not in events:
-                raise SpecFormatError(lineno, "undeclared event %r" % ev_name)
+                _declared(lineno, state, fsm_states, "state")
+            _declared(lineno, ev_name, events)
             if (src, ev_name) in fsm_trans:
                 raise SpecFormatError(
                     lineno, "duplicate transition from %r on %r" % (src, ev_name)
@@ -193,22 +203,17 @@ def parse_property_spec(source: str) -> MonitorSpec:
             if len(fields) != 2:
                 raise SpecFormatError(lineno, "expected 'label state verdict'")
             state, tag = fields
-            if state not in fsm_states:
-                raise SpecFormatError(lineno, "undeclared state %r" % state)
+            _declared(lineno, state, fsm_states, "state")
             if state in fsm_labels:
                 raise SpecFormatError(lineno, "state %r labeled twice" % state)
-            try:
-                fsm_labels[state] = Verdict(tag)
-            except ValueError:
-                raise SpecFormatError(lineno, "unknown verdict %r" % tag) from None
+            fsm_labels[state] = _verdict(lineno, tag)
         elif keyword == "roles:":
             roles = {}
             for token in rest.split():
                 role, eq, ev_name = token.partition("=")
                 if not eq or role not in ("enter", "exit", "inc", "dec"):
                     raise SpecFormatError(lineno, "expected enter=/exit=/inc=/dec= pairs")
-                if ev_name not in events:
-                    raise SpecFormatError(lineno, "undeclared event %r" % ev_name)
+                _declared(lineno, ev_name, events)
                 if role in roles:
                     raise SpecFormatError(lineno, "role %r assigned twice" % role)
                 for other, taken in roles.items():
@@ -221,11 +226,7 @@ def parse_property_spec(source: str) -> MonitorSpec:
             if set(roles) != {"enter", "exit", "inc", "dec"}:
                 raise SpecFormatError(lineno, "roles: must assign all four roles")
         elif keyword == "success:":
-            success = []
-            for ev_name in filter(None, (t.strip() for t in rest.split(","))):
-                if ev_name not in events:
-                    raise SpecFormatError(lineno, "undeclared event %r" % ev_name)
-                success.append(ev_name)
+            success = [_declared(lineno, ev_name, events) for ev_name in _comma_list(rest)]
             if not success:
                 raise SpecFormatError(lineno, "'success:' names no event")
         else:

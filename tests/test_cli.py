@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import functools
 import gc
+import importlib
 import io
 import os
+import pkgutil
 import re
 import select
 import shlex
@@ -15,7 +17,9 @@ import tracemalloc
 
 import pytest
 
-from slicemon import cli, selfcheck
+import slicemon
+from slicemon import bindings, cli, events, patterns, selfcheck, specfile
+from slicemon.bindings import InputError
 from slicemon.cli import main
 from slicemon.events import render_trace
 from slicemon.parametric import _EngineBase
@@ -125,6 +129,56 @@ def test_spawned_with_closed_stdin_exits_1():
     )
     assert (done.returncode, done.stdout, done.stderr) == (
         1, b"", b"error: -: standard input is closed\n"
+    )
+
+
+class CountingStdout:
+    """A stdout that keeps each write apart."""
+
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_slice_writes_its_table_in_blocks(monkeypatch, tmp_path):
+    trace = tmp_path / "t.trace"
+    values = range(2 * cli.ROWS_PER_WRITE + 4)  # and the empty binding's row
+    trace.write_text("".join("e x=%d\n" % i for i in values), encoding="utf-8")
+    # A tab sorts before every digit, so the rows sort as their encodings do.
+    expected = "\t\n" + "".join(sorted("x=%d\te\n" % i for i in values))
+    stdout = CountingStdout()
+    monkeypatch.setattr("sys.stdout", stdout)
+    assert main(["slice", "--trace", str(trace)]) == 0
+    assert [block.count("\n") for block in stdout.writes] == [
+        cli.ROWS_PER_WRITE, cli.ROWS_PER_WRITE, 5
+    ]
+    assert "".join(stdout.writes) == expected
+
+
+@pytest.mark.parametrize("piped", ["spec", "spec-and-trace"])
+def test_monitor_cannot_read_spec_and_trace_from_stdin(capsys, tmp_path, monkeypatch, piped):
+    data = (FIXTURES / "hasnext.spec").read_bytes()
+    if piped == "spec-and-trace":
+        data += (FIXTURES / "hasnext.trace").read_bytes()
+    trace_through("stdin", data, tmp_path, monkeypatch)
+    code, out, err = in_process(capsys, "monitor", "--spec", "-", "--trace", "-")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: slicemon monitor ")
+    assert err.endswith(
+        "slicemon monitor: error: --spec and --trace cannot both read standard input\n"
+    )
+
+
+def test_monitor_reads_its_spec_from_stdin(capsys, tmp_path, monkeypatch):
+    spec = trace_through("stdin", (FIXTURES / "hasnext.spec").read_bytes(), tmp_path, monkeypatch)
+    assert run(capsys, "monitor", "--spec", spec, "--trace", fx("hasnext.trace")) == run(
+        capsys, "monitor", "--spec", fx("hasnext.spec"), "--trace", fx("hasnext.trace")
     )
 
 
@@ -274,12 +328,14 @@ def test_monitor_memory_does_not_grow_with_the_trace(capsys, tmp_path):
 # -- the line rule -------------------------------------------------------------
 
 
-def trace_through(source: str, data: bytes, tmp_path, monkeypatch) -> str:
-    """``--trace`` argument that feeds ``data`` from a file or from stdin."""
+def trace_through(
+    source: str, data: bytes, tmp_path, monkeypatch, name: str = "t.trace"
+) -> str:
+    """``--trace`` (or ``--spec``) argument that feeds ``data`` from a file or from stdin."""
     if source == "stdin":
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
         return "-"
-    path = tmp_path / "t.trace"
+    path = tmp_path / name
     path.write_bytes(data)
     return str(path)
 
@@ -319,6 +375,36 @@ def test_spec_lines_follow_the_line_rule(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "monitor", "--spec", str(spec), "--trace", trace)
     assert (code, out) == (1, "")
     assert err.startswith("error: line 6: event 'next' uses undeclared parameter")
+
+
+BOM = "\ufeff".encode()
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_a_leading_byte_order_mark_is_skipped(capsys, tmp_path, monkeypatch, source):
+    text = (FIXTURES / "hasnext.trace").read_bytes()
+    trace = trace_through(source, BOM + text, tmp_path, monkeypatch)
+    assert run(capsys, "slice", "--trace", trace) == run(
+        capsys, "slice", "--trace", fx("hasnext.trace")
+    )
+    spec = (FIXTURES / "hasnext.spec").read_bytes()
+    spec = trace_through(source, BOM + spec, tmp_path, monkeypatch, name="t.spec")
+    reports = run(capsys, "monitor", "--spec", fx("hasnext.spec"), "--trace", fx("hasnext.trace"))
+    assert reports[0] == 3
+    assert run(capsys, "monitor", "--spec", spec, "--trace", fx("hasnext.trace")) == reports
+    # Only the first character may be a byte-order mark.
+    trace = trace_through(source, text + BOM + text, tmp_path, monkeypatch)
+    assert run(capsys, "slice", "--trace", trace) == (
+        1, "", "error: line %d: bad event name '\\ufeffhasnexttrue'\n" % (text.count(b"\n") + 1)
+    )
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_undecodable_input_keeps_the_codec_message(capsys, tmp_path, monkeypatch, source):
+    trace = trace_through(source, b"open f=\xff\n", tmp_path, monkeypatch)
+    assert run(capsys, "slice", "--trace", trace) == (
+        1, "", "error: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n"
+    )
 
 
 # -- the process entry point ---------------------------------------------------
@@ -627,6 +713,61 @@ def test_directory_as_trace_exits_1(capsys, tmp_path):
     )
     assert (code, out) == (1, "")
     assert err.startswith("error: %s: " % tmp_path)
+
+
+#: One bad input for each exception class slicemon raises for bad input,
+#: given the parsed ``hasnext.spec``.
+BAD_INPUTS = {
+    bindings.BindingFormatError: lambda spec: bindings.ParamInstance.parse("x"),
+    events.ParseError: lambda spec: events.parse_trace("e x"),
+    events.DuplicateParam: lambda spec: events.parse_trace("e x=1 x=2"),
+    events.UnknownEvent: lambda spec: spec.check_event(events.ParametricEvent("e")),
+    events.ParamMismatch: lambda spec: spec.check_event(events.ParametricEvent("next")),
+    patterns.PatternSyntaxError: lambda spec: patterns.compile_regex("(a", ["a"]),
+    patterns.UnknownEventInPattern: lambda spec: patterns.compile_regex("b", ["a"]),
+    specfile.SpecFormatError: lambda spec: specfile.parse_property_spec("params: x\n"),
+}
+
+
+def test_every_input_error_class_is_an_input_error(hasnext_spec):
+    modules = [
+        importlib.import_module("slicemon." + info.name)
+        for info in pkgutil.iter_modules(slicemon.__path__)
+    ]
+    defined = {
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type) and issubclass(value, BaseException)
+        and value.__module__.startswith("slicemon.")
+    }
+    assert defined == set(BAD_INPUTS) | {InputError}
+    assert issubclass(InputError, ValueError)
+    for cls, bad in BAD_INPUTS.items():
+        assert issubclass(cls, InputError)
+        with pytest.raises(cls) as info:
+            bad(hasnext_spec)
+        assert type(info.value) is cls
+
+
+@pytest.mark.parametrize(
+    "exc,code", [(InputError("bad input"), 1), (ValueError("internal fault"), 70)],
+    ids=["input-error", "value-error"],
+)
+def test_only_an_input_error_exits_1(capsys, monkeypatch, exc, code):
+    def broken_feed(self, event):
+        raise exc
+
+    monkeypatch.setattr(_EngineBase, "feed", broken_feed)
+    status, out, err = run(
+        capsys, "monitor", "--spec", fx("hasnext.spec"), "--trace", fx("hasnext.trace")
+    )
+    assert (status, out) == (code, "")
+    if code == 1:
+        assert err == "error: bad input\n"
+    else:
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith("ValueError: internal fault\n")
 
 
 def test_internal_value_error_is_not_malformed_input(capsys, monkeypatch):

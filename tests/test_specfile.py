@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from slicemon.events import parse_trace
 from slicemon.machines import BalanceMachine, FsmMachine, RatioMachine, Verdict
 from slicemon.specfile import SpecFormatError, parse_property_spec
+
+from .conftest import FIXTURES
 
 MINIMAL_RATIO = """\
 property P
@@ -80,6 +83,27 @@ def test_comments_and_blank_lines_ignored():
         "monitor: ratio", "monitor: ratio   # kind"
     )
     assert parse_property_spec(source).kind == "ratio"
+
+
+def spec_fields(source: str) -> tuple:
+    spec = parse_property_spec(source)
+    machine = (type(spec.machine), vars(spec.machine))
+    return spec.name, spec.params, spec.events, spec.kind, spec.trigger, machine
+
+
+@pytest.mark.parametrize(
+    "space", ["\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028"],
+    ids=["tab", "vt", "ff", "fs", "nel", "nbsp", "ls"],
+)
+def test_any_whitespace_separates_fields(space):
+    # Property files and traces share one line rule: a keyword, like any
+    # other field, may be followed by any whitespace, not only a space.
+    for path in sorted(FIXTURES.glob("*.spec")):
+        text = path.read_text(encoding="utf-8")
+        assert spec_fields(text.replace(" ", space)) == spec_fields(text), path.name
+    for path in sorted(FIXTURES.glob("*.trace")):
+        text = path.read_text(encoding="utf-8")
+        assert parse_trace(text.replace(" ", space)) == parse_trace(text), path.name
 
 
 # -- rejection branches ------------------------------------------------------------
