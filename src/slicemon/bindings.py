@@ -82,9 +82,9 @@ class ParamInstance(tuple):
         items = tuple(sorted(dict(mapping).items()))
         for name, value in items:
             if not isinstance(name, str) or not _NAME_RE.match(name):
-                raise BindingFormatError("bad parameter name: %r" % (name,))
+                raise BindingFormatError("bad parameter name %r" % (name,))
             if not isinstance(value, str) or not _VALUE_RE.match(value):
-                raise BindingFormatError("bad parameter value: %r" % (value,))
+                raise BindingFormatError("bad parameter value %r" % (value,))
         return tuple.__new__(cls, items)
 
     @classmethod
@@ -97,7 +97,7 @@ class ParamInstance(tuple):
         for chunk in text.split(","):
             name, eq, value = chunk.strip().partition("=")
             if not eq:
-                raise BindingFormatError("expected name=value, got %r" % chunk)
+                raise BindingFormatError("expected param=value, got %r" % chunk)
             if name in mapping:
                 raise BindingFormatError("parameter %r bound twice" % name)
             mapping[name] = value

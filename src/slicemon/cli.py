@@ -90,16 +90,17 @@ def _open_input(path: str) -> Iterator[TextIO]:
 def cmd_slice(args: argparse.Namespace) -> int:
     from .slicer import SliceTable
 
+    # A malformed binding is reported before any of the trace is read.
+    binding = None if args.instance == "all" else ParamInstance.parse(args.instance)
     table = SliceTable()
     with _open_input(args.trace) as lines:
         table.feed_all(iter_trace(lines))
-    if args.instance == "all":
+    if binding is None:
         rows = ("%s\t%s\n" % (encoding, " ".join(words)) for encoding, words in table.rows())
         # Every row holds at least its tab and newline, so "" is the end.
         while block := "".join(islice(rows, ROWS_PER_WRITE)):
             sys.stdout.write(block)
     else:
-        binding = ParamInstance.parse(args.instance)
         print(" ".join(table.lookup(binding)))
     return 0
 

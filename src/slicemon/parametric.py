@@ -10,9 +10,9 @@ its defined strict extensions, except those parked in a sink state that
 cannot report.  Each step reads only its own binding's state, so the
 steps may run in any order; the reports of one event come out in
 ``binding_order``.  The fresh binding is a group of its own; the joins
-with its neighbours are grouped by domain; every group is sourced,
-defined and indexed by the same steps.  The engines differ only in the
-three finders the loop calls:
+with its neighbours are grouped by domain; every group gets its
+sources, is defined and is indexed by the same steps.  The engines differ
+only in the three finders the loop calls:
 
 * :class:`BaselineMonitor` scans the whole table for the joins, for the
   live strict extensions of a known binding, and for a join's source, the
@@ -21,11 +21,12 @@ three finders the loop calls:
 * :class:`IndexedMonitor` looks the first two up in a domain-keyed index of
   the defined bindings, holding only the keys its lookups can ask for, and
   only in the domains where they can hit; it finds a source by restricting
-  the join to each table domain within it, or, where no table domain can
-  hold a wider one, takes the neighbour the join was built from.  It
-  neither scans the table nor checks compatibility.  Only a fresh
-  binding's merge probes read the parked side of the index, which keeps
-  only the keys they ask for.
+  the join to each table domain within it that is wider than the join's
+  *floor*, widest first, and takes the floor if none is defined.  A merged
+  join's floor is the neighbour it was built from, and the fresh binding's
+  is the empty binding.  It neither scans the table nor checks
+  compatibility.  Only a fresh binding's merge probes read the parked side
+  of the index, which keeps only the keys they ask for.
 
 Both produce identical state tables, verdicts and report streams, which the
 test suite checks event by event against each other and against the
@@ -35,7 +36,6 @@ same loop with a machine whose state is the word read so far.
 
 from __future__ import annotations
 
-from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Sequence
 
@@ -128,7 +128,7 @@ class _EngineBase:
     Subclasses supply the three finders: ``_joins(binding)`` returns, for
     a binding not in the table, its domain (the *query domain*) and its
     joins with the table entries it does not extend, its *neighbours*, as
-    ``{domain: {join: source or None}}``: the binding itself, its one join
+    ``{domain: {join: floor or None}}``: the binding itself, its one join
     of its own domain, is left out, and the loop defines it;
     ``_above(binding)`` the defined strict extensions, not parked, of a
     binding in the table, which is left out too, and the loop steps it
@@ -136,8 +136,10 @@ class _EngineBase:
     informative binding strictly below each of a group's ``missing`` joins,
     in order, in the pre-event table, where ``joins`` is the group as
     ``_joins`` returned it (the fresh binding alone is such a group, with
-    None for ``joins``).  A source ``_joins`` records for a join must be
-    that binding, and ``_below`` may return it without looking.
+    None for ``joins``).  A *floor* ``_joins`` records for a missing join
+    is a lower bound, not the source: a binding in the table strictly
+    below the join, so the source is at least as informative, and
+    ``_below`` may look only above it.  The baseline records none.
     ``_joins`` adds the candidates it examines to ``stats.compat_checks``,
     and ``_above`` those it checks for compatibility, if any.  ``_joins``
     may leave out parked joins already defined, which the loop does not
@@ -189,10 +191,10 @@ class _EngineBase:
         is unspecified.
 
         An event on a fresh binding defines the binding itself, a group of
-        one with its own ``_below`` probe, and the missing joins of the
-        neighbour groups ``_joins`` returns; every group is sourced from the
-        pre-event table, then defined by ``_define``, which leaves the joins
-        born parked out of the steps, and indexed alike.
+        one whose floor is the empty binding, and the missing joins of the
+        neighbour groups ``_joins`` returns; every group gets its sources
+        from the pre-event table, then is defined by ``_define``, which
+        leaves the joins born parked out of the steps, and indexed alike.
 
         A step that lands in one of the machine's sinks parks its binding
         unless the sink's verdict would be reported again under
@@ -401,13 +403,15 @@ class IndexedMonitor(_EngineBase):
       name order by the *merge plan* of ``(E, D)``.
     * Every defined binding below a missing join ``j`` is ``j`` restricted
       to a table domain ``D ⊊ dom(j)``.  These restrictions that are
-      defined are join-closed, since the table is, so their maximum is the
-      join of them all and has the strictly widest domain among them:
-      probing ``D`` widest first, the first defined restriction is the
-      source.  A merged join holds its neighbour ``n``, and so does its
-      source; if no table domain lies strictly between ``dom(n)`` and
-      ``dom(j)``, the source is ``n``, which the join finder records, and
-      nothing is probed.
+      defined are join-closed, since the table is, so their maximum ``s``,
+      the source, is the join of them all and has the one widest domain
+      among them.  The join finder records ``j``'s neighbour as its
+      *floor*, and a fresh binding's floor is the empty binding: one of
+      those restrictions, so ``s`` is at least the floor.  The source
+      finder probes only the domains ``D`` wider than the floor, widest
+      first.  Either one of them holds ``s``, and none wider than it holds
+      a defined restriction, so the first hit is ``s``; or none hits, and
+      ``s`` is the floor.
 
     A binding equals its item tuple, so the warm finder looks its keys up
     with the binding itself, and the source finder probes ``delta`` with
@@ -426,11 +430,11 @@ class IndexedMonitor(_EngineBase):
         #: The table domains, widest first.
         self._widest: list[frozenset[str]] = []
         #: Per domain of a fresh binding, its ``_plan``; per domain of a
-        #: group of joins, the getters of their restrictions to the table
-        #: domains strictly within it, widest first.  Both are cleared when
-        #: a table domain is added.
+        #: group of joins, the width of each table domain strictly within
+        #: it and the getter of the joins' restrictions to it, widest
+        #: first.  Both are cleared when a table domain is added.
         self._plans: dict[frozenset[str], list[tuple]] = {}
-        self._sources: dict[frozenset[str], list[Callable]] = {}
+        self._sources: dict[frozenset[str], list[tuple[int, Callable]]] = {}
 
     def _joins(
         self, binding: ParamInstance
@@ -445,7 +449,7 @@ class IndexedMonitor(_EngineBase):
             plan = self._plans[query] = self._plan(query)
         groups: dict[frozenset[str], dict[ParamInstance, ParamInstance | None]] = {}
         examined = 1
-        for domain, cut, joined, merge, sides, sourced in plan:
+        for domain, cut, joined, merge, sides in plan:
             key = (cut(binding), domain)
             for side in sides:
                 neighbours = side.get(key)
@@ -456,15 +460,12 @@ class IndexedMonitor(_EngineBase):
                         joins.update(dict.fromkeys(neighbours))
                     else:
                         merged = map(merge, map(binding.__add__, neighbours))
-                        joins.update(zip(
-                            map(ParamInstance._wrap, merged),
-                            neighbours if sourced else repeat(None),
-                        ))
+                        joins.update(zip(map(ParamInstance._wrap, merged), neighbours))
         self.stats.compat_checks += examined
         return query, groups
 
     def _plan(self, query: frozenset[str]) -> list[tuple]:
-        """``(D, cut, D∪query, merge plan, sides, sourced)`` per table domain ``D`` ⊄ query.
+        """``(D, cut, D∪query, merge plan, sides)`` per table domain ``D`` ⊄ query.
 
         The plan gets a join's items, in name order, from the binding's
         items followed by a neighbour's; it is None if ``D`` holds
@@ -472,13 +473,10 @@ class IndexedMonitor(_EngineBase):
         joins, all defined, and the parked ones are not reached: only the
         live side of the index is read, and its own binding objects are
         handed back, since a rebuilt equal tuple would enter ``_parked``
-        and the reports as a second object.
-
-        ``sourced`` is true if no table domain lies strictly between ``D``
-        and ``D∪query``: then a missing join's source, which holds its
-        neighbour, has the neighbour's domain and is the neighbour.  The
-        sourced entries come last, so that the None of another entry that
-        reaches the same join does not overwrite the source they record.
+        and the reports as a second object.  Otherwise each join is
+        recorded with its neighbour, its floor.  Every entry that reaches
+        a missing join records a floor for it, so the order of the
+        entries does not matter.
         """
         live = (self.extensions,)
         both = (self.extensions, self.parked_extensions)
@@ -486,14 +484,12 @@ class IndexedMonitor(_EngineBase):
         for domain in self._domains:
             if not domain <= query:
                 if query <= domain:
-                    joined, merge, sides, sourced = domain, None, live, False
+                    joined, merge, sides = domain, None, live
                 else:
                     joined, sides = domain | query, both
                     names = sorted(query) + sorted(domain)
                     merge = itemgetter(*map(names.index, sorted(joined)))
-                    sourced = not any(domain < other < joined for other in self._domains)
-                plan.append((domain, _cut(query, domain & query), joined, merge, sides, sourced))
-        plan.sort(key=itemgetter(5))  # stable: the unsourced keep their order
+                plan.append((domain, _cut(query, domain & query), joined, merge, sides))
         return plan
 
     def _above(self, binding: ParamInstance) -> list[ParamInstance]:
@@ -514,19 +510,25 @@ class IndexedMonitor(_EngineBase):
         if sources is None:
             within = [other for other in self._domains if other < domain]
             within.sort(key=len, reverse=True)
-            sources = self._sources[domain] = [_cut(domain, part) for part in within]
+            sources = self._sources[domain] = [(len(part), _cut(domain, part)) for part in within]
+        # A merged join's floor has a domain within the join.  If all those
+        # domains have one width, none is wider than the floor, which is the
+        # source.  Entering the loop for such groups measured ×1.05
+        # unsafeiter-join p99 (CHANGES.md).
+        if joins and sources[0][0] == sources[-1][0]:
+            return list(map(joins.__getitem__, missing))
         delta, wrap = self.delta, ParamInstance._wrap
         found = []
         for joined in missing:
-            source = joins[joined] if joins else None
-            if source is None:
-                for cut in sources:
-                    items = cut(joined)
-                    if items in delta:
-                        source = wrap(items)
-                        break
-                else:
-                    source = EMPTY
+            source = joins[joined] if joins else EMPTY
+            floor = len(source)
+            for width, cut in sources:
+                if width <= floor:  # no wider restriction is defined: the floor is the source
+                    break
+                items = cut(joined)
+                if items in delta:
+                    source = wrap(items)
+                    break
             found.append(source)
         return found
 

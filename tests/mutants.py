@@ -31,7 +31,8 @@ class SkipJoinPhaseMonitor(IndexedMonitor):
     """Mutant: a fresh binding affects only itself and its extensions.
 
     It never defines the joins of a fresh binding with the table, so the
-    combinations they stand for are missed.
+    combinations they stand for are missed.  Its groups hold only defined
+    bindings, so no floor of theirs is ever read.
     """
 
     def _joins(self, binding: ParamInstance) -> tuple[frozenset[str], dict]:
@@ -117,7 +118,7 @@ class LiveOnlyJoinsMonitor(IndexedMonitor):
 
     Its join finder reads the live side of the index alone, so the joins
     with parked bindings are never defined and the table is no longer
-    join-closed.
+    join-closed.  Each join it finds has its neighbour as its floor.
     """
 
     def _joins(self, binding: ParamInstance) -> tuple[frozenset[str], dict]:
@@ -129,25 +130,25 @@ class LiveOnlyJoinsMonitor(IndexedMonitor):
             if not domain <= query:
                 sub = restrict(binding, domain & query)
                 for neighbour in self.extensions.get((sub, domain), ()):
-                    groups.setdefault(domain | query, {})[neighbour.join(binding)] = None
+                    groups.setdefault(domain | query, {})[neighbour.join(binding)] = neighbour
         return query, groups
 
 
 class SmallestSourceMonitor(IndexedMonitor):
-    """Mutant: copies a missing join from its least informative defined source.
+    """Mutant: copies a missing join from its least informative source above its floor.
 
-    Where the join finder recorded no source, it probes the table domains
-    within the join smallest first, so the first defined restriction it
-    meets is not the most informative one.
+    It probes the table domains within the join that are wider than the
+    join's floor smallest first, so the first defined restriction it meets
+    is not the most informative one.
     """
 
     def _below(self, domain: frozenset[str], missing, joins) -> list[ParamInstance]:
         within = sorted((other for other in self._domains if other < domain), key=len)
         sources = []
         for joined in missing:
-            subs = (restrict(joined, other) for other in within)
-            recorded = joins[joined] if joins else None
-            sources.append(recorded or next((sub for sub in subs if sub in self.delta), EMPTY))
+            floor = joins[joined] if joins else EMPTY
+            subs = (restrict(joined, other) for other in within if len(other) > len(floor))
+            sources.append(next((sub for sub in subs if sub in self.delta), floor))
         return sources
 
 
@@ -243,23 +244,17 @@ class StaleWiderMonitor(IndexedMonitor):
 
 
 class NeighbourSourceMonitor(IndexedMonitor):
-    """Mutant: a merged join always takes its neighbour as its source.
+    """Mutant: a merged join takes its floor, a neighbour, as its source without probing.
 
-    It records the neighbour as the source even when a table domain lies
-    strictly between the neighbour's domain and the join's, where a wider
-    defined restriction of the join may be the most informative one.  Its
-    plan is in the order the engine gives those marks: the unsourced
-    entries first, each part in table domain order.
+    A table domain may lie strictly between the neighbour's domain and the
+    join's, and a wider defined restriction of the join there is the most
+    informative one.  The fresh binding's own group is probed as usual.
     """
 
-    def _plan(self, query: frozenset[str]) -> list[tuple]:
-        order = list(self._domains)
-        plan = [
-            (domain, cut, joined, merge, sides, merge is not None)
-            for domain, cut, joined, merge, sides, _ in super()._plan(query)
-        ]
-        plan.sort(key=lambda entry: (entry[5], order.index(entry[0])))
-        return plan
+    def _below(self, domain: frozenset[str], missing, joins) -> list[ParamInstance]:
+        if joins:
+            return [joins[joined] for joined in missing]
+        return super()._below(domain, missing, joins)
 
 
 #: (name, ``run_selfcheck`` keywords, the check that must catch it).

@@ -147,13 +147,14 @@ def checked_finders(engine):
     The loop steps an event's own binding itself, so neither finder may
     return it: ``_above(b)`` returns only strict extensions of ``b``, and
     the groups ``_joins(b)`` returns hold only the joins of ``b`` with its
-    neighbours, none of ``b``'s own domain.  ``_joins`` runs on the
-    pre-event table, so a source it records for a missing join must be the
-    join's ``max_below`` in the table as it stands; the check counts the
-    sources it held so in the ``sourced`` attribute of the wrapped
-    ``_joins``.
+    neighbours, none of ``b``'s own domain.  The loop asks ``_below`` for
+    every group's sources before it defines any join of the event, so each
+    source it returns must be the join's ``max_below`` in the table as it
+    stands.  The check counts, in the ``lifted`` attribute of the wrapped
+    ``_below``, the sources that are not the floor ``_joins`` recorded for
+    their join: the probes above a floor that hit.
     """
-    above, joins = engine._above, engine._joins
+    above, joins, below = engine._above, engine._joins, engine._below
 
     def checked_above(binding):
         found = above(binding)
@@ -168,19 +169,22 @@ def checked_finders(engine):
         query, groups = joins(binding)
         assert query == binding.domain, "_joins(%r) gave query domain %r" % (binding, query)
         assert query not in groups, "_joins(%r) returned a group of its own domain" % (binding,)
-        for group in groups.values():
-            for joined, source in group.items():
-                if source is not None and joined not in engine.delta:
-                    checked_joins.sourced += 1
-                    assert source == max_below(joined, engine.delta), (
-                        "_joins(%r) recorded %r as the source of %r, not its max_below"
-                        % (binding, source, joined)
-                    )
         return query, groups
 
-    checked_joins.sourced = 0
+    def checked_below(domain, missing, group):
+        found = below(domain, missing, group)
+        assert len(found) == len(missing), "%d joins, %d sources" % (len(missing), len(found))
+        for joined, source in zip(missing, found):
+            assert source == max_below(joined, engine.delta), (
+                "_below gave %r as the source of %r, not its max_below" % (source, joined)
+            )
+            floor = group[joined] if group else None
+            if floor is not None and source != floor:
+                checked_below.lifted += 1
+        return found
 
-    engine._above, engine._joins = checked_above, checked_joins
+    checked_below.lifted = 0
+    engine._above, engine._joins, engine._below = checked_above, checked_joins, checked_below
     return engine
 
 

@@ -58,10 +58,13 @@ def test_parse_round_trip():
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        ParamInstance.parse("x")
-    with pytest.raises(ValueError):
-        ParamInstance.parse("x=1,x=2")
+    # Each fault reads as it does on a trace line.
+    for text in ("x", "1=1", "x=", "x=1,x=2"):
+        with pytest.raises(BindingFormatError) as parsed:
+            ParamInstance.parse(text)
+        with pytest.raises(ParseError) as traced:
+            parse_trace("e " + text.replace(",", " "))
+        assert "line 1: %s" % parsed.value == str(traced.value), text
 
 
 def test_one_value_grammar_and_encoding_round_trip():

@@ -683,6 +683,13 @@ def test_bad_instance_argument_exits_1(capsys):
         assert "error:" in err
 
 
+def test_bad_instance_is_reported_before_the_trace_is_read(capsys, tmp_path):
+    trace = tmp_path / "bad.trace"
+    trace.write_text("open f\n", encoding="utf-8")  # line 1 is malformed too
+    code, out, err = run(capsys, "slice", "--trace", str(trace), "--instance", "1=1")
+    assert (code, out, err) == (1, "", "error: bad parameter name '1'\n")
+
+
 def test_undecodable_trace_exits_1(capsys, tmp_path):
     bad = tmp_path / "bad.trace"
     bad.write_bytes(b"open f=\xff\n")

@@ -386,9 +386,11 @@ def random_machine(rng: random.Random, alphabet: tuple[str, ...]) -> FsmMachine:
     return FsmMachine(states[0], transitions, labels, alphabet)
 
 
-def random_trace(rng: random.Random, alphabet, max_len=14) -> list[ParametricEvent]:
+def random_trace(
+    rng: random.Random, alphabet, max_len=14, params=("x", "y", "z")
+) -> list[ParametricEvent]:
     return [
-        ParametricEvent(rng.choice(alphabet), random_binding(rng))
+        ParametricEvent(rng.choice(alphabet), random_binding(rng, params))
         for _ in range(rng.randint(0, max_len))
     ]
 
@@ -396,9 +398,14 @@ def random_trace(rng: random.Random, alphabet, max_len=14) -> list[ParametricEve
 def test_engines_agree_event_by_event_and_with_definition():
     rng = random.Random(99)
     alphabet = ("a", "b", "c")
-    for _ in range(40):
+    # With five names, a third of the merged joins have a table domain
+    # wider than their floor within them (61 of 178, against 18 of 85 with
+    # three names), so the source finder probes above a floor; at least one
+    # such probe must hit.
+    lifted = 0
+    for params in [("x", "y", "z")] * 40 + [("v", "w", "x", "y", "z")] * 40:
         machine = random_machine(rng, alphabet)
-        trace = random_trace(rng, alphabet)
+        trace = random_trace(rng, alphabet, params=params)
         baseline, indexed = both_engines(
             machine, trigger=[Verdict.MATCH, Verdict.FAIL]
         )
@@ -419,6 +426,8 @@ def test_engines_agree_event_by_event_and_with_definition():
             assert machine.output(indexed.delta[binding]) == reference[binding]
         for binding, verdict in baseline.gamma.items():
             assert verdict == reference[binding]
+        lifted += indexed._below.lifted
+    assert lifted > 0
 
 
 def test_indexed_engine_cost_shape():
@@ -477,13 +486,21 @@ def test_warm_events_do_not_reach_parked_extensions(unsafeiter_spec):
 
 
 class CountingDict(dict):
-    """A dict that counts its ``get`` calls, to stand in for one side of the index."""
+    """A dict that counts its ``get`` calls and membership tests.
 
-    gets = 0
+    It stands in for one side of the index, or for ``delta``, which the
+    source finder probes with ``in``.
+    """
+
+    gets = contains = 0
 
     def get(self, key, default=None):
         self.gets += 1
         return dict.get(self, key, default)
+
+    def __contains__(self, key):
+        self.contains += 1
+        return dict.__contains__(self, key)
 
 
 def test_warm_events_probe_only_wider_domains(unsafeiter_spec):
@@ -492,8 +509,21 @@ def test_warm_events_probe_only_wider_domains(unsafeiter_spec):
     # {i, v}: a warm ``next i`` or ``update v`` looks up one key, in
     # {i, v}, and a warm ``create`` none.
     spec = unsafeiter_spec
-    engine = checked_finders(IndexedMonitor(spec.machine, trigger=spec.trigger))
+    engine = IndexedMonitor(spec.machine, trigger=spec.trigger)
     engine.extensions = extensions = CountingDict()
+    engine.delta = delta = CountingDict(engine.delta)
+    below, merged = engine._below, Counter()
+
+    def counted_below(domain, missing, joins):
+        before = delta.contains
+        found = below(domain, missing, joins)
+        if joins:
+            merged["joins"] += len(missing)
+            merged["probes"] += delta.contains - before
+        return found
+
+    engine._below = counted_below
+    checked_finders(engine)
     warm = Counter()
     for event in unsafeiter_workload(600):
         known = event.instance in engine.delta
@@ -504,9 +534,11 @@ def test_warm_events_probe_only_wider_domains(unsafeiter_spec):
             assert probes == (1 if len(event.instance) == 1 else 0), event
             warm[event.name] += probes
     assert warm == {"next": 427, "update": 105, "create": 0}
-    # Every merged join of a fresh ``next`` or ``update`` took its
-    # neighbour as source, which the finder oracle held against max_below.
-    assert engine._joins.sourced == 60
+    # Every merged join of a fresh ``next`` or ``update`` is of domain
+    # {i, v}, and its floor, a neighbour, of one of width 1: no table domain
+    # is wider than the floor and within the join, so the floor is taken
+    # without a probe, and the finder oracle held it against max_below.
+    assert merged == {"joins": 60, "probes": 0}
     # One table domain: a warm iterator event looks nothing up.
     engine = IndexedMonitor(iterator_machine())
     engine.extensions = extensions = CountingDict()
@@ -542,9 +574,6 @@ def test_finder_oracle_catches_a_neighbour_taken_past_a_wider_source():
     baseline, engine = BaselineMonitor(machine), checked_finders(IndexedMonitor(machine))
     assert engine.feed_all(trace) == baseline.feed_all(trace)
     assert engine.delta == baseline.delta
-    # The {y} entry reaches the join too, unsourced: it must not clear the
-    # source the {y, z} entry recorded.
-    assert engine._joins.sourced == 1
     broken = checked_finders(NeighbourSourceMonitor(machine))
     with pytest.raises(AssertionError, match="not its max_below"):
         broken.feed_all(trace)
