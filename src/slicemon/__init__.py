@@ -4,8 +4,9 @@ The package splits a single stream of events like ``acquire r=r1`` into one
 logical slice per parameter binding and runs a verdict machine against every
 slice — incrementally, in one pass, without ever materializing the slices
 unless asked to.  See :mod:`slicemon.slicer` for the slicing table,
-:mod:`slicemon.parametric` for the monitoring engines, and
-:mod:`slicemon.cli` for the command line.
+:mod:`slicemon.parametric` for the monitoring engine,
+:mod:`slicemon.reference` for the definitions both are checked against,
+and :mod:`slicemon.cli` for the command line.
 """
 
 from importlib import import_module
@@ -14,44 +15,29 @@ from importlib import import_module
 #: on first access (PEP 562), so ``import slicemon`` (and ``python -m
 #: slicemon.cli``, which imports the package first) loads no submodule.
 _HOMES = {
-    "bindings": (
-        "BindingFormatError",
-        "EMPTY",
-        "InputError",
-        "ParamInstance",
-        "join_closure",
-        "max_below",
-        "ordered",
-    ),
+    "bindings": ("BindingFormatError", "EMPTY", "InputError", "ParamInstance", "ordered"),
+    "counters": ("BalanceMachine", "Ratio", "RatioMachine"),
     "events": (
         "DuplicateParam",
         "ParamMismatch",
         "ParametricEvent",
         "ParseError",
         "UnknownEvent",
-        "binding_closure",
         "iter_trace",
         "parse_trace",
         "render_trace",
+    ),
+    "machines": ("FsmMachine", "Machine", "MonitorSpec", "Verdict"),
+    "parametric": ("IndexedMonitor", "RunStats", "VerdictReport"),
+    "patterns": ("PatternSyntaxError", "UnknownEventInPattern", "compile_regex"),
+    "reference": (
+        "BaselineMonitor",
+        "binding_closure",
+        "definitional_verdicts",
+        "join_closure",
+        "max_below",
         "slice_trace",
     ),
-    "machines": (
-        "BalanceMachine",
-        "FsmMachine",
-        "Machine",
-        "MonitorSpec",
-        "Ratio",
-        "RatioMachine",
-        "Verdict",
-    ),
-    "parametric": (
-        "BaselineMonitor",
-        "IndexedMonitor",
-        "RunStats",
-        "VerdictReport",
-        "definitional_verdicts",
-    ),
-    "patterns": ("PatternSyntaxError", "UnknownEventInPattern", "compile_regex"),
     "selfcheck": ("run_selfcheck",),
     "slicer": ("SliceTable",),
     "specfile": ("SpecFormatError", "parse_property_spec"),

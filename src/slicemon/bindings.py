@@ -14,7 +14,7 @@ equals (and hashes like) the plain tuple of its items.  The order is a subset
 test on those tuples, and the join merges two of them.  The most informative
 member of a join-closed set below a binding (its slice source) is the widest
 member below it, so one scan of the set finds it, however many parameters the
-binding has.
+binding has (:func:`slicemon.reference.max_below`, next to the join closure).
 
 Everything downstream (slicing tables, monitor state tables) indexes on
 bindings, so this module also fixes their canonical encoding
@@ -36,9 +36,6 @@ __all__ = [
     "InputError",
     "ParamInstance",
     "binding_order",
-    "join_closure",
-    "joins_with",
-    "max_below",
     "ordered",
 ]
 
@@ -191,60 +188,3 @@ def ordered(instances: Iterable[ParamInstance]) -> list[ParamInstance]:
     """Sorted list of bindings in the canonical iteration order."""
     return sorted(instances, key=binding_order)
 
-
-def joins_with(
-    instance: ParamInstance, instances: Iterable[ParamInstance]
-) -> set[ParamInstance]:
-    """All defined joins of ``instance`` with members of ``instances``.
-
-    When ``instances`` contains the empty binding the result contains
-    ``instance`` itself; incompatible members contribute nothing.
-    """
-    out: set[ParamInstance] = set()
-    for member in instances:
-        joined = instance.join(member)
-        if joined is not None:
-            out.add(joined)
-    return out
-
-
-def join_closure(instances: Iterable[ParamInstance]) -> set[ParamInstance]:
-    """Smallest join-closed superset (always includes the empty binding).
-
-    The result is the table domain an online slicer reaches after feeding
-    events carrying ``instances``, and it is built the same way, one pass per
-    binding: a binding not yet in the set adds its joins with every member.
-    The set stays join-closed, because ``(b⊔m)⊔(b⊔n) = b⊔(m⊔n)``.
-    """
-    closed: set[ParamInstance] = {EMPTY}
-    for instance in instances:
-        if instance not in closed:
-            closed |= joins_with(instance, closed)
-    return closed
-
-
-def max_below(
-    instance: ParamInstance, members: Iterable[ParamInstance]
-) -> ParamInstance:
-    """Most informative member that is at-or-below ``instance``, in one scan.
-
-    ``members`` must be join-closed, and so contain the empty binding, which
-    guarantees an answer.  The members below ``instance`` are then closed
-    under join too (a join of two bindings below ``instance`` is below it),
-    so the join of them all is a member and strictly wider than any other:
-    the maximum is unique, and it is the widest member below ``instance``.
-    The scan keeps the first member of the largest size it meets, which
-    matters only for a set that is not join-closed.  ``instance`` itself is
-    returned when it is a member.
-    """
-    best = None
-    size = -1
-    for member in members:
-        if len(member) > size and member.less_informative(instance):
-            best, size = member, len(member)
-    if best is None:
-        raise ValueError(
-            "binding set is missing the empty binding (not join-closed): %r"
-            % (instance,)
-        )
-    return best

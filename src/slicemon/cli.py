@@ -24,11 +24,26 @@ error; 3 at least one report triggered; 4 selfcheck mismatch; 70 an
 internal fault, with its traceback on standard error; 141 the reader
 closed standard output.
 
-Each subcommand imports the modules it runs when it starts, not when this
-module loads: ``monitor`` loads neither the slicer nor the selfcheck, and
-:mod:`slicemon.patterns` only for a ``pattern:`` line; ``slice`` loads no
-property-file parser.  A run spends much of its time starting up, and
-every module it imports is compiled again where no bytecode is cached.
+A run spends much of its time starting up, and every module it imports is
+compiled again where no bytecode is cached, so a run imports only what it
+runs.  Each subcommand imports its modules when it starts, not when this
+module loads.  ``monitor`` loads the property-file parser, the machines and
+the indexed engine: :mod:`slicemon.patterns` only for a ``pattern:`` line,
+:mod:`slicemon.counters` only for a ``balance`` or ``ratio`` property, and
+:mod:`slicemon.reference` only for ``--algo b``.  ``slice`` loads the
+slicer and the indexed engine, and :mod:`slicemon.reference` only to look
+a binding up.  Neither loads the selfcheck.
+
+The options of every subcommand are declared once, in :data:`COMMANDS`.
+:func:`parse_args` reads a well-formed command line straight from that
+table, so that a run loads neither :mod:`argparse` nor the :mod:`gettext`
+and :mod:`locale` it imports.  :mod:`slicemon.usage`, which builds
+argparse's parser from the same table, is imported only for ``-h`` and
+``--help``, for a usage error found later (``--spec - --trace -``), and for
+every command line the table's reader declines: an abbreviated, unknown,
+missing or repeated option, a value that starts with ``-`` (other than
+``-``), a value outside its choices or not a number, and ``--``.  So help
+and usage errors are argparse's alone.
 
 The process entry point is :func:`run`, for ``python -m slicemon.cli`` and
 the ``slicemon`` script; :func:`main` is the in-process API and returns
@@ -38,17 +53,17 @@ interpreter's teardown of every loaded module and object, which costs
 about 10 ms a run.  So the ``atexit`` handlers that other code registered
 do not run.  Under a tracer or profiler (``python -m cProfile``,
 coverage, pdb) the process exits normally, so that they write their
-output.  A usage error or ``--help`` exits from :mod:`argparse` as usual.
+output.  A usage error or ``--help`` exits from argparse as usual.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import os
 import sys
 from itertools import islice
+from types import SimpleNamespace
 from typing import Iterator, NoReturn, TextIO
 
 from .bindings import InputError, ParamInstance
@@ -87,7 +102,7 @@ def _open_input(path: str) -> Iterator[TextIO]:
         close()
 
 
-def cmd_slice(args: argparse.Namespace) -> int:
+def cmd_slice(args: SimpleNamespace) -> int:
     from .slicer import SliceTable
 
     # A malformed binding is reported before any of the trace is read.
@@ -105,15 +120,21 @@ def cmd_slice(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_monitor(args: argparse.Namespace) -> int:
+def cmd_monitor(args: SimpleNamespace) -> int:
     if args.spec == args.trace == "-":
-        args.usage_error("--spec and --trace cannot both read standard input")
-    from .parametric import BaselineMonitor, IndexedMonitor
+        from .usage import build_parsers
+
+        build_parsers(COMMANDS)[1]["monitor"].error(
+            "--spec and --trace cannot both read standard input"
+        )
+    if args.algo == "b":
+        from .reference import BaselineMonitor as engine_cls
+    else:
+        from .parametric import IndexedMonitor as engine_cls
     from .specfile import parse_property_spec
 
     with _open_input(args.spec) as handle:
         spec = parse_property_spec(handle.read())
-    engine_cls = BaselineMonitor if args.algo == "b" else IndexedMonitor
     engine = engine_cls(
         spec.machine,
         trigger=spec.trigger,
@@ -133,7 +154,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     return 3 if triggered else 0
 
 
-def cmd_selfcheck(args: argparse.Namespace) -> int:
+def cmd_selfcheck(args: SimpleNamespace) -> int:
     from .selfcheck import run_selfcheck
 
     result = run_selfcheck(count=args.counts, seed=args.seed)
@@ -146,54 +167,116 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     return 4
 
 
+def int_value(text: str) -> int:
+    """An integer option's value; a ValueError says what is wrong with it."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("invalid int value: %r" % text) from None
+
+
 def count_value(text: str) -> int:
-    count = int(text)
+    """A count option's value, at least 1; a ValueError says what is wrong with it."""
+    count = int_value(text)
     if count < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % count)
+        raise ValueError("must be at least 1, got %d" % count)
     return count
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="slicemon",
-        description="Slice and monitor parameter-carrying event traces.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+#: Each subcommand's help line, the function that runs it, and its options,
+#: each with the keywords of ``ArgumentParser.add_argument`` for it.  Every
+#: option that is not required has a default.
+COMMANDS = {
+    "slice": ("write slices of a trace to stdout", cmd_slice, {
+        "--trace": dict(required=True, help="trace file, or - for stdin"),
+        "--instance": dict(
+            default="all",
+            help="binding to slice for, e.g. 'a=a1,b=b1'; '' is the empty binding; "
+            "'all' lists every table row (default)",
+        ),
+    }),
+    "monitor": ("print verdict reports for a property", cmd_monitor, {
+        "--spec": dict(required=True, help="property file"),
+        "--trace": dict(required=True, help="trace file, or - for stdin"),
+        "--algo": dict(
+            choices=("b", "c"), default="c",
+            help="engine: b = baseline full-scan, c = indexed (default)",
+        ),
+        "--report-every": dict(
+            action="store_true", default=False,
+            help="report on every trigger hit instead of deduplicating repeats",
+        ),
+    }),
+    "selfcheck": ("differential checks on random traces", cmd_selfcheck, {
+        "--seed": dict(type=int_value, default=0),
+        "--counts": dict(type=count_value, default=1000, help="number of random traces"),
+    }),
+}
 
-    p_slice = sub.add_parser("slice", help="write slices of a trace to stdout")
-    p_slice.add_argument("--trace", required=True, help="trace file, or - for stdin")
-    p_slice.add_argument(
-        "--instance", default="all",
-        help="binding to slice for, e.g. 'a=a1,b=b1'; '' is the empty binding; "
-        "'all' lists every table row (default)",
-    )
-    p_slice.set_defaults(func=cmd_slice)
 
-    p_mon = sub.add_parser("monitor", help="print verdict reports for a property")
-    p_mon.add_argument("--spec", required=True, help="property file")
-    p_mon.add_argument("--trace", required=True, help="trace file, or - for stdin")
-    p_mon.add_argument(
-        "--algo", choices=("b", "c"), default="c",
-        help="engine: b = baseline full-scan, c = indexed (default)",
-    )
-    p_mon.add_argument(
-        "--report-every", action="store_true",
-        help="report on every trigger hit instead of deduplicating repeats",
-    )
-    p_mon.set_defaults(func=cmd_monitor, usage_error=p_mon.error)
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The subcommand and options of a command line.
 
-    p_check = sub.add_parser("selfcheck", help="differential checks on random traces")
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument(
-        "--counts", type=count_value, default=1000, help="number of random traces"
-    )
-    p_check.set_defaults(func=cmd_selfcheck)
+    A well-formed one is read straight from :data:`COMMANDS`
+    (:func:`_read_options`); argparse parses every other, so that its help
+    and its usage errors are the only ones, and it is imported only then.
+    """
+    args = _read_options(argv)
+    if args is None:
+        from .usage import build_parsers
 
-    return parser
+        args = SimpleNamespace(**vars(build_parsers(COMMANDS)[0].parse_args(argv)))
+    return args
+
+
+def _read_options(argv: list[str]) -> SimpleNamespace | None:
+    """The options of a well-formed command line, or None: then argparse decides.
+
+    Well formed is a subcommand, then each of its options at most once, as
+    ``--name value`` or ``--name=value``, or a flag alone, with every
+    required option given.  A value is ``-`` or does not start with ``-``,
+    converts by its type and is one of its choices.  Anything else, among it
+    ``--help``, an abbreviated option and ``--``, is declined.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, options = COMMANDS[argv[0]]
+    given = {}
+    words = iter(argv[1:])
+    for word in words:
+        flag, eq, value = word.partition("=")
+        option = options.get(flag)
+        if option is None or flag in given:
+            return None
+        if option.get("action") == "store_true":
+            if eq:
+                return None
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(words, None)
+            if value is None:
+                return None
+        if value.startswith("-") and value != "-":
+            return None
+        if "type" in option:
+            try:
+                value = option["type"](value)
+            except ValueError:
+                return None
+        if value not in option.get("choices", (value,)):
+            return None
+        given[flag] = value
+    args = SimpleNamespace(command=argv[0], func=func)
+    for flag, option in options.items():
+        if flag not in given and option.get("required"):
+            return None
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, option.get("default")))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

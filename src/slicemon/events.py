@@ -1,10 +1,11 @@
-"""Parameter-carrying events, traces, and the definitional slice.
+"""Parameter-carrying events and traces.
 
 A parametric event is a base event name plus a binding of parameter names to
 values; a parametric trace is a finite sequence of them.  The *slice* of a
 trace for a binding ``b`` keeps, in order, the names of exactly those events
-whose own binding is less informative than ``b`` — that one-line reduct is the
-ground truth every online table in this package is checked against.
+whose own binding is less informative than ``b`` — that one-line reduct,
+:func:`slicemon.reference.slice_trace`, is the ground truth every online
+table in this package is checked against.
 
 The text format, one event per line::
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 import io
 from typing import Callable, Iterable, Iterator
 
-from .bindings import EMPTY, InputError, ParamInstance, _NAME_RE, _VALUE_RE, join_closure
+from .bindings import EMPTY, InputError, ParamInstance, _NAME_RE, _VALUE_RE
 
 __all__ = [
     "DuplicateParam",
@@ -44,11 +45,9 @@ __all__ = [
     "ParseError",
     "ParametricEvent",
     "UnknownEvent",
-    "binding_closure",
     "iter_trace",
     "parse_trace",
     "render_trace",
-    "slice_trace",
 ]
 
 
@@ -197,24 +196,4 @@ def parse_trace(source: str | Iterable[str]) -> list[ParametricEvent]:
 def render_trace(trace: Iterable[ParametricEvent]) -> str:
     """Inverse of :func:`parse_trace` (modulo comments and blank lines)."""
     return "\n".join(event.render() for event in trace) + "\n"
-
-
-def slice_trace(
-    trace: Iterable[ParametricEvent], binding: ParamInstance
-) -> tuple[str, ...]:
-    """The definitional slice: names of events whose binding refines into ``binding``.
-
-    Order is preserved; an event survives exactly when its own binding is less
-    informative than (or equal to) ``binding``.  This one-liner is the ground
-    truth the incremental tables are differentially tested against — keep it
-    obvious.
-    """
-    return tuple(
-        event.name for event in trace if event.instance.less_informative(binding)
-    )
-
-
-def binding_closure(trace: Iterable[ParametricEvent]) -> set[ParamInstance]:
-    """Join closure of the bindings carried by the trace (the slice-table domain)."""
-    return join_closure(event.instance for event in trace)
 

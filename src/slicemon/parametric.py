@@ -14,10 +14,10 @@ with its neighbours are grouped by domain; every group gets its
 sources, is defined and is indexed by the same steps.  The engines differ
 only in the three finders the loop calls:
 
-* :class:`BaselineMonitor` scans the whole table for the joins, for the
-  live strict extensions of a known binding, and for a join's source, the
-  widest binding below it (``max_below``) — simple, and the semantic
-  yardstick;
+* :class:`slicemon.reference.BaselineMonitor` scans the whole table for
+  the joins, for the live strict extensions of a known binding, and for a
+  join's source, the widest binding below it (``max_below``) — simple,
+  and the semantic yardstick;
 * :class:`IndexedMonitor` looks the first two up in a domain-keyed index of
   the defined bindings, holding only the keys its lookups can ask for, and
   only in the domains where they can hit; it finds a source by restricting
@@ -30,23 +30,21 @@ only in the three finders the loop calls:
 
 Both produce identical state tables, verdicts and report streams, which the
 test suite checks event by event against each other and against the
-definitional slice semantics.  :class:`slicemon.slicer.SliceTable` runs the
-same loop with a machine whose state is the word read so far.
+definitional slice semantics of :mod:`slicemon.reference`.
+:class:`slicemon.slicer.SliceTable` runs the same loop with a machine
+whose state is the word read so far.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable
 
-from .bindings import EMPTY, ParamInstance, binding_order, joins_with, max_below, ordered
-from .events import ParametricEvent, binding_closure, slice_trace
+from .bindings import EMPTY, ParamInstance, binding_order, ordered
+from .events import ParametricEvent
 from .machines import Machine, Verdict
 
-__all__ = [
-    "BaselineMonitor", "IndexedMonitor", "RunStats", "VerdictReport",
-    "definitional_verdicts",
-]
+__all__ = ["IndexedMonitor", "RunStats", "VerdictReport"]
 
 
 class VerdictReport:
@@ -325,39 +323,6 @@ class _EngineBase:
 _NEVER = object()
 
 
-class BaselineMonitor(_EngineBase):
-    """Full-scan engine: finds affected bindings by scanning the whole table."""
-
-    def _joins(
-        self, binding: ParamInstance
-    ) -> tuple[frozenset[str], dict[frozenset[str], dict]]:
-        # The empty binding is always present, so the binding itself is one
-        # of the joins, and the only one of its domain: the loop defines it.
-        self.stats.compat_checks += len(self.delta)
-        query = binding.domain
-        groups: dict[frozenset[str], dict[ParamInstance, None]] = {}
-        for joined in joins_with(binding, self.delta):
-            groups.setdefault(joined.domain, {})[joined] = None
-        del groups[query]
-        return query, groups
-
-    def _above(self, binding: ParamInstance) -> list[ParamInstance]:
-        self.stats.compat_checks += len(self.delta)
-        parked = self._parked
-        return [
-            other
-            for other in self.delta
-            if other not in parked
-            and other != binding
-            and binding.less_informative(other)
-        ]
-
-    def _below(
-        self, domain: frozenset[str], missing: Collection[ParamInstance], joins: dict | None
-    ) -> list[ParamInstance]:
-        return [max_below(joined, self.delta) for joined in missing]
-
-
 class IndexedMonitor(_EngineBase):
     """Index-guided engine: touches only states the event can affect.
 
@@ -606,18 +571,3 @@ def _cut(domain: frozenset[str], part: frozenset[str]) -> Callable[[tuple], tupl
     start = positions[0] if positions else 0
     return itemgetter(slice(start, start + len(positions)))
 
-
-def definitional_verdicts(
-    machine: Machine, trace: Sequence[ParametricEvent]
-) -> dict[ParamInstance, object]:
-    """Ground-truth verdicts: run the machine over each definitional slice.
-
-    Covers every binding in the join closure of the trace's bindings — the
-    same domain the engines materialize.  Used as the reference side of the
-    differential tests; intentionally built on :func:`slice_trace` rather
-    than any incremental table.
-    """
-    return {
-        binding: machine.run(slice_trace(trace, binding))
-        for binding in binding_closure(trace)
-    }

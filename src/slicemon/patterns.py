@@ -130,76 +130,87 @@ class _NfaBuilder:
         return frozenset(seen)
 
 
+class _Parser:
+    """Recursive descent over a pattern's tokens, building into ``nfa`` as it reads.
+
+    Each ``parse_*`` method reads one construct and returns its ``(start,
+    accept)`` fragment; ``names`` collects the event names read.  Methods,
+    not nested functions, so that no reference cycle outlives a parse.
+    """
+
+    def __init__(self, pattern: str, nfa: _NfaBuilder):
+        self.pattern = pattern
+        self.tokens = tokenize(pattern)
+        self.index = 0
+        self.nfa = nfa
+        self.names: set[str] = set()
+
+    def peek(self) -> str | None:
+        return self.tokens[self.index][0] if self.index < len(self.tokens) else None
+
+    def here(self) -> int:
+        return self.tokens[self.index][1] if self.index < len(self.tokens) else len(self.pattern)
+
+    def parse_alt(self) -> tuple[int, int]:
+        parts = [self.parse_seq()]
+        while self.peek() == "|":
+            self.index += 1
+            parts.append(self.parse_seq())
+        return parts[0] if len(parts) == 1 else self.nfa.alt(parts)
+
+    def parse_seq(self) -> tuple[int, int]:
+        parts = []
+        while True:
+            tok = self.peek()
+            if tok is None or tok in ")|":
+                break
+            parts.append(self.parse_postfix())
+        if not parts:
+            raise PatternSyntaxError("expected an event name, ε or group", self.here())
+        return self.nfa.seq(parts)
+
+    def parse_postfix(self) -> tuple[int, int]:
+        fragment = self.parse_atom()
+        while self.peek() in ("*", "+", "?"):
+            fragment = self.nfa.repeat(fragment, self.tokens[self.index][0])
+            self.index += 1
+        return fragment
+
+    def parse_atom(self) -> tuple[int, int]:
+        tok = self.peek()
+        if tok is None:
+            raise PatternSyntaxError("unexpected end of pattern", self.here())
+        if tok == "(":
+            self.index += 1
+            fragment = self.parse_alt()
+            if self.peek() != ")":
+                raise PatternSyntaxError("expected ')'", self.here())
+            self.index += 1
+            return fragment
+        if tok == EPSILON:
+            self.index += 1
+            return self.nfa.empty()
+        if tok in ")|*+?":
+            raise PatternSyntaxError("unexpected %r" % tok, self.here())
+        self.index += 1
+        self.names.add(tok)
+        return self.nfa.lit(tok)
+
+
 def _parse(pattern: str, nfa: _NfaBuilder) -> tuple[tuple[int, int], set[str]]:
     """Parse pattern text straight into ``nfa``.
 
     Returns the whole pattern's ``(start, accept)`` fragment and the event
     names it mentions (see the module docstring for the syntax).
     """
-    tokens = tokenize(pattern)
-    index = 0
-    names: set[str] = set()
-
-    def peek() -> str | None:
-        return tokens[index][0] if index < len(tokens) else None
-
-    def here() -> int:
-        return tokens[index][1] if index < len(tokens) else len(pattern)
-
-    def parse_alt():
-        nonlocal index
-        parts = [parse_seq()]
-        while peek() == "|":
-            index += 1
-            parts.append(parse_seq())
-        return parts[0] if len(parts) == 1 else nfa.alt(parts)
-
-    def parse_seq():
-        parts = []
-        while True:
-            tok = peek()
-            if tok is None or tok in ")|":
-                break
-            parts.append(parse_postfix())
-        if not parts:
-            raise PatternSyntaxError("expected an event name, ε or group", here())
-        return nfa.seq(parts)
-
-    def parse_postfix():
-        nonlocal index
-        fragment = parse_atom()
-        while peek() in ("*", "+", "?"):
-            fragment = nfa.repeat(fragment, tokens[index][0])
-            index += 1
-        return fragment
-
-    def parse_atom():
-        nonlocal index
-        tok = peek()
-        if tok is None:
-            raise PatternSyntaxError("unexpected end of pattern", here())
-        if tok == "(":
-            index += 1
-            fragment = parse_alt()
-            if peek() != ")":
-                raise PatternSyntaxError("expected ')'", here())
-            index += 1
-            return fragment
-        if tok == EPSILON:
-            index += 1
-            return nfa.empty()
-        if tok in ")|*+?":
-            raise PatternSyntaxError("unexpected %r" % tok, here())
-        index += 1
-        names.add(tok)
-        return nfa.lit(tok)
-
-    if not tokens:
+    parser = _Parser(pattern, nfa)
+    if not parser.tokens:
         raise PatternSyntaxError("empty pattern", 0)
-    fragment = parse_alt()
-    if index < len(tokens):
-        raise PatternSyntaxError("unexpected %r" % tokens[index][0], tokens[index][1])
-    return fragment, names
+    fragment = parser.parse_alt()
+    tok = parser.peek()
+    if tok is not None:
+        raise PatternSyntaxError("unexpected %r" % tok, parser.here())
+    return fragment, parser.names
 
 
 def compile_regex(pattern: str, alphabet: Iterable[str]) -> FsmMachine:

@@ -41,14 +41,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .bindings import EMPTY, ParamInstance, ordered
-from .events import ParametricEvent, binding_closure, render_trace, slice_trace
+from .events import ParametricEvent, render_trace
 from .machines import FsmMachine, Machine, Verdict
-from .parametric import (
-    BaselineMonitor,
-    IndexedMonitor,
-    VerdictReport,
-    definitional_verdicts,
-)
+from .parametric import IndexedMonitor, VerdictReport
+from .reference import BaselineMonitor, binding_closure, definitional_verdicts, slice_trace
 from .slicer import SliceTable
 
 __all__ = ["CheckFailure", "SelfCheckResult", "run_selfcheck"]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .bindings import ParamInstance, max_below, ordered
+from .bindings import ParamInstance, ordered
 from .events import ParametricEvent
 from .machines import Machine
 from .parametric import IndexedMonitor
@@ -111,4 +111,6 @@ class SliceTable:
         It scans the table (``max_below``) rather than asking the engine's
         source finder, so it checks that finder from an independent route.
         """
+        from .reference import max_below
+
         return _word(self._table[max_below(binding, self._table)])

@@ -30,6 +30,9 @@ starts a comment, blank lines are ignored, lines end at ``\n``, ``\r\n``
 or ``\r``, and any whitespace separates a line's keyword from the rest.
 Names are identifiers, and ``params:``, the arguments of an ``event`` and
 ``report:`` and ``success:`` are comma-separated lists.
+
+Each kind's machine is imported only for its kind: :mod:`slicemon.patterns`
+for ``regex``, :mod:`slicemon.counters` for ``balance`` and ``ratio``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Iterable
 
 from .bindings import InputError, _NAME_RE
 from .events import ParseError, _line_text
-from .machines import BalanceMachine, FsmMachine, MonitorSpec, RatioMachine, Verdict
+from .machines import FsmMachine, MonitorSpec, Verdict
 
 __all__ = ["SpecFormatError", "parse_property_spec"]
 
@@ -253,10 +256,14 @@ def parse_property_spec(source: str) -> MonitorSpec:
     elif kind == "balance":
         if roles is None:
             raise SpecFormatError(1, "balance monitor needs a 'roles:' line")
+        from .counters import BalanceMachine
+
         machine = BalanceMachine(roles["enter"], roles["exit"], roles["inc"], roles["dec"])
     else:
         if success is None:
             raise SpecFormatError(1, "ratio monitor needs a 'success:' line")
+        from .counters import RatioMachine
+
         machine = RatioMachine(success)
 
     return MonitorSpec(

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import functools
 
-from slicemon.bindings import EMPTY, ParamInstance, max_below
+from slicemon.bindings import EMPTY, ParamInstance
 from slicemon.machines import FsmMachine, Verdict
 from slicemon.parametric import IndexedMonitor
+from slicemon.reference import max_below
 from slicemon.selfcheck import SelfCheckResult, run_selfcheck
 from slicemon.slicer import SliceTable
 

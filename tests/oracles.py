@@ -16,7 +16,8 @@ import random
 from functools import lru_cache
 from typing import Iterable
 
-from slicemon.bindings import EMPTY, ParamInstance, max_below
+from slicemon.bindings import EMPTY, ParamInstance
+from slicemon.reference import max_below
 
 # ---------------------------------------------------------------------------
 # Plain-dict lattice reference

@@ -13,7 +13,8 @@ import time
 
 from slicemon.bindings import EMPTY, ParamInstance
 from slicemon.events import parse_trace
-from slicemon.parametric import BaselineMonitor, IndexedMonitor
+from slicemon.parametric import IndexedMonitor
+from slicemon.reference import BaselineMonitor
 from slicemon.patterns import compile_regex
 from slicemon.selfcheck import run_selfcheck
 from slicemon.slicer import SliceTable

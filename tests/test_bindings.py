@@ -9,18 +9,10 @@ import string
 
 import pytest
 
-from slicemon.bindings import (
-    EMPTY,
-    BindingFormatError,
-    ParamInstance,
-    binding_order,
-    join_closure,
-    joins_with,
-    max_below,
-    ordered,
-)
+from slicemon.bindings import EMPTY, BindingFormatError, ParamInstance, binding_order, ordered
 from slicemon.events import ParseError, parse_trace
-from slicemon.parametric import BaselineMonitor, IndexedMonitor
+from slicemon.parametric import IndexedMonitor
+from slicemon.reference import BaselineMonitor, join_closure, joins_with, max_below
 from slicemon.slicer import SliceTable
 from slicemon.specfile import parse_property_spec
 

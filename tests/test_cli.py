@@ -18,7 +18,7 @@ import tracemalloc
 import pytest
 
 import slicemon
-from slicemon import bindings, cli, events, patterns, selfcheck, specfile
+from slicemon import bindings, cli, events, patterns, selfcheck, specfile, usage
 from slicemon.bindings import InputError
 from slicemon.cli import main
 from slicemon.events import render_trace
@@ -310,8 +310,9 @@ def test_monitor_memory_does_not_grow_with_the_trace(capsys, tmp_path):
     for events in (10_000, 100_000):
         path = iterator_trace(tmp_path / "t.trace", events)
         # Both runs start with the collector's generations empty, so it runs
-        # at the same points in each, and the reference cycles argparse
-        # leaves (a help formatter per argument) count in both peaks alike.
+        # at the same points in each: a well-formed run leaves no reference
+        # cycles (test_a_run_leaves_no_cyclic_garbage), but the test's own
+        # objects may.
         gc.collect()
         tracemalloc.start()
         try:
@@ -562,16 +563,25 @@ def modules_loaded_by(*argv: str) -> set[str]:
     return set(child.stderr.splitlines()[-1].split())
 
 
+#: What no well-formed ``monitor`` or ``slice`` run loads: argparse (and
+#: the gettext it imports) only parses what the option table declines.
+NEVER_LOADED = {
+    "argparse",
+    "gettext",
+    "dataclasses",
+    "inspect",
+    "traceback",
+    "slicemon.counters",
+    "slicemon.reference",
+    "slicemon.selfcheck",
+    "slicemon.usage",
+}
+
+
 def test_monitor_loads_only_what_it_runs(tmp_path):
     empty = tmp_path / "empty.trace"
     empty.write_text("", encoding="utf-8")
-    unwanted = {
-        "dataclasses",
-        "inspect",
-        "traceback",
-        "slicemon.selfcheck",
-        "slicemon.slicer",
-    }
+    unwanted = NEVER_LOADED | {"slicemon.slicer"}
     # only a pattern: line (unsafeiter.spec) needs the pattern compiler
     for spec, compiles_a_pattern in [("hasnext.spec", False), ("unsafeiter.spec", True)]:
         loaded = modules_loaded_by("monitor", "--spec", fx(spec), "--trace", str(empty))
@@ -581,10 +591,62 @@ def test_monitor_loads_only_what_it_runs(tmp_path):
 
 
 def test_slice_loads_only_what_it_runs():
-    loaded = modules_loaded_by("slice", "--trace", fx("abc.trace"))
-    assert "slicemon.slicer" in loaded
-    unwanted = {"slicemon.patterns", "slicemon.selfcheck", "slicemon.specfile"}
-    assert loaded & unwanted == set()
+    unwanted = NEVER_LOADED | {"slicemon.patterns", "slicemon.specfile"}
+    for instance in [], ["--instance", "all"]:
+        loaded = modules_loaded_by("slice", "--trace", fx("abc.trace"), *instance)
+        assert "slicemon.slicer" in loaded
+        assert loaded & unwanted == set(), instance
+
+
+def test_the_reference_module_is_loaded_for_its_engine_and_lookups(tmp_path):
+    empty = tmp_path / "empty.trace"
+    empty.write_text("", encoding="utf-8")
+    monitor = ["monitor", "--spec", fx("hasnext.spec"), "--trace", str(empty)]
+    assert "slicemon.reference" in modules_loaded_by(*monitor, "--algo", "b")
+    assert "slicemon.reference" not in modules_loaded_by(*monitor, "--algo", "c")
+    # an off-table lookup scans the table with max_below
+    lookup = modules_loaded_by("slice", "--trace", fx("abc.trace"), "--instance", "a=a1")
+    assert "slicemon.reference" in lookup
+
+
+@pytest.mark.parametrize("spec", ["ratio.spec", "balanced.spec"])
+def test_only_a_counting_property_loads_the_counting_machines(tmp_path, spec):
+    empty = tmp_path / "empty.trace"
+    empty.write_text("", encoding="utf-8")
+    loaded = modules_loaded_by("monitor", "--spec", fx(spec), "--trace", str(empty))
+    assert "slicemon.counters" in loaded
+    assert "slicemon.patterns" not in loaded
+
+
+GARBAGE = """\
+import gc
+import sys
+gc.set_debug(gc.DEBUG_SAVEALL)
+from slicemon.cli import main
+code = main(sys.argv[1:])
+gc.collect()
+print(len(gc.garbage), sorted({type(obj).__name__ for obj in gc.garbage}), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["monitor", "--spec", fx("hasnext.spec"), "--trace", fx("hasnext.trace")],
+        ["monitor", "--spec", fx("unsafeiter.spec"), "--trace", fx("unsafeiter.trace")],
+        ["slice", "--trace", fx("abc.trace")],
+    ],
+    ids=["monitor-fsm", "monitor-pattern", "slice"],
+)
+def test_a_run_leaves_no_cyclic_garbage(argv):
+    # DEBUG_SAVEALL keeps every object the collector finds unreachable.
+    child = subprocess.run(
+        [sys.executable, "-c", GARBAGE, *argv], env=child_env(),
+        stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode in (0, 3), child.stderr
+    assert child.stderr == "0 []\n"
 
 
 # -- exit-code contract --------------------------------------------------------
@@ -822,8 +884,10 @@ def test_wide_bindings_slice_and_monitor(capsys, tmp_path):
     "argv,message",
     [
         (["selfcheck", "--counts", "-4"], "--counts: must be at least 1, got -4"),
+        (["selfcheck", "--counts", "abc"], "--counts: invalid int value: 'abc'"),
+        (["selfcheck", "--seed", "abc"], "--seed: invalid int value: 'abc'"),
     ],
-    ids=["negative-trace-count"],
+    ids=["negative-trace-count", "non-numeric-trace-count", "non-numeric-seed"],
 )
 def test_out_of_range_numbers_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exited:
@@ -831,6 +895,157 @@ def test_out_of_range_numbers_are_usage_errors(capsys, argv, message):
     captured = capsys.readouterr()
     assert (exited.value.code, captured.out) == (2, "")
     assert message in captured.err
+
+
+# -- option parsing -------------------------------------------------------------
+
+#: Command lines read straight from the option table.
+READ_DIRECTLY = [
+    ["slice", "--trace", fx("abc.trace")],
+    ["slice", "--trace", "-"],
+    ["slice", "--trace=" + fx("abc.trace"), "--instance=a=a1,b=b1"],
+    ["slice", "--instance", "", "--trace", fx("abc.trace")],
+    ["slice", "--trace=", "--instance", "all"],
+    ["monitor", "--spec", fx("hasnext.spec"), "--trace", fx("hasnext.trace")],
+    ["monitor", "--trace", "t", "--spec", "s", "--algo", "b", "--report-every"],
+    ["monitor", "--report-every", "--spec=s", "--trace=-", "--algo=c"],
+    ["monitor", "--spec", "-", "--trace", "-"],  # a usage error, once the command runs
+    ["selfcheck"],
+    ["selfcheck", "--counts", "30", "--seed", "7"],
+    ["selfcheck", "--seed=+7", "--counts= 30 "],
+    ["selfcheck", "--counts", "1_000", "--seed", "0"],
+]
+
+#: Command lines left to argparse: it reads the first ones, and prints its
+#: help or a usage error for the rest.
+LEFT_TO_ARGPARSE = [
+    ["slice", "--tr", "t"],
+    ["monitor", "--spec", "s", "--trace", "t", "--report"],
+    ["monitor", "--spec", "s", "--trace=t", "--al", "b"],
+    ["selfcheck", "--seed", "-3"],
+    ["selfcheck", "--counts", "30", "--seed=-3"],
+    ["slice", "--trace", "t", "--trace", "u"],
+    ["monitor", "--spec", "s", "--trace", "t", "--report-every", "--report-every"],
+    [],
+    ["-h"],
+    ["--help"],
+    ["slice", "-h"],
+    ["monitor", "--spec", "s", "--trace", "t", "--help"],
+    ["bogus"],
+    ["--trace", "t", "slice"],
+    ["slice"],
+    ["slice", "--trace"],
+    ["slice", "--trace", "t", "extra"],
+    ["slice", "--trace", "t", "-x"],
+    ["slice", "--trace", "t", "--instance", "-x=1"],
+    ["slice", "--trace", "t", "--"],
+    ["slice", "--", "--trace", "t"],
+    ["monitor", "--spec", "s"],
+    ["monitor", "--spec", "s", "--trace", "t", "--algo", "x"],
+    ["monitor", "--spec", "s", "--trace", "t", "--algo=x"],
+    ["monitor", "--spec", "s", "--trace", "t", "--report-every=1"],
+    ["monitor", "--spec", "s", "--trace", "--algo"],
+    ["selfcheck", "--counts", "abc"],
+    ["selfcheck", "--counts", "0"],
+    ["selfcheck", "--counts=-4"],
+    ["selfcheck", "--seed", "1.5"],
+]
+
+
+def argparse_outcome(capsys, argv: list[str]):
+    """What argparse's parser for the option table makes of ``argv``."""
+    try:
+        return vars(usage.build_parsers(cli.COMMANDS)[0].parse_args(argv))
+    except SystemExit as exited:
+        captured = capsys.readouterr()
+        return exited.code, captured.out, captured.err
+
+
+def test_a_well_formed_command_line_reads_as_argparse_reads_it(capsys, monkeypatch):
+    expected = [argparse_outcome(capsys, argv) for argv in READ_DIRECTLY]
+
+    def no_argparse(commands):
+        raise AssertionError("argparse is not needed")
+
+    monkeypatch.setattr(usage, "build_parsers", no_argparse)
+    for argv, parsed in zip(READ_DIRECTLY, expected):
+        assert vars(cli.parse_args(argv)) == parsed, argv
+
+
+def test_every_other_command_line_is_left_to_argparse(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    build_parsers = usage.build_parsers
+    calls = []
+
+    def counted(commands):
+        calls.append(None)
+        return build_parsers(commands)
+
+    for argv in LEFT_TO_ARGPARSE:
+        expected = argparse_outcome(capsys, argv)
+        monkeypatch.setattr(usage, "build_parsers", counted)
+        try:
+            outcome = vars(cli.parse_args(argv))
+        except SystemExit as exited:
+            captured = capsys.readouterr()
+            outcome = exited.code, captured.out, captured.err
+        monkeypatch.setattr(usage, "build_parsers", build_parsers)
+        assert (outcome, len(calls)) == (expected, 1), argv
+        calls.clear()
+
+
+#: ``--help`` of the command and of each subcommand, at 80 columns.
+HELP = {
+    "": """\
+usage: slicemon [-h] {slice,monitor,selfcheck} ...
+
+Slice and monitor parameter-carrying event traces.
+
+positional arguments:
+  {slice,monitor,selfcheck}
+    slice               write slices of a trace to stdout
+    monitor             print verdict reports for a property
+    selfcheck           differential checks on random traces
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "slice": """\
+usage: slicemon slice [-h] --trace TRACE [--instance INSTANCE]
+
+options:
+  -h, --help           show this help message and exit
+  --trace TRACE        trace file, or - for stdin
+  --instance INSTANCE  binding to slice for, e.g. 'a=a1,b=b1'; '' is the empty
+                       binding; 'all' lists every table row (default)
+""",
+    "monitor": """\
+usage: slicemon monitor [-h] --spec SPEC --trace TRACE [--algo {b,c}]
+                        [--report-every]
+
+options:
+  -h, --help      show this help message and exit
+  --spec SPEC     property file
+  --trace TRACE   trace file, or - for stdin
+  --algo {b,c}    engine: b = baseline full-scan, c = indexed (default)
+  --report-every  report on every trigger hit instead of deduplicating repeats
+""",
+    "selfcheck": """\
+usage: slicemon selfcheck [-h] [--seed SEED] [--counts COUNTS]
+
+options:
+  -h, --help       show this help message and exit
+  --seed SEED
+  --counts COUNTS  number of random traces
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP), ids=lambda command: command or "slicemon")
+def test_help_reads_as_before(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, "--help"] if command else ["--help"]
+    assert in_process(capsys, *argv) == (0, HELP[command], "")
 
 
 # -- selfcheck ------------------------------------------------------------------

@@ -14,12 +14,11 @@ from slicemon.events import (
     ParametricEvent,
     ParseError,
     UnknownEvent,
-    binding_closure,
     iter_trace,
     parse_trace,
     render_trace,
-    slice_trace,
 )
+from slicemon.reference import binding_closure, slice_trace
 
 
 def test_parse_basic():

@@ -10,15 +10,8 @@ import pytest
 
 from slicemon.bindings import ParamInstance
 from slicemon.events import ParamMismatch, ParametricEvent, UnknownEvent
-from slicemon.machines import (
-    STUCK,
-    BalanceMachine,
-    FsmMachine,
-    MonitorSpec,
-    Ratio,
-    RatioMachine,
-    Verdict,
-)
+from slicemon.counters import BalanceMachine, Ratio, RatioMachine
+from slicemon.machines import STUCK, FsmMachine, MonitorSpec, Verdict
 from slicemon.patterns import compile_regex
 
 from .oracles import grammar_member, stack_verdict

@@ -14,13 +14,16 @@ from .conftest import REPO
 
 SUBMODULES = (
     "bindings",
+    "counters",
     "events",
     "machines",
     "parametric",
     "patterns",
+    "reference",
     "selfcheck",
     "slicer",
     "specfile",
+    "usage",
 )
 
 FRESH = """\

@@ -7,15 +7,12 @@ from collections import Counter
 
 import pytest
 
-from slicemon.bindings import EMPTY, ParamInstance, max_below
-from slicemon.events import ParametricEvent, binding_closure, parse_trace
-from slicemon.machines import BalanceMachine, FsmMachine, RatioMachine, Verdict
-from slicemon.parametric import (
-    BaselineMonitor,
-    IndexedMonitor,
-    VerdictReport,
-    definitional_verdicts,
-)
+from slicemon.bindings import EMPTY, ParamInstance
+from slicemon.counters import BalanceMachine, RatioMachine
+from slicemon.events import ParametricEvent, parse_trace
+from slicemon.machines import FsmMachine, Verdict
+from slicemon.parametric import IndexedMonitor, VerdictReport
+from slicemon.reference import BaselineMonitor, binding_closure, definitional_verdicts, max_below
 from slicemon.patterns import compile_regex
 from slicemon.slicer import SliceTable
 from slicemon.specfile import parse_property_spec

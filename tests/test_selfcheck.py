@@ -10,7 +10,8 @@ from slicemon import selfcheck
 from slicemon.bindings import EMPTY, ParamInstance
 from slicemon.events import ParametricEvent
 from slicemon.machines import FsmMachine, Verdict
-from slicemon.parametric import BaselineMonitor, IndexedMonitor
+from slicemon.parametric import IndexedMonitor
+from slicemon.reference import BaselineMonitor
 from slicemon.selfcheck import (
     _check_reports,
     _check_slicing,

@@ -7,7 +7,8 @@ import random
 import pytest
 
 from slicemon.bindings import EMPTY, ParamInstance
-from slicemon.events import ParametricEvent, parse_trace, slice_trace
+from slicemon.events import ParametricEvent, parse_trace
+from slicemon.reference import slice_trace
 from slicemon.slicer import SliceTable
 
 from .frozen import AFTER_E4, AFTER_E6, AFTER_E8, FINAL, FINAL_LOOKUPS

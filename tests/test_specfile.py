@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from slicemon.events import parse_trace
-from slicemon.machines import BalanceMachine, FsmMachine, RatioMachine, Verdict
+from slicemon.counters import BalanceMachine, RatioMachine
+from slicemon.machines import FsmMachine, Verdict
 from slicemon.specfile import SpecFormatError, parse_property_spec
 
 from .conftest import FIXTURES

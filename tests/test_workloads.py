@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from slicemon.machines import Verdict
-from slicemon.parametric import BaselineMonitor, IndexedMonitor
+from slicemon.parametric import IndexedMonitor
+from slicemon.reference import BaselineMonitor
 
 from .oracles import checked_defines, feed_counting
 from .workloads import (
