@@ -7,12 +7,13 @@ with its neighbours in the table, each copied from its most informative
 defined sub-binding in the pre-event table (:meth:`_EngineBase._define`
 has the rule for a copy of a parked one); then it steps the binding and
 its defined strict extensions, except those parked in a sink state that
-cannot report.  Each step reads only its own binding's state, so the
-steps may run in any order; the reports of one event come out in
-``binding_order``.  The fresh binding is a group of its own; the joins
-with its neighbours are grouped by domain; every group gets its
-sources, is defined and is indexed by the same steps.  The engines differ
-only in the three finders the loop calls:
+cannot report, which the state table alone records.  Each step reads
+only its own binding's state, so the steps may run in any order; the
+reports of one event come out in ``binding_order``.  The fresh binding
+is a group of its own; the joins with its neighbours are grouped by
+domain; every group gets its sources, is defined and is indexed by the
+same steps.  The engines differ only in the three finders the loop
+calls:
 
 * :class:`slicemon.reference.BaselineMonitor` scans the whole table for
   the joins, for the live strict extensions of a known binding, and for a
@@ -147,7 +148,8 @@ class _EngineBase:
     per group of one domain an event defined, the fresh binding's first,
     after the event's steps; ``_park`` when a step parks a binding stepped
     before.  ``_define`` creates a group's entries and returns the joins
-    the loop steps.
+    the loop steps.  Whether a binding is parked is read from its state in
+    ``delta``, and from ``gamma`` for the empty binding alone.
     """
 
     def __init__(
@@ -159,14 +161,14 @@ class _EngineBase:
         self.delta: dict[ParamInstance, object] = {EMPTY: machine.initial()}
         self.gamma: dict[ParamInstance, object] = {}
         self.stats = RunStats(peak_instances=1)
-        #: Sinks a step can land in without reporting, and the bindings
-        #: parked in one of them by such a step.
+        #: Sinks a step can land in without reporting.  A binding whose
+        #: state is one of them is parked, unless it is the empty binding
+        #: before its first step, which has no verdict in ``gamma`` yet.
         self._parking = frozenset(
             state
             for state in machine.sinks
             if not (report_every and machine.output(state) in self.trigger)
         )
-        self._parked: set[ParamInstance] = set()
 
     def instances(self) -> list[ParamInstance]:
         """The table domain, in the canonical order."""
@@ -203,20 +205,25 @@ class _EngineBase:
         and the reports are those of stepping it; the finders need not list
         it as an extension of a known binding or as a defined join of a
         fresh one, and the loop does not reach it.  A binding is parked only
-        after a step of its own, or at birth (``_define``): the empty
-        binding starting in a sink has no verdict recorded yet and may
-        report on its first step.
+        after a step of its own, or at birth (``_define``), so every binding
+        whose state is a parking sink is parked, but the empty binding
+        before its first step: starting in a sink, it has no verdict
+        recorded yet and may report on that step.
         """
         stats = self.stats
         stats.events += 1
-        delta = self.delta
-        parked = self._parked
+        delta, gamma, parking = self.delta, self.gamma, self._parking
         binding = event.instance
         reports: list[VerdictReport] = []
         defined = ()
-        if binding in delta:
+        state = delta.get(binding, _NEVER)
+        if state is not _NEVER:
             touched = self._above(binding)
-            if binding in parked:
+            # No state is tested against an empty ``parking``: a word
+            # machine's state hashes in the length of its word.  Only the
+            # empty binding is in the table before its first step, which
+            # records its verdict; it may start in a sink.
+            if parking and state in parking and (binding or binding in gamma):
                 stats.skipped_steps += 1
             else:
                 touched.append(binding)
@@ -237,17 +244,19 @@ class _EngineBase:
                 # ``joins.keys() - delta`` would scan all of ``delta``.
                 members = set(joins)
                 missing = members.difference(delta)
-                touched += members.difference(missing, parked)
+                # A comprehension here would make ``delta`` and ``parking``
+                # cells, which measured ×1.08 on warm events (CHANGES.md).
+                for joined in members.difference(missing):
+                    if not (parking and delta[joined] in parking):
+                        touched.append(joined)
                 if missing:
                     defined.append((domain, missing, self._below(domain, missing, joins)))
             for _, missing, sources in defined:
                 touched += self._define(missing, sources, event, reports)
 
         machine = self.machine
-        gamma = self.gamma
         trigger = self.trigger
         report_every = self.report_every
-        parking = self._parking
         index = stats.events
         for affected in touched:
             delta[affected] = state = machine.step(delta[affected], event.name)
@@ -259,12 +268,10 @@ class _EngineBase:
                     reports.append(VerdictReport(index, verdict, affected, event.name))
             elif report_every and verdict in trigger:
                 reports.append(VerdictReport(index, verdict, affected, event.name))
-            if parking and state in parking:
-                parked.add(affected)
-                # Only a join this event defined has no verdict before its
-                # step; ``_index`` writes it straight to its side.
-                if before is not _NEVER:
-                    self._park(affected)
+            # Only a join this event defined has no verdict before its step;
+            # ``_index`` writes it straight to its side.
+            if parking and before is not _NEVER and state in parking:
+                self._park(affected)
         stats.monitor_steps += len(touched)
         if defined:  # only a fresh binding grows the table
             for domain, missing, _ in defined:
@@ -290,18 +297,20 @@ class _EngineBase:
         it takes that verdict without a machine step, counts in
         ``monitor_steps``, and reports the verdict to ``reports`` if it is a
         trigger, as no verdict was recorded before.  Under ``report_every``
-        no parking sink's verdict is one.  Stepping such joins in the
-        normal loop instead measured a higher unsafeiter-join p99 event
-        latency in process (CHANGES.md).
+        no parking sink's verdict is one.  The empty binding, the fresh
+        binding's source when nothing else is below it, is parked only
+        once stepped.  Stepping such joins in the normal loop instead
+        measured a higher unsafeiter-join p99 event latency in process, and
+        reading the verdict from the state with ``machine.output`` ×1.08
+        unsafeiter-join fresh-event feed time (CHANGES.md).
         """
-        delta, parked = self.delta, self._parked
-        gamma, trigger = self.gamma, self.trigger
+        delta, gamma, parking = self.delta, self.gamma, self._parking
+        trigger = self.trigger
         self.stats.defines += len(sources)
         stepped = []
         for joined, source in zip(joins, sources):
-            delta[joined] = delta[source]
-            if source in parked:
-                parked.add(joined)
+            delta[joined] = state = delta[source]
+            if parking and state in parking and (source or source in gamma):
                 gamma[joined] = verdict = gamma[source]
                 if verdict in trigger:
                     reports.append(
@@ -339,14 +348,14 @@ class IndexedMonitor(_EngineBase):
     ``D``).  Only a merge probe, from a query domain incomparable with
     ``D``, reads the parked side, so a parked binding of ``D`` sits only
     under those cuts (its *parked cuts*); if no query domain is
-    incomparable with ``D``, only ``_parked`` records it.  A fresh binding
-    is one of its own joins, so this event defines it: its domain, if new,
-    becomes a table domain before its first lookup.  A new table domain
-    gets its cuts, and adds its cut to every table domain, backfilling
-    their defined bindings under it on the live side, and on the parked
-    side, from ``_parked``, if the two domains are incomparable; a binding
-    already in the table has a table domain, so the warm path never needs
-    that check.
+    incomparable with ``D``, it sits under no key, and only its state in
+    ``delta`` says that it is parked.  A fresh binding is one of its own
+    joins, so this event defines it: its domain, if new, becomes a table
+    domain before its first lookup.  A new table domain gets its cuts, and
+    adds its cut to every table domain, backfilling their defined bindings
+    under it on the live side, and on the parked side, found by a scan of
+    ``delta``, if the two domains are incomparable; a binding already in
+    the table has a table domain, so the warm path never needs that check.
 
     A join's keys are written once, after the steps of the event that
     defined it, on the side its birth or first step left it; an indexed
@@ -437,8 +446,8 @@ class IndexedMonitor(_EngineBase):
         ``query``.  Then the neighbours extend the binding and are its
         joins, all defined, and the parked ones are not reached: only the
         live side of the index is read, and its own binding objects are
-        handed back, since a rebuilt equal tuple would enter ``_parked``
-        and the reports as a second object.  Otherwise each join is
+        handed back, since a rebuilt equal tuple would enter the index and
+        the reports as a second object.  Otherwise each join is
         recorded with its neighbour, its floor.  Every entry that reaches
         a missing join records a floor for it, so the order of the
         entries does not matter.
@@ -500,8 +509,9 @@ class IndexedMonitor(_EngineBase):
     def _index(self, domain: frozenset[str], joins: Collection[ParamInstance]) -> None:
         """Write the keys of a group of this event's joins, each on its side, once."""
         domain, cuts, parked_cuts = self._domains.get(domain) or self._add_domain(domain)
+        delta, parking = self.delta, self._parking
         for member in joins:
-            if member in self._parked:
+            if parking and delta[member] in parking:
                 side, member_cuts = self.parked_extensions, parked_cuts
             else:
                 side, member_cuts = self.extensions, cuts
@@ -533,7 +543,7 @@ class IndexedMonitor(_EngineBase):
         """
         cuts = {frozenset(): _cut(domain, frozenset())}
         parked_cuts = {}
-        for other, other_cuts, other_parked_cuts in self._domains.values():
+        for other, other_cuts, parked_other_cuts in self._domains.values():
             part = other & domain
             if part != domain and part not in cuts:
                 cuts[part] = _cut(domain, part)
@@ -542,8 +552,8 @@ class IndexedMonitor(_EngineBase):
                 self._backfill(other, other_cuts[part], self.extensions)
             if part != domain and part != other:
                 parked_cuts[part] = cuts[part]
-                if part not in other_parked_cuts:
-                    other_parked_cuts[part] = other_cuts[part]
+                if part not in parked_other_cuts:
+                    parked_other_cuts[part] = other_cuts[part]
                     self._backfill(other, other_cuts[part], self.parked_extensions)
         entry = self._domains[domain] = (domain, cuts, parked_cuts)
         self._widest = sorted(self._domains, key=len, reverse=True)
@@ -556,8 +566,11 @@ class IndexedMonitor(_EngineBase):
         if side is self.extensions:  # the live side's empty cut holds them
             members = side.get(((), domain), ())
         else:
-            names = tuple(sorted(domain))
-            members = [member for member in self._parked if member.names == names]
+            names, parking = tuple(sorted(domain)), self._parking
+            members = [
+                member for member, state in self.delta.items()
+                if parking and state in parking and member.names == names
+            ]
         for member in members:
             side.setdefault((cut(member), domain), set()).add(member)
 

@@ -145,11 +145,11 @@ class BaselineMonitor(_EngineBase):
 
     def _above(self, binding: ParamInstance) -> list[ParamInstance]:
         self.stats.compat_checks += len(self.delta)
-        parked = self._parked
+        parking = self._parking
         return [
             other
-            for other in self.delta
-            if other not in parked
+            for other, state in self.delta.items()
+            if state not in parking
             and other != binding
             and binding.less_informative(other)
         ]

@@ -104,7 +104,7 @@ class StaleParkedIndexMonitor(IndexedMonitor):
     """Mutant: a new parked cut covers only bindings that park later.
 
     The parked side has no key that holds every parked binding of a
-    domain, so its backfill reads ``_parked``; this mutant skips it.  A
+    domain, so its backfill scans ``delta``; this mutant skips it.  A
     fresh binding of a new domain then misses its parked neighbours of an
     incomparable domain, and the joins with them are never defined.
     """
@@ -258,6 +258,40 @@ class NeighbourSourceMonitor(IndexedMonitor):
         return super()._below(domain, missing, joins)
 
 
+class _EmptyAlwaysStepped(dict):
+    """A verdict table that claims a verdict for the empty binding from the start.
+
+    Before the empty binding's first step, its claimed verdict is that of
+    its initial state, so a join copied from it gets the verdict its own
+    first step would give; only a ground event goes wrong.
+    """
+
+    def __init__(self, initial: object):
+        super().__init__()
+        self._initial = initial
+
+    def __contains__(self, binding: object) -> bool:
+        return binding == EMPTY or dict.__contains__(self, binding)
+
+    def __missing__(self, binding: ParamInstance) -> object:
+        return self._initial  # only the empty binding is ever missing
+
+
+class UnguardedEmptyMonitor(IndexedMonitor):
+    """Mutant: reads a binding in a parking sink as parked, the empty one too.
+
+    The empty binding is in the table before its first step, and it may
+    start in a sink.  The loop reads it as parked only once ``gamma`` holds
+    its verdict; this mutant's ``gamma`` says it always does, so parked-ness
+    is the state test alone.  A ground event then skips the empty binding
+    in a sink, and its first verdict is neither recorded nor reported.
+    """
+
+    def __init__(self, machine: FsmMachine, **options):
+        super().__init__(machine, **options)
+        self.gamma = _EmptyAlwaysStepped(machine.output(machine.initial()))
+
+
 #: (name, ``run_selfcheck`` keywords, the check that must catch it).
 MUTANTS = [
     ("snapshot", {"table_class": NoSnapshotSliceTable}, "slicing"),
@@ -273,6 +307,7 @@ MUTANTS = [
     ("lone-empty-source", {"indexed_class": LoneEmptySourceMonitor}, "engine-pair"),
     ("stale-wider", {"indexed_class": StaleWiderMonitor}, "reports"),
     ("neighbour-source", {"indexed_class": NeighbourSourceMonitor}, "engine-pair"),
+    ("unguarded-empty", {"indexed_class": UnguardedEmptyMonitor}, "engine-pair"),
 ]
 
 

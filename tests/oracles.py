@@ -189,6 +189,20 @@ def checked_finders(engine):
     return engine
 
 
+def parked(engine) -> set[ParamInstance]:
+    """The bindings an engine holds parked.
+
+    They are the bindings whose state is in ``engine._parking``, less the
+    empty binding before its first step: it may start in a sink, and its
+    first step may still report.
+    """
+    parking = engine._parking
+    return {
+        binding for binding, state in engine.delta.items()
+        if state in parking and (binding or binding in engine.gamma)
+    }
+
+
 def check_index(engine, fed: Iterable) -> None:
     """Assert an ``IndexedMonitor``'s index invariant (quadratic in table size).
 
@@ -197,7 +211,7 @@ def check_index(engine, fed: Iterable) -> None:
     by ``(items, D)`` with ``items`` a plain item tuple.  Every entry must
     be a non-empty set holding exactly the defined bindings of ``D``
     strictly more informative than the binding of ``items`` that are on
-    its side: parked exactly when in the engine's parked set.  Every fed
+    its side: parked exactly when :func:`parked` holds them.  Every fed
     binding must be defined, so the query domains are the empty domain and
     the domains of the defined bindings.  A live binding of ``D`` sits
     under its cut by every query domain ``E`` with ``E∩D ⊊ D``, on the
@@ -208,7 +222,7 @@ def check_index(engine, fed: Iterable) -> None:
     defined = list(engine.delta)
     undefined = [event.instance for event in fed if event.instance not in engine.delta]
     assert not undefined, "fed bindings not defined: %r" % undefined
-    parked = engine._parked
+    held = parked(engine)
     sides = {False: engine.extensions, True: engine.parked_extensions}
     queries = {frozenset()}
     queries.update(frozenset(b.names) for b in defined)
@@ -233,7 +247,7 @@ def check_index(engine, fed: Iterable) -> None:
                 if frozenset(b.names) == domain
                 and sub != b
                 and sub.less_informative(b)
-                and (b in parked) == on_parked
+                and (b in held) == on_parked
             }
             assert members and members == expected, (
                 "%s index entry for %r in %s is %r, expected a non-empty %r"
@@ -247,7 +261,7 @@ def check_index(engine, fed: Iterable) -> None:
         if not b:
             continue
         domain = frozenset(b.names)
-        home = b in parked
+        home = b in held
         for part in parts(domain, home):
             key = (tuple(restrict(b, part)), domain)
             homes = [on_parked for on_parked, side in sides.items() if b in side.get(key, ())]

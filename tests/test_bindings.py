@@ -24,6 +24,7 @@ from .oracles import (
     from_instance,
     is_join_closed,
     join_sets,
+    parked,
     PREFIX_NAMES,
     random_binding,
     restrict,
@@ -176,7 +177,7 @@ def test_tables_and_reports_hold_only_bindings(fixtures, name, engine_class, rep
     for binding in (
         *engine.delta,
         *engine.gamma,
-        *engine._parked,
+        *parked(engine),
         *(report.instance for report in reports),
         *table.instances(),
     ):

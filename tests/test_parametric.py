@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -19,9 +21,10 @@ from slicemon.specfile import parse_property_spec
 
 from .mutants import (
     NeighbourSourceMonitor, SkipJoinPhaseMonitor, StaleParkedIndexMonitor, StaleWiderMonitor,
+    UnguardedEmptyMonitor,
 )
 from .oracles import (
-    check_index, checked_defines, checked_finders, feed_counting, random_binding,
+    check_index, checked_defines, checked_finders, feed_counting, parked, random_binding,
 )
 from .workloads import (
     adversarial_machine, adversarial_workload, iterator_machine, iterator_workload,
@@ -129,7 +132,7 @@ def test_balance_violation_parks_its_binding(fixtures, engine_class, report_ever
     else:
         # the violating step is the last step of l1 and of l3
         assert CountingBalance.from_violated == 0
-        assert engine._parked == set(violated)
+        assert parked(engine) == set(violated)
 
 
 # -- report policy ------------------------------------------------------------------
@@ -252,12 +255,18 @@ def test_sink_initial_state_reports_for_empty_binding(engine_class):
     assert (engine.stats.monitor_steps, engine.stats.skipped_steps) == (1, 1)
 
 
+def test_empty_binding_in_a_sink_is_not_parked_before_its_first_step():
+    # Read as parked from the start, the empty binding would never report.
+    with pytest.raises(AssertionError):
+        test_sink_initial_state_reports_for_empty_binding(UnguardedEmptyMonitor)
+
+
 def test_pairs_parked_before_a_new_domain_join_with_its_bindings():
     # Two ``a`` events park an {x, y} pair in "done".  No query domain is
     # incomparable with {x, y} until the first {y, z} event, so until then
-    # only ``_parked`` records the parked pairs; that event's domain gives
-    # {x, y} the parked cut by {y}, which the backfill fills from
-    # ``_parked``, and the fresh {y, z} bindings find the pairs under it.
+    # the parked pairs sit under no key; that event's domain gives {x, y}
+    # the parked cut by {y}, which the backfill fills from the parked pairs
+    # in ``delta``, and the fresh {y, z} bindings find the pairs under it.
     machine = FsmMachine(
         "start",
         {("start", "a"): "once", ("once", "a"): "done", ("done", "a"): "done"},
@@ -276,7 +285,7 @@ def test_pairs_parked_before_a_new_domain_join_with_its_bindings():
         assert indexed.delta == baseline.delta and indexed.gamma == baseline.gamma, event
         check_index(indexed, trace[:position])
     pairs = {ParamInstance({"x": x, "y": y}) for x, y in (("1", "1"), ("2", "1"), ("3", "2"))}
-    assert pairs <= indexed._parked
+    assert pairs <= parked(indexed)
     born = {
         pair.join(binding)
         for pair in pairs
@@ -314,10 +323,10 @@ def test_group_mixing_live_and_born_parked_joins(prefix):
     for position, event in enumerate(trace, 1):
         assert indexed.feed(event) == baseline.feed(event), event
         assert indexed.delta == baseline.delta and indexed.gamma == baseline.gamma, event
-        assert indexed._parked == baseline._parked, event
+        assert parked(indexed) == parked(baseline), event
         check_index(indexed, trace[:position])
     born, live = ParamInstance({"i": "i1", "v": "c1"}), ParamInstance({"i": "i1", "v": "c2"})
-    assert born in indexed._parked and live not in indexed._parked
+    assert born in parked(indexed) and live not in parked(indexed)
     assert indexed.gamma[born] is Verdict.FAIL and indexed.delta[live] == "start"
     on_parked = indexed.parked_extensions.get(((("i", "i1"),), born.domain), set())
     assert on_parked == ({born} if prefix else set())
@@ -459,9 +468,10 @@ def test_warm_events_do_not_reach_parked_extensions(unsafeiter_spec):
     for event in events:
         binding = event.instance
         warm = binding in engine.delta
-        own = 1 if binding in engine._parked else 0
+        held = parked(engine)
+        own = 1 if binding in held else 0
         parked_above = sum(
-            1 for other in engine._parked
+            1 for other in held
             if other != binding and binding.less_informative(other)
         )
         ((skipped,),) = feed_counting(engine, [event], ("skipped_steps",))
@@ -471,7 +481,7 @@ def test_warm_events_do_not_reach_parked_extensions(unsafeiter_spec):
             assert skipped == own, event
     stats = engine.stats
     assert warm_events > 500 and skips_avoided > 5 * stats.skipped_steps
-    assert len(engine._parked) > len(engine.delta) // 2
+    assert len(parked(engine)) > len(engine.delta) // 2
     baseline = BaselineMonitor(spec.machine, trigger=spec.trigger)
     assert baseline.feed_all(events) == IndexedMonitor(
         spec.machine, trigger=spec.trigger
@@ -639,11 +649,11 @@ def test_born_parked_joins_step_no_machine(unsafeiter_spec, engine_class):
     stats = engine.stats
     born_total = reports = 0
     for event in unsafeiter_workload(600):
-        table, parked = set(engine.delta), set(engine._parked)
+        table, held = set(engine.delta), parked(engine)
         steps, calls = stats.monitor_steps, machine.steps
         reports += len(engine.feed(event))
         new = set(engine.delta) - table
-        born = sum(1 for joined in new if max_below(joined, table) in parked)
+        born = sum(1 for joined in new if max_below(joined, table) in held)
         assert machine.steps - calls == stats.monitor_steps - steps - born, event
         born_total += born
     assert born_total >= 50 and machine.steps + born_total == stats.monitor_steps
@@ -653,11 +663,11 @@ def test_born_parked_joins_step_no_machine(unsafeiter_spec, engine_class):
     ) == UNSAFEITER_600_COUNTS[engine_class]
     if engine_class is IndexedMonitor:
         # No query domain is incomparable with {i, v}: a parked pair sits
-        # under no key, and only ``_parked`` records it.
+        # under no key, and only its state in ``delta`` says it is parked.
         memberships = Counter(
             member for members in engine.parked_extensions.values() for member in members
         )
-        pairs = [binding for binding in engine._parked if len(binding) == 2]
+        pairs = [binding for binding in parked(engine) if len(binding) == 2]
         assert len(pairs) > 50
         assert all(memberships[pair] == 0 for pair in pairs)
 
@@ -691,13 +701,34 @@ def test_fresh_events_build_one_domain_merge_joins_and_move_no_new_join(
         if new:
             assert len(built) <= 1, event
             widest = max(widest, len(new))
-            parked_new += len(new & engine._parked)
+            parked_new += len(new & parked(engine))
         assert not new & set(moved), event
         moves += len(moved)
     assert joined == []
     # Fresh events defined several joins each, most parked on their first
     # step, and other steps parked bindings already indexed.
     assert widest >= 4 and parked_new > 20 and moves > 0
+
+
+def test_table_memory_per_entry(unsafeiter_spec):
+    # The state table is the engine's one record per binding: which are
+    # parked is read from it.  At 10,251 entries, tracemalloc read 121 B per
+    # entry; a set of the parked bindings kept beside it read 172 B
+    # (CHANGES.md).
+    events = unsafeiter_workload(2000, collections=50, slots=4, seed=41)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        engine = IndexedMonitor(unsafeiter_spec.machine, trigger=unsafeiter_spec.trigger)
+        for event in events:
+            engine.feed(event)
+        gc.collect()
+        used = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(engine.delta) == 10_251
+    assert used / len(engine.delta) < 145
 
 
 def test_index_size_does_not_grow_with_fresh_bindings():
