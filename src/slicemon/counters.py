@@ -13,6 +13,9 @@ from .machines import Machine, Verdict
 
 __all__ = ["BalanceMachine", "Ratio", "RatioMachine"]
 
+#: Read once here, not through the enum class on every ``output`` call.
+_FAIL, _MATCH, _UNKNOWN = Verdict.FAIL, Verdict.MATCH, Verdict.UNKNOWN
+
 
 class Ratio:
     """Running success/total counter pair reported by the ratio machine.
@@ -90,10 +93,10 @@ class BalanceMachine(Machine):
     def output(self, state) -> Verdict:
         violated, counters = state
         if violated:
-            return Verdict.FAIL
+            return _FAIL
         if len(counters) == 1 and counters[0] == 0:
-            return Verdict.MATCH
-        return Verdict.UNKNOWN
+            return _MATCH
+        return _UNKNOWN
 
 
 class RatioMachine(Machine):

@@ -44,6 +44,11 @@ class Verdict(Enum):
         return self._value_
 
 
+#: Read once here: ``Verdict.UNKNOWN`` looks the member up through the enum
+#: class on every call, in Python.
+_UNKNOWN = Verdict.UNKNOWN
+
+
 class Machine(ABC):
     """Deterministic monitor: initial state, step function, state labeling.
 
@@ -134,7 +139,7 @@ class FsmMachine(Machine):
         return self._rows[state][name]
 
     def output(self, state: State) -> Verdict:
-        return self._labels.get(state, Verdict.UNKNOWN)
+        return self._labels.get(state, _UNKNOWN)
 
 
 class MonitorSpec:

@@ -1,12 +1,14 @@
 """Parametric monitoring: one base monitor state per observed binding.
 
-A parametric monitor is the base monitor run on every trace slice.  Both
-engines share one define/join/apply loop, :meth:`_EngineBase.feed`: for a
-fresh binding it defines the binding itself and every missing join of it
-with its neighbours in the table, each copied from its most informative
-defined sub-binding in the pre-event table (:meth:`_EngineBase._define`
-has the rule for a copy of a parked one); then it steps the binding and
-its defined strict extensions, except those parked in a sink state that
+A parametric monitor is the base monitor run on every trace slice.  Its
+one table is ``delta``, a state per binding; the verdicts, ``gamma``, are
+the machine's output on those states, derived on demand.  Both engines
+share one define/join/apply loop, :meth:`_EngineBase.feed`: for a fresh
+binding it defines the binding itself and every missing join of it with
+its neighbours in the table, each copied from its most informative
+defined sub-binding in the pre-event table and given its first step at
+once (:meth:`_EngineBase._define`); then it steps the bindings already
+defined that the event reaches, except those parked in a sink state that
 cannot report, which the state table alone records.  Each step reads
 only its own binding's state, so the steps may run in any order; the
 reports of one event come out in ``binding_order``.  The fresh binding
@@ -92,8 +94,9 @@ class RunStats:
 
     ``monitor_steps`` counts the monitor steps taken, and ``skipped_steps``
     the bindings an event reached that were parked and so not stepped
-    (their sum is the number of bindings the events reached).  A join born
-    parked counts as a step (:meth:`_EngineBase._define`).  An
+    (their sum is the number of bindings the events reached).  A new join's
+    first step counts as one, also when it is born parked and takes its
+    source's sink state without a machine step (:meth:`_EngineBase._define`).  An
     event reaches a known binding and its live strict extensions, or the
     missing and the live defined joins of a fresh binding; so a skip is
     only ever a known binding parked itself.
@@ -122,7 +125,7 @@ class RunStats:
 
 
 class _EngineBase:
-    """The define/join/apply loop, tables, triggers and report policy.
+    """The define/join/apply loop, the state table, triggers and report policy.
 
     Subclasses supply the three finders: ``_joins(binding)`` returns, for
     a binding not in the table, its domain (the *query domain*) and its
@@ -146,10 +149,12 @@ class _EngineBase:
 
     Two hooks note what the loop did: ``_index(domain, joins)`` is called
     per group of one domain an event defined, the fresh binding's first,
-    after the event's steps; ``_park`` when a step parks a binding stepped
-    before.  ``_define`` creates a group's entries and returns the joins
-    the loop steps.  Whether a binding is parked is read from its state in
-    ``delta``, and from ``gamma`` for the empty binding alone.
+    after the event's steps; ``_park`` when a step parks a binding defined
+    before the event.  ``delta`` is the one per-binding record: a binding
+    is parked when its state is a parking sink, and it has a verdict once
+    stepped.  Every binding but the empty one is stepped when it is
+    defined; ``_started`` records that a ground event has stepped the
+    empty binding.
     """
 
     def __init__(
@@ -159,16 +164,26 @@ class _EngineBase:
         self.trigger = frozenset(trigger)
         self.report_every = report_every
         self.delta: dict[ParamInstance, object] = {EMPTY: machine.initial()}
-        self.gamma: dict[ParamInstance, object] = {}
+        self._started = False
         self.stats = RunStats(peak_instances=1)
         #: Sinks a step can land in without reporting.  A binding whose
         #: state is one of them is parked, unless it is the empty binding
-        #: before its first step, which has no verdict in ``gamma`` yet.
+        #: before its first step, which has no verdict yet.
         self._parking = frozenset(
             state
             for state in machine.sinks
             if not (report_every and machine.output(state) in self.trigger)
         )
+
+    @property
+    def gamma(self) -> dict[ParamInstance, object]:
+        """The verdict of every stepped binding: the output of its state.
+
+        A new dict, built from ``delta`` on every read, so a caller that
+        needs it more than once per event reads it once and keeps it.
+        """
+        output, started = self.machine.output, self._started
+        return {b: output(s) for b, s in self.delta.items() if b or started}
 
     def instances(self) -> list[ParamInstance]:
         """The table domain, in the canonical order."""
@@ -184,35 +199,37 @@ class _EngineBase:
         """Step every state whose slice the event extends; return the reports.
 
         A verdict is reported when it belongs to the trigger set and differs
-        from the binding's previously recorded verdict (so a machine parked
-        in a verdict state reports once, not on every event) — unless
-        ``report_every`` asked for the undeduplicated stream.  The reports
-        come in ``binding_order`` of their bindings; the order of the steps
-        is unspecified.
+        from the binding's verdict before the step, the output of its state
+        before the step (so a machine parked in a verdict state reports
+        once, not on every event) — unless ``report_every`` asked for the
+        undeduplicated stream.  A binding's first step has no verdict
+        before it, and reports any trigger verdict.  The reports come in
+        ``binding_order`` of their bindings; the order of the steps is
+        unspecified.
 
         An event on a fresh binding defines the binding itself, a group of
         one whose floor is the empty binding, and the missing joins of the
         neighbour groups ``_joins`` returns; every group gets its sources
-        from the pre-event table, then is defined by ``_define``, which
-        leaves the joins born parked out of the steps, and indexed alike.
+        from the pre-event table, then is defined, and given its first
+        step, by ``_define``, and indexed alike.  The loop steps only the
+        bindings defined before the event.
 
         A step that lands in one of the machine's sinks parks its binding
         unless the sink's verdict would be reported again under
         ``report_every``.  A parked binding is not stepped again: its state
-        would stay the sink, its verdict is already in ``gamma`` and would
-        not change, and so no report would come of it.  It keeps its table
-        entry, so joins are still copied from it, and ``delta``, ``gamma``
-        and the reports are those of stepping it; the finders need not list
-        it as an extension of a known binding or as a defined join of a
-        fresh one, and the loop does not reach it.  A binding is parked only
-        after a step of its own, or at birth (``_define``), so every binding
-        whose state is a parking sink is parked, but the empty binding
-        before its first step: starting in a sink, it has no verdict
-        recorded yet and may report on that step.
+        would stay the sink, its verdict would not change, and so no report
+        would come of it.  It keeps its table entry, so joins are still
+        copied from it, and ``delta`` and the reports are those of stepping
+        it; the finders need not list it as an extension of a known binding
+        or as a defined join of a fresh one, and the loop does not reach it.
+        Every binding but the empty one is stepped when it is defined, so
+        every binding whose state is a parking sink is parked, but the empty
+        binding before its first step: starting in a sink, it has no verdict
+        yet and may report on that step.
         """
         stats = self.stats
         stats.events += 1
-        delta, gamma, parking = self.delta, self.gamma, self._parking
+        delta, parking, started = self.delta, self._parking, self._started
         binding = event.instance
         reports: list[VerdictReport] = []
         defined = ()
@@ -220,13 +237,13 @@ class _EngineBase:
         if state is not _NEVER:
             touched = self._above(binding)
             # No state is tested against an empty ``parking``: a word
-            # machine's state hashes in the length of its word.  Only the
-            # empty binding is in the table before its first step, which
-            # records its verdict; it may start in a sink.
-            if parking and state in parking and (binding or binding in gamma):
+            # machine's state hashes in the length of its word.
+            if parking and state in parking and (binding or started):
                 stats.skipped_steps += 1
             else:
                 touched.append(binding)
+            if not binding:  # the empty binding is stepped now, or was before
+                self._started = True
         else:
             # The joins of a fresh binding with the table are exactly the
             # bindings the event affects: the binding itself, a group of its
@@ -252,25 +269,21 @@ class _EngineBase:
                 if missing:
                     defined.append((domain, missing, self._below(domain, missing, joins)))
             for _, missing, sources in defined:
-                touched += self._define(missing, sources, event, reports)
+                self._define(missing, sources, event, reports)
 
-        machine = self.machine
-        trigger = self.trigger
-        report_every = self.report_every
+        # Binding ``machine.output`` to a local measured ×1.11 on warm events
+        # that step nothing, most of unsafeiter-join's (CHANGES.md).
+        machine, trigger, report_every = self.machine, self.trigger, self.report_every
         index = stats.events
         for affected in touched:
-            delta[affected] = state = machine.step(delta[affected], event.name)
+            before = delta[affected]
+            delta[affected] = state = machine.step(before, event.name)
             verdict = machine.output(state)
-            before = gamma.get(affected, _NEVER)
-            if verdict != before:
-                gamma[affected] = verdict
-                if verdict in trigger:
-                    reports.append(VerdictReport(index, verdict, affected, event.name))
-            elif report_every and verdict in trigger:
+            if verdict in trigger and (
+                report_every or verdict != machine.output(before) or not (affected or started)
+            ):
                 reports.append(VerdictReport(index, verdict, affected, event.name))
-            # Only a join this event defined has no verdict before its step;
-            # ``_index`` writes it straight to its side.
-            if parking and before is not _NEVER and state in parking:
+            if parking and state in parking:
                 self._park(affected)
         stats.monitor_steps += len(touched)
         if defined:  # only a fresh binding grows the table
@@ -286,49 +299,41 @@ class _EngineBase:
     def _define(
         self, joins: Collection[ParamInstance], sources: list, event: ParametricEvent,
         reports: list[VerdictReport],
-    ) -> Collection[ParamInstance]:
-        """Create a group's table entries, each a copy of its source; return the joins to step.
+    ) -> None:
+        """Create a group's table entries, each its source's state after one step.
 
         No join is in the table yet, and each source is and is strictly less
         informative; the test suite's differential checks assert this.
 
-        A join copied from a parked source is *born parked*: its first step
-        would leave it in its source's sink with its source's verdict, so
-        it takes that verdict without a machine step, counts in
-        ``monitor_steps``, and reports the verdict to ``reports`` if it is a
-        trigger, as no verdict was recorded before.  Under ``report_every``
-        no parking sink's verdict is one.  The empty binding, the fresh
-        binding's source when nothing else is below it, is parked only
-        once stepped.  Stepping such joins in the normal loop instead
-        measured a higher unsafeiter-join p99 event latency in process, and
-        reading the verdict from the state with ``machine.output`` ×1.08
-        unsafeiter-join fresh-event feed time (CHANGES.md).
+        A join copied from a source whose state is a parking sink is *born
+        parked*: its first step would leave it in that sink, so it takes
+        the state without a machine step.  This holds for the empty binding
+        before its first step too, as a sink steps to itself.  Every first
+        step counts in ``monitor_steps``, and reports its verdict to
+        ``reports`` if it is a trigger, as no verdict was recorded before.
+        Under ``report_every`` no parking sink's verdict is one.
         """
-        delta, gamma, parking = self.delta, self.gamma, self._parking
-        trigger = self.trigger
-        self.stats.defines += len(sources)
-        stepped = []
+        delta, parking, machine = self.delta, self._parking, self.machine
+        trigger, name, index = self.trigger, event.name, self.stats.events
         for joined, source in zip(joins, sources):
-            delta[joined] = state = delta[source]
-            if parking and state in parking and (source or source in gamma):
-                gamma[joined] = verdict = gamma[source]
-                if verdict in trigger:
-                    reports.append(
-                        VerdictReport(self.stats.events, verdict, joined, event.name)
-                    )
-            else:
-                stepped.append(joined)
-        self.stats.monitor_steps += len(sources) - len(stepped)
-        return stepped
+            state = delta[source]
+            if not (parking and state in parking):
+                state = machine.step(state, name)
+            delta[joined] = state
+            verdict = machine.output(state)
+            if verdict in trigger:
+                reports.append(VerdictReport(index, verdict, joined, name))
+        self.stats.defines += len(sources)
+        self.stats.monitor_steps += len(sources)
 
     def _park(self, binding: ParamInstance) -> None:
-        """Note that a step parked a binding that an earlier step reached."""
+        """Note that a step parked a binding defined before the event."""
 
     def _index(self, domain: frozenset[str], joins: Collection[ParamInstance]) -> None:
         """Note a group of bindings of ``domain`` that this event defined."""
 
 
-#: Sentinel distinguishing "never evaluated" from any real verdict.
+#: Sentinel for a binding not in the table.
 _NEVER = object()
 
 

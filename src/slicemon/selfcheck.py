@@ -226,16 +226,17 @@ def _check_verdicts(
         )
     if not any(event.instance == EMPTY for event in trace):
         del reference[EMPTY]
-    if set(indexed.gamma) != set(reference):
+    gamma = indexed.gamma  # built anew on every read
+    if set(gamma) != set(reference):
         return "%d bindings have a verdict, the definition steps %d" % (
-            len(indexed.gamma),
+            len(gamma),
             len(reference),
         )
-    for binding in ordered(indexed.gamma):
-        if indexed.gamma[binding] != reference[binding]:
+    for binding in ordered(gamma):
+        if gamma[binding] != reference[binding]:
             return "verdict for %s is %s, definition says %s" % (
                 binding.encode() or "<empty>",
-                indexed.gamma[binding],
+                gamma[binding],
                 reference[binding],
             )
     return None

@@ -50,7 +50,8 @@ class NoSnapshotMonitor(IndexedMonitor):
     The loop asks for the fresh binding's source first, so a join found
     later can copy the fresh binding, or another join that this event
     created, instead of its pre-event source; the loop's own define then
-    copies the same source again.  The growing table is not join-closed, so
+    copies the same source again, by then given its own first step, and
+    steps it once more.  The growing table is not join-closed, so
     ``max_below`` may meet several widest members below a join; the scan
     runs over the table in reverse order of definition, so the one defined
     last (by this event, when there is one) wins.  Scanned oldest first,
@@ -176,16 +177,16 @@ class StalePlanMonitor(IndexedMonitor):
 
 
 class SilentBirthMonitor(IndexedMonitor):
-    """Mutant: a join born parked never reports.
+    """Mutant: a new join's first step never reports.
 
-    A join copied from a parked source takes its source's verdict without
-    a step, and this mutant drops the report that verdict earns when it is
-    a trigger, as if a verdict copied were a verdict already reported.
+    ``_define`` gives each join it creates its first step, or, born parked,
+    its source's sink state, and this mutant drops the report that the
+    verdict earns when it is a trigger, as if a verdict copied from a
+    source were a verdict already reported.
     """
 
     def _define(self, joins, sources, event, reports):
-        # The only reports a define makes are those of joins born parked.
-        return super()._define(joins, sources, event, [])
+        super()._define(joins, sources, event, [])
 
 
 class EmptyCutParkedMonitor(IndexedMonitor):
@@ -258,38 +259,20 @@ class NeighbourSourceMonitor(IndexedMonitor):
         return super()._below(domain, missing, joins)
 
 
-class _EmptyAlwaysStepped(dict):
-    """A verdict table that claims a verdict for the empty binding from the start.
-
-    Before the empty binding's first step, its claimed verdict is that of
-    its initial state, so a join copied from it gets the verdict its own
-    first step would give; only a ground event goes wrong.
-    """
-
-    def __init__(self, initial: object):
-        super().__init__()
-        self._initial = initial
-
-    def __contains__(self, binding: object) -> bool:
-        return binding == EMPTY or dict.__contains__(self, binding)
-
-    def __missing__(self, binding: ParamInstance) -> object:
-        return self._initial  # only the empty binding is ever missing
-
-
 class UnguardedEmptyMonitor(IndexedMonitor):
     """Mutant: reads a binding in a parking sink as parked, the empty one too.
 
     The empty binding is in the table before its first step, and it may
-    start in a sink.  The loop reads it as parked only once ``gamma`` holds
-    its verdict; this mutant's ``gamma`` says it always does, so parked-ness
-    is the state test alone.  A ground event then skips the empty binding
-    in a sink, and its first verdict is neither recorded nor reported.
+    start in a sink.  The loop reads it as parked only once ``_started``
+    records that step; this mutant sets the flag from the start, so
+    parked-ness is the state test alone.  A ground event then skips the
+    empty binding in a sink, and its first verdict is never reported; its
+    verdict reads as recorded before any ground event.
     """
 
     def __init__(self, machine: FsmMachine, **options):
         super().__init__(machine, **options)
-        self.gamma = _EmptyAlwaysStepped(machine.output(machine.initial()))
+        self._started = True
 
 
 #: (name, ``run_selfcheck`` keywords, the check that must catch it).

@@ -117,8 +117,7 @@ def checked_defines(engine):
     its source, and do not assert this themselves: a define sits on the
     path of every fresh event.  The check counts the joins it saw in its
     ``defines`` attribute, which a test can hold against ``stats.defines``
-    to find a define that went round it, and returns the joins the define
-    returns, which the loop steps.
+    to find a define that went round it.
     """
     define = engine._define
 
@@ -135,7 +134,7 @@ def checked_defines(engine):
             assert source != binding and source.less_informative(binding), (
                 "copy source %r is not strictly less informative than %r" % (source, binding)
             )
-        return define(joins, sources, event, reports)
+        define(joins, sources, event, reports)
 
     checked.defines = 0
     engine._define = checked
@@ -193,13 +192,13 @@ def parked(engine) -> set[ParamInstance]:
     """The bindings an engine holds parked.
 
     They are the bindings whose state is in ``engine._parking``, less the
-    empty binding before its first step: it may start in a sink, and its
-    first step may still report.
+    empty binding before its first step (``engine._started``): it may
+    start in a sink, and its first step may still report.
     """
-    parking = engine._parking
+    parking, started = engine._parking, engine._started
     return {
         binding for binding, state in engine.delta.items()
-        if state in parking and (binding or binding in engine.gamma)
+        if state in parking and (binding or started)
     }
 
 

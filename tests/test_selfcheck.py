@@ -7,7 +7,7 @@ import inspect
 import pytest
 
 from slicemon import selfcheck
-from slicemon.bindings import EMPTY, ParamInstance
+from slicemon.bindings import ParamInstance
 from slicemon.events import ParametricEvent
 from slicemon.machines import FsmMachine, Verdict
 from slicemon.parametric import IndexedMonitor
@@ -110,7 +110,7 @@ def test_verdicts_check_compares_which_bindings_have_one():
     class EagerEmptyMonitor(IndexedMonitor):
         def __init__(self, machine, **options):
             super().__init__(machine, **options)
-            self.gamma[EMPTY] = machine.output(machine.initial())
+            self._started = True
 
     machine = FsmMachine("s", {("s", "a"): "s"}, {}, ["a"])
     trace = [ParametricEvent("a", ParamInstance({"x": "v1"}))]

@@ -83,8 +83,9 @@ def test_snapshot_mutant_sources_a_fresh_join():
     bad = NoSnapshotSliceTable().feed_all(trace)
     joined = ParamInstance({"a": "1", "b": "1"})
     assert good.slice_of(joined) == ("setb", "seta")
-    # sourced the fresh a=1 entry instead of the stepped b=1 one
-    assert bad.slice_of(joined) == ("seta",)
+    # sourced the fresh a=1 entry instead of the stepped b=1 one, after the
+    # define of a=1 had given it its first step, and stepped it again
+    assert bad.slice_of(joined) == ("seta", "seta") != good.slice_of(joined)
 
 
 def test_lookup_of_an_off_table_40_parameter_binding():
