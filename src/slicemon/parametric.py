@@ -5,22 +5,23 @@ one table is ``delta``, a state per binding; the verdicts, ``gamma``, are
 the machine's output on those states, derived on demand.  Both engines
 share one define/join/apply loop, :meth:`_EngineBase.feed`: for a fresh
 binding it defines the binding itself and every missing join of it with
-its neighbours in the table, each copied from its most informative
-defined sub-binding in the pre-event table and given its first step at
-once (:meth:`_EngineBase._define`); then it steps the bindings already
-defined that the event reaches, except those parked in a sink state that
+its neighbours, the table entries incomparable with it, each copied from
+its most informative defined sub-binding in the pre-event table and
+given its first step at once (:meth:`_EngineBase._define`); then it
+steps the event's binding, if the table held it, and the binding's
+defined strict extensions, except those parked in a sink state that
 cannot report, which the state table alone records.  Each step reads
 only its own binding's state, so the steps may run in any order; the
 reports of one event come out in ``binding_order``.  The fresh binding
 is a group of its own; the joins with its neighbours are grouped by
-domain; every group gets its sources, is defined and is indexed by the
+domain; every group gets its sources, then is defined and indexed by the
 same steps.  The engines differ only in the three finders the loop
 calls:
 
 * :class:`slicemon.reference.BaselineMonitor` scans the whole table for
-  the joins, for the live strict extensions of a known binding, and for a
-  join's source, the widest binding below it (``max_below``) — simple,
-  and the semantic yardstick;
+  the live strict extensions of a binding, for its joins with its
+  neighbours, and for a join's source, the widest binding below it
+  (``max_below``) — simple, and the semantic yardstick;
 * :class:`IndexedMonitor` looks the first two up in a domain-keyed index of
   the defined bindings, holding only the keys its lookups can ask for, and
   only in the domains where they can hit; it finds a source by restricting
@@ -97,12 +98,13 @@ class RunStats:
     (their sum is the number of bindings the events reached).  A new join's
     first step counts as one, also when it is born parked and takes its
     source's sink state without a machine step (:meth:`_EngineBase._define`).  An
-    event reaches a known binding and its live strict extensions, or the
-    missing and the live defined joins of a fresh binding; so a skip is
-    only ever a known binding parked itself.
-    ``compat_checks`` counts the join candidates examined to find the
-    bindings each event affects (every table entry for the baseline; a
-    fresh binding and its indexed neighbours for the indexed engine).
+    event reaches its binding and the binding's live strict extensions,
+    and, if the binding is fresh, the missing joins of it with its
+    neighbours; so a skip is only ever a known binding parked itself.
+    ``compat_checks`` counts the candidates examined to find the bindings
+    each event affects: every table entry, once per event, for the
+    baseline; a fresh binding and its indexed merge neighbours for the
+    indexed engine, whose extension lookups examine no candidate.
     ``defines`` counts new table entries, and ``peak_instances`` tracks the
     largest table size reached.  All are totals, so a run's stats stay the
     same size however long it is.
@@ -127,34 +129,37 @@ class RunStats:
 class _EngineBase:
     """The define/join/apply loop, the state table, triggers and report policy.
 
-    Subclasses supply the three finders: ``_joins(binding)`` returns, for
-    a binding not in the table, its domain (the *query domain*) and its
-    joins with the table entries it does not extend, its *neighbours*, as
-    ``{domain: {join: floor or None}}``: the binding itself, its one join
-    of its own domain, is left out, and the loop defines it;
-    ``_above(binding)`` the defined strict extensions, not parked, of a
-    binding in the table, which is left out too, and the loop steps it
-    unless it is parked; ``_below(domain, missing, joins)`` the most
-    informative binding strictly below each of a group's ``missing`` joins,
-    in order, in the pre-event table, where ``joins`` is the group as
-    ``_joins`` returned it (the fresh binding alone is such a group, with
-    None for ``joins``).  A *floor* ``_joins`` records for a missing join
-    is a lower bound, not the source: a binding in the table strictly
-    below the join, so the source is at least as informative, and
-    ``_below`` may look only above it.  The baseline records none.
-    ``_joins`` adds the candidates it examines to ``stats.compat_checks``,
-    and ``_above`` those it checks for compatibility, if any.  ``_joins``
-    may leave out parked joins already defined, which the loop does not
-    reach.
+    Subclasses supply the three finders, each with one job:
+    ``_above(binding)`` returns the defined strict extensions of a binding,
+    not parked, whether the table holds the binding or not; the loop steps
+    the binding itself unless it is parked.  ``_joins(binding)`` returns,
+    for a binding not in the table, its domain (the *query domain*) and
+    its joins with its *neighbours*, the table entries incomparable with
+    it, as ``{domain: {join: floor or None}}``; the loop defines the
+    binding itself, and the missing joins.  Every join ``_joins`` returns
+    is a strict extension of the binding, so ``_above`` reaches those
+    already defined, if live; the loop calls it after ``_joins``, which
+    may make the binding's domain a table domain.
+    ``_below(domain, missing, joins)`` returns the most informative
+    binding strictly below each of a group's ``missing`` joins, in order,
+    in the pre-event table, where ``joins`` is the group as ``_joins``
+    returned it (the fresh binding alone is such a group, with None for
+    ``joins``).  A *floor* ``_joins`` records for a missing join is a
+    lower bound, not the source: a binding in the table strictly below the
+    join, so the source is at least as informative, and ``_below`` may
+    look only above it.  The baseline records none.  The finders add the
+    candidates they examine to ``stats.compat_checks``; the baseline's
+    table scan counts once per event, in ``_above``, which every event
+    calls.
 
     Two hooks note what the loop did: ``_index(domain, joins)`` is called
     per group of one domain an event defined, the fresh binding's first,
-    after the event's steps; ``_park`` when a step parks a binding defined
-    before the event.  ``delta`` is the one per-binding record: a binding
-    is parked when its state is a parking sink, and it has a verdict once
-    stepped.  Every binding but the empty one is stepped when it is
-    defined; ``_started`` records that a ground event has stepped the
-    empty binding.
+    right after ``_define`` gave the group its first step; ``_park`` when
+    a step parks a binding defined before the event.  ``delta`` is the one
+    per-binding record: a binding is parked when its state is a parking
+    sink, and it has a verdict once stepped.  Every binding but the empty
+    one is stepped when it is defined; ``_started`` records that a ground
+    event has stepped the empty binding.
     """
 
     def __init__(
@@ -211,8 +216,9 @@ class _EngineBase:
         one whose floor is the empty binding, and the missing joins of the
         neighbour groups ``_joins`` returns; every group gets its sources
         from the pre-event table, then is defined, and given its first
-        step, by ``_define``, and indexed alike.  The loop steps only the
-        bindings defined before the event.
+        step, by ``_define``, and indexed.  The loop steps only the
+        bindings defined before the event: the binding, if the table held
+        it, and what ``_above`` returns, found before any define.
 
         A step that lands in one of the machine's sinks parks its binding
         unless the sink's verdict would be reported again under
@@ -220,8 +226,7 @@ class _EngineBase:
         would stay the sink, its verdict would not change, and so no report
         would come of it.  It keeps its table entry, so joins are still
         copied from it, and ``delta`` and the reports are those of stepping
-        it; the finders need not list it as an extension of a known binding
-        or as a defined join of a fresh one, and the loop does not reach it.
+        it; ``_above`` does not list it, and the loop does not reach it.
         Every binding but the empty one is stepped when it is defined, so
         every binding whose state is a parking sink is parked, but the empty
         binding before its first step: starting in a sink, it has no verdict
@@ -232,7 +237,6 @@ class _EngineBase:
         delta, parking, started = self.delta, self._parking, self._started
         binding = event.instance
         reports: list[VerdictReport] = []
-        defined = ()
         state = delta.get(binding, _NEVER)
         if state is not _NEVER:
             touched = self._above(binding)
@@ -247,29 +251,27 @@ class _EngineBase:
         else:
             # The joins of a fresh binding with the table are exactly the
             # bindings the event affects: the binding itself, a group of its
-            # own, and its joins with its neighbours.  Each missing one
-            # copies the state of its most informative defined sub-binding,
-            # read before any define so that no join copies a state this
-            # event created.  Of the defined ones, only the live are reached.
+            # own, its defined strict extensions, which ``_above`` finds if
+            # they are live, and its missing joins with its neighbours.
+            # Each missing one copies the state of its most informative
+            # defined sub-binding, read before any define so that no join
+            # copies a state this event created.
             query, groups = self._joins(binding)
-            touched = []
+            touched = self._above(binding)
             # A one-entry dict for the binding's own group measured ×1.08
             # fresh-bindings feed time in process (CHANGES.md).
             alone = (binding,)
             defined = [(query, alone, self._below(query, alone, None))]
             for domain, joins in groups.items():
                 # ``joins.keys() - delta`` would scan all of ``delta``.
-                members = set(joins)
-                missing = members.difference(delta)
-                # A comprehension here would make ``delta`` and ``parking``
-                # cells, which measured ×1.08 on warm events (CHANGES.md).
-                for joined in members.difference(missing):
-                    if not (parking and delta[joined] in parking):
-                        touched.append(joined)
+                missing = set(joins).difference(delta)
                 if missing:
                     defined.append((domain, missing, self._below(domain, missing, joins)))
-            for _, missing, sources in defined:
+            for domain, missing, sources in defined:
                 self._define(missing, sources, event, reports)
+                self._index(domain, missing)
+            if len(delta) > stats.peak_instances:
+                stats.peak_instances = len(delta)
 
         # Binding ``machine.output`` to a local measured ×1.11 on warm events
         # that step nothing, most of unsafeiter-join's (CHANGES.md).
@@ -286,11 +288,6 @@ class _EngineBase:
             if parking and state in parking:
                 self._park(affected)
         stats.monitor_steps += len(touched)
-        if defined:  # only a fresh binding grows the table
-            for domain, missing, _ in defined:
-                self._index(domain, missing)
-            if len(delta) > stats.peak_instances:
-                stats.peak_instances = len(delta)
         # Sorting lone reports too measured ×1.16 fresh-bindings p50 latency (CHANGES.md).
         if len(reports) > 1:
             reports.sort(key=lambda report: binding_order(report.instance))
@@ -362,22 +359,22 @@ class IndexedMonitor(_EngineBase):
     ``delta``, if the two domains are incomparable; a binding already in
     the table has a table domain, so the warm path never needs that check.
 
-    A join's keys are written once, after the steps of the event that
-    defined it, on the side its birth or first step left it; an indexed
-    live binding that parks later moves once, and a live set it leaves
-    empty is deleted.
+    A join's keys are written once, when ``_define`` has given it its
+    first step, on the side that step left it: no step of the event that
+    defined it reaches it.  An indexed live binding that parks later moves
+    once, and a live set it leaves empty is deleted.
 
-    * The warm finder returns the live bindings under ``(b's items, D)``:
-      a parked binding is never stepped.  Only a domain ``D`` wider than
-      ``b``'s can hold a strict extension of ``b``, so it reads the table
-      domains widest first and stops at the first that is not wider.
-    * A binding compatible with a fresh ``b`` and of a domain ``D`` not
-      within ``b``'s agrees with ``b`` on their shared names, so the
-      compatible neighbours of ``b`` in ``D`` are exactly the bindings
+    * The extension finder returns the live bindings under ``(b's items,
+      D)``: a parked binding is never stepped.  Only a domain ``D`` wider
+      than ``b``'s can hold a strict extension of ``b``, so it reads the
+      table domains widest first and stops at the first that is not wider.
+      A fresh ``b``'s domain is a table domain once the join finder ran,
+      so its keys are there too.
+    * A binding compatible with a fresh ``b`` and of a domain ``D``
+      incomparable with ``b``'s agrees with ``b`` on their shared names, so
+      the compatible neighbours of ``b`` in ``D`` are exactly the bindings
       under ``(b's items restricted to D, D)``: no compatibility checks,
-      no sort.  If ``E ⊆ D``, the neighbours extend ``b`` and are its
-      joins, all defined, so only the live ones, which the event steps,
-      are looked up.  Otherwise both sides are, so that the table stays
+      no sort.  Both sides are looked up, so that the table stays
       join-closed, and the items of ``b`` and of a neighbour are put in
       name order by the *merge plan* of ``(E, D)``.
     * Every defined binding below a missing join ``j`` is ``j`` restricted
@@ -392,9 +389,10 @@ class IndexedMonitor(_EngineBase):
       a defined restriction, so the first hit is ``s``; or none hits, and
       ``s`` is the floor.
 
-    A binding equals its item tuple, so the warm finder looks its keys up
-    with the binding itself, and the source finder probes ``delta`` with
-    item tuples, making a binding only of the one it returns.
+    A binding equals its item tuple, so the extension finder looks its
+    keys up with the binding itself, and the source finder probes
+    ``delta`` with item tuples, making a binding only of the one it
+    returns.
     """
 
     def __init__(self, machine: Machine, **options):
@@ -426,49 +424,38 @@ class IndexedMonitor(_EngineBase):
                 # The binding is one of its joins: this event defines it.
                 self._add_domain(query)
             plan = self._plans[query] = self._plan(query)
-        groups: dict[frozenset[str], dict[ParamInstance, ParamInstance | None]] = {}
+        groups: dict[frozenset[str], dict[ParamInstance, ParamInstance]] = {}
         examined = 1
-        for domain, cut, joined, merge, sides in plan:
+        sides = (self.extensions, self.parked_extensions)
+        for domain, cut, joined, merge in plan:
             key = (cut(binding), domain)
             for side in sides:
                 neighbours = side.get(key)
                 if neighbours:
                     examined += len(neighbours)
-                    joins = groups.setdefault(joined, {})
-                    if merge is None:
-                        joins.update(dict.fromkeys(neighbours))
-                    else:
-                        merged = map(merge, map(binding.__add__, neighbours))
-                        joins.update(zip(map(ParamInstance._wrap, merged), neighbours))
+                    merged = map(merge, map(binding.__add__, neighbours))
+                    groups.setdefault(joined, {}).update(
+                        zip(map(ParamInstance._wrap, merged), neighbours)
+                    )
         self.stats.compat_checks += examined
         return query, groups
 
     def _plan(self, query: frozenset[str]) -> list[tuple]:
-        """``(D, cut, D∪query, merge plan, sides)`` per table domain ``D`` ⊄ query.
+        """``(D, cut, D∪query, merge plan)`` per table domain ``D`` incomparable with query.
 
-        The plan gets a join's items, in name order, from the binding's
-        items followed by a neighbour's; it is None if ``D`` holds
-        ``query``.  Then the neighbours extend the binding and are its
-        joins, all defined, and the parked ones are not reached: only the
-        live side of the index is read, and its own binding objects are
-        handed back, since a rebuilt equal tuple would enter the index and
-        the reports as a second object.  Otherwise each join is
-        recorded with its neighbour, its floor.  Every entry that reaches
-        a missing join records a floor for it, so the order of the
-        entries does not matter.
+        The merge plan gets a join's items, in name order, from the
+        binding's items followed by a neighbour's, and each join is
+        recorded with its neighbour, its floor.  Every entry that reaches a
+        missing join records a floor for it, so the order of the entries
+        does not matter.
         """
-        live = (self.extensions,)
-        both = (self.extensions, self.parked_extensions)
         plan = []
         for domain in self._domains:
-            if not domain <= query:
-                if query <= domain:
-                    joined, merge, sides = domain, None, live
-                else:
-                    joined, sides = domain | query, both
-                    names = sorted(query) + sorted(domain)
-                    merge = itemgetter(*map(names.index, sorted(joined)))
-                plan.append((domain, _cut(query, domain & query), joined, merge, sides))
+            if not (domain <= query or query <= domain):
+                joined = domain | query
+                names = sorted(query) + sorted(domain)
+                merge = itemgetter(*map(names.index, sorted(joined)))
+                plan.append((domain, _cut(query, domain & query), joined, merge))
         return plan
 
     def _above(self, binding: ParamInstance) -> list[ParamInstance]:

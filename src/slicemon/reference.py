@@ -133,15 +133,15 @@ class BaselineMonitor(_EngineBase):
     def _joins(
         self, binding: ParamInstance
     ) -> tuple[frozenset[str], dict[frozenset[str], dict]]:
-        # The empty binding is always present, so the binding itself is one
-        # of the joins, and the only one of its domain: the loop defines it.
-        self.stats.compat_checks += len(self.delta)
-        query = binding.domain
+        # A join equal to the binding is the loop's to define, and one equal
+        # to its member extends the binding, which ``_above`` reaches.  The
+        # scan is counted once per event, by ``_above``.
         groups: dict[frozenset[str], dict[ParamInstance, None]] = {}
-        for joined in joins_with(binding, self.delta):
-            groups.setdefault(joined.domain, {})[joined] = None
-        del groups[query]
-        return query, groups
+        for member in self.delta:
+            joined = binding.join(member)
+            if joined is not None and joined != member and joined != binding:
+                groups.setdefault(joined.domain, {})[joined] = None
+        return binding.domain, groups
 
     def _above(self, binding: ParamInstance) -> list[ParamInstance]:
         self.stats.compat_checks += len(self.delta)

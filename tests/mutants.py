@@ -31,16 +31,13 @@ from .oracles import restrict
 class SkipJoinPhaseMonitor(IndexedMonitor):
     """Mutant: a fresh binding affects only itself and its extensions.
 
-    It never defines the joins of a fresh binding with the table, so the
-    combinations they stand for are missed.  Its groups hold only defined
-    bindings, so no floor of theirs is ever read.
+    It never defines the joins of a fresh binding with its neighbours, so
+    the combinations they stand for are missed.  Its join finder returns
+    no group, and ``_above`` still reaches the binding's extensions.
     """
 
     def _joins(self, binding: ParamInstance) -> tuple[frozenset[str], dict]:
-        groups: dict[frozenset[str], dict] = {}
-        for found in self._above(binding):
-            groups.setdefault(found.domain, {})[found] = None
-        return binding.domain, groups
+        return binding.domain, {}
 
 
 class NoSnapshotMonitor(IndexedMonitor):
@@ -129,7 +126,7 @@ class LiveOnlyJoinsMonitor(IndexedMonitor):
             self._add_domain(query)
         groups: dict[frozenset[str], dict] = {}
         for domain in self._domains:
-            if not domain <= query:
+            if not (domain <= query or query <= domain):
                 sub = restrict(binding, domain & query)
                 for neighbour in self.extensions.get((sub, domain), ()):
                     groups.setdefault(domain | query, {})[neighbour.join(binding)] = neighbour
@@ -171,8 +168,8 @@ class StalePlanMonitor(IndexedMonitor):
 
     def _plan(self, query: frozenset[str]) -> list[tuple]:
         return [
-            (domain, cut, joined, self._stale.setdefault((domain, len(query)), merge), *rest)
-            for domain, cut, joined, merge, *rest in super()._plan(query)
+            (domain, cut, joined, self._stale.setdefault((domain, len(query)), merge))
+            for domain, cut, joined, merge in super()._plan(query)
         ]
 
 
@@ -233,9 +230,9 @@ class LoneEmptySourceMonitor(IndexedMonitor):
 class StaleWiderMonitor(IndexedMonitor):
     """Mutant: a new table domain joins the end of the widest-first list.
 
-    The warm finder stops at the first domain in the list no wider than
-    the event's binding, so the strict extensions of a domain added after
-    a narrower one are never reached by a warm event.
+    The extension finder stops at the first domain in the list no wider
+    than the event's binding, so the strict extensions of a domain added
+    after a narrower one are never reached, by a warm event or a fresh one.
     """
 
     def _add_domain(self, domain: frozenset[str]) -> tuple:
@@ -266,13 +263,29 @@ class UnguardedEmptyMonitor(IndexedMonitor):
     start in a sink.  The loop reads it as parked only once ``_started``
     records that step; this mutant sets the flag from the start, so
     parked-ness is the state test alone.  A ground event then skips the
-    empty binding in a sink, and its first verdict is never reported; its
-    verdict reads as recorded before any ground event.
+    empty binding in a sink, and its first verdict is never reported.
+    Its ``gamma`` hides the empty binding until a ground event is fed, so
+    the fault shows only in that missing report, not in a verdict read
+    before any ground event.
     """
+
+    _fed_ground = False
 
     def __init__(self, machine: FsmMachine, **options):
         super().__init__(machine, **options)
         self._started = True
+
+    @property
+    def gamma(self) -> dict:
+        gamma = super().gamma
+        if not self._fed_ground:
+            del gamma[EMPTY]
+        return gamma
+
+    def feed(self, event):
+        if not event.instance:
+            self._fed_ground = True
+        return super().feed(event)
 
 
 #: (name, ``run_selfcheck`` keywords, the check that must catch it).
@@ -288,7 +301,7 @@ MUTANTS = [
     ("silent-birth", {"indexed_class": SilentBirthMonitor}, "engine-pair"),
     ("empty-cut-parked", {"indexed_class": EmptyCutParkedMonitor}, "engine-pair"),
     ("lone-empty-source", {"indexed_class": LoneEmptySourceMonitor}, "engine-pair"),
-    ("stale-wider", {"indexed_class": StaleWiderMonitor}, "reports"),
+    ("stale-wider", {"indexed_class": StaleWiderMonitor}, "engine-pair"),
     ("neighbour-source", {"indexed_class": NeighbourSourceMonitor}, "engine-pair"),
     ("unguarded-empty", {"indexed_class": UnguardedEmptyMonitor}, "engine-pair"),
 ]

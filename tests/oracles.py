@@ -17,6 +17,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from slicemon.bindings import EMPTY, ParamInstance
+from slicemon.parametric import IndexedMonitor
 from slicemon.reference import max_below
 
 # ---------------------------------------------------------------------------
@@ -145,30 +146,57 @@ def checked_finders(engine):
     """Make ``engine`` assert the finder contract on every lookup; return it.
 
     The loop steps an event's own binding itself, so neither finder may
-    return it: ``_above(b)`` returns only strict extensions of ``b``, and
-    the groups ``_joins(b)`` returns hold only the joins of ``b`` with its
-    neighbours, none of ``b``'s own domain.  The loop asks ``_below`` for
-    every group's sources before it defines any join of the event, so each
-    source it returns must be the join's ``max_below`` in the table as it
-    stands.  The check counts, in the ``lifted`` attribute of the wrapped
-    ``_below``, the sources that are not the floor ``_joins`` recorded for
-    their join: the probes above a floor that hit.
+    return it.  ``_above(b)``, on a warm or a fresh ``b``, returns exactly
+    the live strict extensions of ``b`` in the table, each once: a scan of
+    ``delta`` must find the same set.  The groups ``_joins(b)`` returns
+    hold only the joins of ``b`` with its neighbours, the entries
+    incomparable with it, each a strict extension of ``b`` in the group of
+    its domain, none of ``b``'s own.  The indexed engine records a floor
+    for each join, and the floor is its neighbour: incomparable with
+    ``b``, and joined with ``b`` it gives the join.  The
+    loop asks ``_below`` for every group's sources before it defines any
+    join of the event, so each source it returns must be the join's
+    ``max_below`` in the table as it stands.  The check counts, in the
+    ``lifted`` attribute of the wrapped ``_below``, the sources that are
+    not the floor ``_joins`` recorded for their join: the probes above a
+    floor that hit.
     """
     above, joins, below = engine._above, engine._joins, engine._below
 
     def checked_above(binding):
         found = above(binding)
-        for other in found:
-            assert other != binding, "_above(%r) returned the binding itself" % (binding,)
-            assert binding.less_informative(other), (
-                "_above(%r) returned %r, not an extension" % (binding, other)
-            )
+        held = parked(engine)
+        expected = {
+            other for other in engine.delta
+            if other != binding and binding.less_informative(other) and other not in held
+        }
+        assert len(set(found)) == len(found), "_above(%r) returned a binding twice" % (binding,)
+        assert set(found) == expected, "_above(%r) returned %r, the live extensions are %r" % (
+            binding, sorted(found, key=str), sorted(expected, key=str)
+        )
         return found
 
     def checked_joins(binding):
         query, groups = joins(binding)
         assert query == binding.domain, "_joins(%r) gave query domain %r" % (binding, query)
         assert query not in groups, "_joins(%r) returned a group of its own domain" % (binding,)
+        for domain, group in groups.items():
+            for joined, floor in group.items():
+                assert joined.domain == domain and joined != binding, (
+                    "_joins(%r) put %r in the group of %r" % (binding, joined, sorted(domain))
+                )
+                assert binding.less_informative(joined), (
+                    "_joins(%r) returned %r, not an extension" % (binding, joined)
+                )
+                if floor is not None or isinstance(engine, IndexedMonitor):
+                    assert floor is not None, "_joins(%r) gave %r no floor" % (binding, joined)
+                    assert not (
+                        floor.less_informative(binding) or binding.less_informative(floor)
+                    ), "_joins(%r) gave %r the floor %r, not a neighbour" % (binding, joined, floor)
+                    assert binding.join(floor) == joined, (
+                        "_joins(%r) gave %r the floor %r, which joins to another binding"
+                        % (binding, joined, floor)
+                    )
         return query, groups
 
     def checked_below(domain, missing, group):

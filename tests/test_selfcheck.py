@@ -7,7 +7,7 @@ import inspect
 import pytest
 
 from slicemon import selfcheck
-from slicemon.bindings import ParamInstance
+from slicemon.bindings import EMPTY, ParamInstance
 from slicemon.events import ParametricEvent
 from slicemon.machines import FsmMachine, Verdict
 from slicemon.parametric import IndexedMonitor
@@ -104,6 +104,18 @@ def test_reports_check_alone_catches_a_silent_birth():
     assert _check_reports(failure.trace, failure.machine, IndexedMonitor) is None
     detail = _check_reports(failure.trace, failure.machine, SilentBirthMonitor)
     assert "report_every=False" in detail
+
+
+def test_unguarded_empty_mutant_is_caught_by_its_missing_first_report():
+    # The mutant's ``gamma`` shows the empty binding only after a ground
+    # event, so the engine-pair check meets its fault where it lies: a
+    # ground event skips the empty binding's first step in a sink, and
+    # the match that step earns is never reported.
+    result = mutant_run("unguarded-empty")
+    failure = result.failure
+    assert (result.traces, failure.check) == (4, "engine-pair")
+    assert failure.detail == "event 1: baseline reported ['1\\tmatch\\t\\td'], indexed reported []"
+    assert [(event.name, event.instance) for event in failure.trace] == [("d", EMPTY)]
 
 
 def test_verdicts_check_compares_which_bindings_have_one():
