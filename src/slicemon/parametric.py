@@ -4,24 +4,24 @@ A parametric monitor is the base monitor run on every trace slice.  Its
 one table is ``delta``, a state per binding; the verdicts, ``gamma``, are
 the machine's output on those states, derived on demand.  Both engines
 share one define/join/apply loop, :meth:`_EngineBase.feed`: for a fresh
-binding it defines the binding itself and every missing join of it with
-its neighbours, the table entries incomparable with it, each copied from
-its most informative defined sub-binding in the pre-event table and
-given its first step at once (:meth:`_EngineBase._define`); then it
-steps the event's binding, if the table held it, and the binding's
-defined strict extensions, except those parked in a sink state that
-cannot report, which the state table alone records.  Each step reads
-only its own binding's state, so the steps may run in any order; the
-reports of one event come out in ``binding_order``.  The fresh binding
-is a group of its own; the joins with its neighbours are grouped by
-domain; every group gets its sources, then is defined and indexed by the
-same steps.  The engines differ only in the three finders the loop
-calls:
+binding it defines every missing join of it with the table, the binding
+itself among them, each copied from its most informative defined
+sub-binding in the pre-event table and given its first step at once
+(:meth:`_EngineBase._define`); then it steps the event's binding, if the
+table held it, and the binding's defined strict extensions, except those
+parked in a sink state that cannot report, which the state table alone
+records.  Each step reads only its own binding's state, so the steps may
+run in any order; the reports of one event come out in
+``binding_order``.  One dict carries the missing joins from finder to
+define, grouped by domain, the binding's own group first: each join
+maps to its floor, a defined binding below it, which the source finder
+then overwrites with the join's source.  The engines differ only in the
+three finders the loop calls:
 
 * :class:`slicemon.reference.BaselineMonitor` scans the whole table for
-  the live strict extensions of a binding, for its joins with its
-  neighbours, and for a join's source, the widest binding below it
-  (``max_below``) — simple, and the semantic yardstick;
+  the live strict extensions of a binding, for its missing joins, and
+  for a join's source, the widest binding below it (``max_below``) —
+  simple, and the semantic yardstick;
 * :class:`IndexedMonitor` looks the first two up in a domain-keyed index of
   the defined bindings, holding only the keys its lookups can ask for, and
   only in the domains where they can hit; it finds a source by restricting
@@ -42,7 +42,7 @@ whose state is the word read so far.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Collection, Iterable
+from typing import Callable, Iterable
 
 from .bindings import EMPTY, ParamInstance, binding_order, ordered
 from .events import ParametricEvent
@@ -99,8 +99,8 @@ class RunStats:
     first step counts as one, also when it is born parked and takes its
     source's sink state without a machine step (:meth:`_EngineBase._define`).  An
     event reaches its binding and the binding's live strict extensions,
-    and, if the binding is fresh, the missing joins of it with its
-    neighbours; so a skip is only ever a known binding parked itself.
+    and, if the binding is fresh, its missing joins with the table, itself
+    among them; so a skip is only ever a known binding parked itself.
     ``compat_checks`` counts the candidates examined to find the bindings
     each event affects: every table entry, once per event, for the
     baseline; a fresh binding and its indexed merge neighbours for the
@@ -133,21 +133,20 @@ class _EngineBase:
     ``_above(binding)`` returns the defined strict extensions of a binding,
     not parked, whether the table holds the binding or not; the loop steps
     the binding itself unless it is parked.  ``_joins(binding)`` returns,
-    for a binding not in the table, its domain (the *query domain*) and
-    its joins with its *neighbours*, the table entries incomparable with
-    it, as ``{domain: {join: floor or None}}``; the loop defines the
-    binding itself, and the missing joins.  Every join ``_joins`` returns
-    is a strict extension of the binding, so ``_above`` reaches those
-    already defined, if live; the loop calls it after ``_joins``, which
-    may make the binding's domain a table domain.
-    ``_below(domain, missing, joins)`` returns the most informative
-    binding strictly below each of a group's ``missing`` joins, in order,
-    in the pre-event table, where ``joins`` is the group as ``_joins``
-    returned it (the fresh binding alone is such a group, with None for
-    ``joins``).  A *floor* ``_joins`` records for a missing join is a
-    lower bound, not the source: a binding in the table strictly below the
-    join, so the source is at least as informative, and ``_below`` may
-    look only above it.  The baseline records none.  The finders add the
+    for a binding not in the table, its missing joins with the table,
+    ``{b ⊔ m : m in delta, compatible} − delta``, as ``{domain: {join:
+    floor}}``, no group empty: the binding's own group, ``{dom(b): {b:
+    EMPTY}}``, first, then the joins with its *neighbours*, the table
+    entries incomparable with it (a join with an entry comparable with
+    the binding is the binding or the entry).  A join's *floor* is a
+    binding in the table strictly below it, a lower bound for its source.
+    The binding's defined joins extend it, and ``_above`` reaches them if
+    live; the loop calls it after ``_joins``, which may make the binding's
+    domain a table domain.  ``_below(groups)`` overwrites each floor, in
+    place, with the join's source: its most informative binding strictly
+    below it in the pre-event table, which is at least as informative as
+    the floor, so ``_below`` may look only above it.  The loop calls it
+    once per fresh event, before any define.  The finders add the
     candidates they examine to ``stats.compat_checks``; the baseline's
     table scan counts once per event, in ``_above``, which every event
     calls.
@@ -212,13 +211,13 @@ class _EngineBase:
         ``binding_order`` of their bindings; the order of the steps is
         unspecified.
 
-        An event on a fresh binding defines the binding itself, a group of
-        one whose floor is the empty binding, and the missing joins of the
-        neighbour groups ``_joins`` returns; every group gets its sources
-        from the pre-event table, then is defined, and given its first
-        step, by ``_define``, and indexed.  The loop steps only the
-        bindings defined before the event: the binding, if the table held
-        it, and what ``_above`` returns, found before any define.
+        An event on a fresh binding defines the missing joins ``_joins``
+        returns, the binding itself among them: one ``_below`` call gives
+        every join its source from the pre-event table, then each group is
+        defined, and given its first step, by ``_define``, and indexed.
+        The loop steps only the bindings defined before the event: the
+        binding, if the table held it, and what ``_above`` returns, found
+        before any define.
 
         A step that lands in one of the machine's sinks parks its binding
         unless the sink's verdict would be reported again under
@@ -250,26 +249,18 @@ class _EngineBase:
                 self._started = True
         else:
             # The joins of a fresh binding with the table are exactly the
-            # bindings the event affects: the binding itself, a group of its
-            # own, its defined strict extensions, which ``_above`` finds if
-            # they are live, and its missing joins with its neighbours.
-            # Each missing one copies the state of its most informative
-            # defined sub-binding, read before any define so that no join
-            # copies a state this event created.
-            query, groups = self._joins(binding)
+            # bindings the event affects: its defined strict extensions,
+            # which ``_above`` finds if they are live, and its missing
+            # joins, the binding itself among them.  Each missing one
+            # copies the state of its most informative defined
+            # sub-binding, all read by one ``_below`` before any define, so
+            # that no join copies a state this event created.
+            groups = self._joins(binding)
             touched = self._above(binding)
-            # A one-entry dict for the binding's own group measured ×1.08
-            # fresh-bindings feed time in process (CHANGES.md).
-            alone = (binding,)
-            defined = [(query, alone, self._below(query, alone, None))]
+            self._below(groups)
             for domain, joins in groups.items():
-                # ``joins.keys() - delta`` would scan all of ``delta``.
-                missing = set(joins).difference(delta)
-                if missing:
-                    defined.append((domain, missing, self._below(domain, missing, joins)))
-            for domain, missing, sources in defined:
-                self._define(missing, sources, event, reports)
-                self._index(domain, missing)
+                self._define(joins, event, reports)
+                self._index(domain, joins)
             if len(delta) > stats.peak_instances:
                 stats.peak_instances = len(delta)
 
@@ -294,13 +285,14 @@ class _EngineBase:
         return reports
 
     def _define(
-        self, joins: Collection[ParamInstance], sources: list, event: ParametricEvent,
+        self, joins: dict[ParamInstance, ParamInstance], event: ParametricEvent,
         reports: list[VerdictReport],
     ) -> None:
         """Create a group's table entries, each its source's state after one step.
 
-        No join is in the table yet, and each source is and is strictly less
-        informative; the test suite's differential checks assert this.
+        ``joins`` maps each join to its source.  No join is in the table
+        yet, and each source is and is strictly less informative; the test
+        suite's differential checks assert this.
 
         A join copied from a source whose state is a parking sink is *born
         parked*: its first step would leave it in that sink, so it takes
@@ -312,7 +304,7 @@ class _EngineBase:
         """
         delta, parking, machine = self.delta, self._parking, self.machine
         trigger, name, index = self.trigger, event.name, self.stats.events
-        for joined, source in zip(joins, sources):
+        for joined, source in joins.items():
             state = delta[source]
             if not (parking and state in parking):
                 state = machine.step(state, name)
@@ -320,13 +312,13 @@ class _EngineBase:
             verdict = machine.output(state)
             if verdict in trigger:
                 reports.append(VerdictReport(index, verdict, joined, name))
-        self.stats.defines += len(sources)
-        self.stats.monitor_steps += len(sources)
+        self.stats.defines += len(joins)
+        self.stats.monitor_steps += len(joins)
 
     def _park(self, binding: ParamInstance) -> None:
         """Note that a step parked a binding defined before the event."""
 
-    def _index(self, domain: frozenset[str], joins: Collection[ParamInstance]) -> None:
+    def _index(self, domain: frozenset[str], joins: Iterable[ParamInstance]) -> None:
         """Note a group of bindings of ``domain`` that this event defined."""
 
 
@@ -376,7 +368,8 @@ class IndexedMonitor(_EngineBase):
       under ``(b's items restricted to D, D)``: no compatibility checks,
       no sort.  Both sides are looked up, so that the table stays
       join-closed, and the items of ``b`` and of a neighbour are put in
-      name order by the *merge plan* of ``(E, D)``.
+      name order by the *merge plan* of ``(E, D)``.  A merged join already
+      in the table extends ``b``, so it is left to the extension finder.
     * Every defined binding below a missing join ``j`` is ``j`` restricted
       to a table domain ``D ⊊ dom(j)``.  These restrictions that are
       defined are join-closed, since the table is, so their maximum ``s``,
@@ -390,9 +383,9 @@ class IndexedMonitor(_EngineBase):
       ``s`` is the floor.
 
     A binding equals its item tuple, so the extension finder looks its
-    keys up with the binding itself, and the source finder probes
-    ``delta`` with item tuples, making a binding only of the one it
-    returns.
+    keys up with the binding itself, and the join and source finders
+    probe ``delta`` with item tuples, making a binding only of a join that
+    is missing and of a source that is not its floor.
     """
 
     def __init__(self, machine: Machine, **options):
@@ -413,9 +406,7 @@ class IndexedMonitor(_EngineBase):
         self._plans: dict[frozenset[str], list[tuple]] = {}
         self._sources: dict[frozenset[str], list[tuple[int, Callable]]] = {}
 
-    def _joins(
-        self, binding: ParamInstance
-    ) -> tuple[frozenset[str], dict[frozenset[str], dict]]:
+    def _joins(self, binding: ParamInstance) -> dict[frozenset[str], dict]:
         query = binding.domain
         # Planning every fresh binding anew measured ×1.21 unsafeiter-join p99 (CHANGES.md).
         plan = self._plans.get(query)
@@ -424,8 +415,9 @@ class IndexedMonitor(_EngineBase):
                 # The binding is one of its joins: this event defines it.
                 self._add_domain(query)
             plan = self._plans[query] = self._plan(query)
-        groups: dict[frozenset[str], dict[ParamInstance, ParamInstance]] = {}
+        groups = {query: {binding: EMPTY}}
         examined = 1
+        delta, wrap = self.delta, ParamInstance._wrap
         sides = (self.extensions, self.parked_extensions)
         for domain, cut, joined, merge in plan:
             key = (cut(binding), domain)
@@ -434,11 +426,11 @@ class IndexedMonitor(_EngineBase):
                 if neighbours:
                     examined += len(neighbours)
                     merged = map(merge, map(binding.__add__, neighbours))
-                    groups.setdefault(joined, {}).update(
-                        zip(map(ParamInstance._wrap, merged), neighbours)
-                    )
+                    for items, neighbour in zip(merged, neighbours):
+                        if items not in delta:
+                            groups.setdefault(joined, {})[wrap(items)] = neighbour
         self.stats.compat_checks += examined
-        return query, groups
+        return groups
 
     def _plan(self, query: frozenset[str]) -> list[tuple]:
         """``(D, cut, D∪query, merge plan)`` per table domain ``D`` incomparable with query.
@@ -468,37 +460,28 @@ class IndexedMonitor(_EngineBase):
             found.extend(extensions.get((binding, domain), ()))
         return found
 
-    def _below(
-        self, domain: frozenset[str], missing: Collection[ParamInstance], joins: dict | None
-    ) -> list[ParamInstance]:
-        # Deriving them for every group measured ×1.20 unsafeiter-join p99 (CHANGES.md).
-        sources = self._sources.get(domain)
-        if sources is None:
-            within = [other for other in self._domains if other < domain]
-            within.sort(key=len, reverse=True)
-            sources = self._sources[domain] = [(len(part), _cut(domain, part)) for part in within]
-        # A merged join's floor has a domain within the join.  If all those
-        # domains have one width, none is wider than the floor, which is the
-        # source.  Entering the loop for such groups measured ×1.05
-        # unsafeiter-join p99 (CHANGES.md).
-        if joins and sources[0][0] == sources[-1][0]:
-            return list(map(joins.__getitem__, missing))
+    def _below(self, groups: dict[frozenset[str], dict]) -> None:
         delta, wrap = self.delta, ParamInstance._wrap
-        found = []
-        for joined in missing:
-            source = joins[joined] if joins else EMPTY
-            floor = len(source)
-            for width, cut in sources:
-                if width <= floor:  # no wider restriction is defined: the floor is the source
-                    break
-                items = cut(joined)
-                if items in delta:
-                    source = wrap(items)
-                    break
-            found.append(source)
-        return found
+        for domain, joins in groups.items():
+            # Deriving them for every group measured ×1.20 unsafeiter-join p99 (CHANGES.md).
+            sources = self._sources.get(domain)
+            if sources is None:
+                within = [other for other in self._domains if other < domain]
+                within.sort(key=len, reverse=True)
+                sources = self._sources[domain] = [
+                    (len(part), _cut(domain, part)) for part in within
+                ]
+            for joined, floor in joins.items():
+                size = len(floor)
+                for width, cut in sources:
+                    if width <= size:  # no wider restriction is defined: the floor is the source
+                        break
+                    items = cut(joined)
+                    if items in delta:
+                        joins[joined] = wrap(items)
+                        break
 
-    def _index(self, domain: frozenset[str], joins: Collection[ParamInstance]) -> None:
+    def _index(self, domain: frozenset[str], joins: Iterable[ParamInstance]) -> None:
         """Write the keys of a group of this event's joins, each on its side, once."""
         domain, cuts, parked_cuts = self._domains.get(domain) or self._add_domain(domain)
         delta, parking = self.delta, self._parking

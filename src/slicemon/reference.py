@@ -15,7 +15,7 @@ import this module; ``slicemon monitor`` with the indexed engine and
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .bindings import EMPTY, ParamInstance
 from .events import ParametricEvent
@@ -130,18 +130,16 @@ def definitional_verdicts(
 class BaselineMonitor(_EngineBase):
     """Full-scan engine: finds affected bindings by scanning the whole table."""
 
-    def _joins(
-        self, binding: ParamInstance
-    ) -> tuple[frozenset[str], dict[frozenset[str], dict]]:
-        # A join equal to the binding is the loop's to define, and one equal
-        # to its member extends the binding, which ``_above`` reaches.  The
-        # scan is counted once per event, by ``_above``.
-        groups: dict[frozenset[str], dict[ParamInstance, None]] = {}
-        for member in self.delta:
+    def _joins(self, binding: ParamInstance) -> dict[frozenset[str], dict]:
+        # ``EMPTY`` is the table's first key, so the binding's own group
+        # comes first.  The scan is counted once per event, by ``_above``.
+        delta = self.delta
+        groups: dict[frozenset[str], dict[ParamInstance, ParamInstance]] = {}
+        for member in delta:
             joined = binding.join(member)
-            if joined is not None and joined != member and joined != binding:
-                groups.setdefault(joined.domain, {})[joined] = None
-        return binding.domain, groups
+            if joined is not None and joined not in delta:
+                groups.setdefault(joined.domain, {})[joined] = member
+        return groups
 
     def _above(self, binding: ParamInstance) -> list[ParamInstance]:
         self.stats.compat_checks += len(self.delta)
@@ -154,7 +152,8 @@ class BaselineMonitor(_EngineBase):
             and binding.less_informative(other)
         ]
 
-    def _below(
-        self, domain: frozenset[str], missing: Collection[ParamInstance], joins: dict | None
-    ) -> list[ParamInstance]:
-        return [max_below(joined, self.delta) for joined in missing]
+    def _below(self, groups: dict[frozenset[str], dict]) -> None:
+        delta = self.delta
+        for joins in groups.values():
+            for joined in joins:
+                joins[joined] = max_below(joined, delta)

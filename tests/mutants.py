@@ -33,37 +33,37 @@ class SkipJoinPhaseMonitor(IndexedMonitor):
 
     It never defines the joins of a fresh binding with its neighbours, so
     the combinations they stand for are missed.  Its join finder returns
-    no group, and ``_above`` still reaches the binding's extensions.
+    the binding's own group alone, and ``_above`` still reaches the
+    binding's extensions.
     """
 
-    def _joins(self, binding: ParamInstance) -> tuple[frozenset[str], dict]:
-        return binding.domain, {}
+    def _joins(self, binding: ParamInstance) -> dict:
+        groups = super()._joins(binding)
+        return {binding.domain: groups[binding.domain]}
 
 
 class NoSnapshotMonitor(IndexedMonitor):
     """Mutant: defines each join from ``max_below`` on the growing table.
 
     Its source finder defines each join as soon as it has found its source.
-    The loop asks for the fresh binding's source first, so a join found
-    later can copy the fresh binding, or another join that this event
-    created, instead of its pre-event source; the loop's own define then
-    copies the same source again, by then given its own first step, and
-    steps it once more.  The growing table is not join-closed, so
-    ``max_below`` may meet several widest members below a join; the scan
-    runs over the table in reverse order of definition, so the one defined
-    last (by this event, when there is one) wins.  Scanned oldest first,
-    the mutant would meet a pre-event source first and, on the smallest
-    case (``setb b=1`` then ``seta a=1``), copy the right slice.
+    The fresh binding's group comes first, so a join found later can copy
+    the fresh binding, or another join that this event created, instead of
+    its pre-event source; the loop's own define then copies the same source
+    again, by then given its own first step, and steps it once more.  The
+    growing table is not join-closed, so ``max_below`` may meet several
+    widest members below a join; the scan runs over the table in reverse
+    order of definition, so the one defined last (by this event, when there
+    is one) wins.  Scanned oldest first, the mutant would meet a pre-event
+    source first and, on the smallest case (``setb b=1`` then ``seta
+    a=1``), copy the right slice.
     """
 
-    def _below(self, domain: frozenset[str], missing, joins) -> list[ParamInstance]:
+    def _below(self, groups: dict) -> None:
         delta = self.delta
-        sources = []
-        for joined in missing:
-            source = max_below(joined, reversed(delta))
-            delta[joined] = delta[source]
-            sources.append(source)
-        return sources
+        for joins in groups.values():
+            for joined in joins:
+                joins[joined] = source = max_below(joined, reversed(delta))
+                delta[joined] = delta[source]
 
 
 class NoSnapshotSliceTable(SliceTable):
@@ -117,20 +117,22 @@ class LiveOnlyJoinsMonitor(IndexedMonitor):
 
     Its join finder reads the live side of the index alone, so the joins
     with parked bindings are never defined and the table is no longer
-    join-closed.  Each join it finds has its neighbour as its floor.
+    join-closed.  Each missing join it finds has its neighbour as its floor.
     """
 
-    def _joins(self, binding: ParamInstance) -> tuple[frozenset[str], dict]:
+    def _joins(self, binding: ParamInstance) -> dict:
         query = binding.domain
         if query not in self._domains:
             self._add_domain(query)
-        groups: dict[frozenset[str], dict] = {}
+        groups = {query: {binding: EMPTY}}
         for domain in self._domains:
             if not (domain <= query or query <= domain):
                 sub = restrict(binding, domain & query)
                 for neighbour in self.extensions.get((sub, domain), ()):
-                    groups.setdefault(domain | query, {})[neighbour.join(binding)] = neighbour
-        return query, groups
+                    joined = neighbour.join(binding)
+                    if joined not in self.delta:
+                        groups.setdefault(domain | query, {})[joined] = neighbour
+        return groups
 
 
 class SmallestSourceMonitor(IndexedMonitor):
@@ -141,14 +143,12 @@ class SmallestSourceMonitor(IndexedMonitor):
     is not the most informative one.
     """
 
-    def _below(self, domain: frozenset[str], missing, joins) -> list[ParamInstance]:
-        within = sorted((other for other in self._domains if other < domain), key=len)
-        sources = []
-        for joined in missing:
-            floor = joins[joined] if joins else EMPTY
-            subs = (restrict(joined, other) for other in within if len(other) > len(floor))
-            sources.append(next((sub for sub in subs if sub in self.delta), floor))
-        return sources
+    def _below(self, groups: dict) -> None:
+        for domain, joins in groups.items():
+            within = sorted((other for other in self._domains if other < domain), key=len)
+            for joined, floor in joins.items():
+                subs = (restrict(joined, other) for other in within if len(other) > len(floor))
+                joins[joined] = next((sub for sub in subs if sub in self.delta), floor)
 
 
 class StalePlanMonitor(IndexedMonitor):
@@ -182,8 +182,8 @@ class SilentBirthMonitor(IndexedMonitor):
     source were a verdict already reported.
     """
 
-    def _define(self, joins, sources, event, reports):
-        super()._define(joins, sources, event, [])
+    def _define(self, joins, event, reports):
+        super()._define(joins, event, [])
 
 
 class EmptyCutParkedMonitor(IndexedMonitor):
@@ -205,26 +205,17 @@ class EmptyCutParkedMonitor(IndexedMonitor):
 
 
 class LoneEmptySourceMonitor(IndexedMonitor):
-    """Mutant: a fresh binding that meets no neighbour copies the empty binding.
+    """Mutant: a fresh binding with no other missing join copies the empty binding.
 
-    The loop defines a fresh binding itself, apart from its neighbour
-    groups.  When the join finder returns no group, this mutant sources the
-    binding from ``EMPTY`` instead of its most informative defined
-    sub-binding, as if a binding that joins with nothing had nothing below
-    it either.
+    When the join finder returns the binding's own group alone, this mutant
+    keeps the binding's floor, ``EMPTY``, as its source instead of its most
+    informative defined sub-binding, as if a binding that adds no other join
+    had nothing below it either.
     """
 
-    _lone = False
-
-    def _joins(self, binding: ParamInstance) -> tuple[frozenset[str], dict]:
-        query, groups = super()._joins(binding)
-        self._lone = not groups
-        return query, groups
-
-    def _below(self, domain: frozenset[str], missing, joins) -> list[ParamInstance]:
-        if self._lone:  # the loop asks for the fresh binding's source first
-            return [EMPTY] * len(missing)
-        return super()._below(domain, missing, joins)
+    def _below(self, groups: dict) -> None:
+        if len(groups) > 1:
+            super()._below(groups)
 
 
 class StaleWiderMonitor(IndexedMonitor):
@@ -247,13 +238,13 @@ class NeighbourSourceMonitor(IndexedMonitor):
 
     A table domain may lie strictly between the neighbour's domain and the
     join's, and a wider defined restriction of the join there is the most
-    informative one.  The fresh binding's own group is probed as usual.
+    informative one.  Only the first group, the fresh binding's own, is
+    probed; every other join keeps its floor.
     """
 
-    def _below(self, domain: frozenset[str], missing, joins) -> list[ParamInstance]:
-        if joins:
-            return [joins[joined] for joined in missing]
-        return super()._below(domain, missing, joins)
+    def _below(self, groups: dict) -> None:
+        own = next(iter(groups))
+        super()._below({own: groups[own]})
 
 
 class UnguardedEmptyMonitor(IndexedMonitor):

@@ -114,19 +114,17 @@ def checked_defines(engine):
 
     A define creates a table entry for a binding not yet in the table, as a
     copy of the state of a defined source strictly less informative than it.
-    The engines define a group of joins at once, each paired in order with
-    its source, and do not assert this themselves: a define sits on the
+    The engines define a group of joins at once, as a dict from each join
+    to its source, and do not assert this themselves: a define sits on the
     path of every fresh event.  The check counts the joins it saw in its
     ``defines`` attribute, which a test can hold against ``stats.defines``
     to find a define that went round it.
     """
     define = engine._define
 
-    def checked(joins, sources, event, reports):
-        listed = list(joins)
-        checked.defines += len(listed)
-        assert len(listed) == len(sources), "%d joins, %d sources" % (len(listed), len(sources))
-        for binding, source in zip(listed, sources):
+    def checked(joins, event, reports):
+        checked.defines += len(joins)
+        for binding, source in joins.items():
             assert type(binding) is ParamInstance and type(source) is ParamInstance, (
                 "define of %r from %r: not both bindings" % (binding, source)
             )
@@ -135,7 +133,7 @@ def checked_defines(engine):
             assert source != binding and source.less_informative(binding), (
                 "copy source %r is not strictly less informative than %r" % (source, binding)
             )
-        define(joins, sources, event, reports)
+        define(joins, event, reports)
 
     checked.defines = 0
     engine._define = checked
@@ -145,23 +143,26 @@ def checked_defines(engine):
 def checked_finders(engine):
     """Make ``engine`` assert the finder contract on every lookup; return it.
 
-    The loop steps an event's own binding itself, so neither finder may
+    The loop steps an event's own binding itself, so ``_above`` may not
     return it.  ``_above(b)``, on a warm or a fresh ``b``, returns exactly
     the live strict extensions of ``b`` in the table, each once: a scan of
-    ``delta`` must find the same set.  The groups ``_joins(b)`` returns
-    hold only the joins of ``b`` with its neighbours, the entries
-    incomparable with it, each a strict extension of ``b`` in the group of
-    its domain, none of ``b``'s own.  The indexed engine records a floor
-    for each join, and the floor is its neighbour: incomparable with
-    ``b``, and joined with ``b`` it gives the join.  The
-    loop asks ``_below`` for every group's sources before it defines any
-    join of the event, so each source it returns must be the join's
-    ``max_below`` in the table as it stands.  The check counts, in the
-    ``lifted`` attribute of the wrapped ``_below``, the sources that are
-    not the floor ``_joins`` recorded for their join: the probes above a
-    floor that hit.
+    ``delta`` must find the same set.  ``_joins(b)``, for a fresh ``b``,
+    returns exactly its missing joins with the table, ``{b ⊔ m : m in
+    delta, compatible} − delta``, each in the group of its domain, no group
+    empty, and ``b``'s own group, which holds ``b`` alone, first.  Each
+    join's floor is defined and strictly below it; on the indexed engine,
+    ``b``'s floor is the empty binding, and a merged join's floor is its
+    neighbour: incomparable with ``b``, and joined with ``b`` it gives the
+    join.  The loop hands every group to one ``_below`` call before it
+    defines any join of the event, so ``_below`` must return nothing,
+    keep the groups and their joins, and write over each floor the join's
+    ``max_below`` in the table as it stood.  The check counts, in the
+    ``lifted`` attribute of the wrapped ``_below``, the merged joins whose
+    source is not the floor ``_joins`` recorded: the probes above a
+    neighbour floor that hit.  ``b``'s own group is not counted.
     """
     above, joins, below = engine._above, engine._joins, engine._below
+    indexed = isinstance(engine, IndexedMonitor)
 
     def checked_above(binding):
         found = above(binding)
@@ -177,39 +178,60 @@ def checked_finders(engine):
         return found
 
     def checked_joins(binding):
-        query, groups = joins(binding)
-        assert query == binding.domain, "_joins(%r) gave query domain %r" % (binding, query)
-        assert query not in groups, "_joins(%r) returned a group of its own domain" % (binding,)
+        groups = joins(binding)
+        delta, own = engine.delta, binding.domain
+        assert list(groups)[:1] == [own] and list(groups[own]) == [binding], (
+            "_joins(%r) did not put the binding's own group first" % (binding,)
+        )
+        expected = {binding.join(member) for member in delta} - {None} - set(delta)
+        found = set()
         for domain, group in groups.items():
+            assert group, "_joins(%r) returned an empty group of %r" % (binding, sorted(domain))
             for joined, floor in group.items():
-                assert joined.domain == domain and joined != binding, (
-                    "_joins(%r) put %r in the group of %r" % (binding, joined, sorted(domain))
+                assert joined not in delta, "_joins(%r) returned %r, already defined" % (
+                    binding, joined
                 )
-                assert binding.less_informative(joined), (
-                    "_joins(%r) returned %r, not an extension" % (binding, joined)
+                assert joined.domain == domain, "_joins(%r) put %r in the group of %r" % (
+                    binding, joined, sorted(domain)
                 )
-                if floor is not None or isinstance(engine, IndexedMonitor):
-                    assert floor is not None, "_joins(%r) gave %r no floor" % (binding, joined)
+                assert floor in delta and floor != joined and floor.less_informative(joined), (
+                    "_joins(%r) gave %r the floor %r, not a defined binding below it"
+                    % (binding, joined, floor)
+                )
+                if indexed and joined == binding:
+                    assert floor == EMPTY, "_joins(%r) gave it the floor %r" % (binding, floor)
+                elif indexed:
                     assert not (
                         floor.less_informative(binding) or binding.less_informative(floor)
-                    ), "_joins(%r) gave %r the floor %r, not a neighbour" % (binding, joined, floor)
+                    ), "_joins(%r) gave %r the floor %r, not a neighbour" % (
+                        binding, joined, floor
+                    )
                     assert binding.join(floor) == joined, (
                         "_joins(%r) gave %r the floor %r, which joins to another binding"
                         % (binding, joined, floor)
                     )
-        return query, groups
+                found.add(joined)
+        assert found == expected, "_joins(%r) returned %r, the missing joins are %r" % (
+            binding, sorted(found, key=str), sorted(expected, key=str)
+        )
+        return groups
 
-    def checked_below(domain, missing, group):
-        found = below(domain, missing, group)
-        assert len(found) == len(missing), "%d joins, %d sources" % (len(missing), len(found))
-        for joined, source in zip(missing, found):
-            assert source == max_below(joined, engine.delta), (
-                "_below gave %r as the source of %r, not its max_below" % (source, joined)
-            )
-            floor = group[joined] if group else None
-            if floor is not None and source != floor:
-                checked_below.lifted += 1
-        return found
+    def checked_below(groups):
+        floors = {domain: dict(group) for domain, group in groups.items()}
+        table = list(engine.delta)
+        assert below(groups) is None, "_below returned a value"
+        assert {domain: list(group) for domain, group in groups.items()} == {
+            domain: list(group) for domain, group in floors.items()
+        }, "_below changed the groups or their joins"
+        own = next(iter(groups), None)
+        for domain, group in groups.items():
+            for joined, source in group.items():
+                assert source == max_below(joined, table), (
+                    "_below gave %r as the source of %r, not its max_below" % (source, joined)
+                )
+                # only merged joins count: the binding's own floor is EMPTY
+                if domain != own and source != floors[domain][joined]:
+                    checked_below.lifted += 1
 
     checked_below.lifted = 0
     engine._above, engine._joins, engine._below = checked_above, checked_joins, checked_below

@@ -1,12 +1,12 @@
 """Bounded-exhaustive differential check: every small trace, once per renaming.
 
-The scope is every non-empty trace of at most four events over ``a(x)``,
-``b(y, z)`` and ``c(x, y)``, with the values ``1`` and ``2``, taken once
-per renaming of each parameter's values: 1,633 traces.  Every one must
-pass the selfcheck's slicing check and, on each of two fixed machines, its
-``engine-pair`` and ``reports`` checks.  The ``MUTANTS`` this scope catches
-are pinned with the check that catches each first, and so are the ones it
-cannot catch.
+The scope is every non-empty trace of at most three events over ``a(x)``,
+``b(y, z)``, ``c(x, y)``, ``d(y)``, ``e(z)``, ``f(x, y, z)`` and a ground
+``g``, with the values ``1`` and ``2``, taken once per renaming of each
+parameter's values: 1,829 traces.  Every one must pass the selfcheck's
+slicing check and, on each of three fixed machines, its ``engine-pair``
+and ``reports`` checks.  Every one of the ``MUTANTS`` is caught in this
+scope, and the check that catches each first is pinned.
 """
 
 from __future__ import annotations
@@ -24,31 +24,48 @@ from slicemon.slicer import SliceTable
 
 from .mutants import MUTANTS
 
-KINDS = (("a", ("x",)), ("b", ("y", "z")), ("c", ("x", "y")))
+KINDS = (
+    ("a", ("x",)), ("b", ("y", "z")), ("c", ("x", "y")), ("d", ("y",)), ("e", ("z",)),
+    ("f", ("x", "y", "z")), ("g", ()),
+)
+NAMES = "abcdefg"
 
-#: ``a`` leads to a match that ``b`` leaves; ``c`` ends in a fail-labelled sink.
+#: ``a``, ``d`` and ``f`` lead to a match that ``b`` and ``e`` leave; ``c``
+#: ends in a fail-labelled sink; ``g`` keeps the state.
 FAIL_SINK = FsmMachine(
     "s",
     {
-        ("s", "a"): "m", ("s", "b"): "s", ("s", "c"): "dead",
-        ("m", "a"): "m", ("m", "b"): "s", ("m", "c"): "dead",
-        **{("dead", name): "dead" for name in "abc"},
+        **{(state, name): "m" for state in "sm" for name in "adf"},
+        **{(state, name): "s" for state in "sm" for name in "be"},
+        **{(state, "c"): "dead" for state in "sm"},
+        **{(state, "g"): state for state in "sm"},
+        **{("dead", name): "dead" for name in NAMES},
     },
     {"m": Verdict.MATCH, "dead": Verdict.FAIL},
-    "abc",
+    NAMES,
 )
 
-#: A count modulo 3 that ``a`` and ``c`` raise by one and ``b`` by two: no
-#: sink, every step changes the verdict, and the fail state is left again.
+#: A count modulo 3 that ``a``, ``c``, ``d`` and ``g`` raise by one and ``b``,
+#: ``e`` and ``f`` by two: no sink, every step changes the verdict, and the
+#: fail state is left again.
 COUNTER = FsmMachine(
     0,
-    {(count, name): (count + rise) % 3 for count in range(3) for name, rise in zip("abc", (1, 2, 1))},
+    {
+        (count, name): (count + rise) % 3
+        for count in range(3) for name, rise in zip(NAMES, (1, 2, 1, 1, 2, 2, 1))
+    },
     {1: Verdict.MATCH, 2: Verdict.FAIL},
-    "abc",
+    NAMES,
 )
 
+#: Starts in a match sink: the empty binding is in a sink before its first
+#: step, which a ground ``g`` takes and which must report.
+WON = FsmMachine("won", {("won", name): "won" for name in NAMES}, {"won": Verdict.MATCH}, NAMES)
 
-def small_traces(up_to: int = 4) -> list[list[ParametricEvent]]:
+MACHINES = (FAIL_SINK, COUNTER, WON)
+
+
+def small_traces(up_to: int = 3) -> list[list[ParametricEvent]]:
     """Every non-empty trace of at most ``up_to`` events whose parameters each start at ``1``.
 
     Renaming each parameter's values apart maps every trace over the
@@ -79,7 +96,7 @@ def first_catch(indexed_class=IndexedMonitor, table_class=SliceTable):
     for trace in TRACES:
         if _check_slicing(trace, [], table_class) is not None:
             return "slicing", trace
-        for machine in (FAIL_SINK, COUNTER):
+        for machine in MACHINES:
             if _check_engine_pair(trace, machine, indexed_class) is not None:
                 return "engine-pair", trace
             if _check_reports(trace, machine, indexed_class) is not None:
@@ -87,30 +104,27 @@ def first_catch(indexed_class=IndexedMonitor, table_class=SliceTable):
     return None
 
 
-#: The check that first catches each mutant in the scope, or None.
+#: The check that first catches each mutant in the scope.
 CAUGHT = {
     "snapshot": "slicing",
     "join-phase": "engine-pair",
     "park-fail": "engine-pair",
     "stale-index": "engine-pair",
     "stale-parked-index": "engine-pair",
-    # A join's table domains above its floor are never of two widths here.
-    "smallest-source": None,
+    "smallest-source": "engine-pair",
     "live-only-joins": "engine-pair",
-    # No two query domains of one size share an incomparable table domain.
-    "stale-plan": None,
+    "stale-plan": "engine-pair",
     "silent-birth": "engine-pair",
     "empty-cut-parked": "engine-pair",
     "lone-empty-source": "engine-pair",
     "stale-wider": "engine-pair",
     "neighbour-source": "engine-pair",
-    # No event is ground, so the empty binding is never stepped.
-    "unguarded-empty": None,
+    "unguarded-empty": "engine-pair",
 }
 
 
 def test_scope_is_every_small_trace_up_to_renaming():
-    assert len(TRACES) == 1633
+    assert len(TRACES) == 1829
     assert len({tuple(trace) for trace in TRACES}) == len(TRACES)
     assert list(CAUGHT) == [name for name, _, _ in MUTANTS]
 

@@ -521,13 +521,13 @@ def test_warm_events_probe_only_wider_domains(unsafeiter_spec):
     engine.delta = delta = CountingDict(engine.delta)
     below, merged = engine._below, Counter()
 
-    def counted_below(domain, missing, joins):
+    def counted_below(groups):
+        own, *rest = groups.items()
+        below(dict([own]))
         before = delta.contains
-        found = below(domain, missing, joins)
-        if joins:
-            merged["joins"] += len(missing)
-            merged["probes"] += delta.contains - before
-        return found
+        below(dict(rest))
+        merged["joins"] += sum(len(joins) for _, joins in rest)
+        merged["probes"] += delta.contains - before
 
     engine._below = counted_below
     checked_finders(engine)
@@ -599,22 +599,37 @@ def test_finder_oracle_catches_a_warm_lookup_that_misses_an_extension():
 
 
 def test_finder_oracle_catches_an_extension_among_the_joins():
-    # A fresh y=1 extended by x=1,y=1: that extension is ``_above``'s to
-    # find, and a join finder that returns it has no neighbour as its floor.
+    # A fresh y=1 meets its neighbour x=1, and their join x=1,y=1 is
+    # already defined: an extension of y=1, ``_above``'s to find, not a
+    # missing join.  This join finder merges it with the neighbour anyway.
     class ExtensionJoinsMonitor(IndexedMonitor):
         def _joins(self, binding):
-            query, groups = super()._joins(binding)
-            for found in self._above(binding):
-                groups.setdefault(found.domain, {})[found] = found
-            return query, groups
+            groups = super()._joins(binding)
+            for neighbour in self.delta:
+                joined = binding.join(neighbour)
+                if joined in self.delta and joined != neighbour:
+                    groups.setdefault(joined.domain, {})[joined] = neighbour
+            return groups
 
     machine = adversarial_machine()
     trace = [
-        ParametricEvent("probe", ParamInstance.parse(text)) for text in ("x=1,y=1", "y=1")
+        ParametricEvent("probe", ParamInstance.parse(text))
+        for text in ("x=1,y=1", "x=1", "y=1")
     ]
     checked_finders(IndexedMonitor(machine)).feed_all(trace)
     broken = checked_finders(ExtensionJoinsMonitor(machine))
-    with pytest.raises(AssertionError, match="not a neighbour"):
+    with pytest.raises(AssertionError, match="already defined"):
+        broken.feed_all(trace)
+
+
+def test_finder_oracle_catches_a_dropped_join():
+    # A fresh y=1 meets x=1, and their join x=1,y=1 is missing; a join
+    # finder that returns the binding's own group alone drops it.
+    machine = adversarial_machine()
+    trace = [ParametricEvent("probe", ParamInstance.parse(text)) for text in ("x=1", "y=1")]
+    checked_finders(IndexedMonitor(machine)).feed_all(trace)
+    broken = checked_finders(SkipJoinPhaseMonitor(machine))
+    with pytest.raises(AssertionError, match="the missing joins are"):
         broken.feed_all(trace)
 
 
