@@ -26,6 +26,7 @@ _HOMES = {
         "iter_trace",
         "parse_trace",
         "render_trace",
+        "slice_trace",
     ),
     "machines": ("FsmMachine", "Machine", "MonitorSpec", "Verdict"),
     "parametric": ("IndexedMonitor", "RunStats", "VerdictReport"),
@@ -36,7 +37,6 @@ _HOMES = {
         "definitional_verdicts",
         "join_closure",
         "max_below",
-        "slice_trace",
     ),
     "selfcheck": ("run_selfcheck",),
     "slicer": ("SliceTable",),

@@ -14,7 +14,8 @@ reader sees a report before the input ends.  A malformed line, or an
 event outside the property's alphabet, exits 1 after the reports of the
 lines before it; the property file is read whole first, so ``--spec`` and
 ``--trace`` cannot both be ``-``.  ``slice`` writes its table
-:data:`ROWS_PER_WRITE` rows at a time.
+:data:`ROWS_PER_WRITE` rows at a time, and one binding's slice once the
+trace has ended, so that a malformed line prints none of it.
 
 Exit codes: 0 success / nothing triggered; 1 malformed or unreadable input,
 which is exactly an :class:`~slicemon.bindings.InputError` (trace, property
@@ -31,8 +32,10 @@ module loads.  ``monitor`` loads the property-file parser, the machines and
 the indexed engine: :mod:`slicemon.patterns` only for a ``pattern:`` line,
 :mod:`slicemon.counters` only for a ``balance`` or ``ratio`` property, and
 :mod:`slicemon.reference` only for ``--algo b``.  ``slice`` loads the
-slicer and the indexed engine, and :mod:`slicemon.reference` only to look
-a binding up.  Neither loads the selfcheck.
+slicer and the indexed engine for ``--instance all``; for one binding it
+streams the trace through :func:`slicemon.events.slice_trace`, the
+definition, and loads no table, engine or machine.  Neither loads the
+selfcheck.
 
 The options of every subcommand are declared once, in :data:`COMMANDS`.
 :func:`parse_args` reads a well-formed command line straight from that
@@ -67,7 +70,7 @@ from types import SimpleNamespace
 from typing import Iterator, NoReturn, TextIO
 
 from .bindings import InputError, ParamInstance
-from .events import iter_trace
+from .events import iter_trace, slice_trace
 
 #: Table rows that ``slice`` joins into one write, so that an unbuffered
 #: stdout is not written once per row, and the joined text stays bounded.
@@ -103,20 +106,21 @@ def _open_input(path: str) -> Iterator[TextIO]:
 
 
 def cmd_slice(args: SimpleNamespace) -> int:
+    if args.instance != "all":
+        # A malformed binding is reported before any of the trace is read.
+        binding = ParamInstance.parse(args.instance)
+        with _open_input(args.trace) as lines:
+            words = slice_trace(iter_trace(lines), binding)
+        print(" ".join(words))
+        return 0
     from .slicer import SliceTable
 
-    # A malformed binding is reported before any of the trace is read.
-    binding = None if args.instance == "all" else ParamInstance.parse(args.instance)
-    table = SliceTable()
     with _open_input(args.trace) as lines:
-        table.feed_all(iter_trace(lines))
-    if binding is None:
-        rows = ("%s\t%s\n" % (encoding, " ".join(words)) for encoding, words in table.rows())
-        # Every row holds at least its tab and newline, so "" is the end.
-        while block := "".join(islice(rows, ROWS_PER_WRITE)):
-            sys.stdout.write(block)
-    else:
-        print(" ".join(table.lookup(binding)))
+        table = SliceTable().feed_all(iter_trace(lines))
+    rows = ("%s\t%s\n" % (encoding, " ".join(words)) for encoding, words in table.rows())
+    # Every row holds at least its tab and newline, so "" is the end.
+    while block := "".join(islice(rows, ROWS_PER_WRITE)):
+        sys.stdout.write(block)
     return 0
 
 

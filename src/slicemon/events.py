@@ -4,8 +4,8 @@ A parametric event is a base event name plus a binding of parameter names to
 values; a parametric trace is a finite sequence of them.  The *slice* of a
 trace for a binding ``b`` keeps, in order, the names of exactly those events
 whose own binding is less informative than ``b`` — that one-line reduct,
-:func:`slicemon.reference.slice_trace`, is the ground truth every online
-table in this package is checked against.
+:func:`slice_trace`, is the ground truth every online table in this
+package is checked against, and ``slicemon slice --instance`` prints it.
 
 The text format, one event per line::
 
@@ -48,6 +48,7 @@ __all__ = [
     "iter_trace",
     "parse_trace",
     "render_trace",
+    "slice_trace",
 ]
 
 
@@ -197,3 +198,14 @@ def render_trace(trace: Iterable[ParametricEvent]) -> str:
     """Inverse of :func:`parse_trace` (modulo comments and blank lines)."""
     return "\n".join(event.render() for event in trace) + "\n"
 
+
+def slice_trace(trace: Iterable[ParametricEvent], binding: ParamInstance) -> tuple[str, ...]:
+    """The definitional slice: names of events whose binding refines into ``binding``.
+
+    Order is preserved; an event survives exactly when its own binding is less
+    informative than (or equal to) ``binding``.  This one-liner is the ground
+    truth the incremental tables are differentially tested against, and what
+    ``slicemon slice --instance`` prints from :func:`iter_trace` — keep it
+    obvious.
+    """
+    return tuple(event.name for event in trace if event.instance.less_informative(binding))

@@ -1,16 +1,18 @@
 """Reference semantics: the definitions the online tables are checked against.
 
-The definitional slice (:func:`slice_trace`) and the verdicts run over it
-(:func:`definitional_verdicts`), the join closure a slicing table reaches
-(:func:`join_closure`, :func:`binding_closure`), the widest member below a
-binding (:func:`max_below`), and the full-scan engine
-(:class:`BaselineMonitor`, ``slicemon monitor --algo b``).  Each is the
+The verdicts run over the definitional slice
+(:func:`definitional_verdicts`, over :func:`slicemon.events.slice_trace`),
+the join closure a slicing table reaches (:func:`join_closure`,
+:func:`binding_closure`), the widest member below a binding
+(:func:`max_below`), and the full-scan engine (:class:`BaselineMonitor`,
+``slicemon monitor --algo b``).  Each is the
 simple, obvious form of what :class:`slicemon.parametric.IndexedMonitor`
 and :class:`slicemon.slicer.SliceTable` do incrementally.
 
-The selfcheck, ``--algo b``, :meth:`SliceTable.lookup` and the test suite
-import this module; ``slicemon monitor`` with the indexed engine and
-``slicemon slice --instance all`` do not load it.
+The selfcheck, ``--algo b``, :meth:`SliceTable.lookup` (which only the
+selfcheck and the tests call) and the test suite import this module;
+``slicemon monitor`` with the indexed engine and ``slicemon slice`` do not
+load it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .bindings import EMPTY, ParamInstance
-from .events import ParametricEvent
+from .events import ParametricEvent, slice_trace
 from .machines import Machine
 from .parametric import _EngineBase
 
@@ -29,7 +31,6 @@ __all__ = [
     "join_closure",
     "joins_with",
     "max_below",
-    "slice_trace",
 ]
 
 
@@ -89,21 +90,6 @@ def max_below(
             % (instance,)
         )
     return best
-
-
-def slice_trace(
-    trace: Iterable[ParametricEvent], binding: ParamInstance
-) -> tuple[str, ...]:
-    """The definitional slice: names of events whose binding refines into ``binding``.
-
-    Order is preserved; an event survives exactly when its own binding is less
-    informative than (or equal to) ``binding``.  This one-liner is the ground
-    truth the incremental tables are differentially tested against — keep it
-    obvious.
-    """
-    return tuple(
-        event.name for event in trace if event.instance.less_informative(binding)
-    )
 
 
 def binding_closure(trace: Iterable[ParametricEvent]) -> set[ParamInstance]:

@@ -9,7 +9,10 @@ slice of the most informative entry at or below it, plus the event.  After
 feeding a whole trace, the table's domain is exactly the join closure of the
 bindings seen, and arbitrary bindings — also ones outside the domain, of any
 width — can be answered by one scan of the table for the widest entry below
-them.
+them (:meth:`SliceTable.lookup`).  That is the paper's slicing theorem, and
+the selfcheck and the tests check it against the definition; ``slicemon
+slice --instance`` reads a binding's slice from the trace by the definition
+(:func:`slicemon.events.slice_trace`) and builds no table.
 """
 
 from __future__ import annotations
@@ -110,6 +113,8 @@ class SliceTable:
         below the query — which equals the definitional slice for the query.
         It scans the table (``max_below``) rather than asking the engine's
         source finder, so it checks that finder from an independent route.
+        Its callers are the selfcheck's off-table ``slicing`` probes and the
+        tests, which hold it against :func:`slicemon.events.slice_trace`.
         """
         from .reference import max_below
 

@@ -326,6 +326,24 @@ def test_monitor_memory_does_not_grow_with_the_trace(capsys, tmp_path):
     assert peaks[1] < peaks[0] * 1.1
 
 
+def test_slice_instance_memory_does_not_follow_the_join_closure(capsys, tmp_path):
+    # Every x=K joins every y=K': the join closure has 40,401 bindings,
+    # quadratic in the 400 events, but the slice of x=1,y=1 is two names.
+    path = tmp_path / "pairs.trace"
+    path.write_text("".join("a x=%d\nb y=%d\n" % (k, k) for k in range(200)), encoding="utf-8")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(["slice", "--trace", str(path), "--instance", "x=1,y=1"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == "a b\n"
+    # Measured: about 0.15 MB; building the table and looking the binding up
+    # in it peaked at 11.8 MB.
+    assert peak < 1_000_000
+
+
 # -- the line rule -------------------------------------------------------------
 
 
@@ -596,17 +614,21 @@ def test_slice_loads_only_what_it_runs():
         loaded = modules_loaded_by("slice", "--trace", fx("abc.trace"), *instance)
         assert "slicemon.slicer" in loaded
         assert loaded & unwanted == set(), instance
+    # one binding's slice is read from the trace by the definition: no table
+    loaded = modules_loaded_by("slice", "--trace", fx("abc.trace"), "--instance", "a=a1")
+    table = {"slicemon.slicer", "slicemon.parametric", "slicemon.machines", "slicemon.reference"}
+    assert loaded & (unwanted | table) == set()
 
 
-def test_the_reference_module_is_loaded_for_its_engine_and_lookups(tmp_path):
+def test_the_reference_module_is_loaded_for_its_engine_alone(tmp_path):
     empty = tmp_path / "empty.trace"
     empty.write_text("", encoding="utf-8")
     monitor = ["monitor", "--spec", fx("hasnext.spec"), "--trace", str(empty)]
     assert "slicemon.reference" in modules_loaded_by(*monitor, "--algo", "b")
     assert "slicemon.reference" not in modules_loaded_by(*monitor, "--algo", "c")
-    # an off-table lookup scans the table with max_below
+    # a binding's slice is the definition's, not a scan of the table
     lookup = modules_loaded_by("slice", "--trace", fx("abc.trace"), "--instance", "a=a1")
-    assert "slicemon.reference" in lookup
+    assert "slicemon.reference" not in lookup
 
 
 @pytest.mark.parametrize("spec", ["ratio.spec", "balanced.spec"])

@@ -6,7 +6,7 @@ from collections import deque
 
 import pytest
 
-from slicemon import events
+from slicemon import cli, events, reference
 from slicemon.bindings import EMPTY, ParamInstance
 from slicemon.events import (
     DuplicateParam,
@@ -17,8 +17,9 @@ from slicemon.events import (
     iter_trace,
     parse_trace,
     render_trace,
+    slice_trace,
 )
-from slicemon.reference import binding_closure, slice_trace
+from slicemon.reference import binding_closure
 
 
 def test_parse_basic():
@@ -99,6 +100,10 @@ def test_slice_trace_hand_checked():
 
 def test_slice_of_empty_trace():
     assert slice_trace([], ParamInstance({"x": "1"})) == ()
+
+
+def test_the_cli_and_the_yardstick_slice_with_one_function():
+    assert cli.slice_trace is reference.slice_trace is slice_trace
 
 
 def test_binding_closure():

@@ -4,10 +4,13 @@ Each case runs :func:`slicemon.cli.main` in process, from the repository
 root, and its exit code, stdout and stderr must equal those recorded in
 ``tests/cli_golden.json``.  The cases are every fixture property × every
 fixture trace × ``--algo b|c`` × with and without ``--report-every``;
-``slice`` on every fixture trace; and ``monitor`` on one parking-heavy
-:func:`tests.workloads.unsafeiter_workload` trace, read from stdin.  So an
-engine change that keeps the semantics keeps every byte of this output,
-on both engines.
+``slice`` on every fixture trace; ``slice --instance`` on
+``fixtures/abc.trace`` for a binding in its table, one outside it, one
+wider than any event and the empty binding; and ``monitor`` and ``slice
+--instance`` on one parking-heavy
+:func:`tests.workloads.unsafeiter_workload` trace, read from stdin.  So
+an engine change that keeps the semantics keeps every byte of this
+output, on both engines.
 
 A change that means to alter this output regenerates the file from the
 repository root, and says why::
@@ -32,6 +35,10 @@ from .workloads import unsafeiter_workload
 
 GOLDEN = REPO / "tests" / "cli_golden.json"
 
+#: Bindings that ``slice --instance`` cases ask ``fixtures/abc.trace`` for:
+#: one in its table, one outside it, one wider than any event, the empty one.
+ABC_INSTANCES = ["a=a2,b=b1", "b=b2,c=c2", "a=a1,b=b2,c=c1,z=z9", ""]
+
 #: Traces a case reads from stdin, by name.  Nearly all of this one's
 #: 341 table entries end parked.
 STDIN = {
@@ -52,9 +59,12 @@ def cases() -> Iterator[tuple[list[str], str | None]]:
                 yield ["monitor", "--spec", spec, "--trace", trace, *mode], None
     for trace in traces:
         yield ["slice", "--trace", trace], None
+    for instance in ABC_INSTANCES:
+        yield ["slice", "--trace", "fixtures/abc.trace", "--instance", instance], None
     for name in STDIN:
         for mode in modes:
             yield ["monitor", "--spec", "fixtures/unsafeiter.spec", "--trace", "-", *mode], name
+        yield ["slice", "--trace", "-", "--instance", "i=c3.1,v=c3"], name
 
 
 def run_case(argv: list[str], stdin: str | None) -> dict:
