@@ -25,11 +25,11 @@ what comes before its first ``#``, stripped; a line with no text is
 skipped; and any run of whitespace (``str.split``'s) separates its fields.
 
 :func:`iter_trace` is the one parser: it yields each event as its line
-arrives, so a trace of any length is read in memory bounded by its distinct
-lines and bindings, not by its length.  Within one run, a line seen before
-yields the same :class:`ParametricEvent` object (up to
-:data:`LINE_CACHE_SIZE` distinct lines, after which the cache starts over),
-and equal bindings are one :class:`ParamInstance` object.
+arrives, and keeps at most :data:`LINE_CACHE_SIZE` distinct lines and the
+bindings they carry, so a trace of any length is read in bounded memory.
+Within one run, a line seen before yields the same :class:`ParametricEvent`
+object, and equal bindings are one :class:`ParamInstance` object, until
+that many distinct lines fill the cache and both caches start over.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ class ParametricEvent:
 
 
 #: Distinct lines whose events :func:`iter_trace` keeps for reuse.  When the
-#: cache holds this many it is emptied, so a stream of ever new lines does
-#: not grow it without bound.
+#: cache holds this many it is emptied, and so is the intern dict of
+#: bindings, so a stream of ever new lines grows neither without bound.
 LINE_CACHE_SIZE = 4096
 
 
@@ -142,6 +142,7 @@ def iter_trace(
                     raise type(exc)("line %d: %s" % (lineno, exc)) from None
             if len(events) >= LINE_CACHE_SIZE:
                 events.clear()
+                bindings = {EMPTY: EMPTY}
             events[raw] = event
         yield event
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Iterable
 
-from .bindings import EMPTY, ParamInstance, binding_order, ordered
+from .bindings import EMPTY, ParamInstance, binding_order
 from .events import ParametricEvent
 from .machines import Machine, Verdict
 
@@ -106,17 +106,21 @@ class RunStats:
     baseline; a fresh binding and its indexed merge neighbours for the
     indexed engine, whose extension lookups examine no candidate.
     ``defines`` counts new table entries, and ``peak_instances`` tracks the
-    largest table size reached.  All are totals, so a run's stats stay the
-    same size however long it is.
+    largest table size reached.  ``probes`` counts the restrictions of new
+    joins that the indexed engine's source finder looks up in ``delta``,
+    the domains it tries above a join's floor; the baseline, which scans
+    the table for sources, leaves it at 0.  All are totals, so a run's
+    stats stay the same size however long it is.
     """
 
     __slots__ = (
-        "events", "monitor_steps", "skipped_steps", "compat_checks", "defines", "peak_instances"
+        "events", "monitor_steps", "skipped_steps", "compat_checks", "defines",
+        "peak_instances", "probes",
     )
 
     def __init__(
         self, events: int = 0, monitor_steps: int = 0, skipped_steps: int = 0,
-        compat_checks: int = 0, defines: int = 0, peak_instances: int = 0,
+        compat_checks: int = 0, defines: int = 0, peak_instances: int = 0, probes: int = 0,
     ):
         self.events = events
         self.monitor_steps = monitor_steps
@@ -124,6 +128,7 @@ class RunStats:
         self.compat_checks = compat_checks
         self.defines = defines
         self.peak_instances = peak_instances
+        self.probes = probes
 
 
 class _EngineBase:
@@ -149,7 +154,7 @@ class _EngineBase:
     once per fresh event, before any define.  The finders add the
     candidates they examine to ``stats.compat_checks``; the baseline's
     table scan counts once per event, in ``_above``, which every event
-    calls.
+    calls.  The indexed ``_below`` adds its probes to ``stats.probes``.
 
     Two hooks note what the loop did: ``_index(domain, joins)`` is called
     per group of one domain an event defined, the fresh binding's first,
@@ -188,10 +193,6 @@ class _EngineBase:
         """
         output, started = self.machine.output, self._started
         return {b: output(s) for b, s in self.delta.items() if b or started}
-
-    def instances(self) -> list[ParamInstance]:
-        """The table domain, in the canonical order."""
-        return ordered(self.delta)
 
     def feed_all(self, trace: Iterable[ParametricEvent]) -> list[VerdictReport]:
         reports: list[VerdictReport] = []
@@ -462,6 +463,7 @@ class IndexedMonitor(_EngineBase):
 
     def _below(self, groups: dict[frozenset[str], dict]) -> None:
         delta, wrap = self.delta, ParamInstance._wrap
+        probes = 0
         for domain, joins in groups.items():
             # Deriving them for every group measured ×1.20 unsafeiter-join p99 (CHANGES.md).
             sources = self._sources.get(domain)
@@ -476,10 +478,12 @@ class IndexedMonitor(_EngineBase):
                 for width, cut in sources:
                     if width <= size:  # no wider restriction is defined: the floor is the source
                         break
+                    probes += 1
                     items = cut(joined)
                     if items in delta:
                         joins[joined] = wrap(items)
                         break
+        self.stats.probes += probes
 
     def _index(self, domain: frozenset[str], joins: Iterable[ParamInstance]) -> None:
         """Write the keys of a group of this event's joins, each on its side, once."""

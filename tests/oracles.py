@@ -8,6 +8,13 @@ Everything here deliberately takes a different route from the package:
   itself per consumed symbol), not from any automaton construction;
 * the nesting property is decided by grammar membership (span dynamic
   programming) and a symbol stack, not by the production counter stack.
+
+The engines are checked at their contract: by the states, verdicts,
+reports and slices they produce, against each other and against the
+definitions, and by their ``RunStats`` counts.  Nothing here wraps or
+restates a private method of an engine; :func:`feed_counting` reads the
+counts per event, and :func:`parked` reads which bindings a table holds
+parked.
 """
 
 from __future__ import annotations
@@ -17,8 +24,6 @@ from functools import lru_cache
 from typing import Iterable
 
 from slicemon.bindings import EMPTY, ParamInstance
-from slicemon.parametric import IndexedMonitor
-from slicemon.reference import max_below
 
 # ---------------------------------------------------------------------------
 # Plain-dict lattice reference
@@ -109,135 +114,6 @@ def feed_counting(
     return counts
 
 
-def checked_defines(engine):
-    """Make ``engine`` assert the define invariants on every define; return it.
-
-    A define creates a table entry for a binding not yet in the table, as a
-    copy of the state of a defined source strictly less informative than it.
-    The engines define a group of joins at once, as a dict from each join
-    to its source, and do not assert this themselves: a define sits on the
-    path of every fresh event.  The check counts the joins it saw in its
-    ``defines`` attribute, which a test can hold against ``stats.defines``
-    to find a define that went round it.
-    """
-    define = engine._define
-
-    def checked(joins, event, reports):
-        checked.defines += len(joins)
-        for binding, source in joins.items():
-            assert type(binding) is ParamInstance and type(source) is ParamInstance, (
-                "define of %r from %r: not both bindings" % (binding, source)
-            )
-            assert binding not in engine.delta, "binding %r already defined" % (binding,)
-            assert source in engine.delta, "copy source %r is not defined" % (source,)
-            assert source != binding and source.less_informative(binding), (
-                "copy source %r is not strictly less informative than %r" % (source, binding)
-            )
-        define(joins, event, reports)
-
-    checked.defines = 0
-    engine._define = checked
-    return engine
-
-
-def checked_finders(engine):
-    """Make ``engine`` assert the finder contract on every lookup; return it.
-
-    The loop steps an event's own binding itself, so ``_above`` may not
-    return it.  ``_above(b)``, on a warm or a fresh ``b``, returns exactly
-    the live strict extensions of ``b`` in the table, each once: a scan of
-    ``delta`` must find the same set.  ``_joins(b)``, for a fresh ``b``,
-    returns exactly its missing joins with the table, ``{b ⊔ m : m in
-    delta, compatible} − delta``, each in the group of its domain, no group
-    empty, and ``b``'s own group, which holds ``b`` alone, first.  Each
-    join's floor is defined and strictly below it; on the indexed engine,
-    ``b``'s floor is the empty binding, and a merged join's floor is its
-    neighbour: incomparable with ``b``, and joined with ``b`` it gives the
-    join.  The loop hands every group to one ``_below`` call before it
-    defines any join of the event, so ``_below`` must return nothing,
-    keep the groups and their joins, and write over each floor the join's
-    ``max_below`` in the table as it stood.  The check counts, in the
-    ``lifted`` attribute of the wrapped ``_below``, the merged joins whose
-    source is not the floor ``_joins`` recorded: the probes above a
-    neighbour floor that hit.  ``b``'s own group is not counted.
-    """
-    above, joins, below = engine._above, engine._joins, engine._below
-    indexed = isinstance(engine, IndexedMonitor)
-
-    def checked_above(binding):
-        found = above(binding)
-        held = parked(engine)
-        expected = {
-            other for other in engine.delta
-            if other != binding and binding.less_informative(other) and other not in held
-        }
-        assert len(set(found)) == len(found), "_above(%r) returned a binding twice" % (binding,)
-        assert set(found) == expected, "_above(%r) returned %r, the live extensions are %r" % (
-            binding, sorted(found, key=str), sorted(expected, key=str)
-        )
-        return found
-
-    def checked_joins(binding):
-        groups = joins(binding)
-        delta, own = engine.delta, binding.domain
-        assert list(groups)[:1] == [own] and list(groups[own]) == [binding], (
-            "_joins(%r) did not put the binding's own group first" % (binding,)
-        )
-        expected = {binding.join(member) for member in delta} - {None} - set(delta)
-        found = set()
-        for domain, group in groups.items():
-            assert group, "_joins(%r) returned an empty group of %r" % (binding, sorted(domain))
-            for joined, floor in group.items():
-                assert joined not in delta, "_joins(%r) returned %r, already defined" % (
-                    binding, joined
-                )
-                assert joined.domain == domain, "_joins(%r) put %r in the group of %r" % (
-                    binding, joined, sorted(domain)
-                )
-                assert floor in delta and floor != joined and floor.less_informative(joined), (
-                    "_joins(%r) gave %r the floor %r, not a defined binding below it"
-                    % (binding, joined, floor)
-                )
-                if indexed and joined == binding:
-                    assert floor == EMPTY, "_joins(%r) gave it the floor %r" % (binding, floor)
-                elif indexed:
-                    assert not (
-                        floor.less_informative(binding) or binding.less_informative(floor)
-                    ), "_joins(%r) gave %r the floor %r, not a neighbour" % (
-                        binding, joined, floor
-                    )
-                    assert binding.join(floor) == joined, (
-                        "_joins(%r) gave %r the floor %r, which joins to another binding"
-                        % (binding, joined, floor)
-                    )
-                found.add(joined)
-        assert found == expected, "_joins(%r) returned %r, the missing joins are %r" % (
-            binding, sorted(found, key=str), sorted(expected, key=str)
-        )
-        return groups
-
-    def checked_below(groups):
-        floors = {domain: dict(group) for domain, group in groups.items()}
-        table = list(engine.delta)
-        assert below(groups) is None, "_below returned a value"
-        assert {domain: list(group) for domain, group in groups.items()} == {
-            domain: list(group) for domain, group in floors.items()
-        }, "_below changed the groups or their joins"
-        own = next(iter(groups), None)
-        for domain, group in groups.items():
-            for joined, source in group.items():
-                assert source == max_below(joined, table), (
-                    "_below gave %r as the source of %r, not its max_below" % (source, joined)
-                )
-                # only merged joins count: the binding's own floor is EMPTY
-                if domain != own and source != floors[domain][joined]:
-                    checked_below.lifted += 1
-
-    checked_below.lifted = 0
-    engine._above, engine._joins, engine._below = checked_above, checked_joins, checked_below
-    return engine
-
-
 def parked(engine) -> set[ParamInstance]:
     """The bindings an engine holds parked.
 
@@ -252,77 +128,9 @@ def parked(engine) -> set[ParamInstance]:
     }
 
 
-def check_index(engine, fed: Iterable) -> None:
-    """Assert an ``IndexedMonitor``'s index invariant (quadratic in table size).
-
-    ``fed`` are the events fed so far.  The index has a live side
-    (``extensions``) and a parked side (``parked_extensions``), keyed alike
-    by ``(items, D)`` with ``items`` a plain item tuple.  Every entry must
-    be a non-empty set holding exactly the defined bindings of ``D``
-    strictly more informative than the binding of ``items`` that are on
-    its side: parked exactly when :func:`parked` holds them.  Every fed
-    binding must be defined, so the query domains are the empty domain and
-    the domains of the defined bindings.  A live binding of ``D`` sits
-    under its cut by every query domain ``E`` with ``E∩D ⊊ D``, on the
-    live side only.  A parked binding of ``D`` sits under its cuts by the
-    query domains incomparable with ``D``, on the parked side only, and
-    under no other key.
-    """
-    defined = list(engine.delta)
-    undefined = [event.instance for event in fed if event.instance not in engine.delta]
-    assert not undefined, "fed bindings not defined: %r" % undefined
-    held = parked(engine)
-    sides = {False: engine.extensions, True: engine.parked_extensions}
-    queries = {frozenset()}
-    queries.update(frozenset(b.names) for b in defined)
-
-    def parts(domain: frozenset, on_parked: bool) -> set:
-        """The domains of the keys of ``domain`` on one side."""
-        if not on_parked:
-            return {query & domain for query in queries if not domain <= query}
-        return {
-            query & domain for query in queries
-            if not domain <= query and not query <= domain
-        }
-
-    for on_parked, side in sides.items():
-        for (items, domain), members in side.items():
-            assert type(items) is tuple and type(domain) is frozenset, (
-                "index key (%r, %r) is not an item tuple and a domain" % (items, domain)
-            )
-            sub = ParamInstance(items)
-            expected = {
-                b for b in defined
-                if frozenset(b.names) == domain
-                and sub != b
-                and sub.less_informative(b)
-                and (b in held) == on_parked
-            }
-            assert members and members == expected, (
-                "%s index entry for %r in %s is %r, expected a non-empty %r"
-                % ("parked" if on_parked else "live", sub, sorted(domain), members, expected)
-            )
-            assert frozenset(sub.names) in parts(domain, on_parked), (
-                "%s index key %r in %s is not the shape of a query on that side"
-                % ("parked" if on_parked else "live", sub, sorted(domain))
-            )
-    for b in defined:
-        if not b:
-            continue
-        domain = frozenset(b.names)
-        home = b in held
-        for part in parts(domain, home):
-            key = (tuple(restrict(b, part)), domain)
-            homes = [on_parked for on_parked, side in sides.items() if b in side.get(key, ())]
-            assert homes == [home], (
-                "%r sits under its cut on %s on %s, expected the %s side"
-                % (b, sorted(part), homes, "parked" if home else "live")
-            )
-
-
-# Helpers over ParamInstance for the law checks, the index check and the
-# mutants; the package itself never needs them (its tables grow by joins with
-# one binding at a time, and its index cuts item tuples with getters).
+# Helpers over ParamInstance for the law checks and the mutants; the package
+# itself never needs them (its tables grow by joins with one binding at a
+# time, and its index cuts item tuples with getters).
 
 
 def restrict(binding: ParamInstance, names: Iterable[str]) -> ParamInstance:

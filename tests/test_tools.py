@@ -1,10 +1,16 @@
-"""``tools/code_lines.py``: the code-line count of the ``slicemon`` modules."""
+"""Repository tooling: ``tools/code_lines.py``, and a guard on what the tests name.
+
+``tools/code_lines.py`` counts the code lines of the ``slicemon`` modules.
+The guard keeps the tests off the engines' private finders, so that a
+reshape of the finders edits only the mutants that override them.
+"""
 
 from __future__ import annotations
 
 import importlib.util
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,3 +47,24 @@ def test_code_lines_prints_every_module_and_the_total():
     assert set(counts) == modules | {"total"}
     total = counts.pop("total")
     assert total == sum(counts.values()) and all(counts.values())
+
+
+#: The engines' private finders and define.  The tests check the engines by
+#: what they produce and by their ``RunStats`` counts; only the mutants,
+#: which override these methods, may name them.
+PRIVATE_STEPS = {"_above", "_joins", "_below", "_define"}
+
+
+def test_only_the_mutants_name_the_private_finders():
+    named = {}
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        if path.name == "mutants.py":
+            continue
+        with path.open("rb") as handle:
+            names = {
+                token.string for token in tokenize.tokenize(handle.readline)
+                if token.type == tokenize.NAME
+            }
+        if names & PRIVATE_STEPS:
+            named[path.name] = sorted(names & PRIVATE_STEPS)
+    assert named == {}
