@@ -24,11 +24,11 @@ three finders the loop calls:
   simple, and the semantic yardstick;
 * :class:`IndexedMonitor` looks the first two up in a domain-keyed index of
   the defined bindings, holding only the keys its lookups can ask for, and
-  only in the domains where they can hit; it finds a source by restricting
-  the join to each table domain within it that is wider than the join's
-  *floor*, widest first, and takes the floor if none is defined.  A merged
-  join's floor is the neighbour it was built from, and the fresh binding's
-  is the empty binding.  It neither scans the table nor checks
+  only in the domains where they can hit.  A merged join's source is the
+  widest neighbour it is built from, which the join finder records as its
+  *floor*; the fresh binding's is found by restricting it to each table
+  domain within its own, widest first, and is the empty binding if none of
+  those restrictions is defined.  It neither scans the table nor checks
   compatibility.  Only a fresh binding's merge probes read the parked side
   of the index, which keeps only the keys they ask for.
 
@@ -106,11 +106,11 @@ class RunStats:
     baseline; a fresh binding and its indexed merge neighbours for the
     indexed engine, whose extension lookups examine no candidate.
     ``defines`` counts new table entries, and ``peak_instances`` tracks the
-    largest table size reached.  ``probes`` counts the restrictions of new
-    joins that the indexed engine's source finder looks up in ``delta``,
-    the domains it tries above a join's floor; the baseline, which scans
-    the table for sources, leaves it at 0.  All are totals, so a run's
-    stats stay the same size however long it is.
+    largest table size reached.  ``probes`` counts the restrictions of
+    fresh bindings that the indexed engine's source finder looks up in
+    ``delta``; the baseline, which scans the table for sources, leaves it
+    at 0.  All are totals, so a run's stats stay the same size however
+    long it is.
     """
 
     __slots__ = (
@@ -156,10 +156,12 @@ class _EngineBase:
     table scan counts once per event, in ``_above``, which every event
     calls.  The indexed ``_below`` adds its probes to ``stats.probes``.
 
-    Two hooks note what the loop did: ``_index(domain, joins)`` is called
+    Three hooks note what the loop did: ``_index(domain, joins)`` is called
     per group of one domain an event defined, the fresh binding's first,
     right after ``_define`` gave the group its first step; ``_park`` when
-    a step parks a binding defined before the event.  ``delta`` is the one
+    a step parks a binding defined before the event; ``_ground`` on every
+    ground event, keyed on its empty binding alone, before ``_above``
+    looks up the empty binding's extensions.  ``delta`` is the one
     per-binding record: a binding is parked when its state is a parking
     sink, and it has a verdict once stepped.  Every binding but the empty
     one is stepped when it is defined; ``_started`` records that a ground
@@ -239,6 +241,9 @@ class _EngineBase:
         reports: list[VerdictReport] = []
         state = delta.get(binding, _NEVER)
         if state is not _NEVER:
+            if not binding:  # the empty binding is stepped now, or was before
+                self._ground()
+                self._started = True
             touched = self._above(binding)
             # No state is tested against an empty ``parking``: a word
             # machine's state hashes in the length of its word.
@@ -246,8 +251,6 @@ class _EngineBase:
                 stats.skipped_steps += 1
             else:
                 touched.append(binding)
-            if not binding:  # the empty binding is stepped now, or was before
-                self._started = True
         else:
             # The joins of a fresh binding with the table are exactly the
             # bindings the event affects: its defined strict extensions,
@@ -322,6 +325,9 @@ class _EngineBase:
     def _index(self, domain: frozenset[str], joins: Iterable[ParamInstance]) -> None:
         """Note a group of bindings of ``domain`` that this event defined."""
 
+    def _ground(self) -> None:
+        """Note a ground event, before its lookup of the empty binding's extensions."""
+
 
 #: Sentinel for a binding not in the table.
 _NEVER = object()
@@ -337,20 +343,24 @@ class IndexedMonitor(_EngineBase):
     name-sorted item tuple).  The finders only ever look up keys ``(items
     of b restricted to E∩D, D)``, where ``E`` is the domain of an event's
     binding ``b`` and ``D`` a table domain, so only keys of that shape are
-    written.  The *query domains* are the empty domain and the table
-    domains; a live binding of ``D`` is indexed under its restriction to
-    ``E∩D`` for every query domain ``E`` with ``E∩D ⊊ D`` (the *cuts* of
-    ``D``).  Only a merge probe, from a query domain incomparable with
-    ``D``, reads the parked side, so a parked binding of ``D`` sits only
-    under those cuts (its *parked cuts*); if no query domain is
+    written, and only for the *query domains* ``E``: the table domains
+    other than the empty one, and the empty one from the first ground
+    event on.  Before it, the empty cut ``((), D)`` serves only a merge
+    with a table domain that shares no name with ``D``.  A live binding of
+    ``D`` is indexed under its restriction to ``E∩D`` for every query
+    domain ``E`` with ``E∩D ⊊ D`` (the *cuts* of ``D``); a domain with no
+    cuts has no key.  Only a merge probe, from a query domain incomparable
+    with ``D``, reads the parked side, so a parked binding of ``D`` sits
+    only under those cuts (its *parked cuts*); if no query domain is
     incomparable with ``D``, it sits under no key, and only its state in
     ``delta`` says that it is parked.  A fresh binding is one of its own
-    joins, so this event defines it: its domain, if new, becomes a table
-    domain before its first lookup.  A new table domain gets its cuts, and
-    adds its cut to every table domain, backfilling their defined bindings
-    under it on the live side, and on the parked side, found by a scan of
-    ``delta``, if the two domains are incomparable; a binding already in
-    the table has a table domain, so the warm path never needs that check.
+    joins, so this event defines it: its domain, if new, becomes a query
+    domain before its first lookup, as the empty domain does at the first
+    ground event, by the ``_ground`` hook.  A new query domain gets its
+    cuts, and adds its cut to every query domain; one scan of ``delta``
+    then backfills the defined bindings under the cuts that are new, each
+    on its side.  A binding already in the table has a table domain, so
+    the warm path never needs that check.
 
     A join's keys are written once, when ``_define`` has given it its
     first step, on the side that step left it: no step of the event that
@@ -360,9 +370,10 @@ class IndexedMonitor(_EngineBase):
     * The extension finder returns the live bindings under ``(b's items,
       D)``: a parked binding is never stepped.  Only a domain ``D`` wider
       than ``b``'s can hold a strict extension of ``b``, so it reads the
-      table domains widest first and stops at the first that is not wider.
-      A fresh ``b``'s domain is a table domain once the join finder ran,
-      so its keys are there too.
+      query domains widest first and stops at the first that is not wider.
+      A fresh ``b``'s domain is a query domain once the join finder ran,
+      and the empty domain is one once ``_ground`` ran, so their keys are
+      there too.
     * A binding compatible with a fresh ``b`` and of a domain ``D``
       incomparable with ``b``'s agrees with ``b`` on their shared names, so
       the compatible neighbours of ``b`` in ``D`` are exactly the bindings
@@ -375,37 +386,39 @@ class IndexedMonitor(_EngineBase):
       to a table domain ``D ⊊ dom(j)``.  These restrictions that are
       defined are join-closed, since the table is, so their maximum ``s``,
       the source, is the join of them all and has the one widest domain
-      among them.  The join finder records ``j``'s neighbour as its
-      *floor*, and a fresh binding's floor is the empty binding: one of
-      those restrictions, so ``s`` is at least the floor.  The source
-      finder probes only the domains ``D`` wider than the floor, widest
-      first.  Either one of them holds ``s``, and none wider than it holds
-      a defined restriction, so the first hit is ``s``; or none hits, and
-      ``s`` is the floor.
+      among them.  For the fresh binding ``b`` itself, the source finder
+      probes the table domains within ``b``'s, widest first: the first hit
+      is ``s``, and if none hits, ``s`` is the empty binding.  A merged join
+      ``j = b ⊔ n`` needs no probe.  Its source ``s`` is at least the
+      neighbour ``n``; so it is not below ``b``, which ``n`` is not, and not
+      above ``b`` either, or it would be at least ``b ⊔ n = j``.  So ``s`` is
+      a neighbour of ``b`` whose join with ``b`` is ``j``, and the widest of
+      them.  The merge plan lists the neighbour domains narrowest first, so
+      ``s`` is the last to record itself as ``j``'s floor, and the floor is
+      the source.
 
     A binding equals its item tuple, so the extension finder looks its
     keys up with the binding itself, and the join and source finders
     probe ``delta`` with item tuples, making a binding only of a join that
-    is missing and of a source that is not its floor.
+    is missing and of a fresh binding's source that it finds.
     """
 
     def __init__(self, machine: Machine, **options):
         super().__init__(machine, **options)
         self.extensions: dict[tuple, set[ParamInstance]] = {}
         self.parked_extensions: dict[tuple, set[ParamInstance]] = {}
-        #: Table domains other than the empty one.  Each maps to itself, so
-        #: that index keys share one domain object, to its cuts, each with
-        #: the getter of that cut's items from a binding's items, and to its
-        #: parked cuts, a part of them.
+        #: The query domains.  Each maps to itself, so that index keys share
+        #: one domain object, to its cuts, each with the getter of that
+        #: cut's items from a binding's items, and to its parked cuts, a
+        #: part of them.
         self._domains: dict[frozenset[str], tuple[frozenset[str], dict, dict]] = {}
-        #: The table domains, widest first.
+        #: The query domains, widest first.
         self._widest: list[frozenset[str]] = []
-        #: Per domain of a fresh binding, its ``_plan``; per domain of a
-        #: group of joins, the width of each table domain strictly within
-        #: it and the getter of the joins' restrictions to it, widest
-        #: first.  Both are cleared when a table domain is added.
+        #: Per domain of a fresh binding, its ``_plan``, and the getters of
+        #: its restrictions to the table domains strictly within it, widest
+        #: first.  Both are cleared when a query domain is added.
         self._plans: dict[frozenset[str], list[tuple]] = {}
-        self._sources: dict[frozenset[str], list[tuple[int, Callable]]] = {}
+        self._sources: dict[frozenset[str], list[Callable]] = {}
 
     def _joins(self, binding: ParamInstance) -> dict[frozenset[str], dict]:
         query = binding.domain
@@ -429,7 +442,10 @@ class IndexedMonitor(_EngineBase):
                     merged = map(merge, map(binding.__add__, neighbours))
                     for items, neighbour in zip(merged, neighbours):
                         if items not in delta:
-                            groups.setdefault(joined, {})[wrap(items)] = neighbour
+                            group = groups.get(joined)
+                            if group is None:
+                                group = groups[joined] = {}
+                            group[wrap(items)] = neighbour
         self.stats.compat_checks += examined
         return groups
 
@@ -438,12 +454,13 @@ class IndexedMonitor(_EngineBase):
 
         The merge plan gets a join's items, in name order, from the
         binding's items followed by a neighbour's, and each join is
-        recorded with its neighbour, its floor.  Every entry that reaches a
-        missing join records a floor for it, so the order of the entries
-        does not matter.
+        recorded with its neighbour, its floor.  The entries come
+        narrowest domain first, so when several reach one missing join, the
+        widest of their neighbours is the last to record itself, and stays
+        the join's floor.
         """
         plan = []
-        for domain in self._domains:
+        for domain in reversed(self._widest):
             if not (domain <= query or query <= domain):
                 joined = domain | query
                 names = sorted(query) + sorted(domain)
@@ -462,32 +479,30 @@ class IndexedMonitor(_EngineBase):
         return found
 
     def _below(self, groups: dict[frozenset[str], dict]) -> None:
-        delta, wrap = self.delta, ParamInstance._wrap
-        probes = 0
-        for domain, joins in groups.items():
-            # Deriving them for every group measured ×1.20 unsafeiter-join p99 (CHANGES.md).
-            sources = self._sources.get(domain)
-            if sources is None:
-                within = [other for other in self._domains if other < domain]
-                within.sort(key=len, reverse=True)
-                sources = self._sources[domain] = [
-                    (len(part), _cut(domain, part)) for part in within
-                ]
-            for joined, floor in joins.items():
-                size = len(floor)
-                for width, cut in sources:
-                    if width <= size:  # no wider restriction is defined: the floor is the source
-                        break
-                    probes += 1
-                    items = cut(joined)
-                    if items in delta:
-                        joins[joined] = wrap(items)
-                        break
-        self.stats.probes += probes
+        # A merged join's floor is its source; only the binding's own join,
+        # floored at the empty binding, is probed.
+        domain, own = next(iter(groups.items()))
+        # Deriving them anew measured ×1.20 unsafeiter-join p99 (CHANGES.md).
+        sources = self._sources.get(domain)
+        if sources is None:
+            sources = self._sources[domain] = [
+                _cut(domain, part) for part in self._widest if part and part < domain
+            ]
+        if sources:
+            delta = self.delta
+            (binding,) = own
+            for probes, cut in enumerate(sources, 1):
+                items = cut(binding)
+                if items in delta:
+                    own[binding] = ParamInstance._wrap(items)
+                    break
+            self.stats.probes += probes
 
     def _index(self, domain: frozenset[str], joins: Iterable[ParamInstance]) -> None:
         """Write the keys of a group of this event's joins, each on its side, once."""
         domain, cuts, parked_cuts = self._domains.get(domain) or self._add_domain(domain)
+        if not cuts:  # no lookup asks for them yet; a new cut's backfill will index them
+            return
         delta, parking = self.delta, self._parking
         for member in joins:
             if parking and delta[member] in parking:
@@ -495,7 +510,12 @@ class IndexedMonitor(_EngineBase):
             else:
                 side, member_cuts = self.extensions, cuts
             for cut in member_cuts.values():
-                side.setdefault((cut(member), domain), set()).add(member)
+                key = (cut(member), domain)
+                members = side.get(key)
+                if members is None:
+                    side[key] = {member}
+                else:
+                    members.add(member)
 
     def _park(self, binding: ParamInstance) -> None:
         """Move a live binding's keys to the parked side, under its parked cuts."""
@@ -513,45 +533,60 @@ class IndexedMonitor(_EngineBase):
         for cut in parked_cuts.values():
             parked.setdefault((cut(binding), domain), set()).add(binding)
 
-    def _add_domain(self, domain: frozenset[str]) -> tuple[frozenset[str], dict, dict]:
-        """Make ``domain`` a table domain, and so a query domain.
+    def _ground(self) -> None:
+        """Make the empty domain a query domain at the first ground event."""
+        if frozenset() not in self._domains:
+            self._add_domain(frozenset())
 
-        It gets its cuts by the empty domain and every table domain, and
-        every table domain gets its cut by it, with the backfill.  The cut
-        of two incomparable domains is a parked cut of both, and no other is.
+    def _add_domain(self, domain: frozenset[str]) -> tuple[frozenset[str], dict, dict]:
+        """Make ``domain`` a query domain.
+
+        It gets its cut by every query domain, and every query domain gets
+        its cut by it; one ``_backfill`` indexes the defined bindings under
+        the cuts that are new.  The cut of two incomparable domains is a
+        parked cut of both, and no other is.
         """
-        cuts = {frozenset(): _cut(domain, frozenset())}
-        parked_cuts = {}
+        cuts, parked_cuts, fills = {}, {}, {}
         for other, other_cuts, parked_other_cuts in self._domains.values():
             part = other & domain
             if part != domain and part not in cuts:
                 cuts[part] = _cut(domain, part)
-            if part != other and part not in other_cuts:
-                other_cuts[part] = _cut(other, part)
-                self._backfill(other, other_cuts[part], self.extensions)
-            if part != domain and part != other:
+            if part == other:
+                continue
+            live = parked = None
+            if part not in other_cuts:
+                live = other_cuts[part] = _cut(other, part)
+            if part != domain:
                 parked_cuts[part] = cuts[part]
                 if part not in parked_other_cuts:
-                    parked_other_cuts[part] = other_cuts[part]
-                    self._backfill(other, other_cuts[part], self.parked_extensions)
+                    parked = parked_other_cuts[part] = other_cuts[part]
+            if live or parked:
+                fills[tuple(sorted(other))] = (other, live, parked)
         entry = self._domains[domain] = (domain, cuts, parked_cuts)
         self._widest = sorted(self._domains, key=len, reverse=True)
         self._plans.clear()
         self._sources.clear()
+        if fills:
+            self._backfill(fills)
         return entry
 
-    def _backfill(self, domain: frozenset[str], cut: Callable, side: dict) -> None:
-        """Index the bindings of ``domain`` on one side of the index under a new cut."""
-        if side is self.extensions:  # the live side's empty cut holds them
-            members = side.get(((), domain), ())
-        else:
-            names, parking = tuple(sorted(domain)), self._parking
-            members = [
-                member for member, state in self.delta.items()
-                if parking and state in parking and member.names == names
-            ]
-        for member in members:
-            side.setdefault((cut(member), domain), set()).add(member)
+    def _backfill(self, fills: dict[tuple[str, ...], tuple]) -> None:
+        """Index the defined bindings under their domains' new cuts, in one scan of ``delta``.
+
+        ``fills`` maps the names of a domain to the domain, its new cut on
+        the live side and its new cut on the parked side, each None if it
+        has none.
+        """
+        live, parked, parking = self.extensions, self.parked_extensions, self._parking
+        for member, state in self.delta.items():
+            fill = fills.get(member.names)
+            if fill is not None:
+                domain, cut, parked_cut = fill
+                side = live
+                if parking and state in parking:
+                    side, cut = parked, parked_cut
+                if cut is not None:
+                    side.setdefault((cut(member), domain), set()).add(member)
 
 
 def _cut(domain: frozenset[str], part: frozenset[str]) -> Callable[[tuple], tuple]:

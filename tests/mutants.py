@@ -94,22 +94,42 @@ class StaleIndexMonitor(IndexedMonitor):
     binding that later arrives warm misses its defined extensions.
     """
 
-    def _backfill(self, domain, cut, side) -> None:
+    def _backfill(self, fills) -> None:
         pass
 
 
 class StaleParkedIndexMonitor(IndexedMonitor):
     """Mutant: a new parked cut covers only bindings that park later.
 
-    The parked side has no key that holds every parked binding of a
-    domain, so its backfill scans ``delta``; this mutant skips it.  A
-    fresh binding of a new domain then misses its parked neighbours of an
-    incomparable domain, and the joins with them are never defined.
+    One scan of ``delta`` backfills both sides of the index under the new
+    cuts; this mutant backfills the live side alone.  A fresh binding of a
+    new domain then misses its parked neighbours of an incomparable
+    domain, and the joins with them are never defined.
     """
 
-    def _backfill(self, domain, cut, side) -> None:
-        if side is self.extensions:
-            super()._backfill(domain, cut, side)
+    def _backfill(self, fills) -> None:
+        super()._backfill({names: (domain, cut, None) for names, (domain, cut, _) in fills.items()})
+
+
+class UnfilledGroundMonitor(IndexedMonitor):
+    """Mutant: the first ground event adds the empty cut to every table domain, unfilled.
+
+    The empty domain becomes a query domain at the first ground event, and
+    this mutant skips the backfill that indexes the bindings already
+    defined under their empty cuts.  That ground event, and every later
+    one, then misses the live bindings defined before it.
+    """
+
+    _grounding = False
+
+    def _ground(self) -> None:
+        self._grounding = True
+        super()._ground()
+        self._grounding = False
+
+    def _backfill(self, fills) -> None:
+        if not self._grounding:
+            super()._backfill(fills)
 
 
 class LiveOnlyJoinsMonitor(IndexedMonitor):
@@ -233,18 +253,17 @@ class StaleWiderMonitor(IndexedMonitor):
         return entry
 
 
-class NeighbourSourceMonitor(IndexedMonitor):
-    """Mutant: a merged join takes its floor, a neighbour, as its source without probing.
+class NarrowestFloorMonitor(IndexedMonitor):
+    """Mutant: its merge plans list the neighbour domains widest first.
 
-    A table domain may lie strictly between the neighbour's domain and the
-    join's, and a wider defined restriction of the join there is the most
-    informative one.  Only the first group, the fresh binding's own, is
-    probed; every other join keeps its floor.
+    When several neighbours reach one missing join, the last to record
+    itself stays the join's floor, and the source finder takes a merged
+    join's floor as its source without a probe.  Here that is the
+    narrowest of them, so the join copies a neighbour below its source.
     """
 
-    def _below(self, groups: dict) -> None:
-        own = next(iter(groups))
-        super()._below({own: groups[own]})
+    def _plan(self, query: frozenset[str]) -> list[tuple]:
+        return sorted(super()._plan(query), key=lambda entry: len(entry[0]), reverse=True)
 
 
 class UnguardedEmptyMonitor(IndexedMonitor):
@@ -293,8 +312,9 @@ MUTANTS = [
     ("empty-cut-parked", {"indexed_class": EmptyCutParkedMonitor}, "engine-pair"),
     ("lone-empty-source", {"indexed_class": LoneEmptySourceMonitor}, "engine-pair"),
     ("stale-wider", {"indexed_class": StaleWiderMonitor}, "engine-pair"),
-    ("neighbour-source", {"indexed_class": NeighbourSourceMonitor}, "engine-pair"),
+    ("narrowest-floor", {"indexed_class": NarrowestFloorMonitor}, "engine-pair"),
     ("unguarded-empty", {"indexed_class": UnguardedEmptyMonitor}, "engine-pair"),
+    ("unfilled-ground", {"indexed_class": UnfilledGroundMonitor}, "engine-pair"),
 ]
 
 

@@ -118,8 +118,9 @@ CAUGHT = {
     "empty-cut-parked": "engine-pair",
     "lone-empty-source": "engine-pair",
     "stale-wider": "engine-pair",
-    "neighbour-source": "engine-pair",
+    "narrowest-floor": "engine-pair",
     "unguarded-empty": "engine-pair",
+    "unfilled-ground": "reports",
 }
 
 

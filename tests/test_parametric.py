@@ -396,10 +396,10 @@ def random_trace(
 def test_engines_agree_event_by_event_and_with_definition():
     rng = random.Random(99)
     alphabet = ("a", "b", "c")
-    # With five names, a table domain may lie between a merged join's
-    # floor and the join, so the source finder probes above the floor.
-    # Their total is pinned: an empty table domain, or a floor other than
-    # the one the join finder records, changes it.
+    # With five names, many table domains lie within a fresh binding's, so
+    # the source finder probes several of them.  Their total is pinned: an
+    # empty table domain, or a probe of a merged join, whose floor is its
+    # source, changes it.
     probes = 0
     for params in [("x", "y", "z")] * 40 + [("v", "w", "x", "y", "z")] * 40:
         machine = random_machine(rng, alphabet)
@@ -424,7 +424,7 @@ def test_engines_agree_event_by_event_and_with_definition():
         for binding, verdict in baseline.gamma.items():
             assert verdict == reference[binding]
         probes += indexed.stats.probes
-    assert probes == 533
+    assert probes == 381
 
 
 def test_indexed_engine_cost_shape():
@@ -532,13 +532,12 @@ def test_a_domain_added_after_a_warm_lookup_is_probed(engine_class):
     assert (engine.delta == baseline.delta) is (engine_class is IndexedMonitor)
 
 
-def test_a_merged_join_probes_above_its_neighbour_floor():
-    # x=v2,z=v3 joins y=v1 into x=v2,y=v1,z=v3.  The table domain {y, z}
-    # lies between {y} and the join's domain, and y=v1,z=v3 is defined
-    # there: it, not the neighbour y=v1, is the join's source, and the
-    # source finder takes one probe to find it.  That probe is the FOUND
-    # on the floor order in CHANGES.md: the {y, z} neighbour reaches the
-    # same join, and a floor kept from it would need none.
+def test_a_merged_join_takes_its_widest_neighbour_as_floor():
+    # x=v2,z=v3 joins y=v1 and y=v1,z=v3 into x=v2,y=v1,z=v3.  The wider
+    # neighbour, y=v1,z=v3, is the join's source, and the merge plan lists
+    # it last, so it stays the join's floor: the source finder takes the
+    # floor without a probe.  With the narrower y=v1 as its floor, one
+    # probe of {y, z} found the source.
     trace = [
         ParametricEvent("probe", ParamInstance.parse(text))
         for text in ("y=v1,z=v3", "y=v1", "x=v2,z=v3")
@@ -547,7 +546,7 @@ def test_a_merged_join_probes_above_its_neighbour_floor():
     baseline, engine = both_engines(machine)
     assert engine.feed_all(trace) == baseline.feed_all(trace)
     assert engine.delta == baseline.delta
-    assert (engine.stats.probes, baseline.stats.probes) == (1, 0)
+    assert (engine.stats.probes, baseline.stats.probes) == (0, 0)
 
 
 #: ``RunStats`` totals on ``unsafeiter_workload(600)``: reports, events,
@@ -700,15 +699,52 @@ def test_table_memory_per_entry(unsafeiter_spec):
 
 
 def test_index_size_does_not_grow_with_fresh_bindings():
-    # fresh 3-parameter bindings that join with nothing: the finders never
-    # ask for a key below one of them, so none is written
+    # fresh 3-parameter bindings that join with nothing, and no ground
+    # event: no lookup asks for a key of their one domain, so none is
+    # written on either side, whether they stay live or park at once
     events = adversarial_workload(2000)
-    engine = IndexedMonitor(adversarial_machine())
-    engine.feed_all(events[:1000])
-    keys = len(engine.extensions)
-    engine.feed_all(events[1000:])
-    assert len(engine.delta) == 2001
-    assert len(engine.extensions) == keys <= 1
+    won = FsmMachine(
+        "s", {("s", "probe"): "won", ("won", "probe"): "won"}, {"won": Verdict.MATCH}, ["probe"]
+    )
+    for machine in (adversarial_machine(), won):
+        engine = IndexedMonitor(machine)
+        engine.feed_all(events)
+        assert len(engine.delta) == 2001
+        assert engine.extensions == engine.parked_extensions == {}
+    assert len(parked(engine)) == 2000
+
+
+def test_a_late_first_ground_event_steps_exactly_the_live_bindings():
+    # The empty domain becomes a query domain at the first ground event,
+    # which indexes every binding defined before it under its empty cut.
+    # Here three domains hold live bindings, in ``m``, and parked ones, in
+    # the fail sink ``dead``; ``g`` takes ``m`` to the fail state ``n``.
+    transitions = {(state, "live"): "m" for state in "smn"}
+    transitions.update({(state, "kill"): "dead" for state in "smn"})
+    transitions.update({("s", "g"): "m", ("m", "g"): "n", ("n", "g"): "n"})
+    transitions.update({("dead", name): "dead" for name in ("live", "kill", "g")})
+    machine = FsmMachine(
+        "s", transitions, {"m": Verdict.MATCH, "n": Verdict.FAIL, "dead": Verdict.FAIL},
+        ["live", "kill", "g"],
+    )
+    trace = [
+        ParametricEvent(name, ParamInstance.parse(text))
+        for name, text in (("live", "x=1"), ("kill", "x=2"), ("live", "y=1"), ("kill", "y=2"))
+    ]
+    baseline, engine = both_engines(machine, trigger=[Verdict.MATCH, Verdict.FAIL])
+    assert engine.feed_all(trace) == baseline.feed_all(trace)
+    held = parked(engine)
+    live = set(engine.delta) - held - {EMPTY}
+    domains = {frozenset("x"), frozenset("y"), frozenset("xy")}
+    assert {b.domain for b in live} == {b.domain for b in held} == domains
+    steps = engine.stats.monitor_steps
+    ground = ParametricEvent("g", EMPTY)
+    reports = engine.feed(ground)
+    assert reports == baseline.feed(ground)
+    assert {report.instance for report in reports} == live | {EMPTY}
+    assert engine.stats.monitor_steps - steps == len(live) + 1
+    assert engine.stats.monitor_steps == baseline.stats.monitor_steps
+    assert engine.delta == baseline.delta
 
 
 def test_baseline_engine_scans_whole_table():

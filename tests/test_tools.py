@@ -1,6 +1,7 @@
-"""Repository tooling: ``tools/code_lines.py``, and a guard on what the tests name.
+"""Repository tooling: ``tools/code_lines.py``, ``tools/ab.py``, and a guard on what tests name.
 
-``tools/code_lines.py`` counts the code lines of the ``slicemon`` modules.
+``tools/code_lines.py`` counts the code lines of the ``slicemon`` modules,
+and ``tools/ab.py`` compares two checkouts on perfbench's library loop.
 The guard keeps the tests off the engines' private finders, so that a
 reshape of the finders edits only the mutants that override them.
 """
@@ -68,3 +69,27 @@ def test_only_the_mutants_name_the_private_finders():
         if names & PRIVATE_STEPS:
             named[path.name] = sorted(names & PRIVATE_STEPS)
     assert named == {}
+
+
+def test_ab_prints_one_round_of_ratios_per_workload():
+    # One tiny round of two copies of this tree: the shape of the output,
+    # not its timings, which depend on the machine.
+    perfbench = ROOT / "perfbench"
+    before = {path: path.stat().st_mtime_ns for path in perfbench.rglob("*")}
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab.py"), "--base", str(ROOT), "--change",
+         str(ROOT), "--workload", "fresh-bindings", "--rounds", "1", "--passes", "1"],
+        capture_output=True, text=True, check=True, timeout=300,
+    ).stdout
+    lines = out.splitlines()
+    assert lines[0] == "fresh-bindings, seed 41, passes per round: 1"
+    assert lines[1].split() == [
+        "round", "base", "p50", "us", "base", "p99", "us", "change/base", "p50", "p99",
+        "control/base", "p50", "p99",
+    ]
+    row, median, wins = (line.split() for line in lines[2:5])
+    assert row[0] == "1" and median[0] == "median" and row[1:] == median[1:]
+    assert all(float(value) > 0 for value in row[1:])
+    assert wins[0] == "wins" and all(win in ("0/1", "1/1") for win in wins[1:])
+    assert len(wins) == 5 and lines[5:] == [""]
+    assert {path: path.stat().st_mtime_ns for path in perfbench.rglob("*")} == before
