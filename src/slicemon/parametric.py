@@ -2,21 +2,23 @@
 
 A parametric monitor is the base monitor run on every trace slice.  Its
 one table is ``delta``, a state per binding; the verdicts, ``gamma``, are
-the machine's output on those states, derived on demand.  Both engines
-share one define/join/apply loop, :meth:`_EngineBase.feed`: for a fresh
-binding it defines every missing join of it with the table, the binding
-itself among them, each copied from its most informative defined
-sub-binding in the pre-event table and given its first step at once
-(:meth:`_EngineBase._define`); then it steps the event's binding, if the
-table held it, and the binding's defined strict extensions, except those
-parked in a sink state that cannot report, which the state table alone
-records.  Each step reads only its own binding's state, so the steps may
-run in any order; the reports of one event come out in
-``binding_order``.  One dict carries the missing joins from finder to
-define, grouped by domain, the binding's own group first: each join
-maps to its floor, a defined binding below it, which the source finder
-then overwrites with the join's source.  The engines differ only in the
-three finders the loop calls:
+the machine's output on those states, derived on demand.  The table starts
+as the empty binding in the machine's initial state.  Both engines share
+one define/join/apply loop, :meth:`_EngineBase.feed`.  A binding is
+*fresh* if the table does not hold it, or if it is the empty binding
+before its first step; for a fresh binding the loop defines every missing
+join of it with the table, the binding itself among them, each copied from
+its most informative defined sub-binding in the pre-event table and given
+its first step at once (:meth:`_EngineBase._define`), so every binding's
+first step is a define.  Then it steps the event's binding, if it was not
+fresh, and the binding's defined strict extensions, except those parked in
+a sink state that cannot report, which the state table alone records.
+Each step reads only its own binding's state, so the steps may run in any
+order; the reports of one event come out in ``binding_order``.  One dict
+carries the missing joins from finder to define, grouped by domain, the
+binding's own group first: each join maps to its floor, a defined binding
+below it, which the source finder then overwrites with the join's source.
+The engines differ only in the three finders the loop calls:
 
 * :class:`slicemon.reference.BaselineMonitor` scans the whole table for
   the live strict extensions of a binding, for its missing joins, and
@@ -104,7 +106,8 @@ class RunStats:
     ``compat_checks`` counts the candidates examined to find the bindings
     each event affects: every table entry, once per event, for the
     baseline; a fresh binding and its indexed merge neighbours for the
-    indexed engine, whose extension lookups examine no candidate.
+    indexed engine, whose extension lookups examine no candidate, so the
+    first ground event, whose empty binding is fresh, counts 1 there.
     ``defines`` counts new table entries, and ``peak_instances`` tracks the
     largest table size reached.  ``probes`` counts the restrictions of
     fresh bindings that the indexed engine's source finder looks up in
@@ -137,35 +140,35 @@ class _EngineBase:
     Subclasses supply the three finders, each with one job:
     ``_above(binding)`` returns the defined strict extensions of a binding,
     not parked, whether the table holds the binding or not; the loop steps
-    the binding itself unless it is parked.  ``_joins(binding)`` returns,
-    for a binding not in the table, its missing joins with the table,
-    ``{b ⊔ m : m in delta, compatible} − delta``, as ``{domain: {join:
-    floor}}``, no group empty: the binding's own group, ``{dom(b): {b:
-    EMPTY}}``, first, then the joins with its *neighbours*, the table
-    entries incomparable with it (a join with an entry comparable with
-    the binding is the binding or the entry).  A join's *floor* is a
-    binding in the table strictly below it, a lower bound for its source.
-    The binding's defined joins extend it, and ``_above`` reaches them if
-    live; the loop calls it after ``_joins``, which may make the binding's
-    domain a table domain.  ``_below(groups)`` overwrites each floor, in
-    place, with the join's source: its most informative binding strictly
-    below it in the pre-event table, which is at least as informative as
-    the floor, so ``_below`` may look only above it.  The loop calls it
-    once per fresh event, before any define.  The finders add the
-    candidates they examine to ``stats.compat_checks``; the baseline's
-    table scan counts once per event, in ``_above``, which every event
-    calls.  The indexed ``_below`` adds its probes to ``stats.probes``.
+    the binding itself unless it is parked or fresh.  ``_joins(binding)``
+    returns, for a fresh binding, its own group, ``{dom(b): {b: EMPTY}}``,
+    first, then its missing joins with the table, ``{b ⊔ m : m in delta,
+    compatible} − delta``, as ``{domain: {join: floor}}``, no group empty:
+    the joins with its *neighbours*, the table entries incomparable with it
+    (a join with an entry comparable with the binding is the binding or the
+    entry).  A join's *floor* is a binding in the table strictly below it, a
+    lower bound for its source; the empty binding is its own floor.  The
+    binding's defined joins extend it, and ``_above`` reaches them if live;
+    the loop calls it after ``_joins``, which makes the binding's domain a
+    query domain of the indexed engine.  ``_below(groups)`` overwrites each
+    floor, in place, with the join's source: its most informative binding
+    strictly below it in the pre-event table (the empty binding's is
+    itself), which is at least as informative as the floor, so ``_below``
+    may look only above it.  The loop calls it once per fresh event, before
+    any define.  The finders add the candidates they examine to
+    ``stats.compat_checks``; the baseline's table scan counts once per
+    event, in ``_above``, which every event calls.  The indexed ``_below``
+    adds its probes to ``stats.probes``.
 
-    Three hooks note what the loop did: ``_index(domain, joins)`` is called
+    Two hooks note what the loop did: ``_index(domain, joins)`` is called
     per group of one domain an event defined, the fresh binding's first,
     right after ``_define`` gave the group its first step; ``_park`` when
-    a step parks a binding defined before the event; ``_ground`` on every
-    ground event, keyed on its empty binding alone, before ``_above``
-    looks up the empty binding's extensions.  ``delta`` is the one
+    a step parks a binding defined before the event.  ``delta`` is the one
     per-binding record: a binding is parked when its state is a parking
-    sink, and it has a verdict once stepped.  Every binding but the empty
-    one is stepped when it is defined; ``_started`` records that a ground
-    event has stepped the empty binding.
+    sink, and it has a verdict once stepped.  Every binding is stepped
+    when it is defined, and the empty binding, in the table from the
+    start, is defined at the first ground event; ``_started`` records that
+    define.
     """
 
     def __init__(
@@ -214,13 +217,14 @@ class _EngineBase:
         ``binding_order`` of their bindings; the order of the steps is
         unspecified.
 
-        An event on a fresh binding defines the missing joins ``_joins``
-        returns, the binding itself among them: one ``_below`` call gives
-        every join its source from the pre-event table, then each group is
-        defined, and given its first step, by ``_define``, and indexed.
-        The loop steps only the bindings defined before the event: the
-        binding, if the table held it, and what ``_above`` returns, found
-        before any define.
+        An event on a fresh binding defines the joins ``_joins`` returns,
+        the binding itself among them: one ``_below`` call gives every join
+        its source from the pre-event table, then each group is defined,
+        and given its first step, by ``_define``, and indexed.  The first
+        ground event is such an event: the empty binding takes its first
+        step there.  The loop steps only the bindings stepped before the
+        event: the binding, if it was not fresh, and what ``_above``
+        returns, found before any define.
 
         A step that lands in one of the machine's sinks parks its binding
         unless the sink's verdict would be reported again under
@@ -229,25 +233,21 @@ class _EngineBase:
         would come of it.  It keeps its table entry, so joins are still
         copied from it, and ``delta`` and the reports are those of stepping
         it; ``_above`` does not list it, and the loop does not reach it.
-        Every binding but the empty one is stepped when it is defined, so
-        every binding whose state is a parking sink is parked, but the empty
+        Every binding whose state is a parking sink is parked, but the empty
         binding before its first step: starting in a sink, it has no verdict
-        yet and may report on that step.
+        yet, and its define may report.
         """
         stats = self.stats
         stats.events += 1
-        delta, parking, started = self.delta, self._parking, self._started
+        delta, parking = self.delta, self._parking
         binding = event.instance
         reports: list[VerdictReport] = []
         state = delta.get(binding, _NEVER)
-        if state is not _NEVER:
-            if not binding:  # the empty binding is stepped now, or was before
-                self._ground()
-                self._started = True
+        if state is not _NEVER and (binding or self._started):
             touched = self._above(binding)
             # No state is tested against an empty ``parking``: a word
             # machine's state hashes in the length of its word.
-            if parking and state in parking and (binding or started):
+            if parking and state in parking:
                 stats.skipped_steps += 1
             else:
                 touched.append(binding)
@@ -259,13 +259,18 @@ class _EngineBase:
             # copies the state of its most informative defined
             # sub-binding, all read by one ``_below`` before any define, so
             # that no join copies a state this event created.
+            if not binding:
+                self._started = True
             groups = self._joins(binding)
             touched = self._above(binding)
             self._below(groups)
             for domain, joins in groups.items():
                 self._define(joins, event, reports)
                 self._index(domain, joins)
+            # The table never shrinks, so its peak is its size before the
+            # event, and what it gained are this event's defines.
             if len(delta) > stats.peak_instances:
+                stats.defines += len(delta) - stats.peak_instances
                 stats.peak_instances = len(delta)
 
         # Binding ``machine.output`` to a local measured ×1.11 on warm events
@@ -276,9 +281,7 @@ class _EngineBase:
             before = delta[affected]
             delta[affected] = state = machine.step(before, event.name)
             verdict = machine.output(state)
-            if verdict in trigger and (
-                report_every or verdict != machine.output(before) or not (affected or started)
-            ):
+            if verdict in trigger and (report_every or verdict != machine.output(before)):
                 reports.append(VerdictReport(index, verdict, affected, event.name))
             if parking and state in parking:
                 self._park(affected)
@@ -294,17 +297,20 @@ class _EngineBase:
     ) -> None:
         """Create a group's table entries, each its source's state after one step.
 
-        ``joins`` maps each join to its source.  No join is in the table
-        yet, and each source is and is strictly less informative; the test
+        ``joins`` maps each join to its source.  Each source is in the
+        table and strictly less informative than its join, and no join is
+        in the table yet, but one: the empty binding at its first step is
+        the one join already in the table, defined from itself.  The test
         suite's differential checks assert this.
 
         A join copied from a source whose state is a parking sink is *born
         parked*: its first step would leave it in that sink, so it takes
-        the state without a machine step.  This holds for the empty binding
-        before its first step too, as a sink steps to itself.  Every first
-        step counts in ``monitor_steps``, and reports its verdict to
-        ``reports`` if it is a trigger, as no verdict was recorded before.
-        Under ``report_every`` no parking sink's verdict is one.
+        the state without a machine step.  So does the empty binding that
+        starts in a sink, as a sink steps to itself.  Every first step
+        counts in ``monitor_steps``, and reports its verdict to ``reports``
+        if it is a trigger, as no verdict was recorded before.  Under
+        ``report_every`` no parking sink's verdict is one.  ``defines``
+        counts only the entries the table gains, in the loop.
         """
         delta, parking, machine = self.delta, self._parking, self.machine
         trigger, name, index = self.trigger, event.name, self.stats.events
@@ -316,7 +322,6 @@ class _EngineBase:
             verdict = machine.output(state)
             if verdict in trigger:
                 reports.append(VerdictReport(index, verdict, joined, name))
-        self.stats.defines += len(joins)
         self.stats.monitor_steps += len(joins)
 
     def _park(self, binding: ParamInstance) -> None:
@@ -324,9 +329,6 @@ class _EngineBase:
 
     def _index(self, domain: frozenset[str], joins: Iterable[ParamInstance]) -> None:
         """Note a group of bindings of ``domain`` that this event defined."""
-
-    def _ground(self) -> None:
-        """Note a ground event, before its lookup of the empty binding's extensions."""
 
 
 #: Sentinel for a binding not in the table.
@@ -340,27 +342,25 @@ class IndexedMonitor(_EngineBase):
     the key, and ``parked_extensions[key]`` the parked ones.  A key is
     ``(cut items, D)``: under it sit the defined bindings of domain ``D``
     strictly more informative than the binding with those items (a plain
-    name-sorted item tuple).  The finders only ever look up keys ``(items
-    of b restricted to E∩D, D)``, where ``E`` is the domain of an event's
+    name-sorted item tuple).  The finders only ever look up keys ``(items of
+    b restricted to E∩D, D)``, where ``E`` is the domain of an event's
     binding ``b`` and ``D`` a table domain, so only keys of that shape are
-    written, and only for the *query domains* ``E``: the table domains
-    other than the empty one, and the empty one from the first ground
-    event on.  Before it, the empty cut ``((), D)`` serves only a merge
-    with a table domain that shares no name with ``D``.  A live binding of
-    ``D`` is indexed under its restriction to ``E∩D`` for every query
-    domain ``E`` with ``E∩D ⊊ D`` (the *cuts* of ``D``); a domain with no
-    cuts has no key.  Only a merge probe, from a query domain incomparable
-    with ``D``, reads the parked side, so a parked binding of ``D`` sits
-    only under those cuts (its *parked cuts*); if no query domain is
-    incomparable with ``D``, it sits under no key, and only its state in
-    ``delta`` says that it is parked.  A fresh binding is one of its own
-    joins, so this event defines it: its domain, if new, becomes a query
-    domain before its first lookup, as the empty domain does at the first
-    ground event, by the ``_ground`` hook.  A new query domain gets its
-    cuts, and adds its cut to every query domain; one scan of ``delta``
-    then backfills the defined bindings under the cuts that are new, each
-    on its side.  A binding already in the table has a table domain, so
-    the warm path never needs that check.
+    written, and only for the *query domains* ``E``: the domains of the
+    bindings stepped so far.  The empty domain is one from the first ground
+    event on; before it, the empty cut ``((), D)`` serves only a merge with
+    a table domain that shares no name with ``D``.  A live binding of ``D``
+    is indexed under its restriction to ``E∩D`` for every query domain ``E``
+    with ``E∩D ⊊ D`` (the *cuts* of ``D``); a domain with no cuts has no
+    key.  Only a merge probe, from a query domain incomparable with ``D``,
+    reads the parked side, so a parked binding of ``D`` sits only under
+    those cuts (its *parked cuts*); if no query domain is incomparable with
+    ``D``, it sits under no key, and only its state in ``delta`` says that
+    it is parked.  A fresh binding is one of its own joins, so this event
+    steps it: its domain, if new, becomes a query domain before its first
+    lookup.  A new query domain gets its cuts, and adds its cut to every
+    query domain; one scan of ``delta`` then backfills the defined bindings
+    under the cuts that are new, each on its side.  A binding stepped before
+    has a query domain, so the warm path never needs that check.
 
     A join's keys are written once, when ``_define`` has given it its
     first step, on the side that step left it: no step of the event that
@@ -371,9 +371,8 @@ class IndexedMonitor(_EngineBase):
       D)``: a parked binding is never stepped.  Only a domain ``D`` wider
       than ``b``'s can hold a strict extension of ``b``, so it reads the
       query domains widest first and stops at the first that is not wider.
-      A fresh ``b``'s domain is a query domain once the join finder ran,
-      and the empty domain is one once ``_ground`` ran, so their keys are
-      there too.
+      A fresh ``b``'s domain, the empty one too, is a query domain once
+      the join finder ran, so its keys are there too.
     * A binding compatible with a fresh ``b`` and of a domain ``D``
       incomparable with ``b``'s agrees with ``b`` on their shared names, so
       the compatible neighbours of ``b`` in ``D`` are exactly the bindings
@@ -518,9 +517,10 @@ class IndexedMonitor(_EngineBase):
                     members.add(member)
 
     def _park(self, binding: ParamInstance) -> None:
-        """Move a live binding's keys to the parked side, under its parked cuts."""
-        if not binding:  # no key holds the empty binding
-            return
+        """Move a live binding's keys to the parked side, under its parked cuts.
+
+        The empty domain has no cuts, so the empty binding moves nowhere.
+        """
         domain, cuts, parked_cuts = self._domains[binding.domain]
         live, parked = self.extensions, self.parked_extensions
         for cut in cuts.values():
@@ -532,11 +532,6 @@ class IndexedMonitor(_EngineBase):
                 members.remove(binding)
         for cut in parked_cuts.values():
             parked.setdefault((cut(binding), domain), set()).add(binding)
-
-    def _ground(self) -> None:
-        """Make the empty domain a query domain at the first ground event."""
-        if frozenset() not in self._domains:
-            self._add_domain(frozenset())
 
     def _add_domain(self, domain: frozenset[str]) -> tuple[frozenset[str], dict, dict]:
         """Make ``domain`` a query domain.

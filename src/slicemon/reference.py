@@ -117,10 +117,12 @@ class BaselineMonitor(_EngineBase):
     """Full-scan engine: finds affected bindings by scanning the whole table."""
 
     def _joins(self, binding: ParamInstance) -> dict[frozenset[str], dict]:
-        # ``EMPTY`` is the table's first key, so the binding's own group
-        # comes first.  The scan is counted once per event, by ``_above``.
+        # The binding's own group first; the scan is counted once per event,
+        # by ``_above``.
         delta = self.delta
-        groups: dict[frozenset[str], dict[ParamInstance, ParamInstance]] = {}
+        groups: dict[frozenset[str], dict[ParamInstance, ParamInstance]] = {
+            binding.domain: {binding: EMPTY}
+        }
         for member in delta:
             joined = binding.join(member)
             if joined is not None and joined not in delta:

@@ -112,23 +112,17 @@ class StaleParkedIndexMonitor(IndexedMonitor):
 
 
 class UnfilledGroundMonitor(IndexedMonitor):
-    """Mutant: the first ground event adds the empty cut to every table domain, unfilled.
+    """Mutant: the empty domain joins the query domains unfilled.
 
-    The empty domain becomes a query domain at the first ground event, and
-    this mutant skips the backfill that indexes the bindings already
-    defined under their empty cuts.  That ground event, and every later
-    one, then misses the live bindings defined before it.
+    The first ground event defines the empty binding, whose domain then
+    becomes a query domain and gives every table domain its empty cut; this
+    mutant skips the backfill that indexes the bindings already defined
+    under those cuts.  That ground event, and every later one, then misses
+    the live bindings defined before it.
     """
 
-    _grounding = False
-
-    def _ground(self) -> None:
-        self._grounding = True
-        super()._ground()
-        self._grounding = False
-
     def _backfill(self, fills) -> None:
-        if not self._grounding:
+        if next(reversed(self._domains)):  # the domain just added is not the empty one
             super()._backfill(fills)
 
 
@@ -267,35 +261,45 @@ class NarrowestFloorMonitor(IndexedMonitor):
 
 
 class UnguardedEmptyMonitor(IndexedMonitor):
-    """Mutant: reads a binding in a parking sink as parked, the empty one too.
+    """Mutant: steps the empty binding's first ground event on the warm path.
 
     The empty binding is in the table before its first step, and it may
-    start in a sink.  The loop reads it as parked only once ``_started``
-    records that step; this mutant sets the flag from the start, so
-    parked-ness is the state test alone.  A ground event then skips the
-    empty binding in a sink, and its first verdict is never reported.
-    Its ``gamma`` hides the empty binding until a ground event is fed, so
-    the fault shows only in that missing report, not in a verdict read
-    before any ground event.
+    start in a sink.  The loop takes the first ground event on the fresh
+    path, where ``_define`` gives the empty binding that step and reports
+    any trigger verdict.  This mutant records the step as taken before the
+    event, and makes the empty domain a query domain, as the fresh path
+    would, so that the event's extensions are still found.  The warm path
+    then skips the empty binding in a sink, or steps it to the verdict it
+    started with, and its first verdict is never reported.
     """
 
-    _fed_ground = False
-
-    def __init__(self, machine: FsmMachine, **options):
-        super().__init__(machine, **options)
-        self._started = True
-
-    @property
-    def gamma(self) -> dict:
-        gamma = super().gamma
-        if not self._fed_ground:
-            del gamma[EMPTY]
-        return gamma
-
     def feed(self, event):
-        if not event.instance:
-            self._fed_ground = True
+        if not (event.instance or self._started):
+            self._add_domain(frozenset())
+            self._started = True
         return super().feed(event)
+
+
+class RotatedFloorMonitor(IndexedMonitor):
+    """Mutant: a merged join takes another neighbour of its index key as its floor.
+
+    The neighbours of one domain that a fresh binding meets sit under one
+    key, and each reaches its own join; this mutant rotates their floors
+    among those joins.  A merged join copies its floor without a probe, so
+    where a key holds several neighbours, each join copies one that is not
+    below it.
+    """
+
+    def _joins(self, binding: ParamInstance) -> dict:
+        groups = super()._joins(binding)
+        for joins in list(groups.values())[1:]:
+            by_key: dict[frozenset, list] = {}
+            for joined, floor in joins.items():
+                by_key.setdefault(floor.domain, []).append(joined)
+            for keyed in by_key.values():
+                floors = [joins[joined] for joined in keyed]
+                joins.update(zip(keyed, floors[1:] + floors[:1]))
+        return groups
 
 
 #: (name, ``run_selfcheck`` keywords, the check that must catch it).
@@ -315,6 +319,7 @@ MUTANTS = [
     ("narrowest-floor", {"indexed_class": NarrowestFloorMonitor}, "engine-pair"),
     ("unguarded-empty", {"indexed_class": UnguardedEmptyMonitor}, "engine-pair"),
     ("unfilled-ground", {"indexed_class": UnfilledGroundMonitor}, "engine-pair"),
+    ("rotated-floor", {"indexed_class": RotatedFloorMonitor}, "engine-pair"),
 ]
 
 

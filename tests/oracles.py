@@ -119,7 +119,8 @@ def parked(engine) -> set[ParamInstance]:
 
     They are the bindings whose state is in ``engine._parking``, less the
     empty binding before its first step (``engine._started``): it may
-    start in a sink, and its first step may still report.
+    start in a sink, and the first ground event still defines it, which
+    may report.
     """
     parking, started = engine._parking, engine._started
     return {

@@ -1,12 +1,14 @@
 """Bounded-exhaustive differential check: every small trace, once per renaming.
 
 The scope is every non-empty trace of at most three events over ``a(x)``,
-``b(y, z)``, ``c(x, y)``, ``d(y)``, ``e(z)``, ``f(x, y, z)`` and a ground
-``g``, with the values ``1`` and ``2``, taken once per renaming of each
-parameter's values: 1,829 traces.  Every one must pass the selfcheck's
-slicing check and, on each of three fixed machines, its ``engine-pair``
-and ``reports`` checks.  Every one of the ``MUTANTS`` is caught in this
-scope, and the check that catches each first is pinned.
+``b(y, z)``, ``c(x, y)``, ``d(y)``, ``e(z)``, ``f(x, y, z)``, a ground
+``g`` and ``h(y, z)``, with the values ``1`` and ``2``, taken once per
+renaming of each parameter's values: 2,989 traces.  ``h`` shares its
+parameters with ``b`` and leads elsewhere, so that two neighbours of one
+domain can hold different states within three events.  Every trace must
+pass the selfcheck's slicing check and, on each of three fixed machines,
+its ``engine-pair`` and ``reports`` checks.  Every one of the ``MUTANTS``
+is caught in this scope, and the check that catches each first is pinned.
 """
 
 from __future__ import annotations
@@ -26,16 +28,16 @@ from .mutants import MUTANTS
 
 KINDS = (
     ("a", ("x",)), ("b", ("y", "z")), ("c", ("x", "y")), ("d", ("y",)), ("e", ("z",)),
-    ("f", ("x", "y", "z")), ("g", ()),
+    ("f", ("x", "y", "z")), ("g", ()), ("h", ("y", "z")),
 )
-NAMES = "abcdefg"
+NAMES = "abcdefgh"
 
-#: ``a``, ``d`` and ``f`` lead to a match that ``b`` and ``e`` leave; ``c``
-#: ends in a fail-labelled sink; ``g`` keeps the state.
+#: ``a``, ``d``, ``f`` and ``h`` lead to a match that ``b`` and ``e`` leave;
+#: ``c`` ends in a fail-labelled sink; ``g`` keeps the state.
 FAIL_SINK = FsmMachine(
     "s",
     {
-        **{(state, name): "m" for state in "sm" for name in "adf"},
+        **{(state, name): "m" for state in "sm" for name in "adfh"},
         **{(state, name): "s" for state in "sm" for name in "be"},
         **{(state, "c"): "dead" for state in "sm"},
         **{(state, "g"): state for state in "sm"},
@@ -45,14 +47,14 @@ FAIL_SINK = FsmMachine(
     NAMES,
 )
 
-#: A count modulo 3 that ``a``, ``c``, ``d`` and ``g`` raise by one and ``b``,
-#: ``e`` and ``f`` by two: no sink, every step changes the verdict, and the
-#: fail state is left again.
+#: A count modulo 3 that ``a``, ``c``, ``d``, ``g`` and ``h`` raise by one
+#: and ``b``, ``e`` and ``f`` by two: no sink, every step changes the
+#: verdict, and the fail state is left again.
 COUNTER = FsmMachine(
     0,
     {
         (count, name): (count + rise) % 3
-        for count in range(3) for name, rise in zip(NAMES, (1, 2, 1, 1, 2, 2, 1))
+        for count in range(3) for name, rise in zip(NAMES, (1, 2, 1, 1, 2, 2, 1, 1))
     },
     {1: Verdict.MATCH, 2: Verdict.FAIL},
     NAMES,
@@ -121,11 +123,12 @@ CAUGHT = {
     "narrowest-floor": "engine-pair",
     "unguarded-empty": "engine-pair",
     "unfilled-ground": "reports",
+    "rotated-floor": "engine-pair",
 }
 
 
 def test_scope_is_every_small_trace_up_to_renaming():
-    assert len(TRACES) == 1829
+    assert len(TRACES) == 2989
     assert len({tuple(trace) for trace in TRACES}) == len(TRACES)
     assert list(CAUGHT) == [name for name, _, _ in MUTANTS]
 

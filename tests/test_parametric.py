@@ -249,6 +249,27 @@ def test_sink_initial_state_reports_for_empty_binding(engine_class):
     assert (engine.stats.monitor_steps, engine.stats.skipped_steps) == (1, 1)
 
 
+@pytest.mark.parametrize("engine_class", [BaselineMonitor, IndexedMonitor])
+def test_initial_match_reports_once_for_empty_binding(engine_class):
+    # The initial state is a match but no sink: the first ground event
+    # steps the empty binding to the verdict it started with, and that first
+    # step reports it, as a define does; the second step keeps it silent.
+    machine = FsmMachine(
+        "won", {("won", "g"): "won", ("won", "lose"): "lost"}, {"won": Verdict.MATCH},
+        ["g", "lose"],
+    )
+    assert "won" not in machine.sinks
+    engine = engine_class(machine, trigger=[Verdict.MATCH])
+    ground, stats, seen = ParametricEvent("g"), engine.stats, []
+    for _ in range(2):
+        lines = [report.render() for report in engine.feed(ground)]
+        seen.append((lines, stats.defines, stats.compat_checks, stats.monitor_steps))
+    # The baseline scans the one-entry table on every event; the indexed
+    # engine examines the fresh empty binding alone, once.
+    checks = 2 if engine_class is BaselineMonitor else 1
+    assert seen == [(["1\tmatch\t\tg"], 0, 1, 1), ([], 0, checks, 2)]
+
+
 def test_empty_binding_in_a_sink_is_not_parked_before_its_first_step():
     # Read as parked from the start, the empty binding would never report.
     with pytest.raises(AssertionError):

@@ -107,10 +107,9 @@ def test_reports_check_alone_catches_a_silent_birth():
 
 
 def test_unguarded_empty_mutant_is_caught_by_its_missing_first_report():
-    # The mutant's ``gamma`` shows the empty binding only after a ground
-    # event, so the engine-pair check meets its fault where it lies: a
-    # ground event skips the empty binding's first step in a sink, and
-    # the match that step earns is never reported.
+    # The mutant takes the first ground event on the warm path, which
+    # skips the empty binding's first step in a sink, so the match that
+    # step earns is never reported.
     result = mutant_run("unguarded-empty")
     failure = result.failure
     assert (result.traces, failure.check) == (4, "engine-pair")

@@ -72,24 +72,28 @@ def test_only_the_mutants_name_the_private_finders():
 
 
 def test_ab_prints_one_round_of_ratios_per_workload():
-    # One tiny round of two copies of this tree: the shape of the output,
-    # not its timings, which depend on the machine.
+    # One tiny round of two copies of this tree on two seeds: the shape of
+    # the output, one block per workload and seed, not its timings, which
+    # depend on the machine.
     perfbench = ROOT / "perfbench"
     before = {path: path.stat().st_mtime_ns for path in perfbench.rglob("*")}
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab.py"), "--base", str(ROOT), "--change",
-         str(ROOT), "--workload", "fresh-bindings", "--rounds", "1", "--passes", "1"],
+         str(ROOT), "--workload", "fresh-bindings", "--seed", "41", "7", "--rounds", "1",
+         "--passes", "1"],
         capture_output=True, text=True, check=True, timeout=300,
     ).stdout
     lines = out.splitlines()
-    assert lines[0] == "fresh-bindings, seed 41, passes per round: 1"
-    assert lines[1].split() == [
-        "round", "base", "p50", "us", "base", "p99", "us", "change/base", "p50", "p99",
-        "control/base", "p50", "p99",
-    ]
-    row, median, wins = (line.split() for line in lines[2:5])
-    assert row[0] == "1" and median[0] == "median" and row[1:] == median[1:]
-    assert all(float(value) > 0 for value in row[1:])
-    assert wins[0] == "wins" and all(win in ("0/1", "1/1") for win in wins[1:])
-    assert len(wins) == 5 and lines[5:] == [""]
+    assert len(lines) == 12
+    for seed, block in zip((41, 7), (lines[:6], lines[6:])):
+        assert block[0] == "fresh-bindings, seed %d, passes per round: 1" % seed
+        assert block[1].split() == [
+            "round", "base", "p50", "us", "base", "p99", "us", "change/base", "p50", "p99",
+            "control/base", "p50", "p99",
+        ]
+        row, median, wins = (line.split() for line in block[2:5])
+        assert row[0] == "1" and median[0] == "median" and row[1:] == median[1:]
+        assert all(float(value) > 0 for value in row[1:])
+        assert wins[0] == "wins" and all(win in ("0/1", "1/1") for win in wins[1:])
+        assert len(wins) == 5 and block[5] == ""
     assert {path: path.stat().st_mtime_ns for path in perfbench.rglob("*")} == before

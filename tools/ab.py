@@ -1,7 +1,7 @@
 """Compare two ``slicemon`` trees on perfbench's library loop, interleaved in process.
 
     python tools/ab.py --base DIR --change DIR [--workload NAME ...]
-                       [--seed N] [--rounds N] [--passes N]
+                       [--seed N [N ...]] [--rounds N] [--passes N]
 
 ``DIR`` is a checkout; for the parent commit of this one, for example,
 ``git archive HEAD~1 | tar -x -C /tmp/parent`` makes one.  Each round runs
@@ -20,12 +20,13 @@ A pass is perfbench's library loop, ``check_event``, ``feed`` and
 A round runs ``passes`` passes of each package over each trace,
 interleaved in an order that rotates from pass to pass.  An event's
 latency is the median over its passes, and a round's p50 and p99 are
-taken over all events of the workload.
+taken over all events of the workload.  Each round measures every
+workload on every seed given.
 
-Per round it prints the base's p50 and p99 and the ratios change/base
-and control/base; then their medians, the rounds in which the change, or
-the control, read faster than the base ("wins"), and the quartiles of the
-base's own rounds.  Pin it to one CPU (``taskset -c 1``) for steadier
+It prints one block per workload and seed: per round the base's p50 and
+p99 and the ratios change/base and control/base; then their medians, the
+rounds in which the change, or the control, read faster than the base
+("wins"), and the quartiles of the base's own rounds.  Pin it to one CPU (``taskset -c 1``) for steadier
 rounds; the rounds run one at a time.
 """
 
@@ -122,8 +123,10 @@ def measure(workloads, packages: list, name: str, seed: int, passes: int) -> lis
     return [percentiles(latencies) for latencies in per_package]
 
 
-def run_round(trees: list[str], names: list[str], seed: int, passes: int, round_: int) -> dict:
-    """One round, in a fresh process: ``{workload: [(p50, p99) per package]}``.
+def run_round(
+    trees: list[str], names: list[str], seeds: list[int], passes: int, round_: int
+) -> dict:
+    """One round, in a fresh process: ``{(workload, seed): [(p50, p99) per package]}``.
 
     A process lays out each package's objects once, and that layout alone
     moved one package's p50 against an identical copy's by up to 5%, the
@@ -138,7 +141,10 @@ def run_round(trees: list[str], names: list[str], seed: int, passes: int, round_
         packages: list = [None] * len(PACKAGES)
         for k in rotated(len(PACKAGES), round_):
             packages[k] = load_tree(Path(trees[k]), PACKAGES[k], scratch)
-        return {name: measure(workloads, packages, name, seed, passes) for name in names}
+        return {
+            (name, seed): measure(workloads, packages, name, seed, passes)
+            for name in names for seed in seeds
+        }
     finally:
         sys.path.remove(str(scratch))
         shutil.rmtree(scratch, ignore_errors=True)
@@ -175,7 +181,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--change", type=Path, required=True, help="the checkout to measure")
     parser.add_argument("--workload", action="append", choices=NAMES,
                         help="a perfbench workload, repeatable (default: all three)")
-    parser.add_argument("--seed", type=int, default=41, help="the workload seed (default 41)")
+    parser.add_argument("--seed", type=int, nargs="+", default=[41],
+                        help="the workload seeds (default 41)")
     parser.add_argument("--rounds", type=int, default=10, help="rounds (default 10)")
     parser.add_argument("--passes", type=int, default=5,
                         help="passes per package, trace and round (default 5)")
@@ -187,17 +194,17 @@ def main(argv: list[str]) -> int:
             parser.error("no src/slicemon package in %s" % tree)
     base, change = str(args.base.resolve()), str(args.change.resolve())
     names = args.workload or list(NAMES)
-    results: dict[str, list] = {name: [] for name in names}
+    results: dict[tuple, list] = {(name, seed): [] for name in names for seed in args.seed}
     # One process per round, and only one at a time: the rounds are timed.
     with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
         for round_ in range(args.rounds):
             found = pool.apply(
                 run_round, ([base, change, base], names, args.seed, args.passes, round_)
             )
-            for name in names:
-                results[name].append(found[name])
-    for name in names:
-        report(name, args.seed, args.passes, results[name])
+            for key, rounds in results.items():
+                rounds.append(found[key])
+    for (name, seed), rounds in results.items():
+        report(name, seed, args.passes, rounds)
     return 0
 
 
