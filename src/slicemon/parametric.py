@@ -16,21 +16,20 @@ a sink state that cannot report, which the state table alone records.
 Each step reads only its own binding's state, so the steps may run in any
 order; the reports of one event come out in ``binding_order``.  One dict
 carries the missing joins from finder to define, grouped by domain, the
-binding's own group first: each join maps to its floor, a defined binding
-below it, which the source finder then overwrites with the join's source.
-The engines differ only in the three finders the loop calls:
+binding's own group first, each join mapped to its source.  The engines
+differ only in the two finders the loop calls:
 
 * :class:`slicemon.reference.BaselineMonitor` scans the whole table for
   the live strict extensions of a binding, for its missing joins, and
-  for a join's source, the widest binding below it (``max_below``) —
+  for each join's source, the widest binding below it (``max_below``) —
   simple, and the semantic yardstick;
-* :class:`IndexedMonitor` looks the first two up in a domain-keyed index of
-  the defined bindings, holding only the keys its lookups can ask for, and
+* :class:`IndexedMonitor` looks them up in a domain-keyed index of the
+  defined bindings, holding only the keys its lookups can ask for, and
   only in the domains where they can hit.  A merged join's source is the
-  widest neighbour it is built from, which the join finder records as its
-  *floor*; the fresh binding's is found by restricting it to each table
-  domain within its own, widest first, and is the empty binding if none of
-  those restrictions is defined.  It neither scans the table nor checks
+  widest neighbour it is built from, which the merge records with it; the
+  fresh binding's is found by restricting it to each table domain within
+  its own, widest first, and is the empty binding if none of those
+  restrictions is defined.  It neither scans the table nor checks
   compatibility.  Only a fresh binding's merge probes read the parked side
   of the index, which keeps only the keys they ask for.
 
@@ -108,57 +107,53 @@ class RunStats:
     baseline; a fresh binding and its indexed merge neighbours for the
     indexed engine, whose extension lookups examine no candidate, so the
     first ground event, whose empty binding is fresh, counts 1 there.
-    ``defines`` counts new table entries, and ``peak_instances`` tracks the
-    largest table size reached.  ``probes`` counts the restrictions of
-    fresh bindings that the indexed engine's source finder looks up in
-    ``delta``; the baseline, which scans the table for sources, leaves it
-    at 0.  All are totals, so a run's stats stay the same size however
-    long it is.
+    ``probes`` counts the restrictions of fresh bindings that the indexed
+    engine's join finder looks up in ``delta`` for their sources; the
+    baseline, which scans the table for sources, leaves it at 0.  All are
+    totals, so a run's stats stay the same size however long it is.
+
+    ``defines``, the new table entries, and ``peak_instances``, the largest
+    table size reached, are read from the engine's ``table``, which never
+    shrinks and starts with the empty binding alone.
     """
 
-    __slots__ = (
-        "events", "monitor_steps", "skipped_steps", "compat_checks", "defines",
-        "peak_instances", "probes",
-    )
+    __slots__ = ("events", "monitor_steps", "skipped_steps", "compat_checks", "probes", "_table")
 
-    def __init__(
-        self, events: int = 0, monitor_steps: int = 0, skipped_steps: int = 0,
-        compat_checks: int = 0, defines: int = 0, peak_instances: int = 0, probes: int = 0,
-    ):
-        self.events = events
-        self.monitor_steps = monitor_steps
-        self.skipped_steps = skipped_steps
-        self.compat_checks = compat_checks
-        self.defines = defines
-        self.peak_instances = peak_instances
-        self.probes = probes
+    def __init__(self, table: dict):
+        self.events = self.monitor_steps = self.skipped_steps = 0
+        self.compat_checks = self.probes = 0
+        self._table = table
+
+    @property
+    def defines(self) -> int:
+        return len(self._table) - 1
+
+    @property
+    def peak_instances(self) -> int:
+        return len(self._table)
 
 
 class _EngineBase:
     """The define/join/apply loop, the state table, triggers and report policy.
 
-    Subclasses supply the three finders, each with one job:
+    Subclasses supply the two finders, each with one job:
     ``_above(binding)`` returns the defined strict extensions of a binding,
     not parked, whether the table holds the binding or not; the loop steps
     the binding itself unless it is parked or fresh.  ``_joins(binding)``
-    returns, for a fresh binding, its own group, ``{dom(b): {b: EMPTY}}``,
+    returns, for a fresh binding, its own group, ``{dom(b): {b: source}}``,
     first, then its missing joins with the table, ``{b ⊔ m : m in delta,
-    compatible} − delta``, as ``{domain: {join: floor}}``, no group empty:
+    compatible} − delta``, as ``{domain: {join: source}}``, no group empty:
     the joins with its *neighbours*, the table entries incomparable with it
     (a join with an entry comparable with the binding is the binding or the
-    entry).  A join's *floor* is a binding in the table strictly below it, a
-    lower bound for its source; the empty binding is its own floor.  The
-    binding's defined joins extend it, and ``_above`` reaches them if live;
-    the loop calls it after ``_joins``, which makes the binding's domain a
-    query domain of the indexed engine.  ``_below(groups)`` overwrites each
-    floor, in place, with the join's source: its most informative binding
-    strictly below it in the pre-event table (the empty binding's is
-    itself), which is at least as informative as the floor, so ``_below``
-    may look only above it.  The loop calls it once per fresh event, before
-    any define.  The finders add the candidates they examine to
-    ``stats.compat_checks``; the baseline's table scan counts once per
-    event, in ``_above``, which every event calls.  The indexed ``_below``
-    adds its probes to ``stats.probes``.
+    entry).  A join's *source* is its most informative binding strictly
+    below it in the pre-event table; the empty binding is its own source.
+    The binding's defined joins extend it, and ``_above`` reaches them if
+    live; the loop calls it after ``_joins``, which makes the binding's
+    domain a query domain of the indexed engine.  The finders add the
+    candidates they examine to ``stats.compat_checks``; the baseline's
+    table scan counts once per event, in ``_above``, which every event
+    calls.  The indexed ``_joins`` adds its source probes to
+    ``stats.probes``.
 
     Two hooks note what the loop did: ``_index(domain, joins)`` is called
     per group of one domain an event defined, the fresh binding's first,
@@ -179,7 +174,7 @@ class _EngineBase:
         self.report_every = report_every
         self.delta: dict[ParamInstance, object] = {EMPTY: machine.initial()}
         self._started = False
-        self.stats = RunStats(peak_instances=1)
+        self.stats = RunStats(self.delta)
         #: Sinks a step can land in without reporting.  A binding whose
         #: state is one of them is parked, unless it is the empty binding
         #: before its first step, which has no verdict yet.
@@ -218,13 +213,12 @@ class _EngineBase:
         unspecified.
 
         An event on a fresh binding defines the joins ``_joins`` returns,
-        the binding itself among them: one ``_below`` call gives every join
-        its source from the pre-event table, then each group is defined,
-        and given its first step, by ``_define``, and indexed.  The first
-        ground event is such an event: the empty binding takes its first
-        step there.  The loop steps only the bindings stepped before the
-        event: the binding, if it was not fresh, and what ``_above``
-        returns, found before any define.
+        the binding itself among them, each with its source in the
+        pre-event table: each group is defined, and given its first step,
+        by ``_define``, and indexed.  The first ground event is such an
+        event: the empty binding takes its first step there.  The loop
+        steps only the bindings stepped before the event: the binding, if it
+        was not fresh, and what ``_above`` returns, found before any define.
 
         A step that lands in one of the machine's sinks parks its binding
         unless the sink's verdict would be reported again under
@@ -257,21 +251,15 @@ class _EngineBase:
             # which ``_above`` finds if they are live, and its missing
             # joins, the binding itself among them.  Each missing one
             # copies the state of its most informative defined
-            # sub-binding, all read by one ``_below`` before any define, so
+            # sub-binding, all found by ``_joins`` before any define, so
             # that no join copies a state this event created.
             if not binding:
                 self._started = True
             groups = self._joins(binding)
             touched = self._above(binding)
-            self._below(groups)
             for domain, joins in groups.items():
                 self._define(joins, event, reports)
                 self._index(domain, joins)
-            # The table never shrinks, so its peak is its size before the
-            # event, and what it gained are this event's defines.
-            if len(delta) > stats.peak_instances:
-                stats.defines += len(delta) - stats.peak_instances
-                stats.peak_instances = len(delta)
 
         # Binding ``machine.output`` to a local measured ×1.11 on warm events
         # that step nothing, most of unsafeiter-join's (CHANGES.md).
@@ -309,8 +297,8 @@ class _EngineBase:
         starts in a sink, as a sink steps to itself.  Every first step
         counts in ``monitor_steps``, and reports its verdict to ``reports``
         if it is a trigger, as no verdict was recorded before.  Under
-        ``report_every`` no parking sink's verdict is one.  ``defines``
-        counts only the entries the table gains, in the loop.
+        ``report_every`` no parking sink's verdict is one.  ``defines``,
+        read from the table's size, counts only the entries it gains.
         """
         delta, parking, machine = self.delta, self._parking, self.machine
         trigger, name, index = self.trigger, event.name, self.stats.events
@@ -385,7 +373,7 @@ class IndexedMonitor(_EngineBase):
       to a table domain ``D ⊊ dom(j)``.  These restrictions that are
       defined are join-closed, since the table is, so their maximum ``s``,
       the source, is the join of them all and has the one widest domain
-      among them.  For the fresh binding ``b`` itself, the source finder
+      among them.  For the fresh binding ``b`` itself, the join finder
       probes the table domains within ``b``'s, widest first: the first hit
       is ``s``, and if none hits, ``s`` is the empty binding.  A merged join
       ``j = b ⊔ n`` needs no probe.  Its source ``s`` is at least the
@@ -393,13 +381,13 @@ class IndexedMonitor(_EngineBase):
       above ``b`` either, or it would be at least ``b ⊔ n = j``.  So ``s`` is
       a neighbour of ``b`` whose join with ``b`` is ``j``, and the widest of
       them.  The merge plan lists the neighbour domains narrowest first, so
-      ``s`` is the last to record itself as ``j``'s floor, and the floor is
-      the source.
+      ``s`` is the last to record itself with ``j``, and stays ``j``'s
+      source.
 
     A binding equals its item tuple, so the extension finder looks its
-    keys up with the binding itself, and the join and source finders
-    probe ``delta`` with item tuples, making a binding only of a join that
-    is missing and of a fresh binding's source that it finds.
+    keys up with the binding itself, and the join finder probes ``delta``
+    with item tuples, making a binding only of a join that is missing and
+    of a fresh binding's source that it finds.
     """
 
     def __init__(self, machine: Machine, **options):
@@ -428,7 +416,7 @@ class IndexedMonitor(_EngineBase):
                 # The binding is one of its joins: this event defines it.
                 self._add_domain(query)
             plan = self._plans[query] = self._plan(query)
-        groups = {query: {binding: EMPTY}}
+        groups = {query: {binding: self._source(binding, query)}}
         examined = 1
         delta, wrap = self.delta, ParamInstance._wrap
         sides = (self.extensions, self.parked_extensions)
@@ -453,10 +441,10 @@ class IndexedMonitor(_EngineBase):
 
         The merge plan gets a join's items, in name order, from the
         binding's items followed by a neighbour's, and each join is
-        recorded with its neighbour, its floor.  The entries come
-        narrowest domain first, so when several reach one missing join, the
-        widest of their neighbours is the last to record itself, and stays
-        the join's floor.
+        recorded with its neighbour.  The entries come narrowest domain
+        first, so when several reach one missing join, the widest of their
+        neighbours is the last to record itself, and stays the join's
+        source.
         """
         plan = []
         for domain in reversed(self._widest):
@@ -477,25 +465,22 @@ class IndexedMonitor(_EngineBase):
             found.extend(extensions.get((binding, domain), ()))
         return found
 
-    def _below(self, groups: dict[frozenset[str], dict]) -> None:
-        # A merged join's floor is its source; only the binding's own join,
-        # floored at the empty binding, is probed.
-        domain, own = next(iter(groups.items()))
+    def _source(self, binding: ParamInstance, domain: frozenset[str]) -> ParamInstance:
+        """A fresh binding's source: its widest defined restriction to a table domain, or EMPTY."""
         # Deriving them anew measured ×1.20 unsafeiter-join p99 (CHANGES.md).
         sources = self._sources.get(domain)
         if sources is None:
             sources = self._sources[domain] = [
                 _cut(domain, part) for part in self._widest if part and part < domain
             ]
-        if sources:
-            delta = self.delta
-            (binding,) = own
-            for probes, cut in enumerate(sources, 1):
-                items = cut(binding)
-                if items in delta:
-                    own[binding] = ParamInstance._wrap(items)
-                    break
-            self.stats.probes += probes
+        delta = self.delta
+        for probes, cut in enumerate(sources, 1):
+            items = cut(binding)
+            if items in delta:
+                self.stats.probes += probes
+                return ParamInstance._wrap(items)
+        self.stats.probes += len(sources)
+        return EMPTY
 
     def _index(self, domain: frozenset[str], joins: Iterable[ParamInstance]) -> None:
         """Write the keys of a group of this event's joins, each on its side, once."""

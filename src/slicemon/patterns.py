@@ -178,8 +178,6 @@ class _Parser:
 
     def parse_atom(self) -> tuple[int, int]:
         tok = self.peek()
-        if tok is None:
-            raise PatternSyntaxError("unexpected end of pattern", self.here())
         if tok == "(":
             self.index += 1
             fragment = self.parse_alt()

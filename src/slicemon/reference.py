@@ -120,13 +120,13 @@ class BaselineMonitor(_EngineBase):
         # The binding's own group first; the scan is counted once per event,
         # by ``_above``.
         delta = self.delta
-        groups: dict[frozenset[str], dict[ParamInstance, ParamInstance]] = {
-            binding.domain: {binding: EMPTY}
-        }
+        groups = {binding.domain: {binding: max_below(binding, delta)}}
         for member in delta:
             joined = binding.join(member)
             if joined is not None and joined not in delta:
-                groups.setdefault(joined.domain, {})[joined] = member
+                group = groups.setdefault(joined.domain, {})
+                if joined not in group:
+                    group[joined] = max_below(joined, delta)
         return groups
 
     def _above(self, binding: ParamInstance) -> list[ParamInstance]:
@@ -139,9 +139,3 @@ class BaselineMonitor(_EngineBase):
             and other != binding
             and binding.less_informative(other)
         ]
-
-    def _below(self, groups: dict[frozenset[str], dict]) -> None:
-        delta = self.delta
-        for joins in groups.values():
-            for joined in joins:
-                joins[joined] = max_below(joined, delta)

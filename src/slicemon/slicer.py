@@ -112,7 +112,8 @@ class SliceTable:
         The answer is the entry of the most informative table binding at or
         below the query — which equals the definitional slice for the query.
         It scans the table (``max_below``) rather than asking the engine's
-        source finder, so it checks that finder from an independent route.
+        join finder for a source, so it checks those sources from an
+        independent route.
         Its callers are the selfcheck's off-table ``slicing`` probes and the
         tests, which hold it against :func:`slicemon.events.slice_trace`.
         """

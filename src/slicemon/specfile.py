@@ -70,9 +70,15 @@ def _identifier(lineno: int, text: str, what: str) -> str:
     return text
 
 
-def _comma_list(text: str) -> list[str]:
-    """The non-empty items of a comma-separated list, stripped."""
-    return [item for item in map(str.strip, text.split(",")) if item]
+def _comma_list(lineno: int, text: str) -> list[str]:
+    """The items of a comma-separated list, stripped; a list of empty items names none.
+
+    An empty item beside a named one is an error.
+    """
+    items = [item.strip() for item in text.split(",")]
+    if any(items) and not all(items):
+        raise SpecFormatError(lineno, "empty item in the list %r" % text.strip())
+    return [item for item in items if item]
 
 
 def _declared(lineno: int, name: str, declared: dict, what: str = "event") -> str:
@@ -137,7 +143,7 @@ def parse_property_spec(source: str) -> MonitorSpec:
         if keyword == "property":
             name = _identifier(lineno, rest, "property name")
         elif keyword == "params:":
-            for param in _comma_list(rest):
+            for param in _comma_list(lineno, rest):
                 param = _identifier(lineno, param, "parameter")
                 if param in params:
                     raise SpecFormatError(lineno, "parameter %r declared twice" % param)
@@ -154,7 +160,7 @@ def parse_property_spec(source: str) -> MonitorSpec:
                     lineno, "event %r declared after the 'pattern:' line" % ev_name
                 )
             ev_params = []
-            for param in _comma_list(arglist):
+            for param in _comma_list(lineno, arglist):
                 if param not in params:
                     raise SpecFormatError(
                         lineno, "event %r uses undeclared parameter %r" % (ev_name, param)
@@ -173,7 +179,7 @@ def parse_property_spec(source: str) -> MonitorSpec:
                 )
             kind = rest
         elif keyword == "report:":
-            trigger.update(_verdict(lineno, tag) for tag in _comma_list(rest))
+            trigger.update(_verdict(lineno, tag) for tag in _comma_list(lineno, rest))
 
         elif keyword == "pattern:":
             try:
@@ -229,7 +235,7 @@ def parse_property_spec(source: str) -> MonitorSpec:
             if set(roles) != {"enter", "exit", "inc", "dec"}:
                 raise SpecFormatError(lineno, "roles: must assign all four roles")
         elif keyword == "success:":
-            success = [_declared(lineno, ev_name, events) for ev_name in _comma_list(rest)]
+            success = [_declared(lineno, ev_name, events) for ev_name in _comma_list(lineno, rest)]
             if not success:
                 raise SpecFormatError(lineno, "'success:' names no event")
         else:

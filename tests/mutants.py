@@ -45,7 +45,7 @@ class SkipJoinPhaseMonitor(IndexedMonitor):
 class NoSnapshotMonitor(IndexedMonitor):
     """Mutant: defines each join from ``max_below`` on the growing table.
 
-    Its source finder defines each join as soon as it has found its source.
+    Its join finder defines each join as soon as it has found its source.
     The fresh binding's group comes first, so a join found later can copy
     the fresh binding, or another join that this event created, instead of
     its pre-event source; the loop's own define then copies the same source
@@ -58,12 +58,14 @@ class NoSnapshotMonitor(IndexedMonitor):
     a=1``), copy the right slice.
     """
 
-    def _below(self, groups: dict) -> None:
+    def _joins(self, binding: ParamInstance) -> dict:
+        groups = super()._joins(binding)
         delta = self.delta
         for joins in groups.values():
             for joined in joins:
                 joins[joined] = source = max_below(joined, reversed(delta))
                 delta[joined] = delta[source]
+        return groups
 
 
 class NoSnapshotSliceTable(SliceTable):
@@ -131,14 +133,15 @@ class LiveOnlyJoinsMonitor(IndexedMonitor):
 
     Its join finder reads the live side of the index alone, so the joins
     with parked bindings are never defined and the table is no longer
-    join-closed.  Each missing join it finds has its neighbour as its floor.
+    join-closed.  Each missing join it finds takes the neighbour it was
+    found by as its source.
     """
 
     def _joins(self, binding: ParamInstance) -> dict:
         query = binding.domain
         if query not in self._domains:
             self._add_domain(query)
-        groups = {query: {binding: EMPTY}}
+        groups = {query: {binding: self._source(binding, query)}}
         for domain in self._domains:
             if not (domain <= query or query <= domain):
                 sub = restrict(binding, domain & query)
@@ -150,19 +153,23 @@ class LiveOnlyJoinsMonitor(IndexedMonitor):
 
 
 class SmallestSourceMonitor(IndexedMonitor):
-    """Mutant: copies a missing join from its least informative source above its floor.
+    """Mutant: copies a missing join from its least informative source above its neighbour.
 
     It probes the table domains within the join that are wider than the
-    join's floor smallest first, so the first defined restriction it meets
-    is not the most informative one.
+    neighbour it was merged from, or than the empty binding for the fresh
+    binding itself, smallest first, so the first defined restriction it
+    meets is not the most informative one.
     """
 
-    def _below(self, groups: dict) -> None:
+    def _joins(self, binding: ParamInstance) -> dict:
+        groups = super()._joins(binding)
+        groups[binding.domain][binding] = EMPTY
         for domain, joins in groups.items():
             within = sorted((other for other in self._domains if other < domain), key=len)
-            for joined, floor in joins.items():
-                subs = (restrict(joined, other) for other in within if len(other) > len(floor))
-                joins[joined] = next((sub for sub in subs if sub in self.delta), floor)
+            for joined, least in joins.items():
+                subs = (restrict(joined, other) for other in within if len(other) > len(least))
+                joins[joined] = next((sub for sub in subs if sub in self.delta), least)
+        return groups
 
 
 class StalePlanMonitor(IndexedMonitor):
@@ -222,14 +229,16 @@ class LoneEmptySourceMonitor(IndexedMonitor):
     """Mutant: a fresh binding with no other missing join copies the empty binding.
 
     When the join finder returns the binding's own group alone, this mutant
-    keeps the binding's floor, ``EMPTY``, as its source instead of its most
+    gives the binding ``EMPTY`` as its source instead of its most
     informative defined sub-binding, as if a binding that adds no other join
     had nothing below it either.
     """
 
-    def _below(self, groups: dict) -> None:
-        if len(groups) > 1:
-            super()._below(groups)
+    def _joins(self, binding: ParamInstance) -> dict:
+        groups = super()._joins(binding)
+        if len(groups) == 1:
+            groups[binding.domain][binding] = EMPTY
+        return groups
 
 
 class StaleWiderMonitor(IndexedMonitor):
@@ -251,8 +260,7 @@ class NarrowestFloorMonitor(IndexedMonitor):
     """Mutant: its merge plans list the neighbour domains widest first.
 
     When several neighbours reach one missing join, the last to record
-    itself stays the join's floor, and the source finder takes a merged
-    join's floor as its source without a probe.  Here that is the
+    itself stays the join's source, with no probe.  Here that is the
     narrowest of them, so the join copies a neighbour below its source.
     """
 
@@ -281,24 +289,24 @@ class UnguardedEmptyMonitor(IndexedMonitor):
 
 
 class RotatedFloorMonitor(IndexedMonitor):
-    """Mutant: a merged join takes another neighbour of its index key as its floor.
+    """Mutant: a merged join takes another neighbour of its index key as its source.
 
     The neighbours of one domain that a fresh binding meets sit under one
-    key, and each reaches its own join; this mutant rotates their floors
-    among those joins.  A merged join copies its floor without a probe, so
-    where a key holds several neighbours, each join copies one that is not
-    below it.
+    key, and each reaches its own join; this mutant rotates their sources
+    among those joins.  A merged join copies its neighbour without a probe,
+    so where a key holds several neighbours, each join copies one that is
+    not below it.
     """
 
     def _joins(self, binding: ParamInstance) -> dict:
         groups = super()._joins(binding)
         for joins in list(groups.values())[1:]:
             by_key: dict[frozenset, list] = {}
-            for joined, floor in joins.items():
-                by_key.setdefault(floor.domain, []).append(joined)
+            for joined, source in joins.items():
+                by_key.setdefault(source.domain, []).append(joined)
             for keyed in by_key.values():
-                floors = [joins[joined] for joined in keyed]
-                joins.update(zip(keyed, floors[1:] + floors[:1]))
+                sources = [joins[joined] for joined in keyed]
+                joins.update(zip(keyed, sources[1:] + sources[:1]))
         return groups
 
 

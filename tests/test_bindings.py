@@ -252,6 +252,11 @@ def test_max_below_examples():
     assert max_below(b(x="1"), closed) == b(x="1")  # non-strict
 
 
+def test_max_below_rejects_a_set_without_the_empty_binding():
+    with pytest.raises(ValueError, match="missing the empty binding"):
+        max_below(b(y="2"), [ParamInstance.parse("x=1")])
+
+
 def test_max_below_requires_membership_semantics():
     # the scan never invents bindings: answers are always members
     rng = random.Random(7)

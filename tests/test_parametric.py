@@ -193,6 +193,12 @@ def test_reports_are_values():
     )
 
 
+def test_a_report_is_not_its_field_tuple():
+    report = VerdictReport(2, Verdict.MATCH, ParamInstance({"x": "1"}), "a")
+    fields = (2, Verdict.MATCH, ParamInstance({"x": "1"}), "a")
+    assert report != fields and fields != report
+
+
 def test_empty_binding_verdict_defined_only_after_ground_event():
     machine = absorbing_match_machine()
     engine = IndexedMonitor(machine)
@@ -418,9 +424,9 @@ def test_engines_agree_event_by_event_and_with_definition():
     rng = random.Random(99)
     alphabet = ("a", "b", "c")
     # With five names, many table domains lie within a fresh binding's, so
-    # the source finder probes several of them.  Their total is pinned: an
-    # empty table domain, or a probe of a merged join, whose floor is its
-    # source, changes it.
+    # the join finder probes several of them for its source.  Their total
+    # is pinned: an empty table domain, or a probe of a merged join, whose
+    # neighbour is its source, changes it.
     probes = 0
     for params in [("x", "y", "z")] * 40 + [("v", "w", "x", "y", "z")] * 40:
         machine = random_machine(rng, alphabet)
@@ -556,9 +562,9 @@ def test_a_domain_added_after_a_warm_lookup_is_probed(engine_class):
 def test_a_merged_join_takes_its_widest_neighbour_as_floor():
     # x=v2,z=v3 joins y=v1 and y=v1,z=v3 into x=v2,y=v1,z=v3.  The wider
     # neighbour, y=v1,z=v3, is the join's source, and the merge plan lists
-    # it last, so it stays the join's floor: the source finder takes the
-    # floor without a probe.  With the narrower y=v1 as its floor, one
-    # probe of {y, z} found the source.
+    # it last, so it stays the join's source: the join finder takes it
+    # without a probe.  Starting from the narrower y=v1, one probe of
+    # {y, z} would find the source.
     trace = [
         ParametricEvent("probe", ParamInstance.parse(text))
         for text in ("y=v1,z=v3", "y=v1", "x=v2,z=v3")
@@ -575,10 +581,10 @@ def test_a_merged_join_takes_its_widest_neighbour_as_floor():
 #: and source probes.  The indexed engine's compat checks count a fresh
 #: binding and its merge neighbours only; its extension lookups count none,
 #: on a fresh event as on a warm one.  Neither engine probes: the baseline
-#: scans for sources, and the indexed engine takes every floor as its
-#: source without a probe.  Each pair is created before any {i} or {v}
-#: binding is defined, and a merged join of {i, v} has a neighbour of
-#: width 1 as its floor, with no table domain between the two.
+#: scans for sources, and the indexed engine takes every merged join's
+#: neighbour as its source without a probe.  Each pair is created before
+#: any {i} or {v} binding is defined, and a merged join of {i, v} has a
+#: neighbour of width 1 as its source, with no table domain between the two.
 UNSAFEITER_600_COUNTS = {
     BaselineMonitor: (15, 635, 140, 600, 58650, 95, 96, 0),
     IndexedMonitor: (15, 635, 140, 600, 110, 95, 96, 0),

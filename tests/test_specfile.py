@@ -75,8 +75,8 @@ def test_ratio_fixture(fixtures):
 def test_report_line_variants():
     spec = parse_property_spec(MINIMAL_RATIO + "report: match, fail\n")
     assert spec.trigger == {Verdict.MATCH, Verdict.FAIL}
-    spec = parse_property_spec(MINIMAL_RATIO + "report:\n")
-    assert spec.trigger == frozenset()
+    for empty in ("report:\n", "report: ,\n"):
+        assert parse_property_spec(MINIMAL_RATIO + empty).trigger == frozenset()
 
 
 def test_comments_and_blank_lines_ignored():
@@ -159,6 +159,22 @@ def test_monitor_line_errors():
 def test_report_errors():
     assert "unknown verdict" in str(err(MINIMAL_RATIO + "report: maybe\n"))
     assert "duplicate" in str(err(MINIMAL_RATIO + "report: fail\nreport: fail\n"))
+
+
+@pytest.mark.parametrize(
+    "source, line",
+    [
+        ("property P\nparams: a,,b\n", 2),
+        ("property P\nparams: a\nevent e(a,)\n", 3),
+        (MINIMAL_RATIO + "report: fail,\n", 7),
+    ],
+)
+def test_an_empty_item_beside_a_named_one_is_an_error(source, line):
+    # A list that names nothing (``report:``, ``report: ,``) stays empty;
+    # an empty item next to a named one is a typo, not a shorter list.
+    error = err(source)
+    assert error.line == line
+    assert "empty item" in str(error)
 
 
 def test_payload_keywords_require_matching_kind():

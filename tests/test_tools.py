@@ -50,10 +50,10 @@ def test_code_lines_prints_every_module_and_the_total():
     assert total == sum(counts.values()) and all(counts.values())
 
 
-#: The engines' private finders and define.  The tests check the engines by
-#: what they produce and by their ``RunStats`` counts; only the mutants,
-#: which override these methods, may name them.
-PRIVATE_STEPS = {"_above", "_joins", "_below", "_define"}
+#: The engines' private finders, source probe and define.  The tests check
+#: the engines by what they produce and by their ``RunStats`` counts; only
+#: the mutants, which override or call these methods, may name them.
+PRIVATE_STEPS = {"_above", "_joins", "_source", "_define"}
 
 
 def test_only_the_mutants_name_the_private_finders():
