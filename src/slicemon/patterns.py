@@ -3,10 +3,14 @@
 Patterns are regular expressions whose atoms are event names, with
 juxtaposition for sequencing, ``|`` for alternatives, postfix ``*``/``+``/``?``
 for repetition, parentheses for grouping, and ``ε`` for the empty word.
-The recursive-descent parser builds the nondeterministic automaton with
-epsilon moves as it reads, one Thompson fragment per construct, so there is
-no syntax tree.  The subset construction over the declared alphabet then
-makes it deterministic, and each deterministic state gets a verdict:
+Each occurrence of an event name in the pattern is a *position*, numbered
+from 1 in reading order; position 0 stands for the start.  The
+recursive-descent parser records, as it reads, each position's event name
+and its *follow* positions (those that may come right after it in a word
+of the language), so there is no syntax tree and no epsilon move: this is
+the position automaton of Glushkov and of McNaughton and Yamada.  The
+subset construction over the declared alphabet then makes it
+deterministic, and each deterministic state gets a verdict:
 
 * ``match``   — the state is accepting (the word read is in the language);
 * ``fail``    — no accepting state is reachable (no continuation can match);
@@ -63,87 +67,33 @@ def tokenize(pattern: str) -> list[tuple[str, int]]:
     return tokens
 
 
-class _NfaBuilder:
-    """A nondeterministic automaton with epsilon moves, built by Thompson's rules.
-
-    Each of ``lit``, ``empty``, ``seq``, ``alt`` and ``repeat`` adds the edges
-    of one construct and returns its ``(start, accept)`` fragment.
-    """
-
-    def __init__(self):
-        self.count = 0
-        self.eps: dict[int, list[int]] = {}
-        self.sym: dict[int, list[tuple[str, int]]] = {}
-
-    def fresh(self) -> int:
-        self.count += 1
-        return self.count - 1
-
-    def link_eps(self, a: int, b: int) -> None:
-        self.eps.setdefault(a, []).append(b)
-
-    def lit(self, name: str) -> tuple[int, int]:
-        start, accept = self.fresh(), self.fresh()
-        self.sym.setdefault(start, []).append((name, accept))
-        return start, accept
-
-    def empty(self) -> tuple[int, int]:
-        start, accept = self.fresh(), self.fresh()
-        self.link_eps(start, accept)
-        return start, accept
-
-    def seq(self, parts: list[tuple[int, int]]) -> tuple[int, int]:
-        start, accept = parts[0]
-        for nstart, naccept in parts[1:]:
-            self.link_eps(accept, nstart)
-            accept = naccept
-        return start, accept
-
-    def alt(self, parts: list[tuple[int, int]]) -> tuple[int, int]:
-        start, accept = self.fresh(), self.fresh()
-        for pstart, paccept in parts:
-            self.link_eps(start, pstart)
-            self.link_eps(paccept, accept)
-        return start, accept
-
-    def repeat(self, inner: tuple[int, int], op: str) -> tuple[int, int]:
-        """Postfix repetition: ``*`` (min 0), ``+`` (min 1) or ``?`` (optional)."""
-        istart, iaccept = inner
-        start, accept = self.fresh(), self.fresh()
-        self.link_eps(start, istart)
-        self.link_eps(iaccept, accept)
-        if op in ("*", "?"):
-            self.link_eps(start, accept)
-        if op in ("*", "+"):
-            self.link_eps(iaccept, istart)
-        return start, accept
-
-    def closure(self, states: Iterable[int]) -> frozenset[int]:
-        seen = set(states)
-        work = list(seen)
-        while work:
-            state = work.pop()
-            for target in self.eps.get(state, ()):
-                if target not in seen:
-                    seen.add(target)
-                    work.append(target)
-        return frozenset(seen)
+#: Deepest nesting of parenthesized groups a pattern may have; the parser
+#: recurses once per group, so a deeper pattern is a syntax error rather
+#: than a blown stack.
+MAX_NESTING = 100
 
 
 class _Parser:
-    """Recursive descent over a pattern's tokens, building into ``nfa`` as it reads.
+    """Recursive descent over a pattern's tokens, recording positions as it reads.
 
-    Each ``parse_*`` method reads one construct and returns its ``(start,
-    accept)`` fragment; ``names`` collects the event names read.  Methods,
-    not nested functions, so that no reference cycle outlives a parse.
+    ``labels[p]`` is position ``p``'s event name (``labels[0]``, the start,
+    has none) and ``follow[p]`` the positions that may come right after it.
+    Each ``parse_*`` method reads one construct and returns its ``(nullable,
+    first, last)``: whether it takes the empty word, the positions a
+    non-empty word of it may start with, and those it may end with.  A
+    sequence links its left part's ``last`` to its right part's ``first``,
+    and ``*`` and ``+`` link a construct's ``last`` back to its ``first``.
+    Methods, not nested functions, so that no reference cycle outlives a
+    parse.
     """
 
-    def __init__(self, pattern: str, nfa: _NfaBuilder):
+    def __init__(self, pattern: str):
         self.pattern = pattern
         self.tokens = tokenize(pattern)
         self.index = 0
-        self.nfa = nfa
-        self.names: set[str] = set()
+        self.depth = 0
+        self.labels: list[str] = [""]
+        self.follow: list[set[int]] = [set()]
 
     def peek(self) -> str | None:
         return self.tokens[self.index][0] if self.index < len(self.tokens) else None
@@ -151,64 +101,82 @@ class _Parser:
     def here(self) -> int:
         return self.tokens[self.index][1] if self.index < len(self.tokens) else len(self.pattern)
 
-    def parse_alt(self) -> tuple[int, int]:
-        parts = [self.parse_seq()]
+    def link(self, sources: set[int], targets: set[int]) -> None:
+        for position in sources:
+            self.follow[position] |= targets
+
+    def parse_alt(self) -> tuple[bool, set[int], set[int]]:
+        nullable, first, last = self.parse_seq()
         while self.peek() == "|":
             self.index += 1
-            parts.append(self.parse_seq())
-        return parts[0] if len(parts) == 1 else self.nfa.alt(parts)
+            part_nullable, part_first, part_last = self.parse_seq()
+            nullable, first, last = nullable or part_nullable, first | part_first, last | part_last
+        return nullable, first, last
 
-    def parse_seq(self) -> tuple[int, int]:
-        parts = []
-        while True:
-            tok = self.peek()
-            if tok is None or tok in ")|":
-                break
-            parts.append(self.parse_postfix())
-        if not parts:
+    def parse_seq(self) -> tuple[bool, set[int], set[int]]:
+        nullable, first, last = True, set(), set()
+        start = self.index
+        while self.peek() not in (None, ")", "|"):
+            part_nullable, part_first, part_last = self.parse_postfix()
+            self.link(last, part_first)
+            if nullable:
+                first = first | part_first
+            last = last | part_last if part_nullable else part_last
+            nullable = nullable and part_nullable
+        if self.index == start:
             raise PatternSyntaxError("expected an event name, ε or group", self.here())
-        return self.nfa.seq(parts)
+        return nullable, first, last
 
-    def parse_postfix(self) -> tuple[int, int]:
-        fragment = self.parse_atom()
-        while self.peek() in ("*", "+", "?"):
-            fragment = self.nfa.repeat(fragment, self.tokens[self.index][0])
+    def parse_postfix(self) -> tuple[bool, set[int], set[int]]:
+        nullable, first, last = self.parse_atom()
+        while (op := self.peek()) in ("*", "+", "?"):
             self.index += 1
-        return fragment
+            if op != "?":
+                self.link(last, first)
+            nullable = nullable or op != "+"
+        return nullable, first, last
 
-    def parse_atom(self) -> tuple[int, int]:
+    def parse_atom(self) -> tuple[bool, set[int], set[int]]:
         tok = self.peek()
         if tok == "(":
+            if self.depth == MAX_NESTING:
+                raise PatternSyntaxError("groups nested deeper than %d" % MAX_NESTING, self.here())
             self.index += 1
-            fragment = self.parse_alt()
+            self.depth += 1
+            construct = self.parse_alt()
             if self.peek() != ")":
                 raise PatternSyntaxError("expected ')'", self.here())
             self.index += 1
-            return fragment
+            self.depth -= 1
+            return construct
         if tok == EPSILON:
             self.index += 1
-            return self.nfa.empty()
+            return True, set(), set()
         if tok in ")|*+?":
             raise PatternSyntaxError("unexpected %r" % tok, self.here())
         self.index += 1
-        self.names.add(tok)
-        return self.nfa.lit(tok)
+        self.labels.append(tok)
+        self.follow.append(set())
+        position = {len(self.labels) - 1}
+        return False, position, position
 
 
-def _parse(pattern: str, nfa: _NfaBuilder) -> tuple[tuple[int, int], set[str]]:
-    """Parse pattern text straight into ``nfa``.
+def _parse(pattern: str) -> tuple[list[str], list[set[int]], set[int]]:
+    """Parse pattern text into its positions (see the module docstring for the syntax).
 
-    Returns the whole pattern's ``(start, accept)`` fragment and the event
-    names it mentions (see the module docstring for the syntax).
+    Returns ``labels`` and ``follow`` as :class:`_Parser` records them, with
+    ``follow[0]`` the positions a word may start with, and the accepting
+    positions: the pattern's ``last``, and the start too when the pattern
+    takes the empty word.
     """
-    parser = _Parser(pattern, nfa)
+    parser = _Parser(pattern)
     if not parser.tokens:
         raise PatternSyntaxError("empty pattern", 0)
-    fragment = parser.parse_alt()
-    tok = parser.peek()
-    if tok is not None:
-        raise PatternSyntaxError("unexpected %r" % tok, parser.here())
-    return fragment, parser.names
+    nullable, first, last = parser.parse_alt()
+    if parser.peek() is not None:
+        raise PatternSyntaxError("unexpected %r" % parser.peek(), parser.here())
+    parser.follow[0] = first
+    return parser.labels, parser.follow, last | {0} if nullable else last
 
 
 def compile_regex(pattern: str, alphabet: Iterable[str]) -> FsmMachine:
@@ -217,54 +185,40 @@ def compile_regex(pattern: str, alphabet: Iterable[str]) -> FsmMachine:
     Raises :class:`PatternSyntaxError` for malformed patterns and
     :class:`UnknownEventInPattern` when an atom is not a declared event; a
     syntax error anywhere wins over an undeclared name.
-    The states are the integers of the subset construction, with ``0``
-    initial.  The table is total: missing moves land in a non-live sink
-    (verdict ``fail``), and states from which no accepting state is reachable
-    are labeled ``fail`` as well.
+    The states are the integers of the subset construction over positions,
+    numbered breadth-first over the sorted alphabet from ``{0}``, the
+    initial state ``0``; a state is ``match`` when its subset holds an
+    accepting position.  The table is total: a move no position follows
+    lands in the empty subset, the sink.  That sink is the only ``fail``
+    state: the grammar has no pattern for the empty language, so from every
+    position some word reaches the end of the pattern, and every non-empty
+    subset can still match.
     """
     names = sorted(set(alphabet))
-    nfa = _NfaBuilder()
-    (nfa_start, nfa_accept), mentioned = _parse(pattern, nfa)
-    unknown = mentioned.difference(names)
+    labels, follow, accepting = _parse(pattern)
+    unknown = set(labels[1:]).difference(names)
     if unknown:
         raise UnknownEventInPattern(min(unknown))
 
-    # Subset construction, keeping the empty subset as an explicit sink so the
-    # transition function is total over the alphabet.  ``order`` is the
-    # breadth-first queue: the loop reaches each subset appended to it.
-    start = nfa.closure([nfa_start])
-    ids: dict[frozenset[int], int] = {start: 0}
-    order: list[frozenset[int]] = [start]
+    # ``order`` is the breadth-first queue: the loop reaches each subset
+    # appended to it.
+    order: list[frozenset[int]] = [frozenset({0})]
+    ids: dict[frozenset[int], int] = {order[0]: 0}
     table: dict[tuple[int, str], int] = {}
-    reverse: dict[int, set[int]] = {}
     for source, subset in enumerate(order):
-        moves: dict[str, list[int]] = {}
-        for state in subset:
-            for label, target in nfa.sym.get(state, ()):
-                moves.setdefault(label, []).append(target)
+        moves: dict[str, set[int]] = {}
+        for position in subset:
+            for target in follow[position]:
+                moves.setdefault(labels[target], set()).add(target)
         for name in names:
-            moved = moves.get(name)
-            target_subset = nfa.closure(moved) if moved else frozenset()
-            target = ids.get(target_subset)
-            if target is None:
-                target = ids[target_subset] = len(order)
+            target_subset = frozenset(moves.get(name, ()))
+            target = ids.setdefault(target_subset, len(order))
+            if target == len(order):
                 order.append(target_subset)
             table[source, name] = target
-            reverse.setdefault(target, set()).add(source)
 
-    accepting = [state for state, subset in enumerate(order) if nfa_accept in subset]
-
-    # Verdict liveness: walk the reversed transition graph from accepting
-    # states; anything unreached can never match again.
-    live = set(accepting)
-    work = list(accepting)
-    while work:
-        state = work.pop()
-        for source in reverse.get(state, ()):
-            if source not in live:
-                live.add(source)
-                work.append(source)
-
-    labels = {state: Verdict.FAIL for state in range(len(order)) if state not in live}
-    labels.update((state, Verdict.MATCH) for state in accepting)
-    return FsmMachine(0, table, labels, names)
+    verdicts = {ids[frozenset()]: Verdict.FAIL} if frozenset() in ids else {}
+    for state, subset in enumerate(order):
+        if not accepting.isdisjoint(subset):
+            verdicts[state] = Verdict.MATCH
+    return FsmMachine(0, table, verdicts, names)

@@ -26,6 +26,10 @@ Four checks per trace:
   ``report_every``, equals the stream derived from the definitional verdicts
   of every trace prefix.
 
+An exception raised by the engine or slicer under check fails the check
+it was raised in, with the exception as its detail; one raised by the
+definitions or the baseline engine escapes.
+
 On a mismatch the offending trace is greedily minimized (repeated single
 event deletion while the same check keeps failing) and returned for display.
 
@@ -149,25 +153,32 @@ def _random_probe(rng: random.Random) -> ParamInstance:
     return ParamInstance._wrap((n, rng.choice(values)) for n in names)
 
 
+def _raised(exc: Exception) -> str:
+    return "raised %s: %s" % (type(exc).__name__, exc)
+
+
 def _check_slicing(
     trace: list[ParametricEvent],
     probes: list[ParamInstance],
     table_class: type[SliceTable],
 ) -> str | None:
     """Compare the online table against the definitional slice; None if ok."""
-    table = table_class().feed_all(trace)
-    for binding in table.instances():
+    try:
+        table = table_class().feed_all(trace)
+        slices = [(binding, table.slice_of(binding)) for binding in table.instances()]
+        lookups = [(probe, table.lookup(probe)) for probe in probes]
+    except Exception as exc:
+        return _raised(exc)
+    for binding, got in slices:
         expected = slice_trace(trace, binding)
-        got = table.slice_of(binding)
         if got != expected:
             return "table[%s] = %r, definition says %r" % (
                 binding.encode() or "<empty>",
                 " ".join(got),
                 " ".join(expected),
             )
-    for probe in probes:
+    for probe, got in lookups:
         expected = slice_trace(trace, probe)
-        got = table.lookup(probe)
         if got != expected:
             return "lookup(%s) = %r, definition says %r" % (
                 probe.encode() or "<empty>",
@@ -184,10 +195,16 @@ def _check_engine_pair(
 ) -> str | None:
     """Run both engines event by event; any observable divergence fails."""
     baseline = BaselineMonitor(machine, trigger=TRIGGER)
-    indexed = indexed_class(machine, trigger=TRIGGER)
+    try:
+        indexed = indexed_class(machine, trigger=TRIGGER)
+    except Exception as exc:
+        return _raised(exc)
     for position, event in enumerate(trace, 1):
         expected = baseline.feed(event)
-        got = indexed.feed(event)
+        try:
+            got, gamma = indexed.feed(event), indexed.gamma
+        except Exception as exc:
+            return "event %d: %s" % (position, _raised(exc))
         if expected != got:
             return "event %d: baseline reported %r, indexed reported %r" % (
                 position,
@@ -200,7 +217,7 @@ def _check_engine_pair(
                 len(baseline.delta),
                 len(indexed.delta),
             )
-        if baseline.gamma != indexed.gamma:
+        if baseline.gamma != gamma:
             return "event %d: verdict tables diverge" % position
     return None
 
@@ -216,8 +233,12 @@ def _check_verdicts(
     binding of the table when it was defined, the empty binding only at a
     ground event.
     """
-    indexed = indexed_class(machine, trigger=TRIGGER)
-    indexed.feed_all(trace)
+    try:
+        indexed = indexed_class(machine, trigger=TRIGGER)
+        indexed.feed_all(trace)
+        gamma = indexed.gamma  # built anew on every read
+    except Exception as exc:
+        return _raised(exc)
     reference = definitional_verdicts(machine, trace)
     if set(indexed.delta) != set(reference):
         return "table domain has %d bindings, definition yields %d" % (
@@ -226,7 +247,6 @@ def _check_verdicts(
         )
     if not any(event.instance == EMPTY for event in trace):
         del reference[EMPTY]
-    gamma = indexed.gamma  # built anew on every read
     if set(gamma) != set(reference):
         return "%d bindings have a verdict, the definition steps %d" % (
             len(gamma),
@@ -279,8 +299,11 @@ def _check_reports(
                     expected[False].append(report)
             previous[binding] = verdict
     for report_every, stream in expected.items():
-        indexed = indexed_class(machine, trigger=TRIGGER, report_every=report_every)
-        got = indexed.feed_all(trace)
+        try:
+            indexed = indexed_class(machine, trigger=TRIGGER, report_every=report_every)
+            got = indexed.feed_all(trace)
+        except Exception as exc:
+            return "report_every=%s: %s" % (report_every, _raised(exc))
         if got != stream:
             return "report_every=%s: indexed reported %r, definition says %r" % (
                 report_every,
@@ -320,8 +343,8 @@ def run_selfcheck(
     ``indexed_class`` is the engine checked by ``engine-pair``, ``verdicts``
     and ``reports``, and ``table_class`` the slicer checked by ``slicing``;
     passing a deliberately broken subclass in either place makes its
-    detection testable.  Stops at the first mismatch, returning a minimized
-    counterexample.  The checks run in that order on each trace, and
+    detection testable, a crash included.  Stops at the first mismatch,
+    returning a minimized counterexample.  The checks run in that order on each trace, and
     ``engine-pair`` already compares the report streams of the two engines
     without ``report_every``, on the same trace as ``reports``; so only a
     fault that shows under ``report_every`` alone can reach ``reports``

@@ -735,6 +735,22 @@ def test_bad_pattern_error_names_its_line(capsys, tmp_path):
     assert err == "error: line 4: unexpected ')' (at position 1)\n"
 
 
+def test_deeply_nested_pattern_exits_1(capsys, tmp_path):
+    # 400 nested groups would overflow the parser's stack; past the
+    # nesting limit the pattern is a syntax error like any other.
+    bad = tmp_path / "bad.spec"
+    bad.write_text(
+        "property P\nevent a()\nmonitor: regex\npattern: %s\nreport: match\n"
+        % ("(" * 400 + "a" + ")" * 400),
+        encoding="utf-8",
+    )
+    code, _, err = run(
+        capsys, "monitor", "--spec", str(bad), "--trace", fx("hasnext.trace")
+    )
+    assert code == 1
+    assert err == "error: line 4: groups nested deeper than 100 (at position 100)\n"
+
+
 def test_undeclared_event_in_trace_exits_1(capsys, tmp_path):
     trace = tmp_path / "t.trace"
     trace.write_text("frobnicate i=i1\n", encoding="utf-8")

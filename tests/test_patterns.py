@@ -57,6 +57,16 @@ def test_parse_errors_carry_positions():
         assert info.value.position == position
 
 
+def test_nesting_is_limited():
+    deep = "(" * 100 + "a" + ")" * 100
+    assert compile_regex(deep, alphabet=["a"]).run(["a"]) is Verdict.MATCH
+    for text in ("(" + deep + ")", "(" * 400 + "a" + ")" * 400):
+        with pytest.raises(PatternSyntaxError) as info:
+            compile_regex(text, alphabet=["a"])
+        assert info.value.position == 100
+        assert str(info.value) == "groups nested deeper than 100 (at position 100)"
+
+
 def test_unknown_event_rejected():
     with pytest.raises(UnknownEventInPattern) as info:
         compile_regex("open close", alphabet=["open"])
@@ -144,6 +154,39 @@ def test_unsafeiter_table_is_pinned():
         5: "match",
     }
     assert machine.sinks == frozenset({2, STUCK})
+
+
+def test_locking_table_is_pinned():
+    # Recorded from the Thompson-automaton compiler this module had before
+    # it built the position automaton, so it pins that the rewrite kept the
+    # machine: ε, a nested star and alternation, seven states.  Rows follow
+    # the sorted alphabet; the empty subset (1) is the fail sink.
+    names = ["acquire", "begin", "end", "release"]
+    machine = compile_regex(
+        "(begin (ε | acquire (acquire | release)* release) end)*", names
+    )
+    rows = {
+        0: [1, 2, 1, 1],
+        1: [1, 1, 1, 1],
+        2: [3, 1, 4, 1],
+        3: [5, 1, 1, 6],
+        4: [1, 2, 1, 1],
+        5: [5, 1, 1, 6],
+        6: [5, 1, 4, 6],
+    }
+    assert machine.initial() == 0
+    assert machine.states == frozenset(rows)
+    assert {s: [machine.step(s, name) for name in names] for s in rows} == rows
+    assert {state: str(machine.output(state)) for state in rows} == {
+        0: "match",
+        1: "fail",
+        2: "unknown",
+        3: "unknown",
+        4: "match",
+        5: "unknown",
+        6: "unknown",
+    }
+    assert machine.sinks == frozenset({1, STUCK})
 
 
 def test_transition_function_is_total():

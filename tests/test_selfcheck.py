@@ -13,6 +13,7 @@ from slicemon.machines import FsmMachine, Verdict
 from slicemon.parametric import IndexedMonitor
 from slicemon.reference import BaselineMonitor
 from slicemon.selfcheck import (
+    _check_engine_pair,
     _check_reports,
     _check_slicing,
     _check_verdicts,
@@ -21,7 +22,13 @@ from slicemon.selfcheck import (
 )
 from slicemon.slicer import SliceTable
 
-from .mutants import MUTANTS, NoSnapshotSliceTable, SilentBirthMonitor, mutant_run
+from .mutants import (
+    MUTANTS,
+    NoSnapshotSliceTable,
+    SilentBirthMonitor,
+    UnfilledGroundMonitor,
+    mutant_run,
+)
 
 
 def test_clean_run_passes():
@@ -128,6 +135,95 @@ def test_verdicts_check_compares_which_bindings_have_one():
     assert _check_verdicts(trace, machine, IndexedMonitor) is None
     assert "2 bindings have a verdict, the definition steps 1" == _check_verdicts(
         trace, machine, EagerEmptyMonitor
+    )
+
+
+def test_a_crash_is_a_counterexample():
+    # The mutant raises KeyError on some traces; the check it was raised
+    # in fails, and minimization goes on past candidates that crash.
+    result = run_selfcheck(count=400, seed=23, indexed_class=UnfilledGroundMonitor)
+    failure = result.failure
+    assert failure is not None
+    check = {
+        "engine-pair": _check_engine_pair,
+        "verdicts": _check_verdicts,
+        "reports": _check_reports,
+    }[failure.check]
+    assert check(failure.trace, failure.machine, UnfilledGroundMonitor) == failure.detail
+
+
+#: ``s -a-> t`` with ``t`` labelled match, and the one trace the pinned
+#: details and crashes below run on.
+MATCH_ON_A = FsmMachine("s", {("s", "a"): "t"}, {"t": Verdict.MATCH}, ["a"])
+A_X1 = [ParametricEvent("a", ParamInstance({"x": "v1"}))]
+
+
+def test_a_crash_of_the_checked_engine_is_its_detail():
+    class CrashingMonitor(IndexedMonitor):
+        def feed(self, event):
+            raise KeyError("boom")
+
+    assert _check_engine_pair(A_X1, MATCH_ON_A, CrashingMonitor) == (
+        "event 1: raised KeyError: 'boom'"
+    )
+    assert _check_verdicts(A_X1, MATCH_ON_A, CrashingMonitor) == "raised KeyError: 'boom'"
+    assert _check_reports(A_X1, MATCH_ON_A, CrashingMonitor) == (
+        "report_every=False: raised KeyError: 'boom'"
+    )
+
+
+def test_a_crash_of_the_definitions_escapes():
+    # an event outside the machine's alphabet stops the baseline engine
+    # first: the fault is not the checked engine's, so it is not a finding
+    with pytest.raises(KeyError):
+        _check_engine_pair([ParametricEvent("b")], MATCH_ON_A, IndexedMonitor)
+
+
+def test_slicing_check_pins_a_wrong_lookup():
+    class EmptyLookupTable(SliceTable):
+        def lookup(self, binding):
+            return ()
+
+    probe = ParamInstance({"x": "v1", "y": "v2"})
+    assert _check_slicing(A_X1, [probe], SliceTable) is None
+    assert _check_slicing(A_X1, [probe], EmptyLookupTable) == (
+        "lookup(x=v1,y=v2) = '', definition says 'a'"
+    )
+
+
+def test_engine_pair_check_pins_a_wrong_verdict_table():
+    class NoVerdictsMonitor(IndexedMonitor):
+        @property
+        def gamma(self):
+            return {}
+
+    assert _check_engine_pair(A_X1, MATCH_ON_A, IndexedMonitor) is None
+    assert _check_engine_pair(A_X1, MATCH_ON_A, NoVerdictsMonitor) == (
+        "event 1: verdict tables diverge"
+    )
+
+
+def test_verdicts_check_pins_an_extra_binding():
+    class ExtraBindingMonitor(IndexedMonitor):
+        def feed_all(self, trace):
+            reports = super().feed_all(trace)
+            self.delta[ParamInstance({"y": "v9"})] = self.machine.initial()
+            return reports
+
+    assert _check_verdicts(A_X1, MATCH_ON_A, IndexedMonitor) is None
+    assert _check_verdicts(A_X1, MATCH_ON_A, ExtraBindingMonitor) == (
+        "table domain has 3 bindings, definition yields 2"
+    )
+
+
+def test_verdicts_check_pins_a_wrong_verdict():
+    class AllFailMonitor(IndexedMonitor):
+        @property
+        def gamma(self):
+            return dict.fromkeys(super().gamma, Verdict.FAIL)
+
+    assert _check_verdicts(A_X1, MATCH_ON_A, AllFailMonitor) == (
+        "verdict for x=v1 is fail, definition says match"
     )
 
 
