@@ -204,7 +204,26 @@ class SilentBirthMonitor(IndexedMonitor):
     """
 
     def _define(self, joins, event, reports):
-        super()._define(joins, event, [])
+        return super()._define(joins, event, [])
+
+
+class MisfiledJoinMonitor(IndexedMonitor):
+    """Mutant: files a join whose first step reported as parked.
+
+    ``_define`` tells ``_index`` which joins of a group its first step left
+    parked; this mutant adds the joins whose first step reported, as if a
+    reported verdict were final.  Such a join is live unless its state is a
+    parking sink, so the extension finder no longer reaches it, and an event
+    on a narrower binding leaves its state stale.  A join that reports in a
+    sink is live only under ``report_every``, which keeps stepping a sink
+    whose verdict is a trigger, so there only the ``reports`` check sees it.
+    """
+
+    def _define(self, joins, event, reports):
+        first = len(reports)
+        parked = super()._define(joins, event, reports)
+        reported = {report.instance for report in reports[first:]}
+        return [joined for joined in joins if joined in parked or joined in reported]
 
 
 class EmptyCutParkedMonitor(IndexedMonitor):
@@ -321,6 +340,7 @@ MUTANTS = [
     ("live-only-joins", {"indexed_class": LiveOnlyJoinsMonitor}, "engine-pair"),
     ("stale-plan", {"indexed_class": StalePlanMonitor}, "engine-pair"),
     ("silent-birth", {"indexed_class": SilentBirthMonitor}, "engine-pair"),
+    ("misfiled-join", {"indexed_class": MisfiledJoinMonitor}, "engine-pair"),
     ("empty-cut-parked", {"indexed_class": EmptyCutParkedMonitor}, "engine-pair"),
     ("lone-empty-source", {"indexed_class": LoneEmptySourceMonitor}, "engine-pair"),
     ("stale-wider", {"indexed_class": StaleWiderMonitor}, "engine-pair"),

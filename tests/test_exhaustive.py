@@ -117,6 +117,7 @@ CAUGHT = {
     "live-only-joins": "engine-pair",
     "stale-plan": "engine-pair",
     "silent-birth": "engine-pair",
+    "misfiled-join": "reports",
     "empty-cut-parked": "engine-pair",
     "lone-empty-source": "engine-pair",
     "stale-wider": "engine-pair",

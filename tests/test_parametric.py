@@ -16,13 +16,14 @@ from slicemon.machines import FsmMachine, Verdict
 from slicemon.parametric import IndexedMonitor, VerdictReport
 from slicemon.reference import BaselineMonitor, binding_closure, definitional_verdicts, max_below
 from slicemon.patterns import compile_regex
+from slicemon.selfcheck import _random_alphabet, _random_machine, _random_trace
 from slicemon.slicer import SliceTable
 from slicemon.specfile import parse_property_spec
 
 from .mutants import (
     SkipJoinPhaseMonitor, StaleParkedIndexMonitor, StaleWiderMonitor, UnguardedEmptyMonitor,
 )
-from .oracles import feed_counting, parked, random_binding
+from .oracles import feed_counting, parked, random_binding, restrict
 from .workloads import (
     adversarial_machine, adversarial_workload, iterator_machine, iterator_workload,
     unsafeiter_workload,
@@ -350,6 +351,57 @@ def test_group_mixing_live_and_born_parked_joins(prefix):
     on_parked = indexed.parked_extensions.get(((("i", "i1"),), born.domain), set())
     assert on_parked == ({born} if prefix else set())
     assert live in indexed.extensions[((("i", "i1"),), live.domain)]
+
+
+def rebuilt_index(engine: IndexedMonitor) -> tuple[dict, dict]:
+    """The two sides of the index, built from ``delta`` by ``IndexedMonitor``'s rule.
+
+    The query domains are the domains of the bindings stepped so far, the
+    keys of ``gamma``.  A binding of domain ``D`` sits under ``(b restricted
+    to E∩D, D)`` for every query domain ``E`` with ``E∩D ⊊ D``: on the live
+    side if it is live, and on the parked side, for ``E`` incomparable with
+    ``D`` alone, if it is parked.
+    """
+    queries = {binding.domain for binding in engine.gamma}
+    held = parked(engine)
+    live: dict[tuple, set] = {}
+    parked_side: dict[tuple, set] = {}
+    for binding in engine.delta:
+        domain = binding.domain
+        for query in queries:
+            cut = query & domain
+            if cut == domain or (binding in held and cut == query):
+                continue
+            side = parked_side if binding in held else live
+            side.setdefault((restrict(binding, cut), domain), set()).add(binding)
+    return live, parked_side
+
+
+def fixture_and_random_runs(fixtures):
+    """(machine, trigger, trace) per fixture and per seeded random trace of the selfcheck's kind."""
+    for name in ("locking", "hasnext", "unsafeiter", "balanced"):
+        spec = parse_property_spec(read_fixture(fixtures, name + ".spec"))
+        yield spec.machine, spec.trigger, parse_trace(read_fixture(fixtures, name + ".trace"))
+    rng = random.Random(37)
+    for _ in range(150):
+        alphabet = _random_alphabet(rng)
+        machine = _random_machine(rng)
+        trace = _random_trace(rng, alphabet, rng.randint(1, 50))
+        yield machine, [Verdict.MATCH, Verdict.FAIL], trace
+
+
+@pytest.mark.parametrize("report_every", [False, True])
+def test_index_equals_its_rebuild_from_delta(fixtures, report_every):
+    # Each join's keys are written once, on the side its first step left it,
+    # a parked binding's only under its parked cuts, and a live binding that
+    # parks moves; after every event the index is what the rule builds anew.
+    for machine, trigger, trace in fixture_and_random_runs(fixtures):
+        engine = IndexedMonitor(machine, trigger=trigger, report_every=report_every)
+        for event in trace:
+            engine.feed(event)
+            assert (engine.extensions, engine.parked_extensions) == rebuilt_index(engine), event
+            for side in (engine.extensions, engine.parked_extensions):
+                assert all(side.values()), event
 
 
 def test_reports_of_one_event_come_in_binding_order():
