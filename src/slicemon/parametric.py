@@ -46,7 +46,7 @@ whose state is the word read so far.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .bindings import EMPTY, ParamInstance, binding_order
 from .events import ParametricEvent
@@ -163,9 +163,9 @@ class _EngineBase:
     binding's first, right after ``_define`` gave the group its first
     step: ``joins`` is the group, a dict whose keys are its joins, and
     ``parked`` is what ``_define`` returned, the joins that step left in a
-    parking sink, the empty tuple if the machine has none; every other
-    join of the group is live.  ``_park`` is called when a step parks a
-    binding defined before the event.  ``delta`` is the one per-binding
+    parking sink, empty if the machine has none; every other join of the
+    group is live.  ``_park`` is called when a step parks a binding
+    defined before the event.  ``delta`` is the one per-binding
     record: a binding is parked when its state is a parking sink, and it
     has a verdict once stepped.  Every binding is stepped when it is
     defined, and the empty binding, in the table from the start, is
@@ -287,7 +287,7 @@ class _EngineBase:
     def _define(
         self, joins: dict[ParamInstance, ParamInstance], event: ParametricEvent,
         reports: list[VerdictReport],
-    ) -> Sequence[ParamInstance]:
+    ) -> list[ParamInstance]:
         """Create a group's table entries, each its source's state after one step.
 
         ``joins`` maps each join to its source.  Each source is in the
@@ -308,29 +308,19 @@ class _EngineBase:
         It returns the joins that their first step left in a parking sink,
         born parked or stepped there, in the group's order, which the loop
         passes to ``_index``.  A machine with no parking sink, such as the
-        slicer's word machine or a toggle, gets the empty tuple from a loop
-        of its own, which makes no list and tests no state.
+        slicer's word machine or a toggle, gets an empty list, and no state
+        of it is tested against the empty ``parking``.
         """
         delta, parking, machine = self.delta, self._parking, self.machine
         trigger, name, index = self.trigger, event.name, self.stats.events
-        if not parking:
-            # One loop for both kinds of machine, testing ``parking`` per
-            # join, measured ×1.01 on unsafeiter-join p99 (CHANGES.md).
-            for joined, source in joins.items():
-                delta[joined] = state = machine.step(delta[source], name)
-                verdict = machine.output(state)
-                if verdict in trigger:
-                    reports.append(VerdictReport(index, verdict, joined, name))
-            self.stats.monitor_steps += len(joins)
-            return ()
         parked = []
         for joined, source in joins.items():
             state = delta[source]
-            if state in parking:
+            if parking and state in parking:
                 parked.append(joined)
             else:
                 state = machine.step(state, name)
-                if state in parking:
+                if parking and state in parking:
                     parked.append(joined)
             delta[joined] = state
             verdict = machine.output(state)
@@ -344,7 +334,7 @@ class _EngineBase:
 
     def _index(
         self, domain: frozenset[str], joins: dict[ParamInstance, ParamInstance],
-        parked: Sequence[ParamInstance],
+        parked: list[ParamInstance],
     ) -> None:
         """Note a group of bindings of ``domain`` that this event defined, and which parked."""
 
@@ -516,7 +506,7 @@ class IndexedMonitor(_EngineBase):
 
     def _index(
         self, domain: frozenset[str], joins: dict[ParamInstance, ParamInstance],
-        parked: Sequence[ParamInstance],
+        parked: list[ParamInstance],
     ) -> None:
         """Write the keys of a group of this event's joins, each on its side, once.
 
